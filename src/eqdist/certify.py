@@ -23,7 +23,7 @@ import numpy as np
 from .approx import EvenPolynomial, abs_power, approximate_abs_power, choose_degree, jackson_constant
 from .construct import distance_profile
 from .errors import InputError, ResourceLimitError
-from .space import PointSet, Space, distance_matrix
+from .space import PointSet, Space, distance_matrix, pair_block_norms, pair_block_sq_norms
 
 BLOKHUIS_MAX_VARS = 6
 BLOKHUIS_MAX_P = 8
@@ -117,9 +117,8 @@ def matrix_thm1(points: PointSet, k: int) -> SymMatrix:
     if k % 2 != 0 or k < 2:
         raise InputError(f"k must be a positive even integer, got {k}")
     _require_lp(points, "matrix_thm1")
-    pts, m = points.points, points.m
-    delta = pts[:, None, :] - pts[None, :, :]
-    A = 1.0 - abs_power(delta, float(k)).sum(axis=2)
+    R = pair_block_norms(points.space, points.points, points.points)
+    A = 1.0 - abs_power(R, float(k)).sum(axis=2)
     np.fill_diagonal(A, 1.0)
     return SymMatrix.from_upper(A)
 
@@ -149,11 +148,10 @@ def matrix_thm2(points: PointSet, dists, P: EvenPolynomial) -> tuple[SymMatrix, 
         raise InputError(f"distances must be strictly decreasing in (0, 1]: {dists}")
     ap = [a ** p for a in dists]
     pi = math.prod(ap)
-    pts, m, n = points.points, points.m, points.space.ambient_dim
-
-    delta = pts[:, None, :] - pts[None, :, :]
-    Y = P(delta).sum(axis=2)
-    X = abs_power(delta, p).sum(axis=2)
+    m, n = points.m, points.space.ambient_dim
+    R = pair_block_norms(points.space, points.points, points.points)
+    Y = P(R).sum(axis=2)
+    X = abs_power(R, p).sum(axis=2)
     A = np.ones((m, m))
     off = ~np.eye(m, dtype=bool)
     for au in ap:
@@ -168,24 +166,13 @@ def matrix_thm2(points: PointSet, dists, P: EvenPolynomial) -> tuple[SymMatrix, 
     return SymMatrix.from_upper(A), diag
 
 
-def _block_pair_norms(points: PointSet) -> np.ndarray:
-    """(m, m, n_blocks) array of pairwise block Euclidean norms."""
-    pts = points.points
-    delta = pts[:, None, :] - pts[None, :, :]
-    slices = points.space.block_slices()
-    R = np.empty((points.m, points.m, len(slices)))
-    for b, sl in enumerate(slices):
-        R[:, :, b] = np.sqrt(np.sum(delta[:, :, sl] ** 2, axis=2))
-    return R
-
-
 def matrix_thm5(points: PointSet, P: EvenPolynomial) -> tuple[SymMatrix, ApproxGapDiagnostics]:
     """m_ij = 1 - sum_k P(||block_k(p_i - p_j)||); the diagonal is exactly 1."""
     p = points.space.p
     if math.isinf(p):
         raise InputError("matrix_thm5 requires finite p")
     m = points.m
-    R = _block_pair_norms(points)
+    R = pair_block_norms(points.space, points.points, points.points)
     Y = P(R).sum(axis=2)
     X = abs_power(R, p).sum(axis=2)
     A = 1.0 - Y
@@ -197,25 +184,19 @@ def matrix_thm5(points: PointSet, P: EvenPolynomial) -> tuple[SymMatrix, ApproxG
     return SymMatrix.from_upper(A), diag
 
 
-def _two_block_slices(points: PointSet, what: str):
+def _require_two_blocks(points: PointSet, what: str) -> None:
     if points.space.n_blocks != 2:
         raise InputError(f"{what} requires a two-block space")
-    return points.space.block_slices()
-
-
-def _pair_sq_norms(points: PointSet, sl: slice) -> np.ndarray:
-    pts = points.points[:, sl]
-    delta = pts[:, None, :] - pts[None, :, :]
-    return np.sum(delta ** 2, axis=2)
 
 
 def gram_thm3(points: PointSet) -> SymMatrix:
     """(u,v) entry: (1 - ||Delta_1||^2)(1 - ||Delta_2||^2); identity on a
     valid unit-equilateral set in a two-block sup-sum space."""
-    sl1, sl2 = _two_block_slices(points, "gram_thm3")
+    _require_two_blocks(points, "gram_thm3")
     if not math.isinf(points.space.p):
         raise InputError("gram_thm3 requires p = inf")
-    A = (1.0 - _pair_sq_norms(points, sl1)) * (1.0 - _pair_sq_norms(points, sl2))
+    S = pair_block_sq_norms(points.space, points.points, points.points)
+    A = (1.0 - S[:, :, 0]) * (1.0 - S[:, :, 1])
     np.fill_diagonal(A, 1.0)
     return SymMatrix.from_upper(A)
 
@@ -231,10 +212,10 @@ def gram_thm4(points: PointSet, p: int) -> SymMatrix:
     """(u,v) entry: 1 - ||Delta_1||^p - ||Delta_2||^p for even p."""
     if p % 2 != 0 or p < 2:
         raise InputError(f"p must be a positive even integer, got {p}")
-    sl1, sl2 = _two_block_slices(points, "gram_thm4")
+    _require_two_blocks(points, "gram_thm4")
+    S = pair_block_sq_norms(points.space, points.points, points.points)
     half = p // 2
-    A = 1.0 - _int_pow(_pair_sq_norms(points, sl1), half) \
-            - _int_pow(_pair_sq_norms(points, sl2), half)
+    A = 1.0 - _int_pow(S[:, :, 0], half) - _int_pow(S[:, :, 1], half)
     np.fill_diagonal(A, 1.0)
     return SymMatrix.from_upper(A)
 
@@ -380,7 +361,7 @@ def independence_rank_thm4(points: PointSet, p: int, tol: float = 1e-9) -> int:
     x1^g (0 < |g| < p/2), x2^g, and 1, expanded over a dense monomial basis."""
     if p % 2 != 0 or p < 2:
         raise InputError(f"p must be a positive even integer, got {p}")
-    _two_block_slices(points, "independence_rank_thm4")
+    _require_two_blocks(points, "independence_rank_thm4")
     rows = _blokhuis_rows_thm4(points.space, points.points, p)
     return numerical_rank(_coeff_matrix(rows, points.space.ambient_dim), tol)
 
@@ -415,7 +396,7 @@ def _rows_thm3(space: Space, coords: np.ndarray) -> list[dict]:
 def independence_rank_thm3(points: PointSet, tol: float = 1e-9) -> int:
     """Rank of the coefficient matrix of {f_u, 1, x_k, ||x1||^2} for the
     sup-sum pipeline (expected m + dim + 2 when independent)."""
-    _two_block_slices(points, "independence_rank_thm3")
+    _require_two_blocks(points, "independence_rank_thm3")
     rows = _rows_thm3(points.space, points.points)
     return numerical_rank(_coeff_matrix(rows, points.space.ambient_dim), tol)
 

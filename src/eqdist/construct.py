@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistanceError, InputError, NumericalError
-from .space import PointSet, Space, distance_matrix
+from .space import PointSet, Space, distance_matrix, pair_block_sq_norms
 
 
 def cross_polytope(n: int) -> PointSet:
@@ -84,13 +84,8 @@ def product_construction(S: PointSet, T: PointSet, tol: float = 1e-8) -> PointSe
             prof = distance_profile(ps, tol)
             if len(prof) != 1 or abs(prof[0] - 1.0) > tol:
                 raise InputError(f"{name} is not unit-equilateral (profile {prof})")
-    a, b = S.space.ambient_dim, T.space.ambient_dim
-    pts = np.empty((S.m * T.m, a + b))
-    for i, srow in enumerate(S.points):
-        for j, trow in enumerate(T.points):
-            pts[i * T.m + j, :a] = srow
-            pts[i * T.m + j, a:] = trow
-    return PointSet(Space(math.inf, (a, b)), pts)
+    pts = np.hstack([np.repeat(S.points, T.m, axis=0), np.tile(T.points, (S.m, 1))])
+    return PointSet(Space(math.inf, (S.space.ambient_dim, T.space.ambient_dim)), pts)
 
 
 def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
@@ -141,12 +136,7 @@ class SearchResult:
 def _pair_energy_grad(Q: np.ndarray, space: Space, eps: float, want_grad: bool):
     """Energy sum_{i<j} (d_ij - 1)^2 with softened block norms, and gradient."""
     m = Q.shape[0]
-    delta = Q[:, None, :] - Q[None, :, :]
-    slices = space.block_slices()
-    nb = len(slices)
-    sq = np.empty((m, m, nb))
-    for b, sl in enumerate(slices):
-        sq[:, :, b] = np.sum(delta[:, :, sl] ** 2, axis=2)
+    sq = pair_block_sq_norms(space, Q, Q)
     soften = space.p < 2.0 and math.isfinite(space.p)
     r = np.sqrt(sq + eps * eps) if soften else np.sqrt(sq)
     eye = np.eye(m, dtype=bool)
@@ -163,21 +153,16 @@ def _pair_energy_grad(Q: np.ndarray, space: Space, eps: float, want_grad: bool):
     energy = 0.5 * float(np.sum(resid ** 2))  # each pair counted twice
     if not want_grad:
         return energy, None
-    grad = np.zeros_like(Q)
-    d_safe = np.maximum(d, 1e-12)
+    # w[i, j, b]: weight of block b of Q[i] - Q[j] in the gradient at Q[i]
     if math.isinf(space.p):
-        amax = r.argmax(axis=2)
-        for b, sl in enumerate(slices):
-            w = 2.0 * resid * (amax == b) / np.maximum(r[:, :, b], 1e-12)
-            w[eye] = 0.0
-            grad[:, sl] += np.sum(w[:, :, None] * delta[:, :, sl], axis=1)
+        is_max = r.argmax(axis=2)[:, :, None] == np.arange(space.n_blocks)
+        w = 2.0 * resid[:, :, None] * is_max / np.maximum(r, 1e-12)
     else:
-        base = 2.0 * resid * d_safe ** (1.0 - space.p)
-        for b, sl in enumerate(slices):
-            w = base * r[:, :, b] ** (space.p - 2.0)
-            w[eye] = 0.0
-            grad[:, sl] += np.sum(w[:, :, None] * delta[:, :, sl], axis=1)
-    return energy, grad
+        base = 2.0 * resid * np.maximum(d, 1e-12) ** (1.0 - space.p)
+        w = base[:, :, None] * r ** (space.p - 2.0)
+    w[eye] = 0.0
+    delta = Q[:, None, :] - Q[None, :, :]
+    return energy, np.sum(np.repeat(w, space.blocks, axis=2) * delta, axis=1)
 
 
 def _true_residual(Q: np.ndarray, space: Space) -> float:

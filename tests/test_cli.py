@@ -140,6 +140,20 @@ def test_input_errors_exit_1(capsys):
     assert code == 1 and "lp-simplex needs" in err
 
 
+@pytest.mark.parametrize("points, message", [
+    ("[[0, 0], [1]]", "rectangular"),
+    ("[[0, NaN], [1, 0]]", "finite"),
+    ("[[0, 0], [1, Infinity]]", "finite"),
+])
+@pytest.mark.parametrize("command", [("verify",), ("certify", "--theorem", "thm1")])
+def test_bad_points_exit_1(tmp_path, capsys, points, message, command):
+    f = tmp_path / "bad.json"
+    f.write_text('{"space": "lp:n=2,p=2", "points": ' + points + "}")
+    code, out, err = _run(capsys, *command, "--points", str(f))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
 def test_formats(capsys):
     code, out, _ = _run(capsys, "bound", "--space", "lp:n=3,p=2", "--format", "csv")
     assert code == 0 and out.splitlines()[0].startswith("side,")

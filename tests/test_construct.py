@@ -71,6 +71,10 @@ def test_product_construction():
         ps = product_construction(euclidean_simplex(a), euclidean_simplex(b))
         assert ps.m == (a + 1) * (b + 1)
         assert _profile_is_unit(ps, 1e-12)
+        S, T = euclidean_simplex(a), euclidean_simplex(b)
+        for i in range(S.m):
+            for j in range(T.m):
+                assert np.array_equal(ps.points[i * T.m + j], np.concatenate([S.points[i], T.points[j]]))
 
 
 def test_product_single_point_copy():

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from eqdist import space as space_mod
+from eqdist.construct import cross_polytope
 from eqdist.errors import InputError
 from eqdist.space import (PointSet, Space, distance, distance_matrix, norm,
                           norm_sandwich_check)
@@ -67,10 +70,69 @@ def test_distance_matrix_examples():
 
 
 def test_distance_matrix_cross_polytope():
-    from eqdist.construct import cross_polytope
     dm = distance_matrix(cross_polytope(2))
     off = dm[~np.eye(4, dtype=bool)]
     assert np.allclose(off, 1.0, atol=1e-15)
+
+
+def _assert_matches_pairwise(ps: PointSet):
+    """distance_matrix agrees with the scalar distance to 2 ulps, pair by pair."""
+    nbytes = ps.m * ps.points.size * 8
+    assert nbytes >= 4 * space_mod._CHUNK_BYTES  # several row chunks
+    dm = distance_matrix(ps)
+    assert np.array_equal(dm, dm.T) and not np.any(np.diag(dm))
+    for i in range(ps.m):
+        for j in range(i + 1, ps.m):
+            want = distance(ps.space, ps.points[i], ps.points[j])
+            assert abs(dm[i, j] - want) <= 2 * np.spacing(want), (i, j)
+
+
+def test_distance_matrix_matches_distance_lp():
+    rng = np.random.default_rng(19)
+    pts = rng.normal(size=(120, 100))
+    for p in [1.0, 2.5, math.inf]:
+        _assert_matches_pairwise(PointSet(Space(p, (1,) * 100), pts))
+
+
+def test_distance_matrix_matches_distance_lpsum():
+    rng = np.random.default_rng(23)
+    blocks = (1, 2, 3, 4, 5, 6)
+    pts = rng.normal(size=(160, sum(blocks)))
+    for p in [3.0, math.inf]:
+        _assert_matches_pairwise(PointSet(Space(p, blocks), pts))
+
+
+def test_distance_matrix_cross_polytope_many_chunks():
+    ps = cross_polytope(200)
+    dm = distance_matrix(ps)
+    off = dm[~np.eye(ps.m, dtype=bool)]
+    assert np.all(off == 1.0)
+    for p in [2.5, math.inf]:
+        dm = distance_matrix(PointSet(Space(p, ps.space.blocks), ps.points))
+        for i, j in [(0, 1), (0, 2), (1, 398), (250, 399)]:
+            want = distance(Space(p, ps.space.blocks), ps.points[i], ps.points[j])
+            assert abs(dm[i, j] - want) <= 2 * np.spacing(want)
+
+
+def test_distance_matrix_extreme_scales():
+    for p in [1.0, 2.5, 800.0, math.inf]:
+        s = Space(p, (1,) * 3)
+        huge = np.array([[1e200, -2e200, 0.5e200], [-1e200, 1e200, 0.0]])
+        tiny = np.array([[1e-200, 2e-200, 3e-200], [0.0, 0.0, 0.0]])
+        for pts in (huge, tiny):
+            dm = distance_matrix(PointSet(s, pts))
+            assert np.isfinite(dm[0, 1]) and dm[0, 1] > 0 and dm[0, 1] == dm[1, 0]
+
+
+def test_distance_matrix_peak_memory():
+    ps = cross_polytope(200)
+    tracemalloc.start()
+    try:
+        distance_matrix(ps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak
 
 
 def test_sandwich_examples():
@@ -136,3 +198,13 @@ def test_pointset_json_roundtrip():
         PointSet.from_jsonable({"points": [[1]]})
     with pytest.raises(InputError):
         PointSet(Space(2.0, (1, 1)), np.zeros((2, 3)))
+
+
+def test_pointset_rejects_ragged_and_nonfinite():
+    s = Space(2.0, (1, 1))
+    for bad in ([[0, 0], [1]], [["a", 0], [1, 0]], [[0, math.nan], [1, 0]],
+                [[0, math.inf], [1, 0]], [[0, -math.inf], [1, 0]]):
+        with pytest.raises(InputError):
+            PointSet(s, bad)
+        with pytest.raises(InputError):
+            PointSet.from_jsonable({"space": s.to_string(), "points": bad})
