@@ -105,21 +105,33 @@ def _cheb_grid(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(math.pi * np.arange(n) / (n - 1)))
 
 
-def _golden_max(fn, a: float, b: float, xtol: float = 1e-12) -> float:
-    """Golden-section search for the maximum of fn on [a, b]."""
+def _golden_max(fn, a: np.ndarray, b: np.ndarray, xtol: float = 1e-12) -> np.ndarray:
+    """Golden-section search for the maximum of a vectorised fn on each [a_i, b_i].
+
+    All intervals step in lockstep and an interval stops once b_i - a_i <=
+    xtol, so each follows the same sequence of float operations as a scalar
+    search on it alone.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > xtol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-    return max(fc, fd)
+    live = np.flatnonzero(b - a > xtol)
+    while live.size:
+        al, bl, cl, dl = a[live], b[live], c[live], d[live]
+        fcl, fdl = fc[live], fd[live]
+        up = fcl < fdl
+        al = np.where(up, cl, al)
+        bl = np.where(up, bl, dl)
+        cl, dl = (np.where(up, dl, bl - _GOLDEN * (bl - al)),
+                  np.where(up, al + _GOLDEN * (bl - al), cl))
+        fx = fn(np.where(up, dl, cl))
+        fc[live] = np.where(up, fdl, fx)
+        fd[live] = np.where(up, fx, fcl)
+        a[live], b[live], c[live], d[live] = al, bl, cl, dl
+        live = live[bl - al > xtol]
+    return np.maximum(fc, fd)
 
 
 def approximation_error(P: EvenPolynomial, p: float, grid_size: int = GRID_SIZE) -> float:
@@ -135,10 +147,16 @@ def approximation_error(P: EvenPolynomial, p: float, grid_size: int = GRID_SIZE)
     xg = _cheb_grid(grid_size)
     err = np.abs(P(xg) - abs_power(xg, p))
     best = float(err.max())
-    fn = lambda x: float(abs(P(x) - abs_power(x, p)))
+    if p == float(int(p)):
+        fn = lambda x: np.abs(P(x) - abs_power(x, p))
+    else:
+        # the C library's pow, point by point: numpy's SIMD power on arrays
+        # can differ from it in the last bit, and the refined maxima are
+        # reported to full precision
+        fn = lambda x: np.abs(P(x) - np.array([math.pow(v, p) for v in np.abs(x)]))
     interior = np.flatnonzero((err[1:-1] >= err[:-2]) & (err[1:-1] >= err[2:])) + 1
-    for i in interior:
-        best = max(best, _golden_max(fn, xg[i - 1], xg[i + 1]))
+    if interior.size:
+        best = max(best, float(_golden_max(fn, xg[interior - 1], xg[interior + 1]).max()))
     return best
 
 

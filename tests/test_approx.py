@@ -81,6 +81,22 @@ def test_approximation_error_examples():
     assert approximation_error(P, 1) <= 0.5935
 
 
+
+def test_golden_max_refines_each_interval_alone():
+    from eqdist.approx import _golden_max
+
+    # peaks of height k at k + 0.3 on [k, k + w_k]; widths differ so the
+    # intervals stop after different numbers of steps
+    fn = lambda x: np.floor(x) - (x - np.floor(x) - 0.3) ** 2
+    a = np.array([0.0, 1.0, 2.0, 3.0])
+    b = a + np.array([1e-3, 0.5, 0.9, 0.31])
+    got = _golden_max(fn, a, b)
+    want = [fn(np.array([0.001]))[0], 1.0, 2.0, 3.0]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    for i in range(4):
+        assert _golden_max(fn, a[i:i + 1], b[i:i + 1])[0] == got[i]
+
+
 def test_jackson_bound_subset():
     # the full d <= 40 sweep runs in the acceptance suite
     for p in [1, 1.3, 2.5, 4.7]:
