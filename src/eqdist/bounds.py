@@ -73,7 +73,8 @@ class BoundConfig:
 
 def load_config(path: str) -> BoundConfig:
     """Parse a key=value constants file (one pair per line, # comments)."""
-    cfg = BoundConfig()
+    settings: dict = {}
+    constants: dict[str, float] = {}
     try:
         fh = open(path, encoding="utf-8")
     except OSError as e:
@@ -87,17 +88,19 @@ def load_config(path: str) -> BoundConfig:
                 raise InputError(f"bad config line (expected key=value): {raw.rstrip()}")
             key, val = (part.strip() for part in line.split("=", 1))
             if key == "treat_asymptotic_as_explicit":
-                cfg.treat_asymptotic_as_explicit = val.lower() in ("1", "true", "yes")
+                settings["treat_asymptotic_as_explicit"] = val.lower() in ("1", "true", "yes")
                 continue
             try:
                 num = float(val)
             except ValueError as e:
                 raise InputError(f"bad numeric value for {key}: {val!r}") from e
+            if not math.isfinite(num):
+                raise InputError(f"bad numeric value for {key}: {val!r}")
             if key == "c_absolute":
-                cfg.c_absolute = num
+                settings["c_absolute"] = num
             else:
-                cfg.constants[key] = num
-    return cfg
+                constants[key] = num
+    return BoundConfig(constants=constants, **settings)
 
 
 def sdistance_exponent(p: float, s: int) -> float:

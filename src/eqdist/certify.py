@@ -195,10 +195,15 @@ def gram_thm3(points: PointSet) -> SymMatrix:
     _require_two_blocks(points, "gram_thm3")
     if not math.isinf(points.space.p):
         raise InputError("gram_thm3 requires p = inf")
-    S = pair_block_sq_norms(points.space, points.points, points.points)
-    A = (1.0 - S[:, :, 0]) * (1.0 - S[:, :, 1])
+    A = _f_thm3(points.space, points.points, points.points)
     np.fill_diagonal(A, 1.0)
     return SymMatrix.from_upper(A)
+
+
+def _f_thm3(space: Space, U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(len U, len X) values f_u(x) = (1 - ||x1 - u1||^2)(1 - ||x2 - u2||^2)."""
+    S = pair_block_sq_norms(space, U, X)
+    return (1.0 - S[:, :, 0]) * (1.0 - S[:, :, 1])
 
 
 def _int_pow(arr: np.ndarray, k: int) -> np.ndarray:
@@ -213,15 +218,20 @@ def gram_thm4(points: PointSet, p: int) -> SymMatrix:
     if p % 2 != 0 or p < 2:
         raise InputError(f"p must be a positive even integer, got {p}")
     _require_two_blocks(points, "gram_thm4")
-    S = pair_block_sq_norms(points.space, points.points, points.points)
-    half = p // 2
-    A = 1.0 - _int_pow(S[:, :, 0], half) - _int_pow(S[:, :, 1], half)
+    A = _f_thm4(points.space, points.points, points.points, p)
     np.fill_diagonal(A, 1.0)
     return SymMatrix.from_upper(A)
 
 
+def _f_thm4(space: Space, U: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
+    """(len U, len X) values f_u(x) = 1 - ||x1 - u1||^p - ||x2 - u2||^p, p even."""
+    S = pair_block_sq_norms(space, U, X)
+    half = p // 2
+    return 1.0 - _int_pow(S[:, :, 0], half) - _int_pow(S[:, :, 1], half)
+
+
 # ---------------------------------------------------------------------------
-# span dimensions and monomial counting
+# span dimensions
 
 
 def span_dim(theorem: str, **params) -> int:
@@ -254,151 +264,59 @@ def span_dim(theorem: str, **params) -> int:
     raise InputError(f"unknown span_dim theorem tag: {theorem!r}")
 
 
-def monomial_count_telescoped(a: int, p: int) -> int:
-    """C(a+p/2, a) + sum_{c=1}^{p/2} C(a-1+p/2-c, a-1): the per-block count
-    written as the 'all low degrees plus one family per high degree' sum."""
-    if p % 2 != 0 or p < 2 or a < 1:
-        raise InputError(f"need even p >= 2 and a >= 1, got a={a}, p={p}")
-    half = p // 2
-    return math.comb(a + half, a) + sum(math.comb(a - 1 + half - c, a - 1)
-                                        for c in range(1, half + 1))
-
-
-def monomial_count_enumerated(a: int, p: int) -> int:
-    """The same count by explicit generation of the exponent tuples."""
-    if p % 2 != 0 or p < 2 or a < 1:
-        raise InputError(f"need even p >= 2 and a >= 1, got a={a}, p={p}")
-    half = p // 2
-    low = sum(1 for g in itertools.product(range(half + 1), repeat=a) if sum(g) <= half)
-    high = 0
-    for c in range(1, half + 1):
-        want = half - c
-        high += sum(1 for g in itertools.product(range(want + 1), repeat=a) if sum(g) == want)
-    return low + high
-
-
 # ---------------------------------------------------------------------------
-# multivariate expansion / linear-independence ranks
+# linear-independence ranks
+#
+# Each family is evaluated at 3 * (number of rows) seeded standard-normal
+# points.  By the Schwartz-Zippel lemma, values at generic points keep the
+# rank of a family of polynomials with probability 1, so the numerical rank
+# of the evaluation matrix is the rank of the family.
 
 
-def _poly_mul(P: dict, Q: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in P.items():
-        for e2, c2 in Q.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
-def _poly_pow(P: dict, k: int, nvars: int) -> dict:
-    out = {(0,) * nvars: 1.0}
-    for _ in range(k):
-        out = _poly_mul(out, P)
-    return out
-
-
-def _shifted_sq_norm(var_idx: list[int], u: np.ndarray, nvars: int) -> dict:
-    """sum_t (x_t - u_t)^2 over the given variable indices, as a polynomial."""
-    out = {(0,) * nvars: float(np.sum(u * u))}
-    for t, vi in enumerate(var_idx):
-        e1 = tuple(2 if i == vi else 0 for i in range(nvars))
-        e2 = tuple(1 if i == vi else 0 for i in range(nvars))
-        out[e1] = out.get(e1, 0.0) + 1.0
-        out[e2] = out.get(e2, 0.0) - 2.0 * float(u[t])
-    return out
-
-
-def _coeff_matrix(rows: list[dict], nvars: int) -> np.ndarray:
-    monos = sorted({e for row in rows for e in row},
-                   key=lambda e: (sum(e), e))  # dense graded-lex index
-    col = {e: i for i, e in enumerate(monos)}
-    M = np.zeros((len(rows), len(monos)))
-    for r, row in enumerate(rows):
-        for e, c in row.items():
-            M[r, col[e]] = c
-    return M
-
-
-def _blokhuis_rows_thm4(space: Space, coords: np.ndarray, p: int) -> list[dict]:
-    a, b = space.blocks
-    nvars = a + b
-    if nvars > BLOKHUIS_MAX_VARS or p > BLOKHUIS_MAX_P:
-        raise ResourceLimitError(
-            f"expansion with a+b={nvars}, p={p} exceeds the tractability cap "
-            f"(a+b <= {BLOKHUIS_MAX_VARS}, p <= {BLOKHUIS_MAX_P})")
-    half = p // 2
-    one = {(0,) * nvars: 1.0}
-    rows = []
-    for u in coords:
-        q1 = _shifted_sq_norm(list(range(a)), u[:a], nvars)
-        q2 = _shifted_sq_norm(list(range(a, a + b)), u[a:], nvars)
-        fu = dict(one)
-        for e, c in _poly_pow(q1, half, nvars).items():
-            fu[e] = fu.get(e, 0.0) - c
-        for e, c in _poly_pow(q2, half, nvars).items():
-            fu[e] = fu.get(e, 0.0) - c
-        rows.append(fu)
-    for g in itertools.product(range(half), repeat=a):
-        if 0 < sum(g) < half:
-            rows.append({tuple(g) + (0,) * b: 1.0})
-    for g in itertools.product(range(half), repeat=b):
-        if 0 < sum(g) < half:
-            rows.append({(0,) * a + tuple(g): 1.0})
-    rows.append(one)
-    return rows
+def _low_exponents(nvars: int, half: int) -> list[tuple[int, ...]]:
+    """Exponents g of the augmenting monomials x^g, 0 < |g| < half."""
+    return [g for g in itertools.product(range(half), repeat=nvars) if 0 < sum(g) < half]
 
 
 def blokhuis_family_size(m: int, a: int, b: int, p: int) -> int:
     """Expected rank when the augmented family is linearly independent."""
     half = p // 2
-    cnt = lambda nv: sum(1 for g in itertools.product(range(half), repeat=nv)
-                         if 0 < sum(g) < half)
-    return m + cnt(a) + cnt(b) + 1
+    return m + len(_low_exponents(a, half)) + len(_low_exponents(b, half)) + 1
 
 
 def independence_rank_thm4(points: PointSet, p: int, tol: float = 1e-9) -> int:
-    """Rank of the coefficient matrix of {f_u} plus the augmenting monomials
-    x1^g (0 < |g| < p/2), x2^g, and 1, expanded over a dense monomial basis."""
+    """Rank of {f_u} plus the augmenting monomials x1^g (0 < |g| < p/2),
+    x2^g, and 1, evaluated at seeded generic points."""
     if p % 2 != 0 or p < 2:
         raise InputError(f"p must be a positive even integer, got {p}")
     _require_two_blocks(points, "independence_rank_thm4")
-    rows = _blokhuis_rows_thm4(points.space, points.points, p)
-    return numerical_rank(_coeff_matrix(rows, points.space.ambient_dim), tol)
-
-
-def _rows_thm3(space: Space, coords: np.ndarray) -> list[dict]:
-    a, b = space.blocks
-    nvars = a + b
-    if nvars > 2 * BLOKHUIS_MAX_VARS:
-        raise ResourceLimitError(f"expansion with a+b={nvars} exceeds the cap")
-    one = {(0,) * nvars: 1.0}
-    rows = []
-    for u in coords:
-        q1 = _shifted_sq_norm(list(range(a)), u[:a], nvars)
-        q2 = _shifted_sq_norm(list(range(a, a + b)), u[a:], nvars)
-        f1 = dict(one)
-        for e, c in q1.items():
-            f1[e] = f1.get(e, 0.0) - c
-        f2 = dict(one)
-        for e, c in q2.items():
-            f2[e] = f2.get(e, 0.0) - c
-        rows.append(_poly_mul(f1, f2))
-    rows.append(one)
-    for vi in range(nvars):
-        rows.append({tuple(1 if i == vi else 0 for i in range(nvars)): 1.0})
-    sq1 = {}
-    for vi in range(a):
-        sq1[tuple(2 if i == vi else 0 for i in range(nvars))] = 1.0
-    rows.append(sq1)
-    return rows
+    a, b = points.space.blocks
+    if a + b > BLOKHUIS_MAX_VARS or p > BLOKHUIS_MAX_P:
+        raise ResourceLimitError(
+            f"expansion with a+b={a + b}, p={p} exceeds the tractability cap "
+            f"(a+b <= {BLOKHUIS_MAX_VARS}, p <= {BLOKHUIS_MAX_P})")
+    rows = blokhuis_family_size(points.m, a, b, p)
+    X = np.random.default_rng(0).standard_normal((3 * rows, a + b))
+    x1, x2 = X[:, :a], X[:, a:]
+    M = np.array([*_f_thm4(points.space, points.points, X, p),
+                  *(np.prod(x1 ** g, axis=1) for g in _low_exponents(a, p // 2)),
+                  *(np.prod(x2 ** g, axis=1) for g in _low_exponents(b, p // 2)),
+                  np.ones(len(X))])
+    return numerical_rank(M, tol)
 
 
 def independence_rank_thm3(points: PointSet, tol: float = 1e-9) -> int:
-    """Rank of the coefficient matrix of {f_u, 1, x_k, ||x1||^2} for the
-    sup-sum pipeline (expected m + dim + 2 when independent)."""
+    """Rank of {f_u, 1, x_k, ||x1||^2} for the sup-sum pipeline, evaluated at
+    seeded generic points (expected m + dim + 2 when independent)."""
     _require_two_blocks(points, "independence_rank_thm3")
-    rows = _rows_thm3(points.space, points.points)
-    return numerical_rank(_coeff_matrix(rows, points.space.ambient_dim), tol)
+    a, b = points.space.blocks
+    if a + b > 2 * BLOKHUIS_MAX_VARS:
+        raise ResourceLimitError(f"expansion with a+b={a + b} exceeds the cap")
+    rows = points.m + a + b + 2
+    X = np.random.default_rng(0).standard_normal((3 * rows, a + b))
+    M = np.array([*_f_thm3(points.space, points.points, X), *X.T,
+                  np.sum(X[:, :a] ** 2, axis=1), np.ones(len(X))])
+    return numerical_rank(M, tol)
 
 
 # ---------------------------------------------------------------------------

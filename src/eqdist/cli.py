@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -105,6 +106,16 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _finite_float(tok: str) -> float:
+    try:
+        x = float(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {tok!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {tok!r}")
+    return x
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="eqdist", description=__doc__.splitlines()[0]
                   if __doc__ else "")
@@ -120,31 +131,31 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--best", action="store_true",
                    help="report only the best concrete upper bound")
-    p.add_argument("--c", type=float, default=None,
+    p.add_argument("--c", type=_finite_float, default=None,
                    help="override the absolute constant c")
 
     p = add("construct", "emit one of the built-in equilateral configurations")
     p.add_argument("kind", choices=["cross-polytope", "lp-simplex",
                                     "euclidean-simplex", "product"])
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
+    p.add_argument("--p", type=_finite_float, default=None)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
 
     p = add("verify", "check that a point-set file is unit-equilateral")
     p.add_argument("--points", required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_finite_float, default=1e-7)
 
     p = add("certify", "run a rank-certificate pipeline on a point-set file")
     p.add_argument("--points", required=True)
     p.add_argument("--theorem", required=True,
                    choices=["thm1", "thm2", "thm3", "thm4", "thm5"])
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--p", type=_finite_float, default=None)
+    p.add_argument("--c", type=_finite_float, default=None)
 
     p = add("approx", "certified even-polynomial approximation of |x|^p")
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite_float, required=True)
     p.add_argument("--d", type=int, required=True)
 
     p = add("search", "numerical search for an equilateral witness")
@@ -152,7 +163,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target", type=float, default=1e-10)
+    p.add_argument("--target", type=_finite_float, default=1e-10)
     return top
 
 
@@ -178,7 +189,7 @@ def _cmd_bound(args) -> int:
     space = Space.from_string(args.space)
     cfg = _env_config()
     if args.c is not None:
-        cfg.c_absolute = args.c
+        cfg = dataclasses.replace(cfg, c_absolute=args.c)
     if args.best:
         emit(bounds_mod.best_explicit_upper(space, args.s, cfg).to_jsonable(), args.format)
     else:

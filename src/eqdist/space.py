@@ -151,6 +151,8 @@ def _check_dim(space: Space, x: Sequence[float]) -> np.ndarray:
 
 # Row chunk of distance_matrix: each temporary holds about this many bytes.
 _CHUNK_BYTES = 1 << 20
+# Sums of squares below this have lost precision to underflow.
+_TINY = np.finfo(float).tiny
 
 
 def pair_block_sq_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -163,12 +165,25 @@ def pair_block_sq_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarra
 def pair_block_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(len A, len B, n_blocks) Euclidean norms of the blocks of A[i] - B[j].
 
-    On a plain lp space these are |A[i] - B[j]|, which stay finite and
-    nonzero where squaring would overflow or underflow.
+    On a plain lp space these are |A[i] - B[j]|.  Elsewhere they are the
+    square roots of pair_block_sq_norms, except where a sum of squares
+    overflows to inf or falls below the smallest normal float: those norms
+    are recomputed with rescaling, so they stay finite and nonzero as |.| does.
     """
     if space.is_lp:
         return np.abs(A[:, None, :] - B[None, :, :])
-    return np.sqrt(pair_block_sq_norms(space, A, B))
+    with np.errstate(over="ignore"):  # overflowed sums are recomputed; an inf |delta| stays inf
+        S = pair_block_sq_norms(space, A, B)
+        R = np.sqrt(S)
+        bad = (S == math.inf) | (S < _TINY)
+        i, j = np.nonzero(bad.any(axis=2))  # one pass for all blocks of these pairs
+        d = np.abs(A[i] - B[j])
+        starts = [sl.start for sl in space.block_slices()]
+        top = np.maximum.reduceat(d, starts, axis=1)
+        scale = np.where((top > 0.0) & (top < math.inf), top, 1.0)
+        sums = np.add.reduceat((d / np.repeat(scale, space.blocks, axis=1)) ** 2, starts, axis=1)
+        R[i, j] = np.where(bad[i, j], top * np.sqrt(sums), R[i, j])
+    return R
 
 
 def _outer_norm(r: np.ndarray, p: float) -> np.ndarray:

@@ -11,14 +11,14 @@ from eqdist.approx import (EvenPolynomial, approximate_abs_power, choose_degree,
                            jackson_constant)
 from eqdist.bounds import enumerate_bounds
 from eqdist.certify import (SymMatrix, gram_thm3, gram_thm4, matrix_thm1,
-                            matrix_thm2, matrix_thm5, monomial_count_enumerated,
-                            monomial_count_telescoped, numerical_rank,
+                            matrix_thm2, matrix_thm5, numerical_rank,
                             rank_lower_bound, span_dim)
 from eqdist.construct import (SearchConfig, cross_polytope, distance_profile,
                               euclidean_simplex, lp_simplex,
                               product_construction, search_equilateral,
                               simplex_lambda)
 from eqdist.space import PointSet, Space, norm_sandwich_check
+from monomial_counts import monomial_count_enumerated, monomial_count_telescoped
 
 
 @contextlib.contextmanager

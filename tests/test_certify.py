@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from eqdist.approx import EvenPolynomial
-from eqdist.certify import (CertifyConfig, SymMatrix, _blokhuis_rows_thm4,
-                            _coeff_matrix, blokhuis_family_size, certify,
-                            elementary_symmetric, epsilon_rank_bound,
+from eqdist.certify import (CertifyConfig, SymMatrix, _f_thm4, blokhuis_family_size,
+                            certify, elementary_symmetric, epsilon_rank_bound,
                             gram_thm3, gram_thm4, independence_rank_thm3,
                             independence_rank_thm4, matrix_thm1, matrix_thm2,
-                            matrix_thm5, monomial_count_enumerated,
-                            monomial_count_telescoped, numerical_rank,
-                            rank_lower_bound, select_k, span_dim)
+                            matrix_thm5, numerical_rank, rank_lower_bound, select_k,
+                            span_dim)
 from eqdist.construct import (cross_polytope, euclidean_simplex, lp_simplex,
                               product_construction)
 from eqdist.errors import InputError, ResourceLimitError
 from eqdist.space import PointSet, Space
+from monomial_counts import monomial_count_enumerated, monomial_count_telescoped
 
 
 def _random_sym(rng, m):
@@ -256,8 +255,10 @@ def test_monomial_count_identity():
 
 def test_independence_rank_thm4():
     sp = Space(4.0, (1, 1))
-    rows = _blokhuis_rows_thm4(sp, np.zeros((0, 2)), 4)
-    assert numerical_rank(_coeff_matrix(rows, 2), 1e-9) == 3
+    X = np.random.default_rng(0).standard_normal((9, 2))
+    no_rows = _f_thm4(sp, np.zeros((0, 2)), X, 4)
+    assert no_rows.shape == (0, 9)
+    assert numerical_rank(np.vstack([no_rows, X.T, np.ones(9)]), 1e-9) == 3
     pair = PointSet(sp, np.array([[0, 0], [1, 0.0]]))
     assert independence_rank_thm4(pair, 4) == 5 == blokhuis_family_size(2, 1, 1, 4)
     dup = PointSet(sp, np.array([[0, 0], [0, 0.0]]))

@@ -154,6 +154,48 @@ def test_bad_points_exit_1(tmp_path, capsys, points, message, command):
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("approx", "--p", "nan", "--d", "4"),
+    ("approx", "--p", "inf", "--d", "4"),
+    ("certify", "--theorem", "thm2", "--c", "nan"),
+    ("certify", "--theorem", "thm2", "--c", "inf"),
+    ("certify", "--theorem", "thm5", "--c", "nan"),
+    ("certify", "--theorem", "thm5", "--c", "inf"),
+    ("search", "--space", "lp:n=2,p=2", "--m", "3", "--restarts", "1", "--target", "nan"),
+    ("verify", "--tol", "inf"),
+    ("bound", "--space", "lp:n=3,p=3", "--c", "nan"),
+])
+def test_non_finite_flags_exit_1(tmp_path, capsys, argv):
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps({"space": "lp:n=1,p=2", "points": [[0], [1]]}))
+    if argv[0] in ("certify", "verify"):
+        argv += ("--points", str(f))
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
+
+
+def test_negative_c_absolute_exit_1(tmp_path, capsys, monkeypatch):
+    code, out, err = _run(capsys, "bound", "--space", "lp:n=3,p=3", "--c", "-1")
+    assert code == 1 and out == "" and "c_absolute must be positive" in err
+    cfg = tmp_path / "eqd.cfg"
+    cfg.write_text("c_absolute = -1\n")
+    monkeypatch.setenv("EQD_CONFIG", str(cfg))
+    code, out, err = _run(capsys, "bound", "--space", "lp:n=3,p=3")
+    assert code == 1 and out == "" and "c_absolute must be positive" in err
+
+
+def test_verify_lpsum_huge_coordinates(tmp_path, capsys):
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"space": "lpsum:blocks=2,1,p=inf",
+                             "points": [[1e200, 1e200, 0], [0, 0, 0], [0, 0, 1e200]]}))
+    code, out, _ = _run(capsys, "verify", "--points", str(f))
+    assert code == 2
+    profile = json.loads(out)["profile"]
+    assert len(profile) == 2 and all(math.isfinite(d) for d in profile)
+    assert abs(profile[0] / 1e200 - math.sqrt(2)) < 1e-15 and profile[1] == 1e200
+
+
 def test_formats(capsys):
     code, out, _ = _run(capsys, "bound", "--space", "lp:n=3,p=2", "--format", "csv")
     assert code == 0 and out.splitlines()[0].startswith("side,")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -53,6 +54,13 @@ def test_norm_large_p_no_overflow():
     assert np.isfinite(norm(s, v)) and norm(s, v) > 0
     big = np.array([1e200, -2e200, 0.5e200])
     assert np.isfinite(norm(s, big))
+
+
+def test_lpsum_norm_extreme_scales():
+    s = Space(2.0, (2, 1))
+    assert abs(norm(s, [1e200, 1e200, 0.0]) / 1e200 - math.sqrt(2)) < 1e-15
+    assert abs(norm(s, [1e-200, 1e-200, 0.0]) / 1e-200 - math.sqrt(2)) < 1e-15
+    assert norm(s, [3.0, 4.0, 0.0]) == 5.0
 
 
 def test_distance_examples():
@@ -115,8 +123,8 @@ def test_distance_matrix_cross_polytope_many_chunks():
 
 
 def test_distance_matrix_extreme_scales():
-    for p in [1.0, 2.5, 800.0, math.inf]:
-        s = Space(p, (1,) * 3)
+    for p, blocks in itertools.product([1.0, 2.5, 800.0, math.inf], [(1, 1, 1), (2, 1)]):
+        s = Space(p, blocks)
         huge = np.array([[1e200, -2e200, 0.5e200], [-1e200, 1e200, 0.0]])
         tiny = np.array([[1e-200, 2e-200, 3e-200], [0.0, 0.0, 0.0]])
         for pts in (huge, tiny):
