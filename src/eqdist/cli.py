@@ -28,6 +28,10 @@ from .errors import (CertificationError, DegenerateDistanceError, InputError,
 from .space import PointSet, Space
 
 FORMATS = ("json", "csv", "text")
+# Exact integers at least this large, such as the 2**N bounds for large N, are
+# written as {"log2": x}, x their base-2 logarithm: their decimal form would
+# near CPython's 4300-digit limit on int-to-str conversion.
+HUGE_INT = 10 ** 4000
 
 
 def _fmt_float(x: float) -> str:
@@ -52,7 +56,11 @@ def render_json(obj, indent: int = 0) -> str:
             return "[]"
         items = (f"{pad1}{render_json(v, indent + 2)}" for v in obj)
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        if obj >= HUGE_INT:
+            return render_json({"log2": math.log2(obj)}, indent)
         return json.dumps(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
@@ -62,6 +70,8 @@ def render_json(obj, indent: int = 0) -> str:
 def _scalar(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
+    if isinstance(v, int) and v >= HUGE_INT:
+        v = {"log2": math.log2(v)}
     if isinstance(v, (dict, list, tuple)):
         return json.dumps(v)
     return str(v)
@@ -278,7 +288,9 @@ def _cmd_search(args) -> int:
                restart_index=res.restart_index)
     emit(out, args.format)
     if not res.converged:
-        print(f"search did not converge: residual {res.residual:.6g}", file=sys.stderr)
+        print(f"search did not converge: residual {res.residual:.6g} (best restart "
+              f"{res.restart_index}: {res.iterations} iterations, stop: {res.stop})",
+              file=sys.stderr)
         return 2
     return 0
 

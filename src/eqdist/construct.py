@@ -4,6 +4,13 @@ All constructions are normalized so every pairwise distance is exactly 1.
 The search minimizes the squared deviation of all pairwise distances from 1
 by multi-restart adaptive-step gradient descent; restarts are seeded
 independently from (seed, restart_index) so results are reproducible.
+
+The restarts advance in lockstep: a batch of them is one (batch, m, dim)
+array, and each tick makes one energy-and-gradient call on every live
+restart's trial point, each restart with its own step size.  A restart
+leaves the batch when it converges or hits a cap, so each follows the same
+trajectory as it would alone.  Batches are sized so their (batch, m, m, dim)
+temporaries fit in the pairwise kernel's chunk size.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistanceError, InputError, NumericalError
+from . import space as space_mod
+from .errors import DegenerateDistanceError, InputError, NumericalError, ResourceLimitError
 from .space import PointSet, Space, distance_matrix, pair_block_sq_norms
 
 
@@ -131,38 +139,50 @@ class SearchResult:
     residual: float      # max over pairs of |d_ij - 1|, true norm
     converged: bool
     restart_index: int
+    iterations: int      # accepted steps of the best restart
+    stop: str            # why the best restart stopped: one of STOP_CAUSES
 
 
-def _pair_energy_grad(Q: np.ndarray, space: Space, eps: float, want_grad: bool):
-    """Energy sum_{i<j} (d_ij - 1)^2 with softened block norms, and gradient."""
-    m = Q.shape[0]
+# Why a restart left the descent; _descend records the index, -1 while live.
+STOP_CAUSES = ("converged", "iteration cap", "60 halvings", "step underflow")
+_CONVERGED, _CAPPED, _HALVED, _UNDERFLOW = range(len(STOP_CAUSES))
+_MAX_HALVINGS = 60
+_MIN_STEP = 1e-18
+# Cap on one restart's m * m * dim.  Its energy and gradient hold about seven
+# (m, m, dim) float arrays at once (7 MB traced per 1 MB array), and a batch
+# never holds less than one restart: 1 << 22 entries keep that near 250 MB.
+SEARCH_MAX_PAIR_COORDS = 1 << 22
+
+
+def _pair_energy_grad(Q: np.ndarray, space: Space, eps: float):
+    """Energies sum_{i<j} (d_ij - 1)^2 with softened block norms, and their
+    gradients, for each (m, dim) configuration on the leading axes of Q."""
+    m = Q.shape[-2]
     sq = pair_block_sq_norms(space, Q, Q)
     soften = space.p < 2.0 and math.isfinite(space.p)
     r = np.sqrt(sq + eps * eps) if soften else np.sqrt(sq)
     eye = np.eye(m, dtype=bool)
     if math.isinf(space.p):
-        d = r.max(axis=2)
+        d = r.max(axis=-1)
     else:
         rp = r ** space.p
-        ssum = rp.sum(axis=2)
-        ssum[eye] = 1.0
+        ssum = rp.sum(axis=-1)
+        ssum[..., eye] = 1.0
         d = ssum ** (1.0 / space.p)
-    d[eye] = 1.0
+    d[..., eye] = 1.0
     resid = d - 1.0
-    resid[eye] = 0.0
-    energy = 0.5 * float(np.sum(resid ** 2))  # each pair counted twice
-    if not want_grad:
-        return energy, None
-    # w[i, j, b]: weight of block b of Q[i] - Q[j] in the gradient at Q[i]
+    resid[..., eye] = 0.0
+    energy = 0.5 * np.sum(resid ** 2, axis=(-2, -1))  # each pair counted twice
+    # w[..., i, j, b]: weight of block b of Q[i] - Q[j] in the gradient at Q[i]
     if math.isinf(space.p):
-        is_max = r.argmax(axis=2)[:, :, None] == np.arange(space.n_blocks)
-        w = 2.0 * resid[:, :, None] * is_max / np.maximum(r, 1e-12)
+        is_max = r.argmax(axis=-1)[..., None] == np.arange(space.n_blocks)
+        w = 2.0 * resid[..., None] * is_max / np.maximum(r, 1e-12)
     else:
         base = 2.0 * resid * np.maximum(d, 1e-12) ** (1.0 - space.p)
-        w = base[:, :, None] * r ** (space.p - 2.0)
-    w[eye] = 0.0
-    delta = Q[:, None, :] - Q[None, :, :]
-    return energy, np.sum(np.repeat(w, space.blocks, axis=2) * delta, axis=1)
+        w = base[..., None] * r ** (space.p - 2.0)
+    w[..., eye, :] = 0.0
+    delta = Q[..., :, None, :] - Q[..., None, :, :]
+    return energy, np.sum(np.repeat(w, space.blocks, axis=-1) * delta, axis=-2)
 
 
 def _true_residual(Q: np.ndarray, space: Space) -> float:
@@ -172,42 +192,69 @@ def _true_residual(Q: np.ndarray, space: Space) -> float:
     return float(np.max(np.abs(off - 1.0))) if off.size else 0.0
 
 
+def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
+    """Backtracking descent of the restarts stacked on the first axis of Q.
+
+    Each tick takes every live restart's trial point Q - step * grad and
+    computes its energy and gradient in one call.  A restart whose energy
+    falls moves there and grows its step by 1.3; the others halve their step.
+    Returns the final points, the accepted steps and the STOP_CAUSES index of
+    each restart.
+    """
+    R = Q.shape[0]
+    step = np.full(R, cfg.step_init)
+    halvings = np.zeros(R, dtype=int)
+    iters = np.zeros(R, dtype=int)
+    stop = np.full(R, -1 if cfg.max_iters > 0 else _CAPPED)
+    energy, grad = _pair_energy_grad(Q, space, cfg.smoothing_eps)
+    live = np.flatnonzero(stop < 0)
+    while live.size:
+        trial = Q[live] - step[live, None, None] * grad[live]
+        en, g = _pair_energy_grad(trial, space, cfg.smoothing_eps)
+        ok = en < energy[live]
+        acc, rej = live[ok], live[~ok]
+        Q[acc], energy[acc], grad[acc] = trial[ok], en[ok], g[ok]
+        step[acc] *= 1.3
+        halvings[acc] = 0
+        iters[acc] += 1
+        step[rej] *= 0.5
+        halvings[rej] += 1
+        # later assignments win: converged over the cap, underflow over halvings
+        stop[acc[iters[acc] >= cfg.max_iters]] = _CAPPED
+        stop[acc[np.sqrt(np.maximum(energy[acc], 0.0)) <= 0.25 * cfg.residual_target]] = _CONVERGED
+        stop[rej[halvings[rej] >= _MAX_HALVINGS]] = _HALVED
+        stop[rej[step[rej] < _MIN_STEP]] = _UNDERFLOW
+        live = live[stop[live] < 0]
+    return Q, iters, stop
+
+
 def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) -> SearchResult:
     """Multi-restart descent toward an m-point unit-equilateral set in space.
 
-    Restarts are merged by lowest residual, ties broken by lowest restart
-    index; non-convergence is a reported state, not an error.
+    Restarts run in lockstep, in batches whose (batch, m, m, dim) temporaries
+    fit in the kernel's chunk size.  Restarts are merged by lowest residual,
+    ties broken by lowest restart index; non-convergence is a reported state,
+    not an error.
     """
     if m < 2:
         raise InputError(f"m must be >= 2, got {m}")
     cfg = cfg or SearchConfig()
     dim = space.ambient_dim
-    best: tuple[float, int, np.ndarray] | None = None
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        Q = rng.uniform(-1.0, 1.0, size=(m, dim))
-        step = cfg.step_init
-        energy, grad = _pair_energy_grad(Q, space, cfg.smoothing_eps, True)
-        for _ in range(cfg.max_iters):
-            moved = False
-            for _ in range(60):
-                Qn = Q - step * grad
-                en, _ = _pair_energy_grad(Qn, space, cfg.smoothing_eps, False)
-                if en < energy:
-                    Q, energy = Qn, en
-                    step *= 1.3
-                    moved = True
-                    break
-                step *= 0.5
-                if step < 1e-18:
-                    break
-            if not moved:
-                break
-            if math.sqrt(max(energy, 0.0)) <= 0.25 * cfg.residual_target:
-                break
-            grad = _pair_energy_grad(Q, space, cfg.smoothing_eps, True)[1]
-        resid = _true_residual(Q, space)
-        if best is None or resid < best[0]:
-            best = (resid, restart, Q)
-    resid, restart, Q = best
-    return SearchResult(PointSet(space, Q), resid, resid <= cfg.residual_target, restart)
+    pair_coords = m * m * dim
+    if pair_coords > SEARCH_MAX_PAIR_COORDS:
+        raise ResourceLimitError(
+            f"search of {m} points in dimension {dim} needs {pair_coords} pair coordinates "
+            f"per restart, above the cap of {SEARCH_MAX_PAIR_COORDS}")
+    batch = max(1, space_mod._CHUNK_BYTES // (8 * pair_coords))
+    best = None
+    for first in range(0, cfg.restarts, batch):
+        restarts = range(first, min(first + batch, cfg.restarts))
+        Q = np.stack([np.random.default_rng([cfg.seed, r]).uniform(-1.0, 1.0, size=(m, dim))
+                      for r in restarts])
+        for restart, q, iters, stop in zip(restarts, *_descend(Q, space, cfg)):
+            resid = _true_residual(q, space)
+            if best is None or resid < best[0]:
+                best = (resid, restart, q, int(iters), STOP_CAUSES[stop])
+    resid, restart, q, iters, stop = best
+    return SearchResult(PointSet(space, q), resid, resid <= cfg.residual_target, restart,
+                        iters, stop)

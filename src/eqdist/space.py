@@ -149,15 +149,17 @@ def _check_dim(space: Space, x: Sequence[float]) -> np.ndarray:
     return arr
 
 
-# Row chunk of distance_matrix: each temporary holds about this many bytes.
+# Row chunk of distance_matrix, and restart batch of the witness search: each
+# temporary holds about this many bytes.
 _CHUNK_BYTES = 1 << 20
 # Sums of squares below this have lost precision to underflow.
 _TINY = np.finfo(float).tiny
 
 
 def pair_block_sq_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(len A, len B, n_blocks) squared Euclidean norms of the blocks of A[i] - B[j]."""
-    delta = A[:, None, :] - B[None, :, :]
+    """(..., len A, len B, n_blocks) squared Euclidean norms of the blocks of
+    A[..., i, :] - B[..., j, :]; leading axes of A and B broadcast as batch axes."""
+    delta = A[..., :, None, :] - B[..., None, :, :]
     return np.stack([np.sum(delta[..., sl] ** 2, axis=-1) for sl in space.block_slices()],
                     axis=-1)
 

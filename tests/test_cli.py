@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from eqdist import construct
 from eqdist.cli import render_json, run
 from eqdist.space import PointSet, Space
 
@@ -129,6 +130,7 @@ def test_search_cli_nonconverged(capsys):
     assert code == 2
     assert json.loads(out)["converged"] is False
     assert "did not converge" in err
+    assert err.count("\n") == 1 and "iterations, stop: " in err
 
 
 def test_input_errors_exit_1(capsys):
@@ -194,6 +196,31 @@ def test_verify_lpsum_huge_coordinates(tmp_path, capsys):
     profile = json.loads(out)["profile"]
     assert len(profile) == 2 and all(math.isfinite(d) for d in profile)
     assert abs(profile[0] / 1e200 - math.sqrt(2)) < 1e-15 and profile[1] == 1e200
+
+
+def test_search_size_cap_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(construct, "SEARCH_MAX_PAIR_COORDS", 3 * 3 * 2)
+    args = ("search", "--space", "lp:n=2,p=2", "--restarts", "1")
+    assert _run(capsys, *args, "--m", "3")[0] == 0
+    code, out, err = _run(capsys, *args, "--m", "4")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "above the cap of 18" in err
+
+
+def test_bound_huge_exact_values(capsys):
+    # 2**20000 and the conjectured (s+1)**20000 have about 6000 digits
+    code, out, _ = _run(capsys, "bound", "--space", "lp:n=20000,p=3")
+    assert code == 0
+    values = {r["source"]: r["value"] for r in json.loads(out)}
+    assert values["petty"] == values["swanepoel-conjecture"] == {"log2": 20000.0}
+    for fmt in ("csv", "text"):
+        code, out, _ = _run(capsys, "bound", "--space", "lp:n=20000,p=3", "--format", fmt)
+        assert code == 0 and out.count('{"log2": 20000.0}') + out.count('{""log2"": 20000.0}') == 2
+    code, out, _ = _run(capsys, "bound", "--space", "lp:n=20000,p=3", "--s", "2")
+    conjecture = {r["source"]: r["value"] for r in json.loads(out)}["swanepoel-conjecture"]
+    assert code == 0 and math.isclose(conjecture["log2"], 20000 * math.log2(3), rel_tol=1e-15)
+    code, out, _ = _run(capsys, "bound", "--space", "lp:n=200,p=3")
+    assert code == 0 and {r["source"]: r["value"] for r in json.loads(out)}["petty"] == 2 ** 200
 
 
 def test_formats(capsys):

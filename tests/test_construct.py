@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from eqdist import construct
+from eqdist import space as space_mod
 from eqdist.construct import (SearchConfig, cross_polytope, distance_profile,
                               euclidean_simplex, lp_simplex,
                               product_construction, search_equilateral,
                               simplex_lambda)
-from eqdist.errors import DegenerateDistanceError, InputError
+from eqdist.errors import DegenerateDistanceError, InputError, ResourceLimitError
 from eqdist.space import PointSet, Space, distance_matrix
+
+from search_reference import search_reference
 
 
 def _profile_is_unit(ps, tol):
@@ -149,3 +154,76 @@ def test_search_config_validation():
         SearchConfig(residual_target=0.0)
     with pytest.raises(InputError):
         search_equilateral(Space(2.0, (1,)), 1)
+
+
+REFERENCE_CASES = [
+    (Space(1.0, (1,) * 3), 6,
+     SearchConfig(restarts=3, seed=7, max_iters=400, residual_target=1e-8)),
+    (Space(1.5, (1,) * 3), 4, SearchConfig(restarts=8, seed=1)),
+    (Space(2.0, (1, 1)), 4, SearchConfig(restarts=6, seed=3)),
+    (Space(3.0, (1, 1)), 3, SearchConfig(restarts=8, seed=5)),
+    (Space(math.inf, (1,) * 3), 5, SearchConfig(restarts=8, seed=2)),
+    (Space(1.5, (2, 1)), 5, SearchConfig(restarts=4, seed=4, max_iters=300)),
+    (Space(math.inf, (2, 1)), 4, SearchConfig(restarts=8, seed=9, residual_target=1e-8)),
+    (Space(2.0, (1,) * 4), 8, SearchConfig(restarts=3, seed=1, max_iters=300)),
+    (Space(1.0, (1,) * 4), 9, SearchConfig(restarts=2, seed=2, max_iters=200)),
+    (Space(1.0, (1, 1)), 4, SearchConfig(restarts=1, seed=0)),
+]
+
+
+@pytest.mark.parametrize("space,m,cfg", REFERENCE_CASES,
+                         ids=[f"{s.to_string()}-m{m}-r{c.restarts}"
+                              for s, m, c in REFERENCE_CASES])
+def test_search_matches_one_restart_at_a_time(space, m, cfg):
+    points, residual, restart = search_reference(space, m, cfg)
+    res = search_equilateral(space, m, cfg)
+    assert np.array_equal(res.points.points, points)
+    assert res.residual == residual and res.restart_index == restart
+
+
+def test_search_batches_give_same_bits(monkeypatch):
+    space, m, cfg = Space(math.inf, (1,) * 3), 5, SearchConfig(restarts=8, seed=2)
+    whole = search_equilateral(space, m, cfg)
+    monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 3 * 8 * m * m * 3)  # batches of 3, 3, 2
+    split = search_equilateral(space, m, cfg)
+    assert np.array_equal(split.points.points, whole.points.points)
+    assert (split.residual, split.restart_index, split.iterations, split.stop) == \
+        (whole.residual, whole.restart_index, whole.iterations, whole.stop)
+
+
+def test_search_memory_bounded_by_batches():
+    # 64 restarts at m = 20 in l2^20 take 25 MB unbatched; 16 per batch take 7 MB
+    tracemalloc.start()
+    try:
+        search_equilateral(Space(2.0, (1,) * 20), 20, SearchConfig(restarts=64, max_iters=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+
+
+def test_search_stop_causes():
+    res = search_equilateral(Space(2.0, (1, 1)), 3, SearchConfig(seed=5))
+    assert res.stop == "converged" and 0 < res.iterations < 4000
+    for cap in (50, 0):
+        cfg = SearchConfig(restarts=2, seed=7, max_iters=cap)
+        res = search_equilateral(Space(1.0, (1,) * 3), 6, cfg)
+        assert res.stop == "iteration cap" and res.iterations == cap
+    res = search_equilateral(Space(2.0, (1, 1)), 4, SearchConfig(seed=3, restarts=6))
+    assert res.stop in ("60 halvings", "step underflow") and res.iterations > 0
+
+
+def test_search_size_cap(monkeypatch):
+    monkeypatch.setattr(construct, "SEARCH_MAX_PAIR_COORDS", 3 * 3 * 2)
+    assert search_equilateral(Space(2.0, (1, 1)), 3, SearchConfig(restarts=1)).converged
+    with pytest.raises(ResourceLimitError):
+        search_equilateral(Space(2.0, (1, 1)), 4, SearchConfig(restarts=1))
+
+
+def test_search_halving_caps():
+    # a unit segment is a stationary point, so every trial step is rejected:
+    # 1e3 * 2**-60 = 8.7e-16 stays above the 1e-18 floor, 0.1 * 2**-57 falls below it
+    for step_init, cause in ((1e3, "60 halvings"), (0.1, "step underflow")):
+        Q = np.array([[[0.0], [1.0]]])
+        _, iters, stop = construct._descend(Q, Space(2.0, (1,)), SearchConfig(step_init=step_init))
+        assert iters[0] == 0 and construct.STOP_CAUSES[stop[0]] == cause
