@@ -25,6 +25,10 @@ REMEZ_CONV_RTOL = 1e-10   # equioscillation levels agree to this relative tol
 # ~1e13 and their cancellation noise on [0, 1] overtakes the error bound in
 # double precision (even integer p is exempt: its coefficients are 0 and 1).
 MAX_REMEZ_DEGREE = 45
+# Cap on any degree, the exact even-integer path included: certify asks for no
+# more (CertifyConfig.max_degree), and measuring P on the grid takes time
+# linear in d, about 90 ms at d = 400 on one Xeon core.
+MAX_DEGREE = 400
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -46,6 +50,16 @@ def jackson_constant(p: float) -> float:
     return (cp ** p) * (1.0 + math.pi ** 2 / 2.0) ** cp * falling_factorial(p, cp - 1) / math.factorial(cp)
 
 
+def int_power(t, k: int):
+    """t^k for an integer k >= 0 by k - 1 repeated multiplications by t."""
+    if k == 0:
+        return np.ones_like(t)
+    r = t
+    for _ in range(k - 1):
+        r = r * t
+    return r
+
+
 def abs_power(x, p: float):
     """|x|^p, evaluated so that integer p uses exact repeated multiplication.
 
@@ -56,10 +70,7 @@ def abs_power(x, p: float):
     x = np.asarray(x, dtype=float)
     if p == float(int(p)):
         k = int(p)
-        t = x * x
-        r = t if k >= 2 else np.ones_like(x)
-        for _ in range(k // 2 - 1):
-            r = r * t
+        r = int_power(x * x, k // 2)
         if k % 2 == 1:
             r = r * np.abs(x) if k > 1 else np.abs(x)
         return r
@@ -234,6 +245,8 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
         raise InputError(f"p must be >= 1, got {p}")
     if d < math.ceil(p):
         raise InputError(f"degree d={d} is below ceil(p)={math.ceil(p)}")
+    if d > MAX_DEGREE:
+        raise ResourceLimitError(f"degree {d} exceeds the cap of {MAX_DEGREE}")
     nh = d // 2
     bound = jackson_constant(p) / d ** p
 

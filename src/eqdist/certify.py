@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .approx import EvenPolynomial, abs_power, approximate_abs_power, choose_degree, jackson_constant
+from .approx import (MAX_DEGREE, EvenPolynomial, abs_power, approximate_abs_power,
+                     choose_degree, int_power, jackson_constant)
 from .construct import distance_profile
 from .errors import InputError, ResourceLimitError
-from .space import PointSet, Space, distance_matrix, pair_block_norms, pair_block_sq_norms
+from .space import (PointSet, Space, distance_matrix, pair_block_norms, pair_block_sq_norms,
+                    pair_map)
 
 BLOKHUIS_MAX_VARS = 6
 BLOKHUIS_MAX_P = 8
@@ -112,15 +114,19 @@ def _require_lp(points: PointSet, what: str) -> None:
         raise InputError(f"{what} requires a space with all blocks of dimension 1")
 
 
+def _unit_diagonal(A: np.ndarray) -> SymMatrix:
+    """The symmetric pair array A with its diagonal set to exactly 1."""
+    np.fill_diagonal(A, 1.0)
+    return SymMatrix(len(A), A)
+
+
 def matrix_thm1(points: PointSet, k: int) -> SymMatrix:
     """a_ij = 1 - ||p_i - p_j||_k^k for even k; the diagonal is exactly 1."""
     if k % 2 != 0 or k < 2:
         raise InputError(f"k must be a positive even integer, got {k}")
     _require_lp(points, "matrix_thm1")
-    R = pair_block_norms(points.space, points.points, points.points)
-    A = 1.0 - abs_power(R, float(k)).sum(axis=2)
-    np.fill_diagonal(A, 1.0)
-    return SymMatrix.from_upper(A)
+    return _unit_diagonal(pair_map(points, lambda U, V: 1.0 - abs_power(
+        pair_block_norms(points.space, U, V), float(k)).sum(axis=2)))
 
 
 @dataclass(frozen=True)
@@ -148,40 +154,35 @@ def matrix_thm2(points: PointSet, dists, P: EvenPolynomial) -> tuple[SymMatrix, 
         raise InputError(f"distances must be strictly decreasing in (0, 1]: {dists}")
     ap = [a ** p for a in dists]
     pi = math.prod(ap)
-    m, n = points.m, points.space.ambient_dim
-    R = pair_block_norms(points.space, points.points, points.points)
-    Y = P(R).sum(axis=2)
-    X = abs_power(R, p).sum(axis=2)
-    A = np.ones((m, m))
-    off = ~np.eye(m, dtype=bool)
-    for au in ap:
-        A[off] *= au - Y[off]
-    A[off] /= pi
-
-    bound = n * jackson_constant(p) / P.degree ** p
-    gap = float(np.max(np.abs(X[off] - Y[off]))) if m > 1 else 0.0
-    min_y = float(np.min(Y[off])) if m > 1 else math.nan
-    diag = ApproxGapDiagnostics(gap, bound, gap <= bound, min_y,
-                                bool(m == 1 or min_y > 0.0))
-    return SymMatrix.from_upper(A), diag
+    return _surrogate_matrix(points, P, lambda Y: math.prod(au - Y for au in ap) / pi)
 
 
 def matrix_thm5(points: PointSet, P: EvenPolynomial) -> tuple[SymMatrix, ApproxGapDiagnostics]:
     """m_ij = 1 - sum_k P(||block_k(p_i - p_j)||); the diagonal is exactly 1."""
-    p = points.space.p
-    if math.isinf(p):
+    if math.isinf(points.space.p):
         raise InputError("matrix_thm5 requires finite p")
-    m = points.m
-    R = pair_block_norms(points.space, points.points, points.points)
-    Y = P(R).sum(axis=2)
-    X = abs_power(R, p).sum(axis=2)
-    A = 1.0 - Y
-    np.fill_diagonal(A, 1.0)
+    A, diag = _surrogate_matrix(points, P, lambda Y: 1.0 - Y)
+    return A, replace(diag, min_y=math.nan, y_positive=True)
+
+
+def _surrogate_matrix(points: PointSet, P: EvenPolynomial,
+                      entry) -> tuple[SymMatrix, ApproxGapDiagnostics]:
+    """The unit-diagonal matrix of entry(Y), Y_ij = sum_k P(r_k) over the block norms
+    r_k of p_i - p_j, and how far Y strays from X_ij = sum_k r_k^p off the diagonal."""
+    space, m = points.space, points.m
+    def sums(U, V):
+        R = pair_block_norms(space, U, V)
+        Y = P(R).sum(axis=2)
+        return np.stack([entry(Y), abs_power(R, space.p).sum(axis=2), Y], axis=-1)
+
+    A, X, Y = np.moveaxis(pair_map(points, sums), -1, 0)
     off = ~np.eye(m, dtype=bool)
     gap = float(np.max(np.abs(X[off] - Y[off]))) if m > 1 else 0.0
-    bound = points.space.n_blocks * jackson_constant(p) / P.degree ** p
-    diag = ApproxGapDiagnostics(gap, bound, gap <= bound, math.nan, True)
-    return SymMatrix.from_upper(A), diag
+    min_y = float(np.min(Y[off])) if m > 1 else math.nan
+    bound = space.n_blocks * jackson_constant(space.p) / P.degree ** space.p
+    diag = ApproxGapDiagnostics(gap, bound, gap <= bound, min_y,
+                                bool(m == 1 or min_y > 0.0))
+    return _unit_diagonal(A), diag
 
 
 def _require_two_blocks(points: PointSet, what: str) -> None:
@@ -195,9 +196,7 @@ def gram_thm3(points: PointSet) -> SymMatrix:
     _require_two_blocks(points, "gram_thm3")
     if not math.isinf(points.space.p):
         raise InputError("gram_thm3 requires p = inf")
-    A = _f_thm3(points.space, points.points, points.points)
-    np.fill_diagonal(A, 1.0)
-    return SymMatrix.from_upper(A)
+    return _unit_diagonal(pair_map(points, lambda U, X: _f_thm3(points.space, U, X)))
 
 
 def _f_thm3(space: Space, U: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -206,28 +205,19 @@ def _f_thm3(space: Space, U: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (1.0 - S[:, :, 0]) * (1.0 - S[:, :, 1])
 
 
-def _int_pow(arr: np.ndarray, k: int) -> np.ndarray:
-    out = np.ones_like(arr)
-    for _ in range(k):
-        out = out * arr
-    return out
-
-
 def gram_thm4(points: PointSet, p: int) -> SymMatrix:
     """(u,v) entry: 1 - ||Delta_1||^p - ||Delta_2||^p for even p."""
     if p % 2 != 0 or p < 2:
         raise InputError(f"p must be a positive even integer, got {p}")
     _require_two_blocks(points, "gram_thm4")
-    A = _f_thm4(points.space, points.points, points.points, p)
-    np.fill_diagonal(A, 1.0)
-    return SymMatrix.from_upper(A)
+    return _unit_diagonal(pair_map(points, lambda U, X: _f_thm4(points.space, U, X, p)))
 
 
 def _f_thm4(space: Space, U: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
     """(len U, len X) values f_u(x) = 1 - ||x1 - u1||^p - ||x2 - u2||^p, p even."""
     S = pair_block_sq_norms(space, U, X)
     half = p // 2
-    return 1.0 - _int_pow(S[:, :, 0], half) - _int_pow(S[:, :, 1], half)
+    return 1.0 - int_power(S[:, :, 0], half) - int_power(S[:, :, 1], half)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +320,7 @@ class CertifyConfig:
     k: int | None = None            # even-k override (thm1)
     p_override: float | None = None  # exponent override (thm1 selection, thm4)
     profile_tol: float = 1e-7
-    max_degree: int = 400
+    max_degree: int = MAX_DEGREE
     offdiag_slack: float = 1e-12
     c_absolute: float = 2.01        # constant for the large-p regime note
 
@@ -376,6 +366,21 @@ def _paper_c_thm5(p: float) -> float:
     return max(jackson_constant(p), (2.0 ** (1.0 / p) - 1.0) ** (-p))
 
 
+def _approximant(cfg: CertifyConfig, p: float, c: float, n: int, m: int, notes: list[str],
+                 lead: str = "") -> EvenPolynomial:
+    """The certified approximant of |x|^p at the degree chosen for c, n and m,
+    noted with its error after lead."""
+    d = choose_degree(p, c, n, m)
+    if d > cfg.max_degree:
+        raise ResourceLimitError(
+            f"chosen degree {d} exceeds the cap {cfg.max_degree}; "
+            "pass a smaller constant c to certify at desk scale")
+    P, cert = approximate_abs_power(p, d)
+    notes.append(f"{lead}c={c:.6g}, degree d={d}, approx error "
+                 f"{cert.measured_error:.3e} <= {cert.jackson_bound:.3e}")
+    return P
+
+
 def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None) -> CertificateReport:
     """Run the full certificate pipeline for one theorem tag."""
     cfg = config or CertifyConfig()
@@ -409,18 +414,10 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
     elif theorem == "thm2":
         dists = distance_profile(points, cfg.profile_tol)
         k = len(dists)
-        p = space.p
-        c = cfg.c if cfg.c is not None else _paper_c_thm2(p, k)
-        d = choose_degree(p, c, space.ambient_dim, m)
-        if d > cfg.max_degree:
-            raise ResourceLimitError(
-                f"chosen degree {d} exceeds the cap {cfg.max_degree}; "
-                "pass a smaller constant c to certify at desk scale")
-        P, cert = approximate_abs_power(p, d)
-        notes.append(f"k={k} distances, c={c:.6g}, degree d={d}, "
-                     f"approx error {cert.measured_error:.3e} <= {cert.jackson_bound:.3e}")
+        c = cfg.c if cfg.c is not None else _paper_c_thm2(space.p, k)
+        P = _approximant(cfg, space.p, c, space.ambient_dim, m, notes, f"k={k} distances, ")
         A, gaps = matrix_thm2(points, dists, P)
-        span = span_dim("thm2", n=space.ambient_dim, d=d, k=k)
+        span = span_dim("thm2", n=space.ambient_dim, d=P.degree, k=k)
         notes.append(f"max |X-Y| = {gaps.max_gap:.3e} vs n*B(p)/d^p = {gaps.gap_bound:.3e} "
                      f"({'ok' if gaps.gap_within_bound else 'exceeded'})")
         if not gaps.y_positive:
@@ -458,16 +455,9 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
         if math.isinf(p):
             raise InputError("thm5 requires finite p")
         c = cfg.c if cfg.c is not None else _paper_c_thm5(p)
-        d = choose_degree(p, c, space.n_blocks, m)
-        if d > cfg.max_degree:
-            raise ResourceLimitError(
-                f"chosen degree {d} exceeds the cap {cfg.max_degree}; "
-                "pass a smaller constant c to certify at desk scale")
-        P, cert = approximate_abs_power(p, d)
-        notes.append(f"c={c:.6g}, degree d={d}, approx error "
-                     f"{cert.measured_error:.3e} <= {cert.jackson_bound:.3e}")
+        P = _approximant(cfg, p, c, space.n_blocks, m, notes)
         A, gaps = matrix_thm5(points, P)
-        span = span_dim("thm5", blocks=space.blocks, d=d)
+        span = span_dim("thm5", blocks=space.blocks, d=P.degree)
         notes.append(f"max per-pair gap = {gaps.max_gap:.3e} vs n*B(p)/d^p = "
                      f"{gaps.gap_bound:.3e} ({'ok' if gaps.gap_within_bound else 'exceeded'})")
 

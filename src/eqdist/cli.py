@@ -67,13 +67,22 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+def _inline(obj) -> str:
+    """obj as one line of JSON, its numbers written as render_json writes them."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_inline(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_inline(v) for v in obj) + "]"
+    if isinstance(obj, int) and obj >= HUGE_INT:
+        return _inline({"log2": math.log2(obj)})
+    return render_json(obj)
+
+
 def _scalar(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
-    if isinstance(v, int) and v >= HUGE_INT:
-        v = {"log2": math.log2(v)}
-    if isinstance(v, (dict, list, tuple)):
-        return json.dumps(v)
+    if isinstance(v, (dict, list, tuple)) or (isinstance(v, int) and v >= HUGE_INT):
+        return _inline(v)
     return str(v)
 
 

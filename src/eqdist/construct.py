@@ -24,11 +24,24 @@ from . import space as space_mod
 from .errors import DegenerateDistanceError, InputError, NumericalError, ResourceLimitError
 from .space import PointSet, Space, distance_matrix, pair_block_sq_norms
 
+# Cap on a construction's points x dimension.  The largest sets within it print
+# as about 46 MB of JSON, and a verify of the largest cross-polytope within it
+# (n = 1448) holds a 67 MB distance matrix.
+CONSTRUCT_MAX_COORDS = 1 << 22
+
+
+def _check_size(m: int, dim: int) -> None:
+    if m * dim > CONSTRUCT_MAX_COORDS:
+        raise ResourceLimitError(
+            f"a construction of {m} points in dimension {dim} has {m * dim} coordinates, "
+            f"above the cap of {CONSTRUCT_MAX_COORDS}")
+
 
 def cross_polytope(n: int) -> PointSet:
     """The 2n points {+-e_i/2} in l1^n; all pairwise l1 distances are 1."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
+    _check_size(2 * n, n)
     pts = np.zeros((2 * n, n))
     for i in range(n):
         pts[2 * i, i] = 0.5
@@ -67,6 +80,7 @@ def simplex_lambda(n: int, p: float, tol: float = 1e-13) -> float:
 
 def lp_simplex(n: int, p: float) -> PointSet:
     """n+1 points {e_i, lam*(1,..,1)} in lp^n, scaled to unit distances."""
+    _check_size(n + 1, n)
     lam = simplex_lambda(n, p)
     scale = 2.0 ** (-1.0 / p)
     pts = np.vstack([np.eye(n), np.full((1, n), lam)]) * scale
@@ -85,6 +99,7 @@ def euclidean_simplex(n: int) -> PointSet:
 def product_construction(S: PointSet, T: PointSet, tol: float = 1e-8) -> PointSet:
     """Cartesian product of two Euclidean unit-equilateral sets in the
     sup-sum of their spaces: |S|*|T| points, all pairwise distances 1."""
+    _check_size(S.m * T.m, S.space.ambient_dim + T.space.ambient_dim)
     for name, ps in (("S", S), ("T", T)):
         if not ps.space.is_euclidean:
             raise InputError(f"{name} must live in a Euclidean space")

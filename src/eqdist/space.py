@@ -149,7 +149,7 @@ def _check_dim(space: Space, x: Sequence[float]) -> np.ndarray:
     return arr
 
 
-# Row chunk of distance_matrix, and restart batch of the witness search: each
+# Row chunk of pair_map, and restart batch of the witness search: each
 # temporary holds about this many bytes.
 _CHUNK_BYTES = 1 << 20
 # Sums of squares below this have lost precision to underflow.
@@ -212,15 +212,25 @@ def norm(space: Space, x: Sequence[float]) -> float:
     return distance(space, x, np.zeros(space.ambient_dim))
 
 
+def pair_map(pointset: PointSet, fn) -> np.ndarray:
+    """(m, m, ...) values of fn(A, B), which gives the (len A, len B, ...) values for
+    the row pairs of A and B, run on row chunks of the upper triangle and mirrored.
+    A chunk's (rows, cols, dim) pairwise temporaries hold about _CHUNK_BYTES."""
+    pts, m = pointset.points, pointset.m
+    rows = max(1, _CHUNK_BYTES // (8 * pts.size))
+    first = fn(pts[:rows], pts)
+    out = np.empty((m, m) + first.shape[2:])
+    out[:rows] = first
+    for i in range(rows, m, rows):
+        out[i:i + rows, i:] = fn(pts[i:i + rows], pts[i:])
+    out = np.moveaxis(out, (0, 1), (-2, -1))
+    return np.moveaxis(np.triu(out) + np.triu(out, 1).swapaxes(-1, -2), (-2, -1), (0, 1))
+
+
 def distance_matrix(pointset: PointSet) -> np.ndarray:
     """Symmetric m x m matrix of pairwise distances (zero diagonal)."""
-    space, pts = pointset.space, pointset.points
-    out = np.empty((pointset.m, pointset.m))
-    rows = max(1, _CHUNK_BYTES // (8 * pts.size))
-    for i in range(0, pointset.m, rows):  # upper triangle, row chunk by row chunk
-        out[i:i + rows, i:] = _outer_norm(pair_block_norms(space, pts[i:i + rows], pts[i:]),
-                                          space.p)
-    return np.triu(out) + np.triu(out, 1).T
+    space = pointset.space
+    return pair_map(pointset, lambda A, B: _outer_norm(pair_block_norms(space, A, B), space.p))
 
 
 def lp_norm(x: Sequence[float], p: float) -> float:

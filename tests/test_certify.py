@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from eqdist import space as space_mod
 from eqdist.approx import EvenPolynomial
 from eqdist.certify import (CertifyConfig, SymMatrix, _f_thm4, blokhuis_family_size,
                             certify, elementary_symmetric, epsilon_rank_bound,
@@ -229,6 +231,43 @@ def test_gram_thm4():
     assert gram_thm4(zero_delta, 4).entries[0, 1] == 0.0
     with pytest.raises(InputError):
         gram_thm4(pair, 3)
+
+
+def _builder_cases():
+    rng = np.random.default_rng(41)
+    lp = PointSet(Space(2.5, (1,) * 7), rng.uniform(-0.5, 0.5, (40, 7)))
+    pts = rng.uniform(-0.5, 0.5, (40, 7))
+    P = EvenPolynomial(6, (0.5, -0.2, 0.1))
+    return [lambda: matrix_thm1(lp, 4), lambda: matrix_thm2(lp, [1.0, 0.6], P),
+            lambda: matrix_thm5(PointSet(Space(2.5, (3, 4)), pts), P),
+            lambda: gram_thm3(PointSet(Space(math.inf, (3, 4)), pts)),
+            lambda: gram_thm4(PointSet(Space(4.0, (3, 4)), pts), 4)]
+
+
+def test_builders_chunked_give_same_bits(monkeypatch):
+    for build in _builder_cases():
+        whole = build()  # one chunk of all 40 rows
+        monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 3 * 8 * 40 * 7)  # 14 chunks of 3 rows
+        split = build()
+        monkeypatch.undo()
+        if isinstance(whole, tuple):
+            assert repr(split[1]) == repr(whole[1])
+            whole, split = whole[0], split[0]
+        assert split.entries.tobytes() == whole.entries.tobytes()
+
+
+def test_builders_peak_memory():
+    # unchunked, these held the whole (m, m, dim) pair arrays: 33 MB each
+    cp, simplex = cross_polytope(80), lp_simplex(100, 2.5)
+    P = EvenPolynomial(10, (1.2, -0.8, 0.5, -0.2, 0.05))
+    for build in (lambda: matrix_thm1(cp, 2), lambda: matrix_thm5(simplex, P)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
 
 
 def test_span_dim():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from eqdist import construct
+from eqdist import approx, construct
 from eqdist.cli import render_json, run
 from eqdist.space import PointSet, Space
 
@@ -205,6 +205,42 @@ def test_search_size_cap_exit_1(capsys, monkeypatch):
     code, out, err = _run(capsys, *args, "--m", "4")
     assert code == 1 and out == "" and err.count("\n") == 1
     assert "above the cap of 18" in err
+
+
+@pytest.mark.parametrize("kind, cap, edge, over, huge", [
+    ("cross-polytope", 18, "--n 3", "--n 4", "--n 100000"),  # 6 x 3, 8 x 4
+    ("lp-simplex", 20, "--n 4 --p 3", "--n 5 --p 3", "--n 100000 --p 3"),  # 5 x 4, 6 x 5
+    ("euclidean-simplex", 20, "--n 4", "--n 5", "--n 100000"),
+    ("product", 32, "--a 3 --b 1", "--a 3 --b 2", "--a 100 --b 500")])  # 8 x 4, 12 x 5
+def test_construct_size_cap_exit_1(capsys, monkeypatch, kind, cap, edge, over, huge):
+    monkeypatch.setattr(construct, "CONSTRUCT_MAX_COORDS", cap)
+    assert _run(capsys, "construct", kind, *edge.split())[0] == 0
+    code, out, err = _run(capsys, "construct", kind, *over.split())
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert f"coordinates, above the cap of {cap}" in err
+    monkeypatch.undo()  # sizes far past the real cap are refused before anything is allocated
+    code, _, err = _run(capsys, "construct", kind, *huge.split())
+    assert code == 1 and "above the cap of 4194304" in err
+
+
+def test_approx_degree_cap_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(approx, "MAX_DEGREE", 6)
+    assert _run(capsys, "approx", "--p", "2", "--d", "6")[0] == 0
+    code, out, err = _run(capsys, "approx", "--p", "2", "--d", "7")
+    assert code == 1 and out == "" and err == "error: degree 7 exceeds the cap of 6\n"
+    monkeypatch.undo()
+    assert _run(capsys, "approx", "--p", "2", "--d", "32000")[0] == 1
+
+
+def test_nested_floats_have_17_digits(capsys):
+    # csv and text used to print nested floats as their shortest repr (2.01)
+    args = ("bound", "--space", "lp:n=5,p=3")
+    for fmt in ("csv", "text"):
+        code, out, _ = _run(capsys, *args, "--format", fmt)
+        assert code == 0 and "2.0099999999999998" in out and "6.0299999999999994" in out
+        assert "2.01," not in out and "6.029999999999999}" not in out
+    code, out, _ = _run(capsys, *args, "--format", "json")
+    assert code == 0 and "2.0099999999999998" in out
 
 
 def test_bound_huge_exact_values(capsys):

@@ -122,6 +122,17 @@ def test_distance_matrix_cross_polytope_many_chunks():
             assert abs(dm[i, j] - want) <= 2 * np.spacing(want)
 
 
+def test_distance_matrix_chunks_give_same_bits(monkeypatch):
+    rng = np.random.default_rng(31)
+    sets = [PointSet(Space(p, (1,) * 9), rng.normal(size=(50, 9))) for p in (1.0, 2.5, math.inf)]
+    sets += [PointSet(Space(p, (2, 9, 1)), rng.normal(size=(50, 12))) for p in (3.0, math.inf)]
+    sets.append(PointSet(Space(2.0, (1,)), [[0.5]]))
+    whole = [distance_matrix(ps) for ps in sets]  # one chunk each
+    monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 1)  # one row per chunk
+    for ps, dm in zip(sets, whole):
+        assert distance_matrix(ps).tobytes() == dm.tobytes()
+
+
 def test_distance_matrix_extreme_scales():
     for p, blocks in itertools.product([1.0, 2.5, 800.0, math.inf], [(1, 1, 1), (2, 1)]):
         s = Space(p, blocks)
