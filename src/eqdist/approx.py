@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (CertificationError, InfeasibleDegreeError, InputError,
-                     ResourceLimitError)
+                     NumericalError, ResourceLimitError)
 
 GRID_SIZE = 4097          # Chebyshev-spaced measurement grid on [0, 1]
 REMEZ_MAX_ITER = 50
@@ -47,7 +47,11 @@ def jackson_constant(p: float) -> float:
     if p < 1.0:
         raise InputError(f"p must be >= 1, got {p}")
     cp = math.ceil(p)
-    return (cp ** p) * (1.0 + math.pi ** 2 / 2.0) ** cp * falling_factorial(p, cp - 1) / math.factorial(cp)
+    try:
+        return ((cp ** p) * (1.0 + math.pi ** 2 / 2.0) ** cp * falling_factorial(p, cp - 1)
+                / math.factorial(cp))
+    except OverflowError:
+        raise NumericalError(f"B(p) overflows double precision at p={p:g}") from None
 
 
 def int_power(t, k: int):
@@ -186,29 +190,23 @@ def _remez_even(p: float, half_degree: int) -> tuple[np.ndarray, float]:
     grid_n = max(GRID_SIZE, 32 * nh + 1)
     xg = _cheb_grid(grid_n)
     fg = abs_power(xg, p)
-
-    basis = np.zeros((nh + 1, 2 * nh + 1))
-    for k in range(nh + 1):
-        basis[k, 2 * k] = 1.0
-
-    def qval(q, pts):
-        full = np.zeros(2 * nh + 1)
-        full[::2] = q
-        return _cheb.chebval(pts, full)
+    basis = np.eye(2 * nh + 1)[::2].T  # column k holds T_{2k}
 
     best_q, best_err = None, math.inf
     signs = (-1.0) ** j
+    used = set()  # the reference sets solved on so far
     for _ in range(REMEZ_MAX_ITER):
-        A = np.empty((nh + 2, nh + 2))
-        for k in range(nh + 1):
-            A[:, k] = _cheb.chebval(x, basis[k])
-        A[:, nh + 1] = signs
+        used.add(x.tobytes())
+        # one Clenshaw pass for all columns, bit for bit a chebval call per column
+        A = np.column_stack((_cheb.chebval(x, basis).T, signs))
         try:
             sol = np.linalg.solve(A, abs_power(x, p))
         except np.linalg.LinAlgError:
             break
         q, h = sol[: nh + 1], sol[nh + 1]
-        eg = qval(q, xg) - fg
+        full = np.zeros(2 * nh + 1)
+        full[::2] = q
+        eg = _cheb.chebval(xg, full) - fg
         ae = np.abs(eg)
         # one candidate per maximal same-sign run: the largest |error| in it
         cands: list[tuple[int, float, float]] = []  # (index, sign, |err|)
@@ -231,6 +229,8 @@ def _remez_even(p: float, half_degree: int) -> tuple[np.ndarray, float]:
         if len(cands) < nh + 2 or emax - abs(h) <= REMEZ_CONV_RTOL * emax:
             break
         x = np.sort(xg[[c[0] for c in cands]])
+        if x.tobytes() in used:
+            break  # a fixed point or cycle: the rest would repeat iterations exactly
     if best_q is None:
         raise CertificationError("Remez exchange failed to produce a solution", math.inf)
     return best_q, best_err

@@ -23,7 +23,7 @@ import numpy as np
 from .approx import (MAX_DEGREE, EvenPolynomial, abs_power, approximate_abs_power,
                      choose_degree, int_power, jackson_constant)
 from .construct import distance_profile
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, NumericalError, ResourceLimitError
 from .space import (PointSet, Space, distance_matrix, pair_block_norms, pair_block_sq_norms,
                     pair_map)
 
@@ -42,7 +42,7 @@ class SymMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.shape != (self.dim, self.dim):
             raise InputError(f"entries must be {self.dim}x{self.dim}, got {arr.shape}")
-        if not np.array_equal(arr, arr.T):
+        if not np.array_equal(arr, arr.T, equal_nan=True):  # NaN pairs are refused in certify
             raise InputError("entries are not exactly symmetric")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -396,72 +396,77 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
     space = points.space
     threshold_in_passes = True
 
-    if theorem == "thm1":
-        p = cfg.p_override if cfg.p_override is not None else space.p
-        k = cfg.k if cfg.k is not None else select_k(p)
-        A = matrix_thm1(points, k)
-        n = space.ambient_dim
-        span = span_dim("thm1", n=n, k=k)
-        dk = distance_matrix(PointSet(Space(float(k), space.blocks), points.points))
-        off = dk[np.triu_indices(m, 1)]
-        lo, hi = sorted((1.0, n ** (1.0 / k - 1.0 / p)))
-        notes.append(f"p={p:g}, k={k}: unit l_{p:g} distances must have l_{k} length in "
-                     f"[{lo:.6g}, {hi:.6g}]; measured [{off.min():.6g}, {off.max():.6g}]")
-        if space.n_blocks > 1:
-            gate = cfg.c_absolute * (space.n_blocks * math.log(space.n_blocks)) ** 2
-            notes.append(f"large-p regime p >= c*(n*ln n)^2 = {gate:.6g} "
-                         f"{'holds' if p >= gate else 'does not hold'} at c={cfg.c_absolute}")
-    elif theorem == "thm2":
-        dists = distance_profile(points, cfg.profile_tol)
-        k = len(dists)
-        c = cfg.c if cfg.c is not None else _paper_c_thm2(space.p, k)
-        P = _approximant(cfg, space.p, c, space.ambient_dim, m, notes, f"k={k} distances, ")
-        A, gaps = matrix_thm2(points, dists, P)
-        span = span_dim("thm2", n=space.ambient_dim, d=P.degree, k=k)
-        notes.append(f"max |X-Y| = {gaps.max_gap:.3e} vs n*B(p)/d^p = {gaps.gap_bound:.3e} "
-                     f"({'ok' if gaps.gap_within_bound else 'exceeded'})")
-        if not gaps.y_positive:
-            notes.append(f"surrogate Y_ij not everywhere positive (min {gaps.min_y:.3e})")
-        if k >= 2:
-            threshold_in_passes = False
-            notes.append("k >= 2: off-diagonal threshold reported but not gated "
-                         "(finite-scale regime)")
-    elif theorem == "thm3":
-        A = gram_thm3(points)
-        a, b = space.blocks
-        span = span_dim("thm3", a=a, b=b)
-        try:
-            got = independence_rank_thm3(points)
-            want = m + a + b + 2
-            notes.append(f"augmented family rank {got} (independent iff {want})")
-        except ResourceLimitError as e:
-            notes.append(f"independence check skipped: {e}")
-    elif theorem == "thm4":
-        p = cfg.p_override if cfg.p_override is not None else space.p
-        if not (math.isfinite(p) and p == int(p) and int(p) % 2 == 0):
-            raise InputError(f"thm4 requires an even integer p, got {p}")
-        p = int(p)
-        A = gram_thm4(points, p)
-        a, b = space.blocks
-        span = span_dim("thm4", a=a, b=b, p=p)
-        try:
-            got = independence_rank_thm4(points, p)
-            want = blokhuis_family_size(m, a, b, p)
-            notes.append(f"augmented family rank {got} (independent iff {want})")
-        except ResourceLimitError as e:
-            notes.append(f"independence check skipped: {e}")
-    else:  # thm5
-        p = space.p
-        if math.isinf(p):
-            raise InputError("thm5 requires finite p")
-        c = cfg.c if cfg.c is not None else _paper_c_thm5(p)
-        P = _approximant(cfg, p, c, space.n_blocks, m, notes)
-        A, gaps = matrix_thm5(points, P)
-        span = span_dim("thm5", blocks=space.blocks, d=P.degree)
-        notes.append(f"max per-pair gap = {gaps.max_gap:.3e} vs n*B(p)/d^p = "
-                     f"{gaps.gap_bound:.3e} ({'ok' if gaps.gap_within_bound else 'exceeded'})")
+    # overflow or inf - inf in a build leaves non-finite entries, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if theorem == "thm1":
+            p = cfg.p_override if cfg.p_override is not None else space.p
+            k = cfg.k if cfg.k is not None else select_k(p)
+            A = matrix_thm1(points, k)
+            n = space.ambient_dim
+            span = span_dim("thm1", n=n, k=k)
+            dk = distance_matrix(PointSet(Space(float(k), space.blocks), points.points))
+            off = dk[np.triu_indices(m, 1)]
+            lo, hi = sorted((1.0, n ** (1.0 / k - 1.0 / p)))
+            notes.append(f"p={p:g}, k={k}: unit l_{p:g} distances must have l_{k} length in "
+                         f"[{lo:.6g}, {hi:.6g}]; measured [{off.min():.6g}, {off.max():.6g}]")
+            if space.n_blocks > 1:
+                gate = cfg.c_absolute * (space.n_blocks * math.log(space.n_blocks)) ** 2
+                notes.append(f"large-p regime p >= c*(n*ln n)^2 = {gate:.6g} "
+                             f"{'holds' if p >= gate else 'does not hold'} at c={cfg.c_absolute}")
+        elif theorem == "thm2":
+            dists = distance_profile(points, cfg.profile_tol)
+            k = len(dists)
+            c = cfg.c if cfg.c is not None else _paper_c_thm2(space.p, k)
+            P = _approximant(cfg, space.p, c, space.ambient_dim, m, notes, f"k={k} distances, ")
+            A, gaps = matrix_thm2(points, dists, P)
+            span = span_dim("thm2", n=space.ambient_dim, d=P.degree, k=k)
+            notes.append(f"max |X-Y| = {gaps.max_gap:.3e} vs n*B(p)/d^p = {gaps.gap_bound:.3e} "
+                         f"({'ok' if gaps.gap_within_bound else 'exceeded'})")
+            if not gaps.y_positive:
+                notes.append(f"surrogate Y_ij not everywhere positive (min {gaps.min_y:.3e})")
+            if k >= 2:
+                threshold_in_passes = False
+                notes.append("k >= 2: off-diagonal threshold reported but not gated "
+                             "(finite-scale regime)")
+        elif theorem == "thm3":
+            A = gram_thm3(points)
+            a, b = space.blocks
+            span = span_dim("thm3", a=a, b=b)
+            try:
+                got = independence_rank_thm3(points)
+                want = m + a + b + 2
+                notes.append(f"augmented family rank {got} (independent iff {want})")
+            except ResourceLimitError as e:
+                notes.append(f"independence check skipped: {e}")
+        elif theorem == "thm4":
+            p = cfg.p_override if cfg.p_override is not None else space.p
+            if not (math.isfinite(p) and p == int(p) and int(p) % 2 == 0):
+                raise InputError(f"thm4 requires an even integer p, got {p}")
+            p = int(p)
+            A = gram_thm4(points, p)
+            a, b = space.blocks
+            span = span_dim("thm4", a=a, b=b, p=p)
+            try:
+                got = independence_rank_thm4(points, p)
+                want = blokhuis_family_size(m, a, b, p)
+                notes.append(f"augmented family rank {got} (independent iff {want})")
+            except ResourceLimitError as e:
+                notes.append(f"independence check skipped: {e}")
+        else:  # thm5
+            p = space.p
+            if math.isinf(p):
+                raise InputError("thm5 requires finite p")
+            c = cfg.c if cfg.c is not None else _paper_c_thm5(p)
+            P = _approximant(cfg, p, c, space.n_blocks, m, notes)
+            A, gaps = matrix_thm5(points, P)
+            span = span_dim("thm5", blocks=space.blocks, d=P.degree)
+            notes.append(f"max per-pair gap = {gaps.max_gap:.3e} vs n*B(p)/d^p = "
+                         f"{gaps.gap_bound:.3e} ({'ok' if gaps.gap_within_bound else 'exceeded'})")
 
     arr = A.entries
+    if not np.isfinite(arr).all():
+        raise NumericalError(f"{theorem}: the certificate matrix has non-finite entries "
+                             "(the points overflow double precision)")
     diag_ok = bool(np.max(np.abs(np.diag(arr) - 1.0)) <= 1e-10)
     offmask = ~np.eye(m, dtype=bool)
     max_off = float(np.max(np.abs(arr[offmask])))

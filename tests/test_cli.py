@@ -1,10 +1,19 @@
+import contextlib
+import importlib
+import io
 import json
 import math
+import pkgutil
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eqdist import approx, construct
+import eqdist
+from eqdist import approx, cli, construct
 from eqdist.cli import render_json, run
 from eqdist.space import PointSet, Space
 
@@ -111,6 +120,104 @@ def test_approx_cli_schema(capsys):
     assert set(rep) == {"p", "d", "coefficients", "measured_error", "jackson_bound"}
     assert len(rep["coefficients"]) == 3
     assert rep["measured_error"] <= rep["jackson_bound"]
+
+
+def test_approx_coefficients_reproduce_measured_error(capsys):
+    # the benchmark oracle's rule: Horner on the emitted coefficients, on a
+    # uniform grid, stays within measured_error plus rounding, which in turn
+    # stays within the Jackson bound
+    x = np.linspace(0.0, 1.0, 2001)
+    t = x * x
+    for p in (1.0, 1.5, 2.5, 3.0, 3.7, 5.0, 6.5, 7.95):
+        for d in range(math.ceil(p), 46):
+            code, out, _ = _run(capsys, "approx", "--p", repr(p), "--d", str(d))
+            assert code == 0, (p, d)
+            rep = json.loads(out)
+            coeffs, err = rep["coefficients"], rep["measured_error"]
+            v = np.zeros_like(t)
+            for c in reversed(coeffs):
+                v = v * t + c
+            grid_err = float(np.max(np.abs(v * t - x ** p)))
+            slack = 64 * np.finfo(float).eps * (1.0 + sum(abs(c) for c in coeffs))
+            assert grid_err <= err + slack, (p, d, grid_err, err)
+            assert err <= rep["jackson_bound"], (p, d)
+
+
+_FUZZ_TOKENS = st.one_of(st.text(max_size=12), st.floats().map(repr),
+                         st.integers(-50, 450).map(str), st.integers().map(str))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(p=_FUZZ_TOKENS, d=_FUZZ_TOKENS)
+@example(p="200", d="200")  # B(p) past the largest double
+@example(p="1e308", d="400")
+@example(p="3.7", d="45")
+def test_approx_fuzz_never_raises(p, d):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        code = run(["approx", "--p", p, "--d", d])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["d"] == int(d)
+
+
+def test_parser_reuse_keeps_no_state(capsys, monkeypatch):
+    # each second command prints the same after the first as it does alone
+    space = ("--space", "lp:n=5,p=4")
+    pairs = [(("bound", *space, "--best"), ("bound", *space)),
+             (("bound", *space, "--s", "2", "--c", "3", "--format", "csv"), ("bound", *space)),
+             (("approx", "--p", "3", "--d", "8", "--format", "text"),
+              ("approx", "--p", "3", "--d", "8")),
+             (("approx", "--p", "nan", "--d", "8"), ("approx", "--p", "1.5", "--d", "8")),
+             (("construct", "lp-simplex", "--n", "3", "--p", "2.5"),
+              ("construct", "cross-polytope", "--n", "3")),
+             (("search", "--space", "lp:n=2,p=2", "--m", "3", "--restarts", "2", "--seed", "4"),
+              ("search", "--space", "lp:n=2,p=2", "--m", "3", "--restarts", "2"))]
+    for first, second in pairs:
+        monkeypatch.setattr(cli, "_parser", None)
+        alone = _run(capsys, *second)
+        monkeypatch.setattr(cli, "_parser", None)
+        _run(capsys, *first)
+        parser = cli._parser
+        assert _run(capsys, *second) == alone, (first, second)
+        assert cli._parser is parser
+    monkeypatch.setattr(cli, "_parser", None)
+    _run(capsys, "bound", *space, "--best")
+    code, out, _ = _run(capsys, "bound", *space)
+    assert code == 0 and len(json.loads(out)) > 1  # the full catalog, not --best
+
+
+def test_no_eqdist_attribute_is_wrapped(capsys):
+    # the benchmark's traced run takes any eqdist module attribute with a
+    # __wrapped__ (functools.cache, lru_cache, wraps) for a tracing wrapper
+    # left installed, and fails the run
+    for info in pkgutil.iter_modules(eqdist.__path__):
+        importlib.import_module(f"eqdist.{info.name}")
+    _run(capsys, "approx", "--p", "1.5", "--d", "6")  # whatever is built on first use
+    wrapped = [(m.__name__, a) for m in list(sys.modules.values())
+               if m is not None and getattr(m, "__name__", "").startswith("eqdist")
+               for a, v in vars(m).items() if hasattr(v, "__wrapped__")]
+    assert wrapped == []
+
+
+def test_certify_non_finite_matrix_exit_1(tmp_path, capfd):
+    # 1e200-scaled cross-polytope: the thm1 entries overflow; LAPACK used to
+    # print DLASCL complaints and the report a rank of 0
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"space": "lp:n=3,p=1", "points": [
+        [5e199, 0, 0], [-5e199, 0, 0], [0, 5e199, 0], [0, -5e199, 0]]}))
+    for theorem in ("thm1", "thm5"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["certify", "--points", str(f), "--theorem", theorem])
+        out, err = capfd.readouterr()
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {theorem}: ")
+        assert "non-finite" in err
 
 
 def test_search_cli_deterministic(capsys):
