@@ -44,8 +44,8 @@ def falling_factorial(x: float, k: int) -> float:
 
 def jackson_constant(p: float) -> float:
     """The explicit constant B(p) in the degree-d error bound B(p)/d^p."""
-    if p < 1.0:
-        raise InputError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise InputError(f"p must be finite and >= 1, got {p}")
     cp = math.ceil(p)
     try:
         return ((cp ** p) * (1.0 + math.pi ** 2 / 2.0) ** cp * falling_factorial(p, cp - 1)
@@ -241,8 +241,8 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
 
     Even integer p with d >= p yields the exact monomial x^p (zero error).
     """
-    if p < 1.0:
-        raise InputError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise InputError(f"p must be finite and >= 1, got {p}")
     if d < math.ceil(p):
         raise InputError(f"degree d={d} is below ceil(p)={math.ceil(p)}")
     if d > MAX_DEGREE:
@@ -283,18 +283,34 @@ def choose_degree(p: float, c: float, n: int, m: int) -> int:
     The two-sided window is guaranteed to contain an integer p-th power when
     c >= (2^(1/p) - 1)^(-p); otherwise an InfeasibleDegreeError may be raised.
     """
-    if p < 1.0:
-        raise InputError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise InputError(f"p must be finite and >= 1, got {p}")
     if n < 1 or m < 1:
         raise InputError(f"n and m must be >= 1, got n={n}, m={m}")
     if c <= 0:
         raise InputError(f"c must be positive, got {c}")
     target = c * n * math.sqrt(m)
-    d = max(1, math.floor(target ** (1.0 / p)) - 1)
-    while d ** p <= target:
-        d += 1
-    if not d ** p < 2.0 * target:
+    if not math.isfinite(target):
+        raise InputError(f"c*n*sqrt(m) overflows double precision at c={c:.6g}")
+    # the smallest d with d^p > target, from just below target^(1/p) by doubling steps
+    # and bisection: unit steps may never end, as past 2^53 float(d + 1) can be float(d)
+    lo = hi = max(1, math.floor(target ** (1.0 / p)) - 1)
+    while not _power(hi, p) > target:
+        lo, hi = hi, hi + 2 * (hi - lo) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _power(mid, p) > target else (mid, hi)
+    d = hi
+    if not _power(d, p) < 2.0 * target:
         raise InfeasibleDegreeError(
             f"no degree with {target:.6g} < d^{p} < {2 * target:.6g} "
-            f"(need c >= (2^(1/p)-1)^(-p) = {(2 ** (1 / p) - 1) ** (-p):.6g}, got c={c:.6g})")
+            f"(need c >= (2^(1/p)-1)^(-p) = {_power(2 ** (1 / p) - 1, -p):.6g}, got c={c:.6g})")
     return d
+
+
+def _power(x: float, p: float) -> float:
+    """x ** p as a float, inf where it overflows."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf

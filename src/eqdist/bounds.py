@@ -10,7 +10,7 @@ kind="asymptotic" regardless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .errors import InputError, UnsupportedRequestError
@@ -28,8 +28,7 @@ class Formula:
     numeric: float | None = None      # evaluated value when constants allow
 
     def to_jsonable(self) -> dict:
-        return {"expression": self.expression, "constants": dict(self.constants),
-                "numeric": self.numeric}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -167,8 +166,10 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
             if nb > 1 and cfg.c_absolute > 2.0:
                 gate = cfg.c_absolute * (nb * math.log(nb)) ** 2
                 if p >= gate:
+                    value = 2.0 * (p + 1.0) * nb  # past the largest double, p is an integer
                     out.append(BoundReport(
-                        "upper", "explicit", math.floor(2.0 * (p + 1.0) * nb),
+                        "upper", "explicit",
+                        math.floor(value) if math.isfinite(value) else 2 * (int(p) + 1) * nb,
                         ("n > 1", f"p >= c*(n*ln n)^2 = {gate:.6g}"), "thm1.2",
                         constants_used={"c": cfg.c_absolute}))
 
@@ -204,14 +205,8 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
 
         if math.isfinite(p) and 2.0 * p > a_max:
             expo = (2.0 * p + 2.0 * a_max) / (2.0 * p - a_max)
-            cpa = cfg.constants.get("c_pa")
-            out.append(BoundReport(
-                "upper", "asymptotic",
-                Formula(f"c_pa * n^{expo:.6g}",
-                        {"c_pa": cpa if cpa is not None else UNSPECIFIED},
-                        numeric=None if cpa is None else cpa * nb ** expo),
-                (f"2p > max block dim = {a_max}",), "thm1.6",
-                constants_used={"c_pa": cpa if cpa is not None else UNSPECIFIED}))
+            out.append(_configured_bound(cfg, "c_pa", expo, nb,
+                                         (f"2p > max block dim = {a_max}",), "thm1.6"))
 
         for rep in _lower_candidates(space):
             out.append(rep)
@@ -223,14 +218,8 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
 
     if s >= 1 and space.is_lp and math.isfinite(p) and 2.0 * p > s:
         expo = sdistance_exponent(p, s)
-        cps = cfg.constants.get("c_ps")
-        out.append(BoundReport(
-            "upper", "asymptotic",
-            Formula(f"c_ps * n^{expo:.6g}",
-                    {"c_ps": cps if cps is not None else UNSPECIFIED},
-                    numeric=None if cps is None else cps * nb ** expo),
-            ("blocks all 1", f"2p > s = {s}"), "thm1.3",
-            constants_used={"c_ps": cps if cps is not None else UNSPECIFIED}))
+        out.append(_configured_bound(cfg, "c_ps", expo, nb,
+                                     ("blocks all 1", f"2p > s = {s}"), "thm1.3"))
 
     out.append(BoundReport(
         "upper", "explicit" if N == 2 else "conjecture", (s + 1) ** N,
@@ -238,6 +227,17 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
         "swanepoel-conjecture"))
 
     return out
+
+
+def _configured_bound(cfg: BoundConfig, name: str, expo: float, nb: int,
+                      conditions: tuple[str, ...], source: str) -> BoundReport:
+    """The asymptotic upper bound name * n^expo, numeric when cfg sets the constant."""
+    c = cfg.constants.get(name)
+    shown = {name: UNSPECIFIED if c is None else c}
+    return BoundReport("upper", "asymptotic",
+                       Formula(f"{name} * n^{expo:.6g}", shown,
+                               numeric=None if c is None else c * nb ** expo),
+                       conditions, source, constants_used=dict(shown))
 
 
 def _lower_candidates(space: Space) -> list[BoundReport]:
@@ -257,11 +257,8 @@ def _lower_candidates(space: Space) -> list[BoundReport]:
                              ("simplex inside the largest block",),
                              "block-simplex", construction="block-simplex"))
     if math.isinf(p):
-        val = 1
-        for a in space.blocks:
-            val *= a + 1
-        cands.append(BoundReport("lower", "explicit", val, ("p == inf",),
-                                 "product", construction="product"))
+        cands.append(BoundReport("lower", "explicit", math.prod(a + 1 for a in space.blocks),
+                                 ("p == inf",), "product", construction="product"))
     return cands
 
 

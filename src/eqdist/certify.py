@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .approx import (MAX_DEGREE, EvenPolynomial, abs_power, approximate_abs_powe
                      choose_degree, int_power, jackson_constant)
 from .construct import distance_profile
 from .errors import InputError, NumericalError, ResourceLimitError
-from .space import (PointSet, Space, distance_matrix, pair_block_norms, pair_block_sq_norms,
+from .space import (PointSet, Space, _outer_norm, pair_block_norms, pair_block_sq_norms,
                     pair_map)
 
 BLOKHUIS_MAX_VARS = 6
@@ -120,13 +120,31 @@ def _unit_diagonal(A: np.ndarray) -> SymMatrix:
     return SymMatrix(len(A), A)
 
 
+def _require_even_exponent(name: str, k: int) -> None:
+    """Refuse k unless it is even, at least 2 and at most approx.MAX_DEGREE (a k-th
+    power costs k/2 array products)."""
+    if k % 2 != 0 or k < 2:
+        raise InputError(f"{name} must be a positive even integer, got {k}")
+    if k > MAX_DEGREE:
+        raise ResourceLimitError(f"{name}={k:.6g} exceeds the cap of {MAX_DEGREE}")
+
+
 def matrix_thm1(points: PointSet, k: int) -> SymMatrix:
     """a_ij = 1 - ||p_i - p_j||_k^k for even k; the diagonal is exactly 1."""
-    if k % 2 != 0 or k < 2:
-        raise InputError(f"k must be a positive even integer, got {k}")
+    return _thm1_planes(points, k)[0]
+
+
+def _thm1_planes(points: PointSet, k: int) -> tuple[SymMatrix, np.ndarray]:
+    """matrix_thm1 and the l_k distance matrix, from one pass over the pairs."""
+    _require_even_exponent("k", k)
     _require_lp(points, "matrix_thm1")
-    return _unit_diagonal(pair_map(points, lambda U, V: 1.0 - abs_power(
-        pair_block_norms(points.space, U, V), float(k)).sum(axis=2)))
+    def planes(U, V):
+        R = pair_block_norms(points.space, U, V)
+        return np.stack([1.0 - abs_power(R, float(k)).sum(axis=2), _outer_norm(R, float(k))],
+                        axis=-1)
+
+    A, dk = np.moveaxis(pair_map(points, planes), -1, 0)
+    return _unit_diagonal(A), dk
 
 
 @dataclass(frozen=True)
@@ -207,8 +225,7 @@ def _f_thm3(space: Space, U: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def gram_thm4(points: PointSet, p: int) -> SymMatrix:
     """(u,v) entry: 1 - ||Delta_1||^p - ||Delta_2||^p for even p."""
-    if p % 2 != 0 or p < 2:
-        raise InputError(f"p must be a positive even integer, got {p}")
+    _require_even_exponent("p", p)
     _require_two_blocks(points, "gram_thm4")
     return _unit_diagonal(pair_map(points, lambda U, X: _f_thm4(points.space, U, X, p)))
 
@@ -277,8 +294,7 @@ def blokhuis_family_size(m: int, a: int, b: int, p: int) -> int:
 def independence_rank_thm4(points: PointSet, p: int, tol: float = 1e-9) -> int:
     """Rank of {f_u} plus the augmenting monomials x1^g (0 < |g| < p/2),
     x2^g, and 1, evaluated at seeded generic points."""
-    if p % 2 != 0 or p < 2:
-        raise InputError(f"p must be a positive even integer, got {p}")
+    _require_even_exponent("p", p)
     _require_two_blocks(points, "independence_rank_thm4")
     a, b = points.space.blocks
     if a + b > BLOKHUIS_MAX_VARS or p > BLOKHUIS_MAX_P:
@@ -339,13 +355,7 @@ class CertificateReport:
     notes: tuple[str, ...]
 
     def to_jsonable(self) -> dict:
-        return {"theorem": self.theorem, "m": self.m, "diag_ok": self.diag_ok,
-                "max_offdiag": self.max_offdiag,
-                "offdiag_threshold": self.offdiag_threshold,
-                "rank_lemma_lower": self.rank_lemma_lower,
-                "numerical_rank": self.numerical_rank,
-                "span_upper": self.span_upper, "passes": self.passes,
-                "notes": list(self.notes)}
+        return {**asdict(self), "notes": list(self.notes)}
 
 
 def select_k(p: float) -> int:
@@ -357,13 +367,23 @@ def select_k(p: float) -> int:
     return fp + 1 if fp % 2 == 1 else max(fp, 2)
 
 
-def _paper_c_thm2(p: float, k: int) -> float:
-    return max(jackson_constant(p) * k * 2.0 ** (p * k * k - p * k + 2 * k),
-               (2.0 ** (1.0 / p) - 1.0) ** (-p))
+def _paper_c(p: float, k: int = 0) -> float:
+    """The paper's constant c: for thm2 on k distances, or for thm5 with k = 0."""
+    try:
+        b = jackson_constant(p)
+        return max(b * k * 2.0 ** (p * k * k - p * k + 2 * k) if k else b,
+                   (2.0 ** (1.0 / p) - 1.0) ** (-p))
+    except OverflowError:
+        raise NumericalError(f"the paper's constant c overflows double precision at "
+                             f"p={p:g}; pass a smaller c") from None
 
 
-def _paper_c_thm5(p: float) -> float:
-    return max(jackson_constant(p), (2.0 ** (1.0 / p) - 1.0) ** (-p))
+def _independence_note(ranks) -> str:
+    """The note on an augmented family: ranks() gives its rank and the rank if independent."""
+    try:
+        return "augmented family rank {} (independent iff {})".format(*ranks())
+    except ResourceLimitError as e:
+        return f"independence check skipped: {e}"
 
 
 def _approximant(cfg: CertifyConfig, p: float, c: float, n: int, m: int, notes: list[str],
@@ -373,7 +393,7 @@ def _approximant(cfg: CertifyConfig, p: float, c: float, n: int, m: int, notes: 
     d = choose_degree(p, c, n, m)
     if d > cfg.max_degree:
         raise ResourceLimitError(
-            f"chosen degree {d} exceeds the cap {cfg.max_degree}; "
+            f"chosen degree {d:.6g} exceeds the cap {cfg.max_degree}; "
             "pass a smaller constant c to certify at desk scale")
     P, cert = approximate_abs_power(p, d)
     notes.append(f"{lead}c={c:.6g}, degree d={d}, approx error "
@@ -390,21 +410,22 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
     notes: list[str] = []
 
     if m == 1:
-        notes.append("single point: 1x1 identity certificate is trivial")
-        return CertificateReport(theorem, 1, True, 0.0, 1.0, 1.0, 1, 1, True, tuple(notes))
+        return CertificateReport(theorem, 1, True, 0.0, 1.0, 1.0, 1, 1, True,
+                                 ("single point: 1x1 identity certificate is trivial",))
 
     space = points.space
     threshold_in_passes = True
+    if theorem in ("thm2", "thm5") and math.isinf(space.p):
+        raise InputError(f"{theorem} requires finite p")
 
     # overflow or inf - inf in a build leaves non-finite entries, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if theorem == "thm1":
             p = cfg.p_override if cfg.p_override is not None else space.p
             k = cfg.k if cfg.k is not None else select_k(p)
-            A = matrix_thm1(points, k)
+            A, dk = _thm1_planes(points, k)
             n = space.ambient_dim
             span = span_dim("thm1", n=n, k=k)
-            dk = distance_matrix(PointSet(Space(float(k), space.blocks), points.points))
             off = dk[np.triu_indices(m, 1)]
             lo, hi = sorted((1.0, n ** (1.0 / k - 1.0 / p)))
             notes.append(f"p={p:g}, k={k}: unit l_{p:g} distances must have l_{k} length in "
@@ -416,7 +437,7 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
         elif theorem == "thm2":
             dists = distance_profile(points, cfg.profile_tol)
             k = len(dists)
-            c = cfg.c if cfg.c is not None else _paper_c_thm2(space.p, k)
+            c = cfg.c if cfg.c is not None else _paper_c(space.p, k)
             P = _approximant(cfg, space.p, c, space.ambient_dim, m, notes, f"k={k} distances, ")
             A, gaps = matrix_thm2(points, dists, P)
             span = span_dim("thm2", n=space.ambient_dim, d=P.degree, k=k)
@@ -432,12 +453,8 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
             A = gram_thm3(points)
             a, b = space.blocks
             span = span_dim("thm3", a=a, b=b)
-            try:
-                got = independence_rank_thm3(points)
-                want = m + a + b + 2
-                notes.append(f"augmented family rank {got} (independent iff {want})")
-            except ResourceLimitError as e:
-                notes.append(f"independence check skipped: {e}")
+            notes.append(_independence_note(lambda: (independence_rank_thm3(points),
+                                                     m + a + b + 2)))
         elif theorem == "thm4":
             p = cfg.p_override if cfg.p_override is not None else space.p
             if not (math.isfinite(p) and p == int(p) and int(p) % 2 == 0):
@@ -446,17 +463,11 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
             A = gram_thm4(points, p)
             a, b = space.blocks
             span = span_dim("thm4", a=a, b=b, p=p)
-            try:
-                got = independence_rank_thm4(points, p)
-                want = blokhuis_family_size(m, a, b, p)
-                notes.append(f"augmented family rank {got} (independent iff {want})")
-            except ResourceLimitError as e:
-                notes.append(f"independence check skipped: {e}")
+            notes.append(_independence_note(lambda: (independence_rank_thm4(points, p),
+                                                     blokhuis_family_size(m, a, b, p))))
         else:  # thm5
             p = space.p
-            if math.isinf(p):
-                raise InputError("thm5 requires finite p")
-            c = cfg.c if cfg.c is not None else _paper_c_thm5(p)
+            c = cfg.c if cfg.c is not None else _paper_c(p)
             P = _approximant(cfg, p, c, space.n_blocks, m, notes)
             A, gaps = matrix_thm5(points, P)
             span = span_dim("thm5", blocks=space.blocks, d=P.degree)

@@ -90,11 +90,7 @@ def render_csv(obj) -> str:
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     if isinstance(obj, list):
-        fields: list[str] = []
-        for row in obj:
-            for k in row:
-                if k not in fields:
-                    fields.append(k)
+        fields = list(dict.fromkeys(k for row in obj for k in row))  # in first-seen order
         w.writerow(fields)
         for row in obj:
             w.writerow([_scalar(row[k]) if k in row else "" for k in fields])
@@ -154,8 +150,7 @@ def _build_parser() -> _Parser:
                    help="override the absolute constant c")
 
     p = add("construct", "emit one of the built-in equilateral configurations")
-    p.add_argument("kind", choices=["cross-polytope", "lp-simplex",
-                                    "euclidean-simplex", "product"])
+    p.add_argument("kind", choices=list(_CONSTRUCTIONS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=_finite_float, default=None)
     p.add_argument("--a", type=int, default=None)
@@ -199,9 +194,7 @@ def _load_points(path: str) -> PointSet:
 
 def _env_config() -> bounds_mod.BoundConfig:
     path = os.environ.get("EQD_CONFIG")
-    if path:
-        return bounds_mod.load_config(path)
-    return bounds_mod.BoundConfig()
+    return bounds_mod.load_config(path) if path else bounds_mod.BoundConfig()
 
 
 def _cmd_bound(args) -> int:
@@ -217,27 +210,23 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+# construct kind -> (the flags it needs, the builder they are passed to); the
+# builders are looked up at each call, so a rebinding in construct takes effect
+_CONSTRUCTIONS = {
+    "cross-polytope": (("n",), lambda n: construct_mod.cross_polytope(n)),
+    "lp-simplex": (("n", "p"), lambda n, p: construct_mod.lp_simplex(n, p)),
+    "euclidean-simplex": (("n",), lambda n: construct_mod.euclidean_simplex(n)),
+    "product": (("a", "b"), lambda a, b: construct_mod.product_construction(
+        construct_mod.euclidean_simplex(a), construct_mod.euclidean_simplex(b))),
+}
+
+
 def _cmd_construct(args) -> int:
-    kind = args.kind
-    if kind == "product":
-        if args.a is None or args.b is None:
-            raise InputError("product needs --a and --b")
-        ps = construct_mod.product_construction(
-            construct_mod.euclidean_simplex(args.a),
-            construct_mod.euclidean_simplex(args.b))
-    elif kind == "cross-polytope":
-        if args.n is None:
-            raise InputError("cross-polytope needs --n")
-        ps = construct_mod.cross_polytope(args.n)
-    elif kind == "lp-simplex":
-        if args.n is None or args.p is None:
-            raise InputError("lp-simplex needs --n and --p")
-        ps = construct_mod.lp_simplex(args.n, args.p)
-    else:
-        if args.n is None:
-            raise InputError("euclidean-simplex needs --n")
-        ps = construct_mod.euclidean_simplex(args.n)
-    emit(ps.to_jsonable(), args.format)
+    names, build = _CONSTRUCTIONS[args.kind]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        raise InputError(f"{args.kind} needs " + " and ".join(f"--{name}" for name in names))
+    emit(build(*values).to_jsonable(), args.format)
     return 0
 
 
@@ -267,10 +256,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_certify(args) -> int:
     ps = _load_points(args.points)
-    cfg = CertifyConfig(c=args.c, k=args.k, p_override=args.p)
-    env = os.environ.get("EQD_CONFIG")
-    if env:
-        cfg.c_absolute = bounds_mod.load_config(env).c_absolute
+    cfg = CertifyConfig(c=args.c, k=args.k, p_override=args.p,
+                        c_absolute=_env_config().c_absolute)
     report = run_certify(ps, args.theorem, cfg)
     emit(report.to_jsonable(), args.format)
     if not report.passes:

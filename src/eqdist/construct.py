@@ -43,9 +43,7 @@ def cross_polytope(n: int) -> PointSet:
         raise InputError(f"n must be >= 1, got {n}")
     _check_size(2 * n, n)
     pts = np.zeros((2 * n, n))
-    for i in range(n):
-        pts[2 * i, i] = 0.5
-        pts[2 * i + 1, i] = -0.5
+    pts[np.arange(2 * n), np.arange(2 * n) // 2] = np.tile([0.5, -0.5], n)
     return PointSet(Space(1.0, (1,) * n), pts)
 
 
@@ -119,16 +117,10 @@ def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
         raise InputError("distance profile needs at least 2 points")
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
-    dm = distance_matrix(points)
-    dists = np.sort(dm[np.triu_indices(points.m, 1)])
+    dists = np.sort(distance_matrix(points)[np.triu_indices(points.m, 1)])
     if dists[0] < tol:
         raise DegenerateDistanceError("zero distance present")
-    clusters: list[list[float]] = [[dists[0]]]
-    for d in dists[1:]:
-        if d - clusters[-1][-1] > tol:
-            clusters.append([d])
-        else:
-            clusters[-1].append(d)
+    clusters = np.split(dists, np.flatnonzero(np.diff(dists) > tol) + 1)
     return sorted((float(np.mean(c)) for c in clusters), reverse=True)
 
 
@@ -201,9 +193,7 @@ def _pair_energy_grad(Q: np.ndarray, space: Space, eps: float):
 
 
 def _true_residual(Q: np.ndarray, space: Space) -> float:
-    ps = PointSet(space, Q)
-    dm = distance_matrix(ps)
-    off = dm[np.triu_indices(ps.m, 1)]
+    off = distance_matrix(PointSet(space, Q))[np.triu_indices(len(Q), 1)]
     return float(np.max(np.abs(off - 1.0))) if off.size else 0.0
 
 
@@ -266,7 +256,9 @@ def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) ->
         restarts = range(first, min(first + batch, cfg.restarts))
         Q = np.stack([np.random.default_rng([cfg.seed, r]).uniform(-1.0, 1.0, size=(m, dim))
                       for r in restarts])
-        for restart, q, iters, stop in zip(restarts, *_descend(Q, space, cfg)):
+        with np.errstate(all="ignore"):  # a non-finite energy is a rejected step
+            descents = _descend(Q, space, cfg)
+        for restart, q, iters, stop in zip(restarts, *descents):
             resid = _true_residual(q, space)
             if best is None or resid < best[0]:
                 best = (resid, restart, q, int(iters), STOP_CAUSES[stop])

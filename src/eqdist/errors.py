@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: InputError and subclasses mean the
-invocation itself was bad (exit 1); the remaining types describe a
-well-formed computation with a negative outcome (exit 2).
+The CLI maps these onto exit codes.  CertificationError and
+DegenerateDistanceError describe a well-formed computation with a negative
+outcome (exit 2).  InputError and its subclasses (a bad invocation),
+ResourceLimitError and NumericalError exit 1.
 """
 
 

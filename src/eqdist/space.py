@@ -7,6 +7,7 @@ space is the special case where every block has dimension 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -63,11 +64,8 @@ class Space:
         return self.p == 2.0 or self.n_blocks == 1
 
     def block_slices(self) -> list[slice]:
-        out, start = [], 0
-        for a in self.blocks:
-            out.append(slice(start, start + a))
-            start += a
-        return out
+        ends = itertools.accumulate(self.blocks)
+        return [slice(end - a, end) for a, end in zip(self.blocks, ends)]
 
     def to_string(self) -> str:
         p_str = "inf" if math.isinf(self.p) else (
@@ -251,12 +249,9 @@ def norm_sandwich_check(x: Sequence[float], p: float, q: float,
     if p > q:
         raise InputError(f"need p <= q, got p={p}, q={q}")
     arr = np.asarray(x, dtype=float)
-    n = arr.size
     nq = lp_norm(arr, q)
     np_ = lp_norm(arr, p)
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
-    factor = n ** (1.0 / p - inv_q)
-    upper = factor * nq
+    upper = arr.size ** (1.0 / p - 1.0 / q) * nq  # 1 / inf is 0
     slack = rel_tol * max(nq, np_, upper) + _TOL_ABS
     holds = (nq <= np_ + slack) and (np_ <= upper + slack)
     return holds, (nq, np_, upper)

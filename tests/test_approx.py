@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ def test_jackson_constant_values():
     # 150^150 alone is past the largest double
     with pytest.raises(NumericalError):
         jackson_constant(150)
+    for p in (math.inf, math.nan):
+        with pytest.raises(InputError, match="finite"):
+            jackson_constant(p)
 
 
 def test_even_polynomial_structure():
@@ -158,6 +162,22 @@ def test_choose_degree_window():
         d = choose_degree(p, c, n, m)
         t = c * n * math.sqrt(m)
         assert t < d ** p < 2 * t
+
+
+def test_choose_degree_past_2_53():
+    # float(d) rounds to even past 2^53, so several d share one float(d) ** p;
+    # the answer is still the smallest integer d with d^p > target, as a
+    # search one unit step at a time found it (129 and 384 steps for 2^60)
+    assert [choose_degree(1.0, 2.0 ** e + k * 2.0 ** (e - 52), 1, 1) - 2 ** e
+            for e in (54, 60) for k in (0, 1)] == [3, 6, 129, 384]
+    assert choose_degree(1.5, 2.0 ** 80, 1, 1) == 11348359941645591
+    # unit steps never end here: d += 1 leaves float(d) unchanged near 1e300
+    d = choose_degree(1.0, 1e300, 1, 1)
+    assert float(d) > 1e300 >= float(d - 1)
+    with pytest.raises(InfeasibleDegreeError):  # no double lies above the largest one
+        choose_degree(1.0, sys.float_info.max, 1, 1)
+    with pytest.raises(InputError, match="overflows"):
+        choose_degree(1.0, 1e308, 2, 1)
 
 
 def test_choose_degree_infeasible():

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from eqdist import space as space_mod
-from eqdist.approx import EvenPolynomial
-from eqdist.certify import (CertifyConfig, SymMatrix, _f_thm4, blokhuis_family_size,
+from eqdist.approx import MAX_DEGREE, EvenPolynomial
+from eqdist.certify import (CertifyConfig, SymMatrix, _f_thm4, _thm1_planes,
+                            blokhuis_family_size,
                             certify, elementary_symmetric, epsilon_rank_bound,
                             gram_thm3, gram_thm4, independence_rank_thm3,
                             independence_rank_thm4, matrix_thm1, matrix_thm2,
@@ -15,8 +17,10 @@ from eqdist.certify import (CertifyConfig, SymMatrix, _f_thm4, blokhuis_family_s
 from eqdist.construct import (cross_polytope, euclidean_simplex, lp_simplex,
                               product_construction)
 from eqdist.errors import InputError, ResourceLimitError
-from eqdist.space import PointSet, Space
+from eqdist.space import PointSet, Space, distance_matrix
 from monomial_counts import monomial_count_enumerated, monomial_count_telescoped
+
+certify_mod = importlib.import_module("eqdist.certify")  # the package exports certify()
 
 
 def _random_sym(rng, m):
@@ -238,7 +242,8 @@ def _builder_cases():
     lp = PointSet(Space(2.5, (1,) * 7), rng.uniform(-0.5, 0.5, (40, 7)))
     pts = rng.uniform(-0.5, 0.5, (40, 7))
     P = EvenPolynomial(6, (0.5, -0.2, 0.1))
-    return [lambda: matrix_thm1(lp, 4), lambda: matrix_thm2(lp, [1.0, 0.6], P),
+    return [lambda: matrix_thm1(lp, 4), lambda: _thm1_planes(lp, 4),
+            lambda: matrix_thm2(lp, [1.0, 0.6], P),
             lambda: matrix_thm5(PointSet(Space(2.5, (3, 4)), pts), P),
             lambda: gram_thm3(PointSet(Space(math.inf, (3, 4)), pts)),
             lambda: gram_thm4(PointSet(Space(4.0, (3, 4)), pts), 4)]
@@ -251,9 +256,71 @@ def test_builders_chunked_give_same_bits(monkeypatch):
         split = build()
         monkeypatch.undo()
         if isinstance(whole, tuple):
-            assert repr(split[1]) == repr(whole[1])
+            extra = [x.tobytes() if isinstance(x, np.ndarray) else repr(x)
+                     for x in (split[1], whole[1])]
+            assert extra[0] == extra[1]
             whole, split = whole[0], split[0]
         assert split.entries.tobytes() == whole.entries.tobytes()
+
+
+def _thm1_scaled_sets():
+    rng = np.random.default_rng(19)
+    sets = [cross_polytope(5), lp_simplex(6, 3.7), euclidean_simplex(4)]
+    for scale in (1e-200, 1e-100, 1.0, 1e100, 1e150):
+        sets.append(PointSet(Space(1.0, (1,) * 5), cross_polytope(5).points * scale))
+        sets.append(PointSet(Space(3.0, (1,) * 4), rng.normal(size=(9, 4)) * scale))
+    return sets
+
+
+def test_thm1_distance_plane_is_distance_matrix_in_lk():
+    # the same reduction on the same block norms, so the bits agree at every
+    # scale: (1 - a_ij)^(1/k) would read 0 at 1e-200 and inf at 1e150, k >= 4
+    for ps in _thm1_scaled_sets():
+        for k in (2, 4, 6):
+            with np.errstate(over="ignore"):
+                A, dk = _thm1_planes(ps, k)
+                assert A.entries.tobytes() == matrix_thm1(ps, k).entries.tobytes()
+            lk = distance_matrix(PointSet(Space(float(k), ps.space.blocks), ps.points))
+            assert dk.tobytes() == lk.tobytes(), (ps.points[0, 0], k)
+
+
+def test_certify_thm1_note_at_extreme_scales():
+    for scale in (1e-200, 1e-300):
+        ps = PointSet(Space(1.0, (1,) * 4), cross_polytope(4).points * scale)
+        off = distance_matrix(PointSet(Space(2.0, (1,) * 4), ps.points))[np.triu_indices(8, 1)]
+        note = certify(ps, "thm1").notes[0]
+        assert note.endswith(f"measured [{off.min():.6g}, {off.max():.6g}]"), note
+        assert off.min() > 0.0
+
+
+def test_certify_thm1_reads_the_pairs_once(monkeypatch):
+    calls, pair_map = [], space_mod.pair_map
+    def counting(points, fn):
+        calls.append(points.m)
+        return pair_map(points, fn)
+    monkeypatch.setattr(certify_mod, "pair_map", counting)
+    monkeypatch.setattr(space_mod, "pair_map", counting)
+    for ps in (cross_polytope(6), lp_simplex(5, 2.5)):
+        calls.clear()
+        certify(ps, "thm1")
+        assert calls == [ps.m]
+
+
+def test_exponent_cap(monkeypatch):
+    calls, pair_map = [], space_mod.pair_map
+    monkeypatch.setattr(certify_mod, "pair_map",
+                        lambda points, fn: calls.append(1) or pair_map(points, fn))
+    lp, two = cross_polytope(2), PointSet(Space(4.0, (1, 1)), np.array([[0, 0], [1.0, 0]]))
+    assert MAX_DEGREE == 400
+    # 1 - |1|^400 = 0, and 1 - 2 * 0.5^400 rounds to 1
+    assert np.array_equal(matrix_thm1(lp, 400).entries[0], [1.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(gram_thm4(two, 400).entries, np.eye(2))
+    assert len(calls) == 2
+    for build in (lambda k: matrix_thm1(lp, k), lambda k: gram_thm4(two, k)):
+        for k in (402, 10 ** 8, 10 ** 300):
+            with pytest.raises(ResourceLimitError, match="exceeds the cap of 400"):
+                build(k)
+    assert len(calls) == 2  # refused before any pair is read
 
 
 def test_builders_peak_memory():

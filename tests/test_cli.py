@@ -54,6 +54,23 @@ def test_construct_cross_polytope(capsys):
     assert obj["space"] == "lp:n=3,p=1" and len(obj["points"]) == 6
 
 
+def test_construct_calls_builders_through_the_module(capsys, monkeypatch):
+    # the benchmark's tracer rebinds construct's builders by name, so the CLI
+    # must look them up at each call
+    calls = []
+    for name in ("cross_polytope", "lp_simplex", "euclidean_simplex", "product_construction"):
+        fn = getattr(construct, name)
+        monkeypatch.setattr(construct, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    for name, argv in (("cross_polytope", ("cross-polytope", "--n", "2")),
+                       ("lp_simplex", ("lp-simplex", "--n", "2", "--p", "3")),
+                       ("euclidean_simplex", ("euclidean-simplex", "--n", "2")),
+                       ("product_construction", ("product", "--a", "1", "--b", "1"))):
+        calls.clear()
+        assert _run(capsys, "construct", *argv)[0] == 0
+        assert name in calls, (name, calls)
+
+
 def test_construct_verify_roundtrip(tmp_path, capsys):
     cases = [("cross-polytope", ["--n", "4"]),
              ("lp-simplex", ["--n", "3", "--p", "2.5"]),
@@ -143,6 +160,16 @@ def test_approx_coefficients_reproduce_measured_error(capsys):
             assert err <= rep["jackson_bound"], (p, d)
 
 
+def _run_quietly(argv):
+    """(exit code, stdout, stderr) of run(argv) with every warning an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 _FUZZ_TOKENS = st.one_of(st.text(max_size=12), st.floats().map(repr),
                          st.integers(-50, 450).map(str), st.integers().map(str))
 
@@ -153,16 +180,111 @@ _FUZZ_TOKENS = st.one_of(st.text(max_size=12), st.floats().map(repr),
 @example(p="1e308", d="400")
 @example(p="3.7", d="45")
 def test_approx_fuzz_never_raises(p, d):
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")  # a warning would be a second stderr line
-        code = run(["approx", "--p", p, "--d", d])
+    code, out, err = _run_quietly(["approx", "--p", p, "--d", d])
     assert code in (0, 1, 2)
     if code:
-        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.count("\n") == 1, err
     else:
-        assert err.getvalue() == "" and json.loads(out.getvalue())["d"] == int(d)
+        assert err == "" and json.loads(out)["d"] == int(d)
+
+
+_FUZZ_SETS = {
+    "cp3": construct.cross_polytope(3).to_jsonable(),
+    "simplex": construct.lp_simplex(3, 2.5).to_jsonable(),
+    "prod": construct.product_construction(construct.euclidean_simplex(1),
+                                           construct.euclidean_simplex(2)).to_jsonable(),
+    "linf": {"space": "lp:n=2,p=inf", "points": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+    "p50": {"space": "lp:n=1,p=50", "points": [[0], [1], [3], [7], [15], [31]]},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name, obj in _FUZZ_SETS.items():
+        (path / f"{name}.json").write_text(json.dumps(obj))
+    return path
+
+
+# mostly absent or small numbers, so most runs get past the flag checks
+_FLAG = st.one_of(st.none(), st.none(), st.floats(0.5, 12).map(repr), st.integers(0, 12).map(str),
+                  _FUZZ_TOKENS)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(theorem=st.sampled_from(["thm1", "thm2", "thm3", "thm4", "thm5"]),
+       points=st.sampled_from(sorted(_FUZZ_SETS)), p=_FLAG, k=_FLAG, c=_FLAG)
+@example(theorem="thm2", points="linf", p=None, k=None, c=None)  # jackson_constant(inf)
+@example(theorem="thm2", points="p50", p=None, k=None, c=None)  # the paper's c overflows
+@example(theorem="thm1", points="cp3", p=None, k="100000000", c=None)  # used to hang
+@example(theorem="thm1", points="cp3", p="1e300", k=None, c=None)
+@example(theorem="thm4", points="prod", p="100000000", k=None, c=None)
+@example(theorem="thm5", points="cp3", p=None, k=None, c="1e300")
+def test_certify_fuzz_never_raises(fuzz_dir, theorem, points, p, k, c):
+    argv = ["certify", "--points", str(fuzz_dir / f"{points}.json"), "--theorem", theorem]
+    for flag, tok in (("--p", p), ("--k", k), ("--c", c)):
+        if tok is not None:
+            argv += [flag, tok]
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 1, 2)
+    assert err.count("\n") == (code != 0), err
+    if code != 1:
+        assert json.loads(out)["theorem"] == theorem
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(0, 64).map(str) | st.text(max_size=4), p=_FUZZ_TOKENS, c=_FLAG,
+       best=st.booleans())
+@example(n="3", p="1e308", c=None, best=True)  # 2(p + 1)n is past the largest double
+@example(n="3", p="1e308", c=None, best=False)
+def test_bound_fuzz_never_raises(n, p, c, best):
+    argv = ["bound", "--space", f"lp:n={n},p={p}", *(["--best"] if best else [])]
+    code, out, err = _run_quietly(argv + ([] if c is None else ["--c", c]))
+    assert code in (0, 1)
+    assert err.count("\n") == code, err
+    if code == 0:
+        json.loads(out)
+
+
+def test_thm2_at_infinite_p_exit_1(fuzz_dir):
+    code, out, err = _run_quietly(["certify", "--points", str(fuzz_dir / "linf.json"),
+                                   "--theorem", "thm2"])
+    assert (code, out, err) == (1, "", "error: thm2 requires finite p\n")
+
+
+def test_thm2_constant_overflow_exit_1(fuzz_dir):
+    code, out, err = _run_quietly(["certify", "--points", str(fuzz_dir / "p50.json"),
+                                   "--theorem", "thm2"])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: the paper's constant c overflows double precision at p=50")
+
+
+def test_bound_past_the_largest_double():
+    code, out, err = _run_quietly(["bound", "--space", "lp:n=3,p=1e308"])
+    assert code == 0 and err == ""
+    values = {r["source"]: r["value"] for r in json.loads(out)}
+    assert values["thm1.2"] == 2 * (int(1e308) + 1) * 3  # floor(2(p + 1)n), exactly
+    code, out, err = _run_quietly(["bound", "--space", "lp:n=3,p=1e308", "--best"])
+    assert code == 0 and err == "" and json.loads(out)["source"] == "petty"
+
+
+@pytest.mark.parametrize("points, flags", [
+    ("cp3", ("--theorem", "thm1", "--k", "100000000")),
+    ("cp3", ("--theorem", "thm1", "--p", "1e300")),
+    ("prod", ("--theorem", "thm4", "--p", "100000000")),
+    ("cp3", ("--theorem", "thm5", "--c", "1e300"))])
+def test_huge_exponents_refused_exit_1(fuzz_dir, points, flags):
+    # each of these used to run for longer than 20 s
+    code, out, err = _run_quietly(["certify", "--points", str(fuzz_dir / f"{points}.json"),
+                                   *flags])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "exceeds the cap" in err
+
+
+def test_search_huge_p_one_stderr_line():
+    code, out, err = _run_quietly(["search", "--space", "lp:n=2,p=1e300", "--m", "3"])
+    assert code == 2 and json.loads(out)["converged"] is False
+    assert err.count("\n") == 1 and err.startswith("search did not converge")
 
 
 def test_parser_reuse_keeps_no_state(capsys, monkeypatch):

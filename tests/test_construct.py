@@ -120,6 +120,42 @@ def test_profile_clusters_nearby_distances():
     assert len(prof) == 2  # the two unit-ish sides merge, the diagonal stays
 
 
+def _profile_by_loop(points, tol):
+    """distance_profile as it clustered one distance at a time, kept verbatim."""
+    dm = distance_matrix(points)
+    dists = np.sort(dm[np.triu_indices(points.m, 1)])
+    clusters: list[list[float]] = [[dists[0]]]
+    for d in dists[1:]:
+        if d - clusters[-1][-1] > tol:
+            clusters.append([d])
+        else:
+            clusters[-1].append(d)
+    return sorted((float(np.mean(c)) for c in clusters), reverse=True)
+
+
+def test_profile_matches_the_loop():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        m = int(rng.integers(2, 30))
+        # grid points plus noise: many distances repeat up to the noise
+        noise = 10.0 ** rng.uniform(-9, -2)
+        x = rng.integers(0, 12, size=(m, 2)) * 0.1 + rng.normal(size=(m, 2)) * noise
+        ps = PointSet(Space(float(rng.choice([1.0, 2.0, 3.5, math.inf])), (1, 1)), x)
+        tol = 10.0 ** rng.uniform(-7, math.log10(0.5))
+        if distance_matrix(ps)[np.triu_indices(m, 1)].min() < tol:
+            with pytest.raises(DegenerateDistanceError):  # refused before clustering
+                distance_profile(ps, tol)
+            continue
+        want = [x.hex() for x in _profile_by_loop(ps, tol)]
+        assert [x.hex() for x in distance_profile(ps, tol)] == want
+    # sorted distances 1, 1.25, 2.25: a gap of exactly tol stays in its cluster,
+    # a gap one ulp above tol splits it
+    line = PointSet(Space(1.0, (1,)), np.array([[0.0], [1.0], [2.25]]))
+    assert distance_profile(line, 0.25) == _profile_by_loop(line, 0.25) == [2.25, 1.125]
+    below = np.nextafter(0.25, 0.0)
+    assert distance_profile(line, below) == _profile_by_loop(line, below) == [2.25, 1.25, 1.0]
+
+
 def test_search_triangle_converges():
     res = search_equilateral(Space(2.0, (1, 1)), 3, SearchConfig(seed=5))
     assert res.converged and res.residual < 1e-10
