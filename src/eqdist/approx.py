@@ -26,7 +26,7 @@ REMEZ_CONV_RTOL = 1e-10   # equioscillation levels agree to this relative tol
 # double precision (even integer p is exempt: its coefficients are 0 and 1).
 MAX_REMEZ_DEGREE = 45
 # Cap on any degree, the exact even-integer path included: certify asks for no
-# more (CertifyConfig.max_degree), and measuring P on the grid takes time
+# more (certify._approximant), and measuring P on the grid takes time
 # linear in d, about 90 ms at d = 400 on one Xeon core.
 MAX_DEGREE = 400
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

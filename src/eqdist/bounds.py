@@ -102,11 +102,18 @@ def load_config(path: str) -> BoundConfig:
     return BoundConfig(constants=constants, **settings)
 
 
+def _exponent(p: float, a: int, b: int) -> float:
+    """(2pa + 2b)/(2p - b) for 2p > b, divided through by p where 2pa overflows."""
+    if math.isinf(2.0 * p * a):
+        return (2.0 * a + 2.0 * b / p) / (2.0 - b / p)
+    return (2.0 * p * a + 2.0 * b) / (2.0 * p - b)
+
+
 def sdistance_exponent(p: float, s: int) -> float:
     """Exponent (2ps+2s)/(2p-s) of the s-distance upper bound; needs 2p > s."""
     if not 2.0 * p > s:
         raise InputError(f"exponent requires 2p > s, got p={p}, s={s}")
-    return (2.0 * p * s + 2.0 * s) / (2.0 * p - s)
+    return _exponent(p, s, s)
 
 
 def kusner_even_upper(p: int, n: int) -> int:
@@ -155,7 +162,7 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
                                    construction="cross-polytope"))
 
         if space.is_lp and math.isfinite(p):
-            expo = (2.0 * p + 2.0) / (2.0 * p - 1.0)
+            expo = _exponent(p, 1, 1)
             out.append(BoundReport(
                 "upper", "asymptotic",
                 Formula(f"c_p * n^{expo:.6g}", {"c": cfg.c_absolute, "c_p": c_p_value()},
@@ -204,7 +211,7 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
                 ("p is an even integer",), "even-p-blocks"))
 
         if math.isfinite(p) and 2.0 * p > a_max:
-            expo = (2.0 * p + 2.0 * a_max) / (2.0 * p - a_max)
+            expo = _exponent(p, 1, a_max)
             out.append(_configured_bound(cfg, "c_pa", expo, nb,
                                          (f"2p > max block dim = {a_max}",), "thm1.6"))
 

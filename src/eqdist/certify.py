@@ -27,8 +27,12 @@ from .errors import InputError, NumericalError, ResourceLimitError
 from .space import (PointSet, Space, _outer_norm, pair_block_norms, pair_block_sq_norms,
                     pair_map)
 
+THEOREMS = ("thm1", "thm2", "thm3", "thm4", "thm5")
 BLOKHUIS_MAX_VARS = 6
 BLOKHUIS_MAX_P = 8
+# A largest off-diagonal magnitude this close to 1/sqrt(m) is noted in the report.
+OFFDIAG_SLACK = 1e-12
+_SQRT_MAX = math.sqrt(np.finfo(float).max)  # the largest float whose square is finite
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,15 @@ def _as_matrix(A) -> np.ndarray:
 def rank_lower_bound(A) -> float:
     """(sum of diagonal)^2 / (sum of squared entries); at most rank(A)."""
     arr = _as_matrix(A)
-    denom = float(np.sum(arr * arr))
+    with np.errstate(over="ignore"):
+        denom, tr = float(np.sum(arr * arr)), float(np.trace(arr))
+        if math.isinf(denom) or abs(tr) > _SQRT_MAX:
+            # the ratio does not depend on scale, and scaling by a power of two is exact
+            arr = np.ldexp(arr, -math.frexp(float(np.max(np.abs(arr))))[1])
+            denom, tr = float(np.sum(arr * arr)), float(np.trace(arr))
     if denom == 0.0:
         raise InputError("rank lower bound is undefined for the zero matrix")
-    return float(np.trace(arr)) ** 2 / denom
+    return tr ** 2 / denom
 
 
 def epsilon_rank_bound(m: int, eps: float) -> float:
@@ -331,13 +340,9 @@ def independence_rank_thm3(points: PointSet, tol: float = 1e-9) -> int:
 
 @dataclass
 class CertifyConfig:
-    rank_tol: float = 1e-9
     c: float | None = None          # approximation constant override (thm2/thm5)
     k: int | None = None            # even-k override (thm1)
     p_override: float | None = None  # exponent override (thm1 selection, thm4)
-    profile_tol: float = 1e-7
-    max_degree: int = MAX_DEGREE
-    offdiag_slack: float = 1e-12
     c_absolute: float = 2.01        # constant for the large-p regime note
 
 
@@ -386,14 +391,14 @@ def _independence_note(ranks) -> str:
         return f"independence check skipped: {e}"
 
 
-def _approximant(cfg: CertifyConfig, p: float, c: float, n: int, m: int, notes: list[str],
+def _approximant(p: float, c: float, n: int, m: int, notes: list[str],
                  lead: str = "") -> EvenPolynomial:
     """The certified approximant of |x|^p at the degree chosen for c, n and m,
     noted with its error after lead."""
     d = choose_degree(p, c, n, m)
-    if d > cfg.max_degree:
+    if d > MAX_DEGREE:
         raise ResourceLimitError(
-            f"chosen degree {d:.6g} exceeds the cap {cfg.max_degree}; "
+            f"chosen degree {d:.6g} exceeds the cap {MAX_DEGREE}; "
             "pass a smaller constant c to certify at desk scale")
     P, cert = approximate_abs_power(p, d)
     notes.append(f"{lead}c={c:.6g}, degree d={d}, approx error "
@@ -404,7 +409,7 @@ def _approximant(cfg: CertifyConfig, p: float, c: float, n: int, m: int, notes: 
 def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None) -> CertificateReport:
     """Run the full certificate pipeline for one theorem tag."""
     cfg = config or CertifyConfig()
-    if theorem not in ("thm1", "thm2", "thm3", "thm4", "thm5"):
+    if theorem not in THEOREMS:
         raise InputError(f"unknown theorem tag: {theorem!r}")
     m = points.m
     notes: list[str] = []
@@ -435,10 +440,10 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
                 notes.append(f"large-p regime p >= c*(n*ln n)^2 = {gate:.6g} "
                              f"{'holds' if p >= gate else 'does not hold'} at c={cfg.c_absolute}")
         elif theorem == "thm2":
-            dists = distance_profile(points, cfg.profile_tol)
+            dists = distance_profile(points)
             k = len(dists)
             c = cfg.c if cfg.c is not None else _paper_c(space.p, k)
-            P = _approximant(cfg, space.p, c, space.ambient_dim, m, notes, f"k={k} distances, ")
+            P = _approximant(space.p, c, space.ambient_dim, m, notes, f"k={k} distances, ")
             A, gaps = matrix_thm2(points, dists, P)
             span = span_dim("thm2", n=space.ambient_dim, d=P.degree, k=k)
             notes.append(f"max |X-Y| = {gaps.max_gap:.3e} vs n*B(p)/d^p = {gaps.gap_bound:.3e} "
@@ -468,7 +473,7 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
         else:  # thm5
             p = space.p
             c = cfg.c if cfg.c is not None else _paper_c(p)
-            P = _approximant(cfg, p, c, space.n_blocks, m, notes)
+            P = _approximant(p, c, space.n_blocks, m, notes)
             A, gaps = matrix_thm5(points, P)
             span = span_dim("thm5", blocks=space.blocks, d=P.degree)
             notes.append(f"max per-pair gap = {gaps.max_gap:.3e} vs n*B(p)/d^p = "
@@ -482,12 +487,12 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
     offmask = ~np.eye(m, dtype=bool)
     max_off = float(np.max(np.abs(arr[offmask])))
     threshold = 1.0 / math.sqrt(m)
-    if abs(max_off - threshold) <= cfg.offdiag_slack:
-        notes.append(f"max off-diagonal {max_off:.17g} is within {cfg.offdiag_slack:g} "
+    if abs(max_off - threshold) <= OFFDIAG_SLACK:
+        notes.append(f"max off-diagonal {max_off:.17g} is within {OFFDIAG_SLACK:g} "
                      f"of the threshold {threshold:.17g}")
     offdiag_ok = max_off < threshold
     rll = rank_lower_bound(A)
-    nr = numerical_rank(A, cfg.rank_tol)
+    nr = numerical_rank(A)
     chain_ok = rll <= nr + 1e-9 and nr <= span
     passes = diag_ok and chain_ok and (offdiag_ok or not threshold_in_passes)
     if not offdiag_ok:

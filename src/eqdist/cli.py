@@ -21,7 +21,7 @@ import sys
 from . import approx as approx_mod
 from . import bounds as bounds_mod
 from . import construct as construct_mod
-from .certify import CertifyConfig
+from .certify import THEOREMS, CertifyConfig
 from .certify import certify as run_certify
 from .errors import (CertificationError, DegenerateDistanceError, InputError,
                      NumericalError, ResourceLimitError)
@@ -43,46 +43,37 @@ def _fmt_float(x: float) -> str:
     return s
 
 
-def render_json(obj, indent: int = 0) -> str:
-    pad, pad1 = " " * indent, " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{pad1}{json.dumps(str(k))}: {render_json(v, indent + 2)}"
-                 for k, v in obj.items())
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = (f"{pad1}{render_json(v, indent + 2)}" for v in obj)
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        if obj >= HUGE_INT:
-            return render_json({"log2": math.log2(obj)}, indent)
-        return json.dumps(obj)
+def render_json(obj, indent: int | None = 0) -> str:
+    """obj as JSON, floats with 17 significant digits: one line when indent is
+    None, else one container item per line, indented indent + 2 spaces."""
     if isinstance(obj, float):
         return _fmt_float(obj)
-    raise TypeError(f"cannot serialize {type(obj)}")
-
-
-def _inline(obj) -> str:
-    """obj as one line of JSON, its numbers written as render_json writes them."""
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_inline(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_inline(v) for v in obj) + "]"
     if isinstance(obj, int) and obj >= HUGE_INT:
-        return _inline({"log2": math.log2(obj)})
-    return render_json(obj)
+        obj = {"log2": math.log2(obj)}
+    if isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            return "{}" if isinstance(obj, dict) else "[]"
+        inner = None if indent is None else indent + 2
+        if isinstance(obj, dict):
+            open_, close = "{", "}"
+            items = [f"{json.dumps(str(k))}: {render_json(v, inner)}" for k, v in obj.items()]
+        else:
+            open_, close = "[", "]"
+            items = [render_json(v, inner) for v in obj]
+        if indent is None:
+            return open_ + ", ".join(items) + close
+        pad = "\n" + " " * indent
+        return open_ + pad + "  " + ("," + pad + "  ").join(items) + pad + close
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def _scalar(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     if isinstance(v, (dict, list, tuple)) or (isinstance(v, int) and v >= HUGE_INT):
-        return _inline(v)
+        return render_json(v, None)
     return str(v)
 
 
@@ -136,12 +127,13 @@ def _build_parser() -> _Parser:
                   if __doc__ else "")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_):
+    def add(name, help_, cmd):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--format", choices=FORMATS, default="json")
+        p.set_defaults(cmd=cmd)
         return p
 
-    p = add("bound", "enumerate applicable bounds for a space")
+    p = add("bound", "enumerate applicable bounds for a space", _cmd_bound)
     p.add_argument("--space", required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--best", action="store_true",
@@ -149,30 +141,29 @@ def _build_parser() -> _Parser:
     p.add_argument("--c", type=_finite_float, default=None,
                    help="override the absolute constant c")
 
-    p = add("construct", "emit one of the built-in equilateral configurations")
+    p = add("construct", "emit one of the built-in equilateral configurations", _cmd_construct)
     p.add_argument("kind", choices=list(_CONSTRUCTIONS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=_finite_float, default=None)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
 
-    p = add("verify", "check that a point-set file is unit-equilateral")
+    p = add("verify", "check that a point-set file is unit-equilateral", _cmd_verify)
     p.add_argument("--points", required=True)
     p.add_argument("--tol", type=_finite_float, default=1e-7)
 
-    p = add("certify", "run a rank-certificate pipeline on a point-set file")
+    p = add("certify", "run a rank-certificate pipeline on a point-set file", _cmd_certify)
     p.add_argument("--points", required=True)
-    p.add_argument("--theorem", required=True,
-                   choices=["thm1", "thm2", "thm3", "thm4", "thm5"])
+    p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--p", type=_finite_float, default=None)
     p.add_argument("--c", type=_finite_float, default=None)
 
-    p = add("approx", "certified even-polynomial approximation of |x|^p")
+    p = add("approx", "certified even-polynomial approximation of |x|^p", _cmd_approx)
     p.add_argument("--p", type=_finite_float, required=True)
     p.add_argument("--d", type=int, required=True)
 
-    p = add("search", "numerical search for an equilateral witness")
+    p = add("search", "numerical search for an equilateral witness", _cmd_search)
     p.add_argument("--space", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--restarts", type=int, default=8)
@@ -291,11 +282,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-_COMMANDS = {"bound": _cmd_bound, "construct": _cmd_construct,
-             "verify": _cmd_verify, "certify": _cmd_certify,
-             "approx": _cmd_approx, "search": _cmd_search}
-
-
 # The parser is built on the first run, not at import, and reused: building
 # it costs about 25 times as much as one parse.
 _parser: _Parser | None = None
@@ -308,16 +294,13 @@ def run(argv: list[str]) -> int:
         if _parser is None:
             _parser = _build_parser()
         args = _parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except InputError as e:
+        return args.cmd(args)
+    except (InputError, ResourceLimitError, NumericalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (CertificationError, DegenerateDistanceError) as e:
         print(f"failed: {e}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, NumericalError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import tracemalloc
@@ -42,6 +43,19 @@ def test_rank_lower_bound_examples():
     assert abs(rank_lower_bound(A) - 1.6) < 1e-15
     with pytest.raises(InputError):
         rank_lower_bound(np.zeros((3, 3)))
+
+
+def test_rank_lower_bound_past_the_largest_double():
+    # the squares overflow; a power-of-two rescale keeps every bit of the ratio
+    B = np.random.default_rng(5).normal(size=(6, 6))
+    A = B + B.T
+    assert rank_lower_bound(A * 2.0 ** 600) == rank_lower_bound(A)
+    assert rank_lower_bound(np.eye(3) * 2.0 ** 700) == 3.0  # tr^2 used to raise OverflowError
+
+
+def test_certify_config_fields():
+    assert [f.name for f in dataclasses.fields(CertifyConfig)] == ["c", "k", "p_override",
+                                                                   "c_absolute"]
 
 
 def test_rank_lemma_soundness_sample():

@@ -13,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eqdist
+import json_reference
 from eqdist import approx, cli, construct
-from eqdist.cli import render_json, run
-from eqdist.space import PointSet, Space
+from eqdist.cli import HUGE_INT, render_json, run
+from eqdist.space import MAX_AMBIENT_DIM, PointSet, Space
 
 
 def _run(capsys, *argv):
@@ -520,3 +521,83 @@ def test_seventeen_digit_roundtrip():
     s = render_json({"v": [float(v) for v in vals]})
     back = json.loads(s)["v"]
     assert all(a == b for a, b in zip(back, vals))
+
+
+_JSON_LEAVES = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 3.0]),
+    st.integers(), st.integers(-1, 1).map(lambda d: HUGE_INT + d),
+    st.just(20000).map(lambda e: 2 ** e),  # a strategy repr may not hold the 6000 digits
+    st.booleans(), st.none(), st.text(max_size=8))
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=6), kids, max_size=4)), max_leaves=16)
+_JSON_ROWS = st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=5)
+_EVERY_CASE = {"nan": math.nan, "inf": [math.inf, -math.inf], "zero": (-0.0, 0.0),
+               "tiny": 5e-324, "huge": [HUGE_INT, [2 ** 20000, HUGE_INT - 1]],
+               "flags": [True, False, None], "text": 'say "h\u00e9" \u2603',
+               "empty": [[], {}, ()], "nested": {"a": {"b": [{"c": ()}]}}}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(obj=_JSON_VALUES)
+@example(obj=_EVERY_CASE)
+@example(obj=[_EVERY_CASE, (_EVERY_CASE,)])
+def test_render_json_matches_the_two_walker_reference(obj):
+    assert render_json(obj) == json_reference.render_json(obj)
+    assert render_json(obj, None) == json_reference._inline(obj)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(obj=_JSON_ROWS | st.lists(_JSON_ROWS, max_size=4))
+@example(obj=_EVERY_CASE)
+@example(obj=[_EVERY_CASE, {"tiny": 1.0, "other": "x"}])
+def test_csv_and_text_match_the_two_walker_reference(obj):
+    assert cli.render_csv(obj) == json_reference.render_csv(obj)
+    assert cli.render_text(obj) == json_reference.render_text(obj)
+
+
+def test_unknown_theorem_message(capsys):
+    code, out, err = _run(capsys, "certify", "--points", "x.json", "--theorem", "thm9")
+    assert (code, out) == (1, "")
+    assert err == ("error: argument --theorem: invalid choice: 'thm9' (choose from "
+                   "'thm1', 'thm2', 'thm3', 'thm4', 'thm5')\n")
+
+
+def test_certify_huge_finite_entries_one_stderr_line(tmp_path):
+    # the thm1 entries are finite, near -1e200; their squares used to overflow
+    # with two lines of numpy warnings
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"space": "lp:n=3,p=1", "points": [
+        [5e99, 0, 0], [-5e99, 0, 0], [0, 5e99, 0], [0, -5e99, 0]]}))
+    code, out, err = _run_quietly(["certify", "--points", str(f), "--theorem", "thm1"])
+    assert code == 2 and json.loads(out)["theorem"] == "thm1"
+    assert err == "certificate for thm1 did not pass\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("p, s", [("1e308", "1"), ("1e308", "2"), ("6e307", "2")])
+def test_bound_exponents_past_the_largest_double(fmt, p, s):
+    # 2p overflows at p = 1e308, 2ps at p = 6e307 and s = 2: the exponents
+    # used to be nan and inf
+    code, out, err = _run_quietly(["bound", "--space", f"lp:n=3,p={p}", "--s", s,
+                                   "--format", fmt])
+    assert code == 0 and err == ""
+    assert "nan" not in out and f"n^{s}" in out
+
+
+@pytest.mark.parametrize("space", [
+    f"lp:n={MAX_AMBIENT_DIM + 1},p=3",
+    f"lpsum:blocks={MAX_AMBIENT_DIM // 2},{MAX_AMBIENT_DIM // 2 + 1},p=3",
+    "lp:n=" + "9" * 5000 + ",p=3",  # past int()'s 4300-digit limit
+    "lpsum:blocks=" + "9" * 5000 + ",1,p=3",
+], ids=["lp-cap+1", "lpsum-cap+1", "lp-5000-digits", "lpsum-5000-digits"])
+def test_space_above_the_dimension_cap_exit_1(space):
+    code, out, err = _run_quietly(["bound", "--space", space, "--best"])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "exceeds the cap" in err
+
+
+def test_space_at_the_dimension_cap_exit_0():
+    code, out, err = _run_quietly(["bound", "--space", f"lp:n={MAX_AMBIENT_DIM},p=3", "--best"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == {"log2": float(MAX_AMBIENT_DIM)}

@@ -7,8 +7,8 @@ import pytest
 
 from eqdist import space as space_mod
 from eqdist.construct import cross_polytope
-from eqdist.errors import InputError
-from eqdist.space import (PointSet, Space, distance, distance_matrix, norm,
+from eqdist.errors import InputError, ResourceLimitError
+from eqdist.space import (MAX_AMBIENT_DIM, PointSet, Space, distance, distance_matrix, norm,
                           norm_sandwich_check)
 
 
@@ -29,9 +29,21 @@ def test_space_string_roundtrip():
         assert Space.from_string(s.to_string()) == s
     assert Space.from_string("lp:n=3,p=inf") == Space(math.inf, (1, 1, 1))
     assert Space.from_string("lpsum:blocks=2,3,p=2") == Space(2.0, (2, 3))
-    for bad in ["lp:n=3", "lq:n=3,p=2", "lpsum:blocks=,p=2", "lp:n=2,p=0.5"]:
+    for bad in ["lp:n=3", "lq:n=3,p=2", "lpsum:blocks=,p=2", "lp:n=2,p=0.5",
+                "lpsum:blocks=1,,2,p=3", "lpsum:blocks=1,2,,p=3"]:  # int("") raised ValueError
         with pytest.raises(InputError):
             Space.from_string(bad)
+
+
+def test_ambient_dimension_cap():
+    assert Space(3.0, (MAX_AMBIENT_DIM - 1, 1)).ambient_dim == MAX_AMBIENT_DIM
+    with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+        Space(3.0, (MAX_AMBIENT_DIM, 1))
+    assert Space.from_string(f"lp:n=000{MAX_AMBIENT_DIM},p=3").ambient_dim == MAX_AMBIENT_DIM
+    with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+        Space.from_string("lpsum:blocks=2," + "0" * 5000 + "7" * 7 + ",p=2")
+    # int() counts leading zeros towards its 4300-digit limit
+    assert Space.from_string("lp:n=" + "0" * 5000 + "3,p=2").ambient_dim == 3
 
 
 def test_norm_examples():
