@@ -24,8 +24,8 @@ from .approx import (MAX_DEGREE, EvenPolynomial, abs_power, approximate_abs_powe
                      choose_degree, int_power, jackson_constant)
 from .construct import distance_profile
 from .errors import InputError, NumericalError, ResourceLimitError
-from .space import (PointSet, Space, _outer_norm, pair_block_norms, pair_block_sq_norms,
-                    pair_map)
+from .space import (_TINY, PointSet, Space, _outer_norm, pair_block_norms,
+                    pair_block_sq_norms, pair_map)
 
 THEOREMS = ("thm1", "thm2", "thm3", "thm4", "thm5")
 BLOKHUIS_MAX_VARS = 6
@@ -72,9 +72,10 @@ def rank_lower_bound(A) -> float:
     arr = _as_matrix(A)
     with np.errstate(over="ignore"):
         denom, tr = float(np.sum(arr * arr)), float(np.trace(arr))
-        if math.isinf(denom) or abs(tr) > _SQRT_MAX:
-            # the ratio does not depend on scale, and scaling by a power of two is exact
-            arr = np.ldexp(arr, -math.frexp(float(np.max(np.abs(arr))))[1])
+        if denom < _TINY or math.isinf(denom) or abs(tr) > _SQRT_MAX:
+            # the ratio does not depend on scale, and scaling by a power of two is exact;
+            # a sum below the smallest normal float has lost bits, or all, to underflow
+            arr = np.ldexp(arr, -math.frexp(float(np.max(np.abs(arr), initial=0.0)))[1])
             denom, tr = float(np.sum(arr * arr)), float(np.trace(arr))
     if denom == 0.0:
         raise InputError("rank lower bound is undefined for the zero matrix")

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import space as space_mod
 from .errors import DegenerateDistanceError, InputError, NumericalError, ResourceLimitError
-from .space import PointSet, Space, distance_matrix, pair_block_sq_norms
+from .space import (PointSet, Space, _outer_norm, distance_matrix, pair_block_norms,
+                    pair_block_sq_norms)
 
 # Cap on a construction's points x dimension.  The largest sets within it print
 # as about 46 MB of JSON, and a verify of the largest cross-polytope within it
@@ -131,7 +132,6 @@ class SearchConfig:
     seed: int = 0
     step_init: float = 0.1
     residual_target: float = 1e-10
-    smoothing_eps: float = 1e-9
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -159,26 +159,22 @@ _MIN_STEP = 1e-18
 # (m, m, dim) float arrays at once (7 MB traced per 1 MB array), and a batch
 # never holds less than one restart: 1 << 22 entries keep that near 250 MB.
 SEARCH_MAX_PAIR_COORDS = 1 << 22
+# Added in quadrature to the block norms for 1 <= p < 2, where |.|^p is not
+# differentiable at 0.
+SMOOTHING_EPS = 1e-9
 
 
-def _pair_energy_grad(Q: np.ndarray, space: Space, eps: float):
+def _pair_energy_grad(Q: np.ndarray, space: Space):
     """Energies sum_{i<j} (d_ij - 1)^2 with softened block norms, and their
     gradients, for each (m, dim) configuration on the leading axes of Q."""
     m = Q.shape[-2]
     sq = pair_block_sq_norms(space, Q, Q)
     soften = space.p < 2.0 and math.isfinite(space.p)
-    r = np.sqrt(sq + eps * eps) if soften else np.sqrt(sq)
+    r = np.sqrt(sq + SMOOTHING_EPS * SMOOTHING_EPS) if soften else np.sqrt(sq)
     eye = np.eye(m, dtype=bool)
-    if math.isinf(space.p):
-        d = r.max(axis=-1)
-    else:
-        rp = r ** space.p
-        ssum = rp.sum(axis=-1)
-        ssum[..., eye] = 1.0
-        d = ssum ** (1.0 / space.p)
-    d[..., eye] = 1.0
+    d = r.max(axis=-1) if math.isinf(space.p) else (r ** space.p).sum(axis=-1) ** (1.0 / space.p)
+    d[..., eye] = 1.0  # so the diagonal residuals, and with them their weights, are +0
     resid = d - 1.0
-    resid[..., eye] = 0.0
     energy = 0.5 * np.sum(resid ** 2, axis=(-2, -1))  # each pair counted twice
     # w[..., i, j, b]: weight of block b of Q[i] - Q[j] in the gradient at Q[i]
     if math.isinf(space.p):
@@ -187,14 +183,8 @@ def _pair_energy_grad(Q: np.ndarray, space: Space, eps: float):
     else:
         base = 2.0 * resid * np.maximum(d, 1e-12) ** (1.0 - space.p)
         w = base[..., None] * r ** (space.p - 2.0)
-    w[..., eye, :] = 0.0
     delta = Q[..., :, None, :] - Q[..., None, :, :]
     return energy, np.sum(np.repeat(w, space.blocks, axis=-1) * delta, axis=-2)
-
-
-def _true_residual(Q: np.ndarray, space: Space) -> float:
-    off = distance_matrix(PointSet(space, Q))[np.triu_indices(len(Q), 1)]
-    return float(np.max(np.abs(off - 1.0))) if off.size else 0.0
 
 
 def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
@@ -211,11 +201,11 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
     halvings = np.zeros(R, dtype=int)
     iters = np.zeros(R, dtype=int)
     stop = np.full(R, -1 if cfg.max_iters > 0 else _CAPPED)
-    energy, grad = _pair_energy_grad(Q, space, cfg.smoothing_eps)
+    energy, grad = _pair_energy_grad(Q, space)
     live = np.flatnonzero(stop < 0)
     while live.size:
         trial = Q[live] - step[live, None, None] * grad[live]
-        en, g = _pair_energy_grad(trial, space, cfg.smoothing_eps)
+        en, g = _pair_energy_grad(trial, space)
         ok = en < energy[live]
         acc, rej = live[ok], live[~ok]
         Q[acc], energy[acc], grad[acc] = trial[ok], en[ok], g[ok]
@@ -251,17 +241,20 @@ def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) ->
             f"search of {m} points in dimension {dim} needs {pair_coords} pair coordinates "
             f"per restart, above the cap of {SEARCH_MAX_PAIR_COORDS}")
     batch = max(1, space_mod._CHUNK_BYTES // (8 * pair_coords))
+    i, j = np.triu_indices(m, 1)
     best = None
     for first in range(0, cfg.restarts, batch):
         restarts = range(first, min(first + batch, cfg.restarts))
         Q = np.stack([np.random.default_rng([cfg.seed, r]).uniform(-1.0, 1.0, size=(m, dim))
                       for r in restarts])
         with np.errstate(all="ignore"):  # a non-finite energy is a rejected step
-            descents = _descend(Q, space, cfg)
-        for restart, q, iters, stop in zip(restarts, *descents):
-            resid = _true_residual(q, space)
+            Q, iters, stops = _descend(Q, space, cfg)
+        # max over pairs of |d_ij - 1| for every restart of the batch, in the true norm
+        dists = _outer_norm(pair_block_norms(space, Q, Q), space.p)[:, i, j]
+        resids = np.max(np.abs(dists - 1.0), axis=1)
+        for restart, q, resid, it, stop in zip(restarts, Q, resids, iters, stops):
             if best is None or resid < best[0]:
-                best = (resid, restart, q, int(iters), STOP_CAUSES[stop])
+                best = (float(resid), restart, q, int(it), STOP_CAUSES[stop])
     resid, restart, q, iters, stop = best
     return SearchResult(PointSet(space, q), resid, resid <= cfg.residual_target, restart,
                         iters, stop)

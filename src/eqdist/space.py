@@ -57,7 +57,7 @@ class Space:
     @property
     def is_lp(self) -> bool:
         """True when every block is 1-dimensional (a plain lp^n space)."""
-        return all(a == 1 for a in self.blocks)
+        return self.ambient_dim == self.n_blocks  # blocks >= 1 sum to their count only if all are 1
 
     @property
     def is_euclidean(self) -> bool:
@@ -178,14 +178,18 @@ _TINY = np.finfo(float).tiny
 
 def pair_block_sq_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(..., len A, len B, n_blocks) squared Euclidean norms of the blocks of
-    A[..., i, :] - B[..., j, :]; leading axes of A and B broadcast as batch axes."""
+    A[..., i, :] - B[..., j, :]; leading axes of A and B broadcast as batch axes.
+    On a plain lp space each block is one coordinate: these are its squared differences."""
     delta = A[..., :, None, :] - B[..., None, :, :]
+    if space.is_lp:
+        return delta ** 2
     return np.stack([np.sum(delta[..., sl] ** 2, axis=-1) for sl in space.block_slices()],
                     axis=-1)
 
 
 def pair_block_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(len A, len B, n_blocks) Euclidean norms of the blocks of A[i] - B[j].
+    """(..., len A, len B, n_blocks) Euclidean norms of the blocks of
+    A[..., i, :] - B[..., j, :]; A and B share their leading batch axes.
 
     On a plain lp space these are |A[i] - B[j]|.  Elsewhere they are the
     square roots of pair_block_sq_norms, except where a sum of squares
@@ -193,18 +197,18 @@ def pair_block_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     are recomputed with rescaling, so they stay finite and nonzero as |.| does.
     """
     if space.is_lp:
-        return np.abs(A[:, None, :] - B[None, :, :])
+        return np.abs(A[..., :, None, :] - B[..., None, :, :])
     with np.errstate(over="ignore"):  # overflowed sums are recomputed; an inf |delta| stays inf
         S = pair_block_sq_norms(space, A, B)
         R = np.sqrt(S)
         bad = (S == math.inf) | (S < _TINY)
-        i, j = np.nonzero(bad.any(axis=2))  # one pass for all blocks of these pairs
-        d = np.abs(A[i] - B[j])
+        pairs = np.nonzero(bad.any(axis=-1))  # one pass for all blocks of these pairs
+        d = np.abs(A[pairs[:-1]] - B[pairs[:-2] + pairs[-1:]])
         starts = [sl.start for sl in space.block_slices()]
         top = np.maximum.reduceat(d, starts, axis=1)
         scale = np.where((top > 0.0) & (top < math.inf), top, 1.0)
         sums = np.add.reduceat((d / np.repeat(scale, space.blocks, axis=1)) ** 2, starts, axis=1)
-        R[i, j] = np.where(bad[i, j], top * np.sqrt(sums), R[i, j])
+        R[pairs] = np.where(bad[pairs], top * np.sqrt(sums), R[pairs])
     return R
 
 

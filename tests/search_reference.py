@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from eqdist.construct import SMOOTHING_EPS
 from eqdist.space import PointSet, Space, distance_matrix, pair_block_sq_norms
 
 
@@ -60,12 +61,12 @@ def search_reference(space: Space, m: int, cfg) -> tuple[np.ndarray, float, int]
         rng = np.random.default_rng([cfg.seed, restart])
         Q = rng.uniform(-1.0, 1.0, size=(m, dim))
         step = cfg.step_init
-        energy, grad = pair_energy_grad(Q, space, cfg.smoothing_eps, True)
+        energy, grad = pair_energy_grad(Q, space, SMOOTHING_EPS, True)
         for _ in range(cfg.max_iters):
             moved = False
             for _ in range(60):
                 Qn = Q - step * grad
-                en, _ = pair_energy_grad(Qn, space, cfg.smoothing_eps, False)
+                en, _ = pair_energy_grad(Qn, space, SMOOTHING_EPS, False)
                 if en < energy:
                     Q, energy = Qn, en
                     step *= 1.3
@@ -78,7 +79,7 @@ def search_reference(space: Space, m: int, cfg) -> tuple[np.ndarray, float, int]
                 break
             if math.sqrt(max(energy, 0.0)) <= 0.25 * cfg.residual_target:
                 break
-            grad = pair_energy_grad(Q, space, cfg.smoothing_eps, True)[1]
+            grad = pair_energy_grad(Q, space, SMOOTHING_EPS, True)[1]
         resid = true_residual(Q, space)
         if best is None or resid < best[0]:
             best = (resid, restart, Q)

@@ -1,4 +1,9 @@
-"""The public API contract: the names ``eqdist`` exports, and that each imports."""
+"""The public API contract: the names ``eqdist`` exports, and that each imports;
+and the functions the traced benchmark run rebinds by name."""
+
+import importlib
+import runpy
+from pathlib import Path
 
 import eqdist
 
@@ -24,3 +29,16 @@ def test_every_public_name_imports():
     namespace: dict = {}
     exec("from eqdist import *", namespace)  # reads every name in __all__
     assert [name for name in PUBLIC_NAMES if name not in namespace] == []
+
+
+def test_traced_functions_exist_unwrapped():
+    # bench/tracing.py rebinds each of these by name; a rename, or a decorator
+    # whose __wrapped__ the run takes for a leftover wrapper, would otherwise
+    # surface only as a failed traced run
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    for modname, names in runpy.run_path(str(tracing))["TRACED"].items():
+        module = importlib.import_module(modname)
+        for name in names:
+            fn = getattr(module, name, None)
+            assert callable(fn), f"{modname}.{name} is missing"
+            assert not hasattr(fn, "__wrapped__"), f"{modname}.{name} is wrapped"

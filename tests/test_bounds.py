@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from eqdist.bounds import (BoundConfig, Formula, best_explicit_upper,
+from eqdist.bounds import (MAX_BOUND_BITS, BoundConfig, Formula, best_explicit_upper,
                            cluster_combine, enumerate_bounds, kusner_even_upper,
                            load_config, lower_bound, sdistance_exponent)
-from eqdist.errors import InputError, UnsupportedRequestError
+from eqdist.errors import InputError, ResourceLimitError, UnsupportedRequestError
 from eqdist.space import Space
 
 
@@ -210,3 +210,16 @@ def test_treat_asymptotic_as_explicit():
     # off by default: the same constants never win the selection
     byv = best_explicit_upper(Space(9.0, (1,) * 3), 1, BoundConfig(constants={"c_p": 1e-9}))
     assert byv.kind in ("explicit", "exact")
+
+
+def test_bound_bits_cap():
+    # 256**n has exactly MAX_BOUND_BITS bits and is computed; s = 256 is one past the cap
+    n = MAX_BOUND_BITS // 8
+    lp = Space(3.0, (1,) * n)
+    assert _find(enumerate_bounds(lp, 255), "swanepoel-conjecture").value == 2 ** MAX_BOUND_BITS
+    with pytest.raises(ResourceLimitError):
+        enumerate_bounds(lp, 256)
+    with pytest.raises(ResourceLimitError):  # C(N + s, s) <= (s + 1)^N: the same check
+        enumerate_bounds(Space(2.0, (1,) * n), 256)
+    with pytest.raises(ResourceLimitError):
+        enumerate_bounds(Space(3.0, (1,) * (n + 1)), 255)

@@ -53,6 +53,20 @@ def test_rank_lower_bound_past_the_largest_double():
     assert rank_lower_bound(np.eye(3) * 2.0 ** 700) == 3.0  # tr^2 used to raise OverflowError
 
 
+def test_rank_lower_bound_below_the_smallest_normal():
+    # the squares underflow; the same power-of-two rescale keeps every bit
+    B = np.random.default_rng(5).normal(size=(6, 6))
+    A = B + B.T
+    assert rank_lower_bound(A * 2.0 ** -600) == rank_lower_bound(A)
+    # 1e-200 is no power of two, so its ratio is 3 up to rounding, as at any scale
+    tiny = rank_lower_bound(np.eye(3) * 1e-200)  # the sum of squares used to round to 0
+    assert tiny == rank_lower_bound(np.eye(3) * 1e-200 * 2.0 ** 600)
+    assert abs(tiny - 3.0) <= 4 * np.finfo(float).eps
+    assert rank_lower_bound(np.eye(3) * 2.0 ** -1060) == 3.0  # subnormal entries
+    with pytest.raises(InputError):
+        rank_lower_bound(np.zeros((3, 3)))
+
+
 def test_certify_config_fields():
     assert [f.name for f in dataclasses.fields(CertifyConfig)] == ["c", "k", "p_override",
                                                                    "c_absolute"]

@@ -597,6 +597,12 @@ def test_space_above_the_dimension_cap_exit_1(space):
     assert err.count("\n") == 1 and err.startswith("error: ") and "exceeds the cap" in err
 
 
+def test_bound_s_above_the_bit_cap_exit_1():
+    code, out, err = _run_quietly(["bound", "--space", "lp:n=1000,p=3", "--s", "9" * 4000])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "above the cap" in err
+
+
 def test_space_at_the_dimension_cap_exit_0():
     code, out, err = _run_quietly(["bound", "--space", f"lp:n={MAX_AMBIENT_DIM},p=3", "--best"])
     assert code == 0 and err == ""

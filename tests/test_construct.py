@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from eqdist.construct import (SearchConfig, cross_polytope, distance_profile,
                               product_construction, search_equilateral,
                               simplex_lambda)
 from eqdist.errors import DegenerateDistanceError, InputError, ResourceLimitError
-from eqdist.space import PointSet, Space, distance_matrix
+from eqdist.space import PointSet, Space, _outer_norm, distance_matrix, pair_block_norms
 
 from search_reference import search_reference
 
@@ -192,6 +193,11 @@ def test_search_config_validation():
         search_equilateral(Space(2.0, (1,)), 1)
 
 
+def test_search_config_fields():
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+        "restarts", "max_iters", "seed", "step_init", "residual_target"]
+
+
 REFERENCE_CASES = [
     (Space(1.0, (1,) * 3), 6,
      SearchConfig(restarts=3, seed=7, max_iters=400, residual_target=1e-8)),
@@ -225,6 +231,45 @@ def test_search_batches_give_same_bits(monkeypatch):
     assert np.array_equal(split.points.points, whole.points.points)
     assert (split.residual, split.restart_index, split.iterations, split.stop) == \
         (whole.residual, whole.restart_index, whole.iterations, whole.stop)
+
+
+@pytest.mark.parametrize("space,m,cfg", REFERENCE_CASES[4:7],
+                         ids=[s.to_string() for s, _, _ in REFERENCE_CASES[4:7]])
+def test_batched_residuals_match_distance_matrix(monkeypatch, space, m, cfg):
+    # the search takes each restart's residual from one kernel call per batch;
+    # every value must be the distance_matrix residual of that restart
+    finals = []
+    descend = construct._descend
+
+    def recording(Q, space, cfg):
+        out = descend(Q, space, cfg)
+        finals.extend(out[0].copy())
+        return out
+
+    monkeypatch.setattr(construct, "_descend", recording)
+    monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 3 * 8 * m * m * space.ambient_dim)
+    res = search_equilateral(space, m, cfg)
+    Q = np.array(finals)
+    i, j = np.triu_indices(m, 1)
+    batched = _outer_norm(pair_block_norms(space, Q, Q), space.p)[:, i, j]
+    alone = np.array([distance_matrix(PointSet(space, q))[i, j] for q in Q])
+    assert batched.tobytes() == alone.tobytes()
+    resid = np.max(np.abs(alone - 1.0), axis=1)
+    assert res.residual == resid.min() and res.restart_index == int(np.argmin(resid))
+
+
+def test_plain_lp_search_makes_no_block_pass(monkeypatch):
+    # a plain lp block is one coordinate: neither kernel nor the search walks the blocks
+    def no_block_pass(self):
+        raise AssertionError("block pass on a plain lp space")
+
+    space = Space.from_string("lp:n=50,p=3")
+    Q = np.random.default_rng(3).normal(size=(2, 3, 50))
+    want = (Q[:, :, None, :] - Q[:, None, :, :]) ** 2
+    monkeypatch.setattr(Space, "block_slices", no_block_pass)
+    assert space_mod.pair_block_sq_norms(space, Q, Q).tobytes() == want.tobytes()
+    res = search_equilateral(space, 3, SearchConfig(restarts=2, max_iters=50))
+    assert res.iterations > 0
 
 
 def test_search_memory_bounded_by_batches():

@@ -9,7 +9,7 @@ from eqdist import space as space_mod
 from eqdist.construct import cross_polytope
 from eqdist.errors import InputError, ResourceLimitError
 from eqdist.space import (MAX_AMBIENT_DIM, PointSet, Space, distance, distance_matrix, norm,
-                          norm_sandwich_check)
+                          norm_sandwich_check, pair_block_norms, pair_block_sq_norms)
 
 
 def test_space_validation():
@@ -153,6 +153,28 @@ def test_distance_matrix_extreme_scales():
         for pts in (huge, tiny):
             dm = distance_matrix(PointSet(s, pts))
             assert np.isfinite(dm[0, 1]) and dm[0, 1] > 0 and dm[0, 1] == dm[1, 0]
+
+
+@pytest.mark.parametrize("blocks", [(1,) * 4, (2, 1, 1), (3, 1), (4,)])
+def test_pair_kernels_take_batch_axes(blocks):
+    # each (m, dim) slice of a (3, m, dim) batch gives the bits of its own call;
+    # batch 1 is all below the smallest normal square, so every pair is rescued
+    rng = np.random.default_rng(23)
+    A, B = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 5, 4))
+    A[0, 1] *= 1e200
+    A[1] *= 1e-200
+    B[1] *= 1e-200
+    B[2, 3] *= 1e200
+    s = Space(2.5, blocks)
+    with np.errstate(over="ignore"):
+        for kernel in (pair_block_norms, pair_block_sq_norms):
+            whole = kernel(s, A, B)
+            assert whole.shape == (3, 4, 5, len(blocks))
+            for b in range(3):
+                assert whole[b].tobytes() == kernel(s, A[b], B[b]).tobytes()
+    if blocks != (1,) * 4:
+        R = pair_block_norms(s, A, B)
+        assert np.all(np.isfinite(R[0, 1])) and np.all(R[1] > 0.0)
 
 
 def test_distance_matrix_peak_memory():
