@@ -8,9 +8,9 @@ independently from (seed, restart_index) so results are reproducible.
 The restarts advance in lockstep: a batch of them is one (batch, m, dim)
 array, and each tick makes one energy-and-gradient call on every live
 restart's trial point, each restart with its own step size.  A restart
-leaves the batch when it converges or hits a cap, so each follows the same
-trajectory as it would alone.  Batches are sized so their (batch, m, m, dim)
-temporaries fit in the pairwise kernel's chunk size.
+leaves the batch when it converges, stalls or hits a cap, so each follows
+the same trajectory as it would alone.  Batches are sized so their
+(batch, m, m, dim) temporaries fit in the pairwise kernel's chunk size.
 """
 
 from __future__ import annotations
@@ -125,6 +125,12 @@ def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
     return sorted((float(np.mean(c)) for c in clusters), reverse=True)
 
 
+# Cap on a search's restarts.  Run time grows linearly with them; at the cap,
+# in-process on a 2-vCPU Xeon, the README's l1^3 m = 6 search takes 8.7 s and
+# m = 3 in lp^3 0.43 s, where 10^8 restarts ran past two minutes uncapped.
+SEARCH_MAX_RESTARTS = 1 << 12
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 8
@@ -136,6 +142,11 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise InputError(f"restarts must be >= 1, got {self.restarts}")
+        if self.restarts > SEARCH_MAX_RESTARTS:
+            raise ResourceLimitError(
+                f"{self.restarts} restarts are above the cap of {SEARCH_MAX_RESTARTS}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.residual_target <= 0:
             raise InputError(f"residual_target must be positive, got {self.residual_target}")
 
@@ -151,10 +162,21 @@ class SearchResult:
 
 
 # Why a restart left the descent; _descend records the index, -1 while live.
-STOP_CAUSES = ("converged", "iteration cap", "60 halvings", "step underflow")
-_CONVERGED, _CAPPED, _HALVED, _UNDERFLOW = range(len(STOP_CAUSES))
+STOP_CAUSES = ("converged", "iteration cap", "stalled", "60 halvings", "step underflow")
+_CONVERGED, _CAPPED, _STALLED, _HALVED, _UNDERFLOW = range(len(STOP_CAUSES))
 _MAX_HALVINGS = 60
 _MIN_STEP = 1e-18
+# A restart stalls when, at a multiple of _STALL_WINDOW accepted steps, its
+# energy has not fallen by the fraction _STALL_DROP since the last multiple.
+# Set from every accepted-step energy of the 3,840 restarts of 8 seed-0/1/2
+# witness-search benchmark rounds: over a 100-step window, no converging
+# restart kept more than 0.28 of its energy, while the 120 l1^3 (m = 6)
+# restarts that ran to the 4,000-step cap kept more than 0.9999 from step 100
+# to 200, so they stop at step 200.  Any drop from 1e-3 to 1e-1 splits them
+# the same way.  A 50-step window does not: one converging lpsum restart kept
+# 0.998 of its energy over a 50-step plateau.
+_STALL_WINDOW = 100
+_STALL_DROP = 1e-2
 # Cap on one restart's m * m * dim.  Its energy and gradient hold about seven
 # (m, m, dim) float arrays at once (7 MB traced per 1 MB array), and a batch
 # never holds less than one restart: 1 << 22 entries keep that near 250 MB.
@@ -193,8 +215,9 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
     Each tick takes every live restart's trial point Q - step * grad and
     computes its energy and gradient in one call.  A restart whose energy
     falls moves there and grows its step by 1.3; the others halve their step.
-    Returns the final points, the accepted steps and the STOP_CAUSES index of
-    each restart.
+    A restart stops when it converges, stalls (see _STALL_WINDOW), reaches
+    cfg.max_iters accepted steps, or cannot find a lower energy.  Returns the
+    final points, the accepted steps and the STOP_CAUSES index of each restart.
     """
     R = Q.shape[0]
     step = np.full(R, cfg.step_init)
@@ -202,6 +225,7 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
     iters = np.zeros(R, dtype=int)
     stop = np.full(R, -1 if cfg.max_iters > 0 else _CAPPED)
     energy, grad = _pair_energy_grad(Q, space)
+    checkpoint = energy.copy()  # the energy at the last multiple of _STALL_WINDOW steps
     live = np.flatnonzero(stop < 0)
     while live.size:
         trial = Q[live] - step[live, None, None] * grad[live]
@@ -212,13 +236,20 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
         step[acc] *= 1.3
         halvings[acc] = 0
         iters[acc] += 1
-        step[rej] *= 0.5
-        halvings[rej] += 1
-        # later assignments win: converged over the cap, underflow over halvings
-        stop[acc[iters[acc] >= cfg.max_iters]] = _CAPPED
+        if rej.size:  # 2 in 5 ticks of a converging search reject no restart
+            step[rej] *= 0.5
+            halvings[rej] += 1
+            # later assignments win: underflow over halvings
+            stop[rej[halvings[rej] >= _MAX_HALVINGS]] = _HALVED
+            stop[rej[step[rej] < _MIN_STEP]] = _UNDERFLOW
+        # later assignments win: converged over a stall over the cap
+        it = iters[acc]
+        stop[acc[it >= cfg.max_iters]] = _CAPPED
+        check = acc[it % _STALL_WINDOW == 0]
+        if check.size:  # most ticks bring no restart to a checkpoint
+            stop[check[energy[check] > (1.0 - _STALL_DROP) * checkpoint[check]]] = _STALLED
+            checkpoint[check] = energy[check]
         stop[acc[np.sqrt(np.maximum(energy[acc], 0.0)) <= 0.25 * cfg.residual_target]] = _CONVERGED
-        stop[rej[halvings[rej] >= _MAX_HALVINGS]] = _HALVED
-        stop[rej[step[rej] < _MIN_STEP]] = _UNDERFLOW
         live = live[stop[live] < 0]
     return Q, iters, stop
 

@@ -2,14 +2,17 @@
 lockstep search in ``eqdist.construct`` must match bit for bit.
 
 Each restart runs its own backtracking descent: an energy-only call per
-trial step and a separate energy-and-gradient call per accepted step.
+trial step and a separate energy-and-gradient call per accepted step.  It
+stops as the lockstep search does: converged, stalled (the energy fell by
+less than the fraction _STALL_DROP over the last _STALL_WINDOW accepted
+steps), at the iteration cap, or when no step is found.
 """
 
 import math
 
 import numpy as np
 
-from eqdist.construct import SMOOTHING_EPS
+from eqdist.construct import _STALL_DROP, _STALL_WINDOW, SMOOTHING_EPS
 from eqdist.space import PointSet, Space, distance_matrix, pair_block_sq_norms
 
 
@@ -62,7 +65,8 @@ def search_reference(space: Space, m: int, cfg) -> tuple[np.ndarray, float, int]
         Q = rng.uniform(-1.0, 1.0, size=(m, dim))
         step = cfg.step_init
         energy, grad = pair_energy_grad(Q, space, SMOOTHING_EPS, True)
-        for _ in range(cfg.max_iters):
+        checkpoint = energy
+        for it in range(1, cfg.max_iters + 1):
             moved = False
             for _ in range(60):
                 Qn = Q - step * grad
@@ -79,6 +83,10 @@ def search_reference(space: Space, m: int, cfg) -> tuple[np.ndarray, float, int]
                 break
             if math.sqrt(max(energy, 0.0)) <= 0.25 * cfg.residual_target:
                 break
+            if it % _STALL_WINDOW == 0:
+                if energy > (1.0 - _STALL_DROP) * checkpoint:
+                    break
+                checkpoint = energy
             grad = pair_energy_grad(Q, space, SMOOTHING_EPS, True)[1]
         resid = true_residual(Q, space)
         if best is None or resid < best[0]:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -247,6 +248,55 @@ def test_bound_fuzz_never_raises(n, p, c, best):
         json.loads(out)
 
 
+def _non_int(tok: str) -> bool:
+    try:
+        int(tok)
+    except ValueError:
+        return True
+    return False
+
+
+def _refused_size(cap: int):
+    """Tokens an int flag refuses: below 1, at or above cap, or no int."""
+    return st.one_of(st.integers(max_value=0).map(str), st.integers(cap, 10 ** 30).map(str),
+                     st.text(max_size=6).filter(_non_int), st.floats().map(repr))
+
+
+# a search run gets small valid flags, then at most one flag is replaced by a
+# token from these: no token names a search larger than the valid ones
+_SEARCH_JUNK = {
+    "--space": st.text(max_size=12) | st.builds("lp:n={},p={}".format,
+                                                st.integers(0, 3), _FUZZ_TOKENS),
+    "--m": _refused_size(2 ** 11 + 1),  # 2049 points need 2049^2 > 2^22 pair coordinates
+    "--restarts": _refused_size(construct.SEARCH_MAX_RESTARTS + 1),
+    "--seed": st.integers().map(str) | st.text(max_size=6),
+    "--target": _FUZZ_TOKENS,
+}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(space=st.sampled_from(["lp:n=2,p=2", "lp:n=3,p=1", "lp:n=2,p=inf",
+                              "lpsum:blocks=1,2,p=3", "lpsum:blocks=2,1,p=1.5"]),
+       m=st.integers(2, 5), restarts=st.integers(1, 3), seed=st.integers(0, 2 ** 64),
+       fmt=st.sampled_from(cli.FORMATS),
+       junk=st.none() | st.sampled_from(sorted(_SEARCH_JUNK)).flatmap(
+           lambda flag: st.tuples(st.just(flag), _SEARCH_JUNK[flag])))
+@example(space="lp:n=3,p=1", m=6, restarts=1, seed=7, fmt="json",
+         junk=("--restarts", "100000000"))  # ran past two minutes uncapped
+@example(space="lp:n=2,p=2", m=3, restarts=2, seed=0, fmt="json", junk=("--seed", "-1"))
+@example(space="lp:n=2,p=2", m=4, restarts=3, seed=0, fmt="text", junk=("--target", "5e-324"))
+def test_search_fuzz_never_raises(space, m, restarts, seed, fmt, junk):
+    flags = {"--space": space, "--m": str(m), "--restarts": str(restarts), "--seed": str(seed),
+             "--format": fmt}
+    if junk:
+        flags[junk[0]] = junk[1]
+    code, out, err = _run_quietly(["search", *(tok for item in flags.items() for tok in item)])
+    assert code in (0, 1, 2)
+    assert err.count("\n") == (code != 0), err
+    if code != 1 and fmt == "json":
+        assert json.loads(out)["converged"] is (code == 0)
+
+
 def test_thm2_at_infinite_p_exit_1(fuzz_dir):
     code, out, err = _run_quietly(["certify", "--points", str(fuzz_dir / "linf.json"),
                                    "--theorem", "thm2"])
@@ -363,6 +413,21 @@ def test_search_cli_nonconverged(capsys):
     assert err.count("\n") == 1 and "iterations, stop: " in err
 
 
+def test_readme_search_energy_calls(capsys, monkeypatch):
+    # 24 of this search's 32 restarts stall.  23 of them used to run to the
+    # 4,000-step cap, and the search made 5,539 energy calls; the stdout is
+    # the bytes it printed then.
+    calls = []
+    energy_grad = construct._pair_energy_grad
+    monkeypatch.setattr(construct, "_pair_energy_grad",
+                        lambda *args: calls.append(1) or energy_grad(*args))
+    code, out, _ = _run(capsys, "search", "--space", "lp:n=3,p=1", "--m", "6",
+                        "--restarts", "32", "--seed", "7", "--target", "1e-8")
+    assert code == 0 and len(calls) < 1000
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d2fb42b0782a593230639c4928dbc425d98ebb681458e2d5f10f4ad035a83154"
+
+
 def test_input_errors_exit_1(capsys):
     assert _run(capsys, "bound", "--space", "l2:n=3,p=2")[0] == 1
     assert _run(capsys, "bound", "--space", "lp:n=3,p=2", "--nope")[0] == 1
@@ -435,6 +500,17 @@ def test_search_size_cap_exit_1(capsys, monkeypatch):
     code, out, err = _run(capsys, *args, "--m", "4")
     assert code == 1 and out == "" and err.count("\n") == 1
     assert "above the cap of 18" in err
+
+
+def test_search_restart_cap_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(construct, "SEARCH_MAX_RESTARTS", 3)
+    args = ("search", "--space", "lp:n=2,p=2", "--m", "3", "--seed", "5")
+    assert _run(capsys, *args, "--restarts", "3")[0] == 0
+    code, out, err = _run(capsys, *args, "--restarts", "4")
+    assert code == 1 and out == "" and err == "error: 4 restarts are above the cap of 3\n"
+    monkeypatch.undo()  # refused before any restart runs
+    code, out, err = _run(capsys, *args, "--restarts", "100000000")
+    assert code == 1 and out == "" and "above the cap of 4096" in err
 
 
 @pytest.mark.parametrize("kind, cap, edge, over, huge", [

@@ -189,6 +189,8 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(InputError):
         SearchConfig(residual_target=0.0)
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        SearchConfig(seed=-1)  # numpy refuses a negative seed
     with pytest.raises(InputError):
         search_equilateral(Space(2.0, (1,)), 1)
 
@@ -290,8 +292,39 @@ def test_search_stop_causes():
         cfg = SearchConfig(restarts=2, seed=7, max_iters=cap)
         res = search_equilateral(Space(1.0, (1,) * 3), 6, cfg)
         assert res.stop == "iteration cap" and res.iterations == cap
+    res = search_equilateral(Space(1.0, (1,) * 3), 6, SearchConfig(restarts=1, seed=0))
+    assert res.stop == "stalled" and res.iterations == 2 * construct._STALL_WINDOW
     res = search_equilateral(Space(2.0, (1, 1)), 4, SearchConfig(seed=3, restarts=6))
     assert res.stop in ("60 halvings", "step underflow") and res.iterations > 0
+
+
+def _scripted_descent(monkeypatch, energies):
+    """(accepted steps, stop cause) of one restart whose k-th energy call
+    returns energies[k], with a zero gradient."""
+    calls = iter(energies)
+    monkeypatch.setattr(construct, "_pair_energy_grad",
+                        lambda Q, space: (np.full(Q.shape[0], next(calls)), np.zeros_like(Q)))
+    _, iters, stop = construct._descend(np.zeros((1, 2, 1)), Space(2.0, (1,)), SearchConfig())
+    return int(iters[0]), construct.STOP_CAUSES[stop[0]]
+
+
+def test_search_stall_edges(monkeypatch):
+    W, f = construct._STALL_WINDOW, construct._STALL_DROP
+    # every call is a new low, so every step is accepted.  A drop of exactly f
+    # over the first window keeps the restart; the second window is measured
+    # from its end, and its drop of f / 2 (1.5 f from the start) stops it
+    first = np.linspace(1.0, 1.0 - f, W + 1)
+    second = (1.0 - f) * np.linspace(1.0, 1.0 - f / 2, W + 1)[1:]
+    assert _scripted_descent(monkeypatch, np.concatenate([first, second])) == (2 * W, "stalled")
+    # one ulp less of a drop stops it at the first checkpoint
+    first[-1] = np.nextafter(1.0 - f, 2.0)
+    assert _scripted_descent(monkeypatch, first) == (W, "stalled")
+    # converging on a checkpoint tick with too small a drop reports convergence
+    target = SearchConfig().residual_target
+    edge = (0.25 * target) ** 2
+    energies = np.append(np.linspace(1.005, 1.001, W), 0.999) * edge
+    assert energies[-1] > (1.0 - f) * energies[0]
+    assert _scripted_descent(monkeypatch, energies) == (W, "converged")
 
 
 def test_search_size_cap(monkeypatch):
