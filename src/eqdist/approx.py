@@ -120,11 +120,11 @@ def _cheb_grid(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(math.pi * np.arange(n) / (n - 1)))
 
 
-def _golden_max(fn, a: np.ndarray, b: np.ndarray, xtol: float = 1e-12) -> np.ndarray:
+def _golden_max(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Golden-section search for the maximum of a vectorised fn on each [a_i, b_i].
 
     All intervals step in lockstep and an interval stops once b_i - a_i <=
-    xtol, so each follows the same sequence of float operations as a scalar
+    1e-12, so each follows the same sequence of float operations as a scalar
     search on it alone.
     """
     a = np.array(a, dtype=float)
@@ -132,7 +132,7 @@ def _golden_max(fn, a: np.ndarray, b: np.ndarray, xtol: float = 1e-12) -> np.nda
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    live = np.flatnonzero(b - a > xtol)
+    live = np.flatnonzero(b - a > 1e-12)
     while live.size:
         al, bl, cl, dl = a[live], b[live], c[live], d[live]
         fcl, fdl = fc[live], fd[live]
@@ -145,11 +145,11 @@ def _golden_max(fn, a: np.ndarray, b: np.ndarray, xtol: float = 1e-12) -> np.nda
         fc[live] = np.where(up, fdl, fx)
         fd[live] = np.where(up, fx, fcl)
         a[live], b[live], c[live], d[live] = al, bl, cl, dl
-        live = live[bl - al > xtol]
+        live = live[bl - al > 1e-12]
     return np.maximum(fc, fd)
 
 
-def approximation_error(P: EvenPolynomial, p: float, grid_size: int = GRID_SIZE) -> float:
+def approximation_error(P: EvenPolynomial, p: float) -> float:
     """Measured sup of |P(x) - |x|^p| over [0, 1] (equals [-1, 1] by evenness).
 
     Dense-grid maximum refined by golden-section search around every grid
@@ -158,8 +158,7 @@ def approximation_error(P: EvenPolynomial, p: float, grid_size: int = GRID_SIZE)
     """
     if p < 1.0:
         raise InputError(f"p must be >= 1, got {p}")
-    grid_size = max(grid_size, GRID_SIZE)
-    xg = _cheb_grid(grid_size)
+    xg = _cheb_grid(GRID_SIZE)
     err = np.abs(P(xg) - abs_power(xg, p))
     best = float(err.max())
     if p == float(int(p)):

@@ -166,9 +166,10 @@ def _build_parser() -> _Parser:
     p = add("search", "numerical search for an equilateral witness", _cmd_search)
     p.add_argument("--space", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target", type=_finite_float, default=1e-10)
+    cfg = construct_mod.SearchConfig()
+    p.add_argument("--restarts", type=int, default=cfg.restarts)
+    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--target", type=_finite_float, default=cfg.residual_target)
     return top
 
 
@@ -178,8 +179,8 @@ def _load_points(path: str) -> PointSet:
             obj = json.load(fh)
     except OSError as e:
         raise InputError(f"unreadable points file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise InputError(f"points file {path} is not valid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:  # also bad UTF-8 and over-long integers
+        raise InputError(f"points file {path} is not readable JSON: {e}") from e
     return PointSet.from_jsonable(obj)
 
 

@@ -48,7 +48,7 @@ def cross_polytope(n: int) -> PointSet:
     return PointSet(Space(1.0, (1,) * n), pts)
 
 
-def simplex_lambda(n: int, p: float, tol: float = 1e-13) -> float:
+def simplex_lambda(n: int, p: float) -> float:
     """Root of |1-lam|^p + (n-1) lam^p = 2, so {e_1..e_n, lam*(1,..,1)} is
     equilateral in lp^n.
 
@@ -61,14 +61,17 @@ def simplex_lambda(n: int, p: float, tol: float = 1e-13) -> float:
         raise InputError(f"need 1 < p < inf, got {p}")
 
     def g(lam: float) -> float:
-        return abs(1.0 - lam) ** p + (n - 1) * lam ** p - 2.0
+        try:
+            return abs(1.0 - lam) ** p + (n - 1) * lam ** p - 2.0
+        except OverflowError:  # lam^p past the largest double, so lam > 1 and g > 0
+            return math.inf
 
     lo, hi = 1e-16, 1.0
     if g(hi) < 0.0:
         lo, hi = 1.0, 2.0
     if g(lo) >= 0.0 or g(hi) < 0.0:
         raise NumericalError(f"failed to bracket the root for n={n}, p={p}")
-    while hi - lo > tol:
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         if g(mid) < 0.0:
             lo = mid
@@ -95,7 +98,7 @@ def euclidean_simplex(n: int) -> PointSet:
     return lp_simplex(n, 2.0)
 
 
-def product_construction(S: PointSet, T: PointSet, tol: float = 1e-8) -> PointSet:
+def product_construction(S: PointSet, T: PointSet) -> PointSet:
     """Cartesian product of two Euclidean unit-equilateral sets in the
     sup-sum of their spaces: |S|*|T| points, all pairwise distances 1."""
     _check_size(S.m * T.m, S.space.ambient_dim + T.space.ambient_dim)
@@ -103,8 +106,8 @@ def product_construction(S: PointSet, T: PointSet, tol: float = 1e-8) -> PointSe
         if not ps.space.is_euclidean:
             raise InputError(f"{name} must live in a Euclidean space")
         if ps.m >= 2:
-            prof = distance_profile(ps, tol)
-            if len(prof) != 1 or abs(prof[0] - 1.0) > tol:
+            prof = distance_profile(ps, 1e-8)
+            if len(prof) != 1 or abs(prof[0] - 1.0) > 1e-8:
                 raise InputError(f"{name} is not unit-equilateral (profile {prof})")
     pts = np.hstack([np.repeat(S.points, T.m, axis=0), np.tile(T.points, (S.m, 1))])
     return PointSet(Space(math.inf, (S.space.ambient_dim, T.space.ambient_dim)), pts)
@@ -113,16 +116,20 @@ def product_construction(S: PointSet, T: PointSet, tol: float = 1e-8) -> PointSe
 def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
     """Distinct pairwise distances, clustered with single linkage at gap tol,
     sorted descending.  A (near-)zero distance is an error: zero is not
-    counted as a distance."""
+    counted as a distance.  Neither is one past the largest double."""
     if points.m < 2:
         raise InputError("distance profile needs at least 2 points")
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
-    dists = np.sort(distance_matrix(points)[np.triu_indices(points.m, 1)])
-    if dists[0] < tol:
-        raise DegenerateDistanceError("zero distance present")
-    clusters = np.split(dists, np.flatnonzero(np.diff(dists) > tol) + 1)
-    return sorted((float(np.mean(c)) for c in clusters), reverse=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows end in inf or nan
+        dists = np.sort(distance_matrix(points)[np.triu_indices(points.m, 1)])
+        if dists[0] < tol:
+            raise DegenerateDistanceError("zero distance present")
+        clusters = np.split(dists, np.flatnonzero(np.diff(dists) > tol) + 1)
+        profile = sorted((float(np.mean(c)) for c in clusters), reverse=True)
+    if not np.isfinite(profile).all():
+        raise NumericalError("a distance or a cluster sum of distances overflows double precision")
+    return profile
 
 
 # Cap on a search's restarts.  Run time grows linearly with them; at the cap,
@@ -134,9 +141,7 @@ SEARCH_MAX_RESTARTS = 1 << 12
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 8
-    max_iters: int = 4000
     seed: int = 0
-    step_init: float = 0.1
     residual_target: float = 1e-10
 
     def __post_init__(self):
@@ -164,6 +169,8 @@ class SearchResult:
 # Why a restart left the descent; _descend records the index, -1 while live.
 STOP_CAUSES = ("converged", "iteration cap", "stalled", "60 halvings", "step underflow")
 _CONVERGED, _CAPPED, _STALLED, _HALVED, _UNDERFLOW = range(len(STOP_CAUSES))
+MAX_ITERS = 4000  # accepted steps a restart may take
+_STEP_INIT = 0.1
 _MAX_HALVINGS = 60
 _MIN_STEP = 1e-18
 # A restart stalls when, at a multiple of _STALL_WINDOW accepted steps, its
@@ -216,17 +223,17 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
     computes its energy and gradient in one call.  A restart whose energy
     falls moves there and grows its step by 1.3; the others halve their step.
     A restart stops when it converges, stalls (see _STALL_WINDOW), reaches
-    cfg.max_iters accepted steps, or cannot find a lower energy.  Returns the
+    MAX_ITERS accepted steps, or cannot find a lower energy.  Returns the
     final points, the accepted steps and the STOP_CAUSES index of each restart.
     """
     R = Q.shape[0]
-    step = np.full(R, cfg.step_init)
+    step = np.full(R, _STEP_INIT)
     halvings = np.zeros(R, dtype=int)
     iters = np.zeros(R, dtype=int)
-    stop = np.full(R, -1 if cfg.max_iters > 0 else _CAPPED)
+    stop = np.full(R, -1)
     energy, grad = _pair_energy_grad(Q, space)
     checkpoint = energy.copy()  # the energy at the last multiple of _STALL_WINDOW steps
-    live = np.flatnonzero(stop < 0)
+    live = np.arange(R)
     while live.size:
         trial = Q[live] - step[live, None, None] * grad[live]
         en, g = _pair_energy_grad(trial, space)
@@ -244,7 +251,7 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
             stop[rej[step[rej] < _MIN_STEP]] = _UNDERFLOW
         # later assignments win: converged over a stall over the cap
         it = iters[acc]
-        stop[acc[it >= cfg.max_iters]] = _CAPPED
+        stop[acc[it >= MAX_ITERS]] = _CAPPED
         check = acc[it % _STALL_WINDOW == 0]
         if check.size:  # most ticks bring no restart to a checkpoint
             stop[check[energy[check] > (1.0 - _STALL_DROP) * checkpoint[check]]] = _STALLED

@@ -81,6 +81,8 @@ class Space:
 
     @staticmethod
     def from_string(s: str) -> "Space":
+        if not isinstance(s, str):
+            raise InputError(f"a space string must be a string, got {type(s).__name__}")
         m = re.fullmatch(r"lp:n=(\d+),p=([^,]+)", s.strip())
         if m:
             return Space(_parse_p(m.group(2)), (1,) * _parse_dim(m.group(1)))
@@ -130,6 +132,8 @@ class PointSet:
             pts = np.asarray(self.points, dtype=float)
         except (TypeError, ValueError) as e:
             raise InputError("points must be a rectangular array of numbers") from e
+        except OverflowError:  # an integer past the largest double
+            raise InputError("points must be finite numbers") from None
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
         if pts.ndim != 2 or pts.shape[0] < 1:
@@ -257,27 +261,20 @@ def distance_matrix(pointset: PointSet) -> np.ndarray:
     return pair_map(pointset, lambda A, B: _outer_norm(pair_block_norms(space, A, B), space.p))
 
 
-def lp_norm(x: Sequence[float], p: float) -> float:
-    """Plain lp norm of a coordinate vector (blocks all 1)."""
-    if not p >= 1.0:
-        raise InputError(f"p must satisfy p >= 1 or p = inf, got {p}")
-    return float(_outer_norm(np.abs(np.asarray(x, dtype=float)), p))
-
-
-def norm_sandwich_check(x: Sequence[float], p: float, q: float,
-                        rel_tol: float = _TOL_REL) -> tuple[bool, tuple[float, float, float]]:
+def norm_sandwich_check(x: Sequence[float], p: float,
+                        q: float) -> tuple[bool, tuple[float, float, float]]:
     """Check ||x||_q <= ||x||_p <= n^(1/p-1/q) ||x||_q for 1 <= p <= q.
 
     Returns (holds, (||x||_q, ||x||_p, n^(1/p-1/q)*||x||_q)).
     """
     if not (1.0 <= p):
         raise InputError(f"need p >= 1, got {p}")
-    if p > q:
+    if not p <= q:  # also refuses a NaN q
         raise InputError(f"need p <= q, got p={p}, q={q}")
-    arr = np.asarray(x, dtype=float)
-    nq = lp_norm(arr, q)
-    np_ = lp_norm(arr, p)
+    arr = np.abs(np.asarray(x, dtype=float))
+    nq = float(_outer_norm(arr, q))
+    np_ = float(_outer_norm(arr, p))
     upper = arr.size ** (1.0 / p - 1.0 / q) * nq  # 1 / inf is 0
-    slack = rel_tol * max(nq, np_, upper) + _TOL_ABS
+    slack = _TOL_REL * max(nq, np_, upper) + _TOL_ABS
     holds = (nq <= np_ + slack) and (np_ <= upper + slack)
     return holds, (nq, np_, upper)

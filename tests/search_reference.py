@@ -5,14 +5,15 @@ Each restart runs its own backtracking descent: an energy-only call per
 trial step and a separate energy-and-gradient call per accepted step.  It
 stops as the lockstep search does: converged, stalled (the energy fell by
 less than the fraction _STALL_DROP over the last _STALL_WINDOW accepted
-steps), at the iteration cap, or when no step is found.
+steps), at the iteration cap, or when no step is found.  It reads these
+constants from ``eqdist.construct`` at each call, so a test may patch them.
 """
 
 import math
 
 import numpy as np
 
-from eqdist.construct import _STALL_DROP, _STALL_WINDOW, SMOOTHING_EPS
+from eqdist import construct
 from eqdist.space import PointSet, Space, distance_matrix, pair_block_sq_norms
 
 
@@ -63,14 +64,14 @@ def search_reference(space: Space, m: int, cfg) -> tuple[np.ndarray, float, int]
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
         Q = rng.uniform(-1.0, 1.0, size=(m, dim))
-        step = cfg.step_init
-        energy, grad = pair_energy_grad(Q, space, SMOOTHING_EPS, True)
+        step = construct._STEP_INIT
+        energy, grad = pair_energy_grad(Q, space, construct.SMOOTHING_EPS, True)
         checkpoint = energy
-        for it in range(1, cfg.max_iters + 1):
+        for it in range(1, construct.MAX_ITERS + 1):
             moved = False
             for _ in range(60):
                 Qn = Q - step * grad
-                en, _ = pair_energy_grad(Qn, space, SMOOTHING_EPS, False)
+                en, _ = pair_energy_grad(Qn, space, construct.SMOOTHING_EPS, False)
                 if en < energy:
                     Q, energy = Qn, en
                     step *= 1.3
@@ -83,11 +84,11 @@ def search_reference(space: Space, m: int, cfg) -> tuple[np.ndarray, float, int]
                 break
             if math.sqrt(max(energy, 0.0)) <= 0.25 * cfg.residual_target:
                 break
-            if it % _STALL_WINDOW == 0:
-                if energy > (1.0 - _STALL_DROP) * checkpoint:
+            if it % construct._STALL_WINDOW == 0:
+                if energy > (1.0 - construct._STALL_DROP) * checkpoint:
                     break
                 checkpoint = energy
-            grad = pair_energy_grad(Q, space, SMOOTHING_EPS, True)[1]
+            grad = pair_energy_grad(Q, space, construct.SMOOTHING_EPS, True)[1]
         resid = true_residual(Q, space)
         if best is None or resid < best[0]:
             best = (resid, restart, Q)

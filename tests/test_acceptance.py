@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 
+from eqdist import construct
 from eqdist.approx import (EvenPolynomial, approximate_abs_power, choose_degree,
                            jackson_constant)
 from eqdist.bounds import enumerate_bounds
@@ -69,7 +70,7 @@ def test_criterion_3_rank_lemma_soundness():
         for _ in range(1000):
             m = int(rng.integers(1, 31))
             A = SymMatrix.from_upper(rng.normal(size=(m, m)))
-            assert rank_lower_bound(A) <= numerical_rank(A, 1e-9) + 1e-9
+            assert rank_lower_bound(A) <= numerical_rank(A) + 1e-9
         m = np.arange(1, 1_000_001, dtype=np.int64)
         # 2*m^2 >= m*(2m-1), i.e. m^2/(2m-1) >= m/2, in exact integer arithmetic
         assert np.all(2 * m * m >= m * (2 * m - 1))
@@ -84,7 +85,7 @@ def test_criterion_4_span_soundness():
                 sp = Space(2.0, (1,) * n)
                 for _ in range(200):
                     pts = PointSet(sp, rng.uniform(-0.5, 0.5, (span + 3, n)))
-                    assert numerical_rank(matrix_thm1(pts, k), 1e-9) <= span
+                    assert numerical_rank(matrix_thm1(pts, k)) <= span
         for blocks, d in [((8,), 2), ((4, 4), 3), ((2, 3, 3), 4),
                           ((2, 2, 2, 2), 5), ((1,) * 8, 6), ((3, 5), 4)]:
             span = span_dim("thm5", blocks=blocks, d=d)
@@ -93,7 +94,7 @@ def test_criterion_4_span_soundness():
                 pts = PointSet(sp, rng.uniform(-0.5, 0.5, (span + 3, sum(blocks))))
                 P = EvenPolynomial(d, tuple(rng.uniform(-1, 1, d // 2)))
                 A, _ = matrix_thm5(pts, P)
-                assert numerical_rank(A, 1e-9) <= span
+                assert numerical_rank(A) <= span
         # the (dn)^k form of the span bound presumes n >= 2 (where
         # (d-1)n+2 <= dn); for n = 1 the raw span ((d-1)n+2)^k applies
         for n in (1, 2, 3):
@@ -107,7 +108,7 @@ def test_criterion_4_span_soundness():
                         pts = PointSet(sp, rng.uniform(-0.5, 0.5, (m, n)))
                         P = EvenPolynomial(d, tuple(rng.uniform(-1, 1, d // 2)))
                         A, _ = matrix_thm2(pts, dists, P)
-                        assert numerical_rank(A, 1e-9) <= span
+                        assert numerical_rank(A) <= span
 
 
 def test_criterion_5_gram_identities():
@@ -156,10 +157,10 @@ def test_criterion_7_constructions():
         assert abs(simplex_lambda(4, 2) - (1 + math.sqrt(5)) / 4) <= 1e-12
 
 
-def test_criterion_8_witness_search():
+def test_criterion_8_witness_search(monkeypatch):
+    monkeypatch.setattr(construct, "MAX_ITERS", 4000)
     with criterion(8, "witness search", 120.0):
-        cfg = SearchConfig(restarts=32, seed=2468, residual_target=1e-8,
-                           max_iters=4000)
+        cfg = SearchConfig(restarts=32, seed=2468, residual_target=1e-8)
         for n, p in [(2, 3.0), (3, 1.5)]:
             res = search_equilateral(Space(p, (1,) * n), n + 1, cfg)
             assert res.converged and res.residual < 1e-8, (n, p, res.residual)

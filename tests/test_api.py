@@ -1,9 +1,14 @@
-"""The public API contract: the names ``eqdist`` exports, and that each imports;
-and the functions the traced benchmark run rebinds by name."""
+"""The public API contract: the names ``eqdist`` exports, that each imports,
+and their parameters and fields; and the functions the traced benchmark run
+rebinds by name."""
 
+import dataclasses
 import importlib
+import inspect
 import runpy
 from pathlib import Path
+
+import numpy as np
 
 import eqdist
 
@@ -23,6 +28,70 @@ PUBLIC_NAMES = [
 
 def test_all_is_the_public_api():
     assert sorted(eqdist.__all__) == PUBLIC_NAMES
+
+
+# the fields of each public dataclass, and the parameters of each public function:
+# a new option shows up here as a test change
+PUBLIC_FIELDS = {
+    "ApproxCertificate": ("p", "d", "measured_error", "jackson_bound", "grid_size"),
+    "BoundConfig": ("c_absolute", "treat_asymptotic_as_explicit", "constants"),
+    "BoundReport": ("side", "kind", "value", "conditions", "source", "constants_used",
+                    "construction"),
+    "CertificateReport": ("theorem", "m", "diag_ok", "max_offdiag", "offdiag_threshold",
+                          "rank_lemma_lower", "numerical_rank", "span_upper", "passes", "notes"),
+    "CertifyConfig": ("c", "k", "p_override", "c_absolute"),
+    "EvenPolynomial": ("degree", "even_coeffs"),
+    "Formula": ("expression", "constants", "numeric"),
+    "PointSet": ("space", "points"),
+    "SearchConfig": ("restarts", "seed", "residual_target"),
+    "SearchResult": ("points", "residual", "converged", "restart_index", "iterations", "stop"),
+    "Space": ("p", "blocks"),
+    "SymMatrix": ("dim", "entries"),
+}
+PUBLIC_PARAMETERS = {
+    "approximate_abs_power": ("p", "d"),
+    "approximation_error": ("P", "p"),
+    "best_explicit_upper": ("space", "s", "config"),
+    "certify": ("points", "theorem", "config"),
+    "choose_degree": ("p", "c", "n", "m"),
+    "cluster_combine": ("per_s_bounds", "k"),
+    "cross_polytope": ("n",),
+    "distance": ("space", "x", "y"),
+    "distance_matrix": ("pointset",),
+    "distance_profile": ("points", "tol"),
+    "elementary_symmetric": ("vals",),
+    "enumerate_bounds": ("space", "s", "config"),
+    "epsilon_rank_bound": ("m", "eps"),
+    "euclidean_simplex": ("n",),
+    "falling_factorial": ("x", "k"),
+    "gram_thm3": ("points",),
+    "gram_thm4": ("points", "p"),
+    "independence_rank_thm3": ("points",),
+    "independence_rank_thm4": ("points", "p"),
+    "jackson_constant": ("p",),
+    "lower_bound": ("space", "s"),
+    "lp_simplex": ("n", "p"),
+    "matrix_thm1": ("points", "k"),
+    "matrix_thm2": ("points", "dists", "P"),
+    "matrix_thm5": ("points", "P"),
+    "norm": ("space", "x"),
+    "norm_sandwich_check": ("x", "p", "q"),
+    "numerical_rank": ("A",),
+    "product_construction": ("S", "T"),
+    "rank_lower_bound": ("A",),
+    "search_equilateral": ("space", "m", "cfg"),
+    "simplex_lambda": ("n", "p"),
+    "span_dim": ("theorem", "params"),
+}
+
+
+def test_public_signatures():
+    assert sorted([*PUBLIC_FIELDS, *PUBLIC_PARAMETERS, "Point"]) == PUBLIC_NAMES
+    assert eqdist.Point is np.ndarray
+    for name, fields in PUBLIC_FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(getattr(eqdist, name))) == fields, name
+    for name, params in PUBLIC_PARAMETERS.items():
+        assert tuple(inspect.signature(getattr(eqdist, name)).parameters) == params, name
 
 
 def test_every_public_name_imports():

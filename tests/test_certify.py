@@ -8,7 +8,7 @@ import pytest
 
 from eqdist import space as space_mod
 from eqdist.approx import MAX_DEGREE, EvenPolynomial
-from eqdist.certify import (CertifyConfig, SymMatrix, _f_thm4, _thm1_planes,
+from eqdist.certify import (RANK_RTOL, CertifyConfig, SymMatrix, _f_thm4, _thm1_planes,
                             blokhuis_family_size,
                             certify, elementary_symmetric, epsilon_rank_bound,
                             gram_thm3, gram_thm4, independence_rank_thm3,
@@ -77,7 +77,7 @@ def test_rank_lemma_soundness_sample():
     for _ in range(200):
         m = int(rng.integers(1, 31))
         A = _random_sym(rng, m)
-        assert rank_lower_bound(A) <= numerical_rank(A, 1e-9) + 1e-9
+        assert rank_lower_bound(A) <= numerical_rank(A) + 1e-9
 
 
 def test_epsilon_rank_bound():
@@ -100,12 +100,19 @@ def test_epsilon_bound_matches_rank_lemma_on_sign_matrices():
 
 
 def test_numerical_rank():
-    assert numerical_rank(np.eye(5), 1e-9) == 5
-    assert numerical_rank(np.ones((3, 3)), 1e-9) == 1
-    assert numerical_rank(np.diag([1.0, 1e-15]), 1e-9) == 1
-    assert numerical_rank(np.zeros((4, 4)), 1e-9) == 0
-    with pytest.raises(InputError):
-        numerical_rank(np.eye(2), 0.0)
+    assert numerical_rank(np.eye(5)) == 5
+    assert numerical_rank(np.ones((3, 3))) == 1
+    assert numerical_rank(np.diag([1.0, 1e-15])) == 1
+    assert numerical_rank(np.zeros((4, 4))) == 0
+    assert numerical_rank(np.zeros((0, 0))) == numerical_rank(np.zeros((3, 0))) == 0
+
+
+def test_numerical_rank_cut_off_edge():
+    # the SVD of a diagonal matrix returns its entries exactly: a singular value
+    # equal to RANK_RTOL * sigma_max is dropped, one ulp above it is kept
+    assert numerical_rank(np.diag([1.0, RANK_RTOL])) == 1
+    assert numerical_rank(np.diag([1.0, np.nextafter(RANK_RTOL, 1.0)])) == 2
+    assert numerical_rank(np.diag([4.0, 4.0 * RANK_RTOL])) == 1  # relative to sigma_max
 
 
 def test_elementary_symmetric():
@@ -149,7 +156,7 @@ def test_matrix_thm1_span_soundness_sample():
                 pts = PointSet(Space(2.0, (1,) * n),
                                rng.uniform(-0.5, 0.5, (span + 4, n)))
                 A = matrix_thm1(pts, k)
-                assert numerical_rank(A, 1e-9) <= span
+                assert numerical_rank(A) <= span
 
 
 def test_matrix_thm2_examples():
@@ -199,7 +206,7 @@ def test_matrix_thm2_span_soundness_sample():
                                    rng.uniform(-0.5, 0.5, (m, n)))
                     P = EvenPolynomial(d, tuple(rng.uniform(-1, 1, d // 2)))
                     A, _ = matrix_thm2(pts, dists, P)
-                    rank = numerical_rank(A, 1e-9)
+                    rank = numerical_rank(A)
                     assert rank <= span
                     if n >= 2:
                         assert rank <= (d * n) ** k
@@ -234,7 +241,7 @@ def test_matrix_thm5_span_soundness_sample():
             pts = PointSet(sp, rng.uniform(-0.5, 0.5, (span + 4, sum(blocks))))
             P = EvenPolynomial(d, tuple(rng.uniform(-1, 1, d // 2)))
             A, _ = matrix_thm5(pts, P)
-            assert numerical_rank(A, 1e-9) <= span
+            assert numerical_rank(A) <= span
 
 
 def test_gram_thm3():
@@ -392,7 +399,7 @@ def test_independence_rank_thm4():
     X = np.random.default_rng(0).standard_normal((9, 2))
     no_rows = _f_thm4(sp, np.zeros((0, 2)), X, 4)
     assert no_rows.shape == (0, 9)
-    assert numerical_rank(np.vstack([no_rows, X.T, np.ones(9)]), 1e-9) == 3
+    assert numerical_rank(np.vstack([no_rows, X.T, np.ones(9)])) == 3
     pair = PointSet(sp, np.array([[0, 0], [1, 0.0]]))
     assert independence_rank_thm4(pair, 4) == 5 == blokhuis_family_size(2, 1, 1, 4)
     dup = PointSet(sp, np.array([[0, 0], [0, 0.0]]))
@@ -494,6 +501,24 @@ def test_certify_thm4():
     odd = PointSet(Space(3.0, (1, 1)), np.array([[0, 0], [1, 0.0]]))
     with pytest.raises(InputError):
         certify(odd, "thm4")
+
+
+@pytest.mark.parametrize("theorem, a, b, p, note", [
+    # thm4: a + b at most BLOKHUIS_MAX_VARS = 6, and p at most BLOKHUIS_MAX_P = 8
+    ("thm4", 3, 3, 4, "augmented family rank 14 (independent iff 23)"),
+    ("thm4", 4, 3, 4, "independence check skipped: expansion with a+b=7, p=4 exceeds the "
+                      "tractability cap (a+b <= 6, p <= 8)"),
+    ("thm4", 1, 1, 8, "augmented family rank 10 (independent iff 11)"),
+    ("thm4", 1, 1, 10, "independence check skipped: expansion with a+b=2, p=10 exceeds the "
+                       "tractability cap (a+b <= 6, p <= 8)"),
+    # thm3: a + b at most 2 * BLOKHUIS_MAX_VARS = 12
+    ("thm3", 6, 6, None, "augmented family rank 63 (independent iff 63)"),
+    ("thm3", 7, 6, None, "independence check skipped: expansion with a+b=13 exceeds the cap"),
+])
+def test_independence_note_at_the_caps(theorem, a, b, p, note):
+    prod = product_construction(euclidean_simplex(a), euclidean_simplex(b))
+    rep = certify(prod, theorem, CertifyConfig(p_override=p))
+    assert [n for n in rep.notes if "independen" in n] == [note]
 
 
 def test_certify_thm5():

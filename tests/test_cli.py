@@ -106,6 +106,45 @@ def test_verify_non_equilateral(tmp_path, capsys):
     assert json.loads(out)["equilateral"] is False
 
 
+def test_verify_single_point(tmp_path, capsys):
+    f = tmp_path / "one.json"
+    f.write_text(json.dumps({"space": "lp:n=2,p=3", "points": [[0.5, -1]]}))
+    code, out, err = _run(capsys, "verify", "--points", str(f))
+    assert code == 0 and err == ""
+    assert out == ('{\n  "space": "lp:n=2,p=3",\n  "m": 1,\n  "profile": [],\n'
+                   '  "equilateral": true,\n  "max_deviation": 0.0\n}\n')
+
+
+def test_certify_zero_distance_exit_2(tmp_path, capsys):
+    # thm2 reads the distance profile, which refuses a zero distance
+    f = tmp_path / "dup.json"
+    f.write_text(json.dumps({"space": "lp:n=2,p=3", "points": [[0, 0], [0, 0], [1, 0]]}))
+    code, out, err = _run(capsys, "certify", "--points", str(f), "--theorem", "thm2")
+    assert (code, out, err) == (2, "", "failed: zero distance present\n")
+
+
+def test_lp_simplex_past_the_largest_double(tmp_path, capsys):
+    # at n = 2 the root bracket reaches 2, and 2^p overflows above p = 1024
+    for p in ("1100", "1e300"):
+        code, out, err = _run(capsys, "construct", "lp-simplex", "--n", "2", "--p", p)
+        assert code == 0 and err == ""
+        f = tmp_path / "simplex.json"
+        f.write_text(out)
+        assert _run(capsys, "verify", "--points", str(f))[0] == 0
+
+
+@pytest.mark.parametrize("points", [
+    [[-1e308], [1e308]],  # the distance is past the largest double
+    [[0.0], [1.0], [8.98846567431158e307]],  # a cluster of two distances sums past it
+])
+def test_verify_distance_overflow_exit_1(tmp_path, capsys, points):
+    f = tmp_path / "far.json"
+    f.write_text(json.dumps({"space": "lp:n=1,p=2", "points": points}))
+    code, out, err = _run(capsys, "verify", "--points", str(f))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "overflows double precision" in err
+
+
 def test_certify_cli(tmp_path, capsys):
     code, out, _ = _run(capsys, "construct", "product", "--a", "2", "--b", "1")
     f = tmp_path / "prod.json"
@@ -297,6 +336,80 @@ def test_search_fuzz_never_raises(space, m, restarts, seed, fmt, junk):
         assert json.loads(out)["converged"] is (code == 0)
 
 
+@st.composite
+def _point_sets(draw):
+    p = draw(st.just(math.inf) | st.integers(1, 8).map(float) | st.floats(1.0, 1e308))
+    blocks = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    row = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=sum(blocks),
+                   max_size=sum(blocks))
+    return PointSet(Space(p, blocks), draw(st.lists(row, min_size=1, max_size=5)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(ps=_point_sets(), indent=st.sampled_from([0, None]))
+def test_pointset_json_roundtrip_fuzz(ps, indent):
+    again = PointSet.from_jsonable(json.loads(render_json(ps.to_jsonable(), indent)))
+    assert again.space == ps.space and again.space.p.hex() == ps.space.p.hex()
+    assert again.points.tobytes() == ps.points.tobytes()  # -0.0 and subnormals included
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+                     lambda kids: st.lists(kids, max_size=4)
+                     | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+                     max_leaves=12)
+# point-set files: the fixed sets, random sets, near-miss shapes and any JSON at all
+_POINTS_FILES = st.one_of(
+    st.sampled_from(sorted(_FUZZ_SETS)).map(_FUZZ_SETS.get),
+    _point_sets().map(PointSet.to_jsonable),
+    st.fixed_dictionaries({
+        "space": st.sampled_from(["lp:n=2,p=2", "lp:n=1,p=inf", "lpsum:blocks=1,2,p=1.5"])
+        | st.text(max_size=12) | _JSON,
+        "points": st.lists(st.lists(st.floats() | st.integers(), max_size=3), max_size=5)
+        | _JSON}),
+    _JSON)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(points=_POINTS_FILES, tol=_FLAG, fmt=st.sampled_from(cli.FORMATS))
+def test_verify_fuzz_never_raises(fuzz_dir, points, tol, fmt):
+    f = fuzz_dir / "verify.json"
+    f.write_text(json.dumps(points))
+    argv = ["verify", "--points", str(f), "--format", fmt]
+    code, out, err = _run_quietly(argv + ([] if tol is None else ["--tol", tol]))
+    assert code in (0, 1, 2)
+    assert err.count("\n") == (code != 0), err
+    if code != 1 and fmt == "json":
+        assert json.loads(out)["equilateral"] is (code == 0)
+
+
+# a construct run gets small valid flags, then at most one flag is replaced by a
+# token from these: no token names a construction larger than the valid ones
+_CONSTRUCT_JUNK = {
+    "--n": _refused_size(2048),  # (n + 1) n and 2 n^2 are above the cap from n = 2048
+    "--p": _FUZZ_TOKENS,
+    "--a": _refused_size(2048),
+    "--b": _refused_size(2048),
+}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(kind=st.sampled_from(sorted(cli._CONSTRUCTIONS)), n=st.integers(1, 6),
+       p=st.floats(1.0, 12.0).map(repr), a=st.integers(1, 4), b=st.integers(1, 4),
+       fmt=st.sampled_from(cli.FORMATS),
+       junk=st.none() | st.sampled_from(sorted(_CONSTRUCT_JUNK)).flatmap(
+           lambda flag: st.tuples(st.just(flag), _CONSTRUCT_JUNK[flag])))
+def test_construct_fuzz_never_raises(kind, n, p, a, b, fmt, junk):
+    flags = {"--n": str(n), "--p": p, "--a": str(a), "--b": str(b), "--format": fmt}
+    if junk:
+        flags[junk[0]] = junk[1]
+    code, out, err = _run_quietly(["construct", kind,
+                                   *(tok for item in flags.items() for tok in item)])
+    assert code in (0, 1)
+    assert err.count("\n") == code, err
+    if code == 0 and fmt == "json":
+        PointSet.from_jsonable(json.loads(out))
+
+
 def test_thm2_at_infinite_p_exit_1(fuzz_dir):
     code, out, err = _run_quietly(["certify", "--points", str(fuzz_dir / "linf.json"),
                                    "--theorem", "thm2"])
@@ -447,6 +560,22 @@ def test_bad_points_exit_1(tmp_path, capsys, points, message, command):
     f = tmp_path / "bad.json"
     f.write_text('{"space": "lp:n=2,p=2", "points": ' + points + "}")
     code, out, err = _run(capsys, *command, "--points", str(f))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"space": 3, "points": [[1]]}', "a space string must be a string, got int"),
+    (b'{"space": "lp:n=1,p=2", "points": [[1' + b"0" * 400 + b']]}', "finite numbers"),
+    (b'{"space": "lp:n=1,p=2", "points": [[1' + b"0" * 5000 + b']]}', "not readable JSON"),
+    (b"\xff\xfe", "not readable JSON"),
+    (b"[" * 100000, "not readable JSON"),
+], ids=["space-not-a-string", "int-past-the-largest-double", "int-of-5001-digits",
+        "not-utf-8", "nested-too-deep"])
+def test_unreadable_points_exit_1(tmp_path, capsys, content, message):
+    f = tmp_path / "bad.json"
+    f.write_bytes(content)
+    code, out, err = _run(capsys, "verify", "--points", str(f))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -170,8 +169,9 @@ def test_search_impossible_case_stalls():
     assert not res.converged and res.residual > 1e-3
 
 
-def test_search_reproducible():
-    cfg = SearchConfig(restarts=3, seed=42, max_iters=500)
+def test_search_reproducible(monkeypatch):
+    monkeypatch.setattr(construct, "MAX_ITERS", 500)
+    cfg = SearchConfig(restarts=3, seed=42)
     a = search_equilateral(Space(1.5, (1, 1)), 3, cfg)
     b = search_equilateral(Space(1.5, (1, 1)), 3, cfg)
     assert a.residual == b.residual and a.restart_index == b.restart_index
@@ -195,30 +195,26 @@ def test_search_config_validation():
         search_equilateral(Space(2.0, (1,)), 1)
 
 
-def test_search_config_fields():
-    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
-        "restarts", "max_iters", "seed", "step_init", "residual_target"]
-
-
+# (space, m, config, the construct.MAX_ITERS to run it with)
 REFERENCE_CASES = [
-    (Space(1.0, (1,) * 3), 6,
-     SearchConfig(restarts=3, seed=7, max_iters=400, residual_target=1e-8)),
-    (Space(1.5, (1,) * 3), 4, SearchConfig(restarts=8, seed=1)),
-    (Space(2.0, (1, 1)), 4, SearchConfig(restarts=6, seed=3)),
-    (Space(3.0, (1, 1)), 3, SearchConfig(restarts=8, seed=5)),
-    (Space(math.inf, (1,) * 3), 5, SearchConfig(restarts=8, seed=2)),
-    (Space(1.5, (2, 1)), 5, SearchConfig(restarts=4, seed=4, max_iters=300)),
-    (Space(math.inf, (2, 1)), 4, SearchConfig(restarts=8, seed=9, residual_target=1e-8)),
-    (Space(2.0, (1,) * 4), 8, SearchConfig(restarts=3, seed=1, max_iters=300)),
-    (Space(1.0, (1,) * 4), 9, SearchConfig(restarts=2, seed=2, max_iters=200)),
-    (Space(1.0, (1, 1)), 4, SearchConfig(restarts=1, seed=0)),
+    (Space(1.0, (1,) * 3), 6, SearchConfig(restarts=3, seed=7, residual_target=1e-8), 400),
+    (Space(1.5, (1,) * 3), 4, SearchConfig(restarts=8, seed=1), 4000),
+    (Space(2.0, (1, 1)), 4, SearchConfig(restarts=6, seed=3), 4000),
+    (Space(3.0, (1, 1)), 3, SearchConfig(restarts=8, seed=5), 4000),
+    (Space(math.inf, (1,) * 3), 5, SearchConfig(restarts=8, seed=2), 4000),
+    (Space(1.5, (2, 1)), 5, SearchConfig(restarts=4, seed=4), 300),
+    (Space(math.inf, (2, 1)), 4, SearchConfig(restarts=8, seed=9, residual_target=1e-8), 4000),
+    (Space(2.0, (1,) * 4), 8, SearchConfig(restarts=3, seed=1), 300),
+    (Space(1.0, (1,) * 4), 9, SearchConfig(restarts=2, seed=2), 200),
+    (Space(1.0, (1, 1)), 4, SearchConfig(restarts=1, seed=0), 4000),
 ]
 
 
-@pytest.mark.parametrize("space,m,cfg", REFERENCE_CASES,
+@pytest.mark.parametrize("space,m,cfg,cap", REFERENCE_CASES,
                          ids=[f"{s.to_string()}-m{m}-r{c.restarts}"
-                              for s, m, c in REFERENCE_CASES])
-def test_search_matches_one_restart_at_a_time(space, m, cfg):
+                              for s, m, c, _ in REFERENCE_CASES])
+def test_search_matches_one_restart_at_a_time(monkeypatch, space, m, cfg, cap):
+    monkeypatch.setattr(construct, "MAX_ITERS", cap)
     points, residual, restart = search_reference(space, m, cfg)
     res = search_equilateral(space, m, cfg)
     assert np.array_equal(res.points.points, points)
@@ -235,9 +231,9 @@ def test_search_batches_give_same_bits(monkeypatch):
         (whole.residual, whole.restart_index, whole.iterations, whole.stop)
 
 
-@pytest.mark.parametrize("space,m,cfg", REFERENCE_CASES[4:7],
-                         ids=[s.to_string() for s, _, _ in REFERENCE_CASES[4:7]])
-def test_batched_residuals_match_distance_matrix(monkeypatch, space, m, cfg):
+@pytest.mark.parametrize("space,m,cfg,cap", REFERENCE_CASES[4:7],
+                         ids=[s.to_string() for s, *_ in REFERENCE_CASES[4:7]])
+def test_batched_residuals_match_distance_matrix(monkeypatch, space, m, cfg, cap):
     # the search takes each restart's residual from one kernel call per batch;
     # every value must be the distance_matrix residual of that restart
     finals = []
@@ -249,6 +245,7 @@ def test_batched_residuals_match_distance_matrix(monkeypatch, space, m, cfg):
         return out
 
     monkeypatch.setattr(construct, "_descend", recording)
+    monkeypatch.setattr(construct, "MAX_ITERS", cap)
     monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 3 * 8 * m * m * space.ambient_dim)
     res = search_equilateral(space, m, cfg)
     Q = np.array(finals)
@@ -270,28 +267,30 @@ def test_plain_lp_search_makes_no_block_pass(monkeypatch):
     want = (Q[:, :, None, :] - Q[:, None, :, :]) ** 2
     monkeypatch.setattr(Space, "block_slices", no_block_pass)
     assert space_mod.pair_block_sq_norms(space, Q, Q).tobytes() == want.tobytes()
-    res = search_equilateral(space, 3, SearchConfig(restarts=2, max_iters=50))
+    monkeypatch.setattr(construct, "MAX_ITERS", 50)
+    res = search_equilateral(space, 3, SearchConfig(restarts=2))
     assert res.iterations > 0
 
 
-def test_search_memory_bounded_by_batches():
+def test_search_memory_bounded_by_batches(monkeypatch):
     # 64 restarts at m = 20 in l2^20 take 25 MB unbatched; 16 per batch take 7 MB
+    monkeypatch.setattr(construct, "MAX_ITERS", 2)
     tracemalloc.start()
     try:
-        search_equilateral(Space(2.0, (1,) * 20), 20, SearchConfig(restarts=64, max_iters=2))
+        search_equilateral(Space(2.0, (1,) * 20), 20, SearchConfig(restarts=64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20
 
 
-def test_search_stop_causes():
+def test_search_stop_causes(monkeypatch):
     res = search_equilateral(Space(2.0, (1, 1)), 3, SearchConfig(seed=5))
-    assert res.stop == "converged" and 0 < res.iterations < 4000
-    for cap in (50, 0):
-        cfg = SearchConfig(restarts=2, seed=7, max_iters=cap)
-        res = search_equilateral(Space(1.0, (1,) * 3), 6, cfg)
-        assert res.stop == "iteration cap" and res.iterations == cap
+    assert res.stop == "converged" and 0 < res.iterations < construct.MAX_ITERS
+    with monkeypatch.context() as patch:
+        patch.setattr(construct, "MAX_ITERS", 50)
+        res = search_equilateral(Space(1.0, (1,) * 3), 6, SearchConfig(restarts=2, seed=7))
+        assert res.stop == "iteration cap" and res.iterations == 50
     res = search_equilateral(Space(1.0, (1,) * 3), 6, SearchConfig(restarts=1, seed=0))
     assert res.stop == "stalled" and res.iterations == 2 * construct._STALL_WINDOW
     res = search_equilateral(Space(2.0, (1, 1)), 4, SearchConfig(seed=3, restarts=6))
@@ -334,10 +333,11 @@ def test_search_size_cap(monkeypatch):
         search_equilateral(Space(2.0, (1, 1)), 4, SearchConfig(restarts=1))
 
 
-def test_search_halving_caps():
+def test_search_halving_caps(monkeypatch):
     # a unit segment is a stationary point, so every trial step is rejected:
     # 1e3 * 2**-60 = 8.7e-16 stays above the 1e-18 floor, 0.1 * 2**-57 falls below it
     for step_init, cause in ((1e3, "60 halvings"), (0.1, "step underflow")):
+        monkeypatch.setattr(construct, "_STEP_INIT", step_init)
         Q = np.array([[[0.0], [1.0]]])
-        _, iters, stop = construct._descend(Q, Space(2.0, (1,)), SearchConfig(step_init=step_init))
+        _, iters, stop = construct._descend(Q, Space(2.0, (1,)), SearchConfig())
         assert iters[0] == 0 and construct.STOP_CAUSES[stop[0]] == cause

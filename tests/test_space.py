@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqdist import space as space_mod
 from eqdist.construct import cross_polytope
@@ -33,6 +35,15 @@ def test_space_string_roundtrip():
                 "lpsum:blocks=1,,2,p=3", "lpsum:blocks=1,2,,p=3"]:  # int("") raised ValueError
         with pytest.raises(InputError):
             Space.from_string(bad)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(p=st.just(math.inf) | st.integers(1, 64).map(float) | st.floats(1.0, 1e308),
+       blocks=st.lists(st.integers(1, 4), min_size=1, max_size=6))
+def test_space_string_roundtrip_fuzz(p, blocks):
+    s = Space(p, tuple(blocks))
+    again = Space.from_string(s.to_string())
+    assert again == s and again.p.hex() == s.p.hex()
 
 
 def test_ambient_dimension_cap():
@@ -261,3 +272,8 @@ def test_pointset_rejects_ragged_and_nonfinite():
             PointSet(s, bad)
         with pytest.raises(InputError):
             PointSet.from_jsonable({"space": s.to_string(), "points": bad})
+    with pytest.raises(InputError, match="finite"):
+        PointSet(s, [[0, 10 ** 400]])  # an integer past the largest double
+    for space in (3, None, [s.to_string()]):
+        with pytest.raises(InputError, match="must be a string"):
+            PointSet.from_jsonable({"space": space, "points": [[0, 0]]})
