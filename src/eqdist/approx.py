@@ -222,7 +222,7 @@ def _remez_even(p: float, half_degree: int) -> tuple[np.ndarray, float]:
                 cands.pop(0)
             else:
                 cands.pop()
-        emax = max(c[2] for c in cands) if cands else float(ae.max())
+        emax = max(c[2] for c in cands)
         if emax < best_err:
             best_q, best_err = q.copy(), emax
         if len(cands) < nh + 2 or emax - abs(h) <= REMEZ_CONV_RTOL * emax:
@@ -253,8 +253,6 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
         coeffs = [0.0] * nh
         coeffs[int(p) // 2 - 1] = 1.0
         P = EvenPolynomial(d, tuple(coeffs))
-    elif nh == 0:
-        P = EvenPolynomial(d, ())  # only p = 1, d = 1 reaches this
     elif d > MAX_REMEZ_DEGREE:
         raise ResourceLimitError(
             f"degree {d} exceeds {MAX_REMEZ_DEGREE}, past which the monomial "

@@ -145,11 +145,7 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
     blocks = space.blocks
     a_max = max(blocks)
     out: list[BoundReport] = []
-
-    def c_p_value() -> float:
-        if "c_p" in cfg.constants:
-            return cfg.constants["c_p"]
-        return cfg.c_absolute * p
+    c_p = cfg.constants.get("c_p", cfg.c_absolute * p)
 
     if s == 1:
         out.append(BoundReport(
@@ -173,10 +169,10 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
             expo = _exponent(p, 1, 1)
             out.append(BoundReport(
                 "upper", "asymptotic",
-                Formula(f"c_p * n^{expo:.6g}", {"c": cfg.c_absolute, "c_p": c_p_value()},
-                        numeric=c_p_value() * nb ** expo),
+                Formula(f"c_p * n^{expo:.6g}", {"c": cfg.c_absolute, "c_p": c_p},
+                        numeric=c_p * nb ** expo),
                 ("blocks all 1", "p >= 1"), "thm1.1",
-                constants_used={"c": cfg.c_absolute, "c_p": c_p_value()}))
+                constants_used={"c": cfg.c_absolute, "c_p": c_p}))
 
             if nb > 1 and cfg.c_absolute > 2.0:
                 gate = cfg.c_absolute * (nb * math.log(nb)) ** 2
@@ -194,12 +190,12 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
                     ("blocks all 1", "p is an even integer"), "swanepoel-even-p"))
 
             if _is_int(p) and int(p) % 2 == 1:
-                num = c_p_value() * nb * math.log(nb) if nb > 1 else c_p_value()
+                num = c_p * nb * math.log(nb) if nb > 1 else c_p
                 out.append(BoundReport(
                     "upper", "asymptotic",
-                    Formula("c_p * n * ln n", {"c_p": c_p_value()}, numeric=num),
+                    Formula("c_p * n * ln n", {"c_p": c_p}, numeric=num),
                     ("blocks all 1", "p is an odd integer"), "alon-pudlak-odd-p",
-                    constants_used={"c_p": c_p_value()}))
+                    constants_used={"c_p": c_p}))
 
         if math.isinf(p) and nb == 2:
             a, b = blocks
@@ -207,7 +203,7 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
                 "upper", "explicit", (a + 1) * (b + 1) + 1,
                 ("two blocks", "p == inf"), "thm1.4"))
 
-        if math.isfinite(p) and _is_int(p) and int(p) % 2 == 0:
+        if _is_int(p) and int(p) % 2 == 0:
             half = int(p) // 2
             if nb == 2:
                 a, b = blocks
@@ -223,15 +219,14 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
             out.append(_configured_bound(cfg, "c_pa", expo, nb,
                                          (f"2p > max block dim = {a_max}",), "thm1.6"))
 
-        for rep in _lower_candidates(space):
-            out.append(rep)
+        out.extend(_lower_candidates(space))
 
-    if s >= 1 and space.is_euclidean:
+    if space.is_euclidean:
         out.append(BoundReport(
             "upper", "explicit", math.comb(N + s, s),
             ("space is Euclidean",), "bannai-bannai-stanton"))
 
-    if s >= 1 and space.is_lp and math.isfinite(p) and 2.0 * p > s:
+    if space.is_lp and math.isfinite(p) and 2.0 * p > s:
         expo = sdistance_exponent(p, s)
         out.append(_configured_bound(cfg, "c_ps", expo, nb,
                                      ("blocks all 1", f"2p > s = {s}"), "thm1.3"))

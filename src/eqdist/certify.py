@@ -55,24 +55,13 @@ class SymMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    @staticmethod
-    def from_upper(upper: np.ndarray) -> "SymMatrix":
-        """Build from an array, keeping the upper triangle and mirroring."""
-        arr = np.asarray(upper, dtype=float)
-        full = np.triu(arr) + np.triu(arr, 1).T
-        return SymMatrix(arr.shape[0], full)
-
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype)
-
-
-def _as_matrix(A) -> np.ndarray:
-    return A.entries if isinstance(A, SymMatrix) else np.asarray(A, dtype=float)
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
 def rank_lower_bound(A) -> float:
     """(sum of diagonal)^2 / (sum of squared entries); at most rank(A)."""
-    arr = _as_matrix(A)
+    arr = np.asarray(A, dtype=float)
     with np.errstate(over="ignore"):
         denom, tr = float(np.sum(arr * arr)), float(np.trace(arr))
         if denom < _TINY or math.isinf(denom) or abs(tr) > _SQRT_MAX:
@@ -97,7 +86,7 @@ def epsilon_rank_bound(m: int, eps: float) -> float:
 
 def numerical_rank(A) -> int:
     """Number of singular values above RANK_RTOL * sigma_max."""
-    sv = np.linalg.svd(_as_matrix(A), compute_uv=False)
+    sv = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
     return int(np.sum(sv > RANK_RTOL * sv.max(initial=0.0)))
 
 

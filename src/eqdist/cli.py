@@ -224,6 +224,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     ps = _load_points(args.points)
+    if args.tol <= 0:  # distance_profile refuses it too, but a single point never gets there
+        raise InputError(f"tol must be positive, got {args.tol}")
     report = {"space": ps.space.to_string(), "m": ps.m}
     if ps.m == 1:
         report.update(profile=[], equilateral=True, max_deviation=0.0)

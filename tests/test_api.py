@@ -2,6 +2,7 @@
 and their parameters and fields; and the functions the traced benchmark run
 rebinds by name."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -111,3 +112,32 @@ def test_traced_functions_exist_unwrapped():
             fn = getattr(module, name, None)
             assert callable(fn), f"{modname}.{name} is missing"
             assert not hasattr(fn, "__wrapped__"), f"{modname}.{name} is wrapped"
+
+
+def test_library_code_has_a_caller_in_the_library():
+    # a function, method or class that only the tests call belongs in the tests;
+    # dunders, the public API and overrides of a base class's method are called from outside
+    src = Path(eqdist.__file__).parent
+    defined, referenced, overrides = {}, set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"eqdist.{path.stem}")
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                bases = getattr(module, node.name).__mro__[1:]
+                overrides.update(item.name for item in node.body
+                                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                 and any(hasattr(base, item.name) for base in bases))
+    unreferenced = [f"{name} ({where})" for name, where in sorted(defined.items())
+                    if name not in referenced and not name.startswith("__")
+                    and name not in eqdist.__all__ and name not in overrides]
+    assert unreferenced == []

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from eqdist import approx
+from eqdist import approx, cli
 from eqdist.approx import (MAX_REMEZ_DEGREE, EvenPolynomial,
                            approximate_abs_power, approximation_error,
                            choose_degree, falling_factorial, jackson_constant)
@@ -55,6 +55,30 @@ def test_exact_even_integer_cases():
         for d in (p, p + 1, p + 5):
             _, cert = approximate_abs_power(p, d)
             assert cert.measured_error == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: EvenPolynomial(0, ()),
+    lambda: approximation_error(EvenPolynomial(2, ()), 0.5),
+    lambda: choose_degree(math.inf, 1.0, 1, 1),
+], ids=["degree-0", "error-at-p-below-1", "degree-at-p-inf"])
+def test_refusals(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_p1_d1_is_the_zero_polynomial():
+    # Remez solves a 2x2 system; its one coefficient is T_0's, which P drops
+    P, cert = approximate_abs_power(1, 1)
+    assert P == EvenPolynomial(1, ()) and cert.measured_error == 1.0
+
+
+def test_error_over_the_bound_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(approx, "jackson_constant", lambda p: 1e-300)
+    code = cli.run(["approx", "--p", "1.5", "--d", "12"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("failed: approximation error") and err.count("\n") == 1
 
 
 def test_degree_precondition():

@@ -181,6 +181,16 @@ def test_cluster_combine():
         cluster_combine([4, 10], 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_bounds(Space(3.0, (1, 1)), 0),
+    lambda: sdistance_exponent(1.0, 2),
+    lambda: cluster_combine([0], 2),
+], ids=["s-0", "exponent-at-2p-equal-s", "bound-below-1"])
+def test_refusals(call):
+    with pytest.raises(InputError):
+        call()
+
+
 def test_load_config(tmp_path):
     f = tmp_path / "constants.cfg"
     f.write_text("# constants\nc_absolute = 2.5\nc_ps = 7.25\n"
@@ -195,7 +205,7 @@ def test_load_config(tmp_path):
         load_config(str(bad))
     with pytest.raises(InputError):
         load_config(str(tmp_path / "missing.cfg"))
-    for line in ("c_absolute = -1", "c_absolute = inf", "c_ps = nan"):
+    for line in ("c_absolute = -1", "c_absolute = inf", "c_ps = nan", "c_p = abc"):
         bad.write_text(line + "\n")
         with pytest.raises(InputError):
             load_config(str(bad))

@@ -24,16 +24,46 @@ from monomial_counts import monomial_count_enumerated, monomial_count_telescoped
 certify_mod = importlib.import_module("eqdist.certify")  # the package exports certify()
 
 
+def _mirror_upper(A):
+    """The SymMatrix holding A's upper triangle and its mirror image."""
+    return SymMatrix(len(A), np.triu(A) + np.triu(A, 1).T)
+
+
 def _random_sym(rng, m):
-    A = rng.normal(size=(m, m))
-    return SymMatrix.from_upper(A)
+    return _mirror_upper(rng.normal(size=(m, m)))
 
 
 def test_symmatrix_validation():
     with pytest.raises(InputError):
         SymMatrix(2, np.array([[1.0, 2.0], [2.1, 1.0]]))
-    M = SymMatrix.from_upper(np.array([[1.0, 5.0], [0.0, 1.0]]))
-    assert M.entries[1, 0] == 5.0
+
+
+def test_symmatrix_reads_as_an_array():
+    M = _mirror_upper(np.array([[1.0, 5.0], [0.0, 1.0]]))
+    assert np.asarray(M, dtype=float) is M.entries  # rank_lower_bound and numerical_rank read it so
+    copy = np.array(M)
+    assert copy is not M.entries and copy.flags.writeable and np.array_equal(copy, M.entries)
+    assert rank_lower_bound(M) == rank_lower_bound(M.entries)
+    assert numerical_rank(M) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SymMatrix(2, np.eye(3)),
+    lambda: epsilon_rank_bound(0, 0.1),
+    lambda: epsilon_rank_bound(3, -0.1),
+    lambda: matrix_thm5(PointSet(Space(math.inf, (1, 1)), np.eye(2)), EvenPolynomial(2, (1.0,))),
+    lambda: span_dim("thm4-monomials", a=1, p=3),
+], ids=["shape", "m-0", "eps-negative", "thm5-at-p-inf", "monomials-at-odd-p"])
+def test_refusals(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_thm2_notes_a_surrogate_below_zero():
+    # at d = 5 the approximant dips below 0 near x = 0, so Y_ij < 0 at distance 0.1
+    ps = PointSet(Space(5.0, (1,)), np.array([[0.0], [1.0], [0.1]]))
+    rep = certify(ps, "thm2", CertifyConfig(c=1000.0))
+    assert any(n.startswith("surrogate Y_ij not everywhere positive (min -") for n in rep.notes)
 
 
 def test_rank_lower_bound_examples():
@@ -95,7 +125,7 @@ def test_epsilon_bound_matches_rank_lemma_on_sign_matrices():
         signs = np.where(rng.random((m, m)) < 0.5, -1.0, 1.0)
         A = eps * signs
         np.fill_diagonal(A, 1.0)
-        A = SymMatrix.from_upper(A)
+        A = _mirror_upper(A)
         assert abs(rank_lower_bound(A) - epsilon_rank_bound(m, eps)) < 1e-12
 
 

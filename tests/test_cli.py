@@ -113,6 +113,12 @@ def test_verify_single_point(tmp_path, capsys):
     assert code == 0 and err == ""
     assert out == ('{\n  "space": "lp:n=2,p=3",\n  "m": 1,\n  "profile": [],\n'
                    '  "equilateral": true,\n  "max_deviation": 0.0\n}\n')
+    g = tmp_path / "two.json"
+    g.write_text(json.dumps({"space": "lp:n=2,p=3", "points": [[0.5, -1], [0, 0]]}))
+    for points in (f, g):  # every m refuses a tol <= 0 alike
+        for tol in ("-1", "0"):
+            assert _run(capsys, "verify", "--points", str(points), "--tol", tol) == (
+                1, "", f"error: tol must be positive, got {float(tol)}\n")
 
 
 def test_certify_zero_distance_exit_2(tmp_path, capsys):
@@ -718,6 +724,11 @@ def test_render_json_17_digits():
     obj = json.loads(s)
     assert obj["x"] == 0.1 and obj["y"] == 1.0
     assert "0.10000000000000001" in s and "1.0" in s
+
+
+def test_render_json_refuses_other_objects():
+    with pytest.raises(TypeError, match="cannot serialize"):
+        render_json({"x": [object()]})
 
 
 def test_seventeen_digit_roundtrip():

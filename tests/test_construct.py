@@ -111,6 +111,9 @@ def test_distance_profile():
         distance_profile(dup)
     with pytest.raises(InputError):
         distance_profile(PointSet(Space(2.0, (1,)), np.array([[1.0]])))
+    for tol in (0.0, -1.0):  # the CLI refuses these before calling it
+        with pytest.raises(InputError, match="tol must be positive"):
+            distance_profile(square, tol)
 
 
 def test_profile_clusters_nearby_distances():

@@ -199,6 +199,15 @@ def test_distance_matrix_peak_memory():
     assert peak <= 16 * 2 ** 20, peak
 
 
+@pytest.mark.parametrize("call", [
+    lambda: PointSet(Space(2.0, (1, 1)), np.zeros((0, 2))),
+    lambda: norm_sandwich_check([1.0, 2.0], 0.5, 1.0),
+], ids=["no-points", "sandwich-at-p-below-1"])
+def test_refusals(call):
+    with pytest.raises(InputError):
+        call()
+
+
 def test_sandwich_examples():
     ok, (nq, np_, up) = norm_sandwich_check([1, 1, 1, 1], 1, 2)
     assert ok and (nq, np_, up) == (2.0, 4.0, 4.0)
