@@ -76,7 +76,7 @@ def abs_power(x, p: float):
         k = int(p)
         r = int_power(x * x, k // 2)
         if k % 2 == 1:
-            r = r * np.abs(x) if k > 1 else np.abs(x)
+            r = r * np.abs(x)
         return r
     return np.abs(x) ** p
 
@@ -231,7 +231,7 @@ def _remez_even(p: float, half_degree: int) -> tuple[np.ndarray, float]:
         if x.tobytes() in used:
             break  # a fixed point or cycle: the rest would repeat iterations exactly
     if best_q is None:
-        raise CertificationError("Remez exchange failed to produce a solution", math.inf)
+        raise CertificationError("Remez exchange failed to produce a solution")
     return best_q, best_err
 
 
@@ -270,7 +270,7 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
     if measured > bound:
         raise CertificationError(
             f"approximation error {measured:.6e} exceeds bound {bound:.6e} "
-            f"for p={p}, d={d}", measured)
+            f"for p={p}, d={d}")
     return P, ApproxCertificate(p, d, measured, bound, GRID_SIZE)
 
 

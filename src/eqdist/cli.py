@@ -307,7 +307,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # so a pipe closed after the last write fails here too
+    except BrokenPipeError:  # the reader left early, as `eqdist ... | head` does
+        # stdout goes to devnull so the interpreter's flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

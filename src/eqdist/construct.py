@@ -22,8 +22,8 @@ import numpy as np
 
 from . import space as space_mod
 from .errors import DegenerateDistanceError, InputError, NumericalError, ResourceLimitError
-from .space import (PointSet, Space, _outer_norm, distance_matrix, pair_block_norms,
-                    pair_block_sq_norms)
+from .space import (PointSet, Space, _block_sq_norms, _outer_norm, distance_matrix,
+                    pair_block_norms)
 
 # Cap on a construction's points x dimension.  The largest sets within it print
 # as about 46 MB of JSON, and a verify of the largest cross-polytope within it
@@ -197,7 +197,8 @@ def _pair_energy_grad(Q: np.ndarray, space: Space):
     """Energies sum_{i<j} (d_ij - 1)^2 with softened block norms, and their
     gradients, for each (m, dim) configuration on the leading axes of Q."""
     m = Q.shape[-2]
-    sq = pair_block_sq_norms(space, Q, Q)
+    delta = Q[..., :, None, :] - Q[..., None, :, :]
+    sq = _block_sq_norms(space, delta)
     soften = space.p < 2.0 and math.isfinite(space.p)
     r = np.sqrt(sq + SMOOTHING_EPS * SMOOTHING_EPS) if soften else np.sqrt(sq)
     eye = np.eye(m, dtype=bool)
@@ -212,7 +213,6 @@ def _pair_energy_grad(Q: np.ndarray, space: Space):
     else:
         base = 2.0 * resid * np.maximum(d, 1e-12) ** (1.0 - space.p)
         w = base[..., None] * r ** (space.p - 2.0)
-    delta = Q[..., :, None, :] - Q[..., None, :, :]
     return energy, np.sum(np.repeat(w, space.blocks, axis=-1) * delta, axis=-2)
 
 

@@ -31,14 +31,7 @@ class NumericalError(RuntimeError):
 
 
 class CertificationError(RuntimeError):
-    """A certified quantity failed its bound check.
-
-    Carries the measured value so callers can report how far off it was.
-    """
-
-    def __init__(self, message: str, measured: float):
-        super().__init__(message)
-        self.measured = measured
+    """A certified quantity failed its bound check."""
 
 
 class DegenerateDistanceError(RuntimeError):

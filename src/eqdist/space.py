@@ -180,34 +180,39 @@ _CHUNK_BYTES = 1 << 20
 _TINY = np.finfo(float).tiny
 
 
-def pair_block_sq_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(..., len A, len B, n_blocks) squared Euclidean norms of the blocks of
-    A[..., i, :] - B[..., j, :]; leading axes of A and B broadcast as batch axes.
-    On a plain lp space each block is one coordinate: these are its squared differences."""
-    delta = A[..., :, None, :] - B[..., None, :, :]
+def _block_sq_norms(space: Space, delta: np.ndarray) -> np.ndarray:
+    """(..., n_blocks) squared Euclidean norms of the blocks of the (..., dim)
+    differences delta.  On a plain lp space each block is one coordinate: delta ** 2."""
     if space.is_lp:
         return delta ** 2
     return np.stack([np.sum(delta[..., sl] ** 2, axis=-1) for sl in space.block_slices()],
                     axis=-1)
 
 
+def pair_block_sq_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(..., len A, len B, n_blocks) squared Euclidean norms of the blocks of
+    A[..., i, :] - B[..., j, :]; leading axes of A and B broadcast as batch axes."""
+    return _block_sq_norms(space, A[..., :, None, :] - B[..., None, :, :])
+
+
 def pair_block_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(..., len A, len B, n_blocks) Euclidean norms of the blocks of
-    A[..., i, :] - B[..., j, :]; A and B share their leading batch axes.
+    A[..., i, :] - B[..., j, :]; leading axes of A and B broadcast as batch axes.
 
     On a plain lp space these are |A[i] - B[j]|.  Elsewhere they are the
     square roots of pair_block_sq_norms, except where a sum of squares
     overflows to inf or falls below the smallest normal float: those norms
     are recomputed with rescaling, so they stay finite and nonzero as |.| does.
     """
+    delta = A[..., :, None, :] - B[..., None, :, :]
     if space.is_lp:
-        return np.abs(A[..., :, None, :] - B[..., None, :, :])
+        return np.abs(delta)
     with np.errstate(over="ignore"):  # overflowed sums are recomputed; an inf |delta| stays inf
-        S = pair_block_sq_norms(space, A, B)
+        S = _block_sq_norms(space, delta)
         R = np.sqrt(S)
         bad = (S == math.inf) | (S < _TINY)
         pairs = np.nonzero(bad.any(axis=-1))  # one pass for all blocks of these pairs
-        d = np.abs(A[pairs[:-1]] - B[pairs[:-2] + pairs[-1:]])
+        d = np.abs(delta[pairs])
         starts = [sl.start for sl in space.block_slices()]
         top = np.maximum.reduceat(d, starts, axis=1)
         scale = np.where((top > 0.0) & (top < math.inf), top, 1.0)

@@ -77,5 +77,5 @@ def remez_reference(p: float, half_degree: int) -> tuple[np.ndarray, float]:
             break
         x = np.sort(xg[[c[0] for c in cands]])
     if best_q is None:
-        raise CertificationError("Remez exchange failed to produce a solution", math.inf)
+        raise CertificationError("Remez exchange failed to produce a solution")
     return best_q, best_err

@@ -4,9 +4,12 @@ import importlib
 import io
 import json
 import math
+import os
 import pkgutil
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -823,3 +826,17 @@ def test_space_at_the_dimension_cap_exit_0():
     code, out, err = _run_quietly(["bound", "--space", f"lp:n={MAX_AMBIENT_DIM},p=3", "--best"])
     assert code == 0 and err == ""
     assert json.loads(out)["value"] == {"log2": float(MAX_AMBIENT_DIM)}
+
+
+def test_closed_stdout_exits_1_with_one_line():
+    # `eqdist construct cross-polytope --n 300 | head -c 100`: the reader closes
+    # the pipe while main() still has megabytes of JSON to write
+    env = {**os.environ, "PYTHONPATH": str(Path(eqdist.__file__).resolve().parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "eqdist.cli", "construct", "cross-polytope",
+                           "--n", "300"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.read(100).startswith(b'{\n  "space": "lp:n=300,p=1"')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b"error: stdout was closed before the output was written\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eqdist import space as space_mod
 from eqdist.construct import cross_polytope
@@ -231,25 +232,73 @@ def test_sandwich_random():
         assert ok
 
 
-def test_triangle_inequality_random():
-    rng = np.random.default_rng(11)
-    for p in [1, 1.5, 2, 3, math.inf]:
-        for _ in range(200):
-            n = rng.integers(1, 9)
-            s = Space(float(p), (1,) * int(n))
-            x, y, z = rng.normal(size=(3, n))
-            assert distance(s, x, z) <= distance(s, x, y) + distance(s, y, z) + 1e-12
+@st.composite
+def _pair_kernel_case(draw, n_sets):
+    """(space, point arrays): n_sets arrays of shape (*batch, k, dim) for a plain
+    lp or lpsum layout.  Entries are multiples of 2**(e - 10) up to 2**(e + 10),
+    so every difference is exact; e from -550 to 550 puts some block sums of
+    squares below the smallest normal float or past the largest."""
+    blocks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)
+                  | st.integers(1, 6).map(lambda n: [1] * n))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.7, 64.0, math.inf]))
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    unit = 2.0 ** (draw(st.integers(-550, 550)) - 10)
+    shapes = [batch + (draw(st.integers(1, 3)), sum(blocks)) for _ in range(n_sets)]
+    sets = [draw(arrays(np.int64, shape, elements=st.integers(-2 ** 20, 2 ** 20))) * unit
+            for shape in shapes]
+    return Space(p, tuple(blocks)), sets
 
 
-def test_homogeneity():
-    rng = np.random.default_rng(13)
-    for _ in range(300):
-        blocks = tuple(rng.integers(1, 4, size=rng.integers(1, 4)))
-        p = float(rng.choice([1, 1.5, 2, 3.7, math.inf]))
-        s = Space(p, blocks)
-        x = rng.normal(size=s.ambient_dim)
-        c = rng.normal() * 5
-        assert abs(norm(s, c * x) - abs(c) * norm(s, x)) <= 1e-12 * norm(s, c * x) + 1e-14
+def _pair_distances(s, A, B):
+    return space_mod._outer_norm(pair_block_norms(s, A, B), s.p)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(case=_pair_kernel_case(3))
+def test_triangle_inequality_random(case):
+    s, (X, Y, Z) = case
+    direct = _pair_distances(s, X, Z)[..., :, None, :]
+    via = _pair_distances(s, X, Y)[..., :, :, None] + _pair_distances(s, Y, Z)[..., None, :, :]
+    assert np.all(direct <= (1.0 + 1e-12) * via)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(case=_pair_kernel_case(2), c=st.floats(1e-3, 1e3), sign=st.sampled_from([-1.0, 1.0]))
+def test_homogeneity(case, c, sign):
+    s, (A, B) = case
+    c *= sign
+    scaled, plain = _pair_distances(s, c * A, c * B), abs(c) * _pair_distances(s, A, B)
+    assert np.all(np.abs(scaled - plain) <= 1e-12 * plain)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(case=_pair_kernel_case(2), keep=st.lists(st.booleans(), min_size=2, max_size=2))
+def test_pair_block_norms_are_square_roots_in_the_normal_range(case, keep):
+    # B's batch axes may have length 1 and broadcast against A's
+    s, (A, B) = case
+    B = B[tuple(slice(None) if k else slice(0, 1) for k in keep[:B.ndim - 2])]
+    with np.errstate(over="ignore"):
+        S = pair_block_sq_norms(s, A, B)
+        R = pair_block_norms(s, A, B)
+    assert R.shape == S.shape
+    normal = (S >= space_mod._TINY) & (S < math.inf)
+    assert R[normal].tobytes() == np.sqrt(S[normal]).tobytes()
+
+
+@pytest.mark.parametrize("edge, past", [
+    (2.0 ** -511, np.nextafter(2.0 ** -511, 0.0)),  # 2**-511 squares to exactly _TINY
+    (np.nextafter(2.0 ** 512, 0.0), 2.0 ** 512),  # the largest double with a finite square
+], ids=["underflow", "overflow"])
+def test_rescue_cut_offs(edge, past):
+    # a 2-coordinate block: a sum of squares in [_TINY, inf) gives its square
+    # root; one double past either end, the block is rescued and gives |delta|
+    s = Space(2.5, (2,))
+    zero = np.zeros((1, 2))
+    with np.errstate(over="ignore"):
+        S, S_past = pair_block_sq_norms(s, np.array([[edge, 0.0], [past, 0.0]]), zero)[:, 0, 0]
+        R, R_past = pair_block_norms(s, np.array([[edge, 0.0], [-past, 0.0]]), zero)[:, 0, 0]
+    assert space_mod._TINY <= S < math.inf and R == np.sqrt(S) == edge
+    assert not space_mod._TINY <= S_past < math.inf and R_past == past
 
 
 def test_blocks_all_one_matches_plain_lp():
