@@ -149,6 +149,11 @@ def _golden_max(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(fc, fd)
 
 
+def _interior_maxima(a: np.ndarray) -> np.ndarray:
+    """Indices i, 0 < i < len(a) - 1, with a[i] >= both neighbours."""
+    return np.flatnonzero((a[1:-1] >= a[:-2]) & (a[1:-1] >= a[2:])) + 1
+
+
 def approximation_error(P: EvenPolynomial, p: float) -> float:
     """Measured sup of |P(x) - |x|^p| over [0, 1] (equals [-1, 1] by evenness).
 
@@ -168,7 +173,7 @@ def approximation_error(P: EvenPolynomial, p: float) -> float:
         # can differ from it in the last bit, and the refined maxima are
         # reported to full precision
         fn = lambda x: np.abs(P(x) - np.array([math.pow(v, p) for v in np.abs(x)]))
-    interior = np.flatnonzero((err[1:-1] >= err[:-2]) & (err[1:-1] >= err[2:])) + 1
+    interior = _interior_maxima(err)
     if interior.size:
         best = max(best, float(_golden_max(fn, xg[interior - 1], xg[interior + 1]).max()))
     return best
@@ -207,10 +212,9 @@ def _remez_even(p: float, half_degree: int) -> tuple[np.ndarray, float]:
         full[::2] = q
         eg = _cheb.chebval(xg, full) - fg
         ae = np.abs(eg)
-        # one candidate per maximal same-sign run: the largest |error| in it
+        # one candidate per maximal same-sign run: the largest |error| in it (numpy is slower)
         cands: list[tuple[int, float, float]] = []  # (index, sign, |err|)
-        ii = np.flatnonzero((ae[1:-1] >= ae[:-2]) & (ae[1:-1] >= ae[2:])) + 1
-        for i in [0, *ii.tolist(), grid_n - 1]:
+        for i in [0, *_interior_maxima(ae).tolist(), grid_n - 1]:
             s = 1.0 if eg[i] >= 0 else -1.0
             if cands and cands[-1][1] == s:
                 if ae[i] > cands[-1][2]:
@@ -306,8 +310,8 @@ def choose_degree(p: float, c: float, n: int, m: int) -> int:
 
 
 def _power(x: float, p: float) -> float:
-    """x ** p as a float, inf where it overflows."""
+    """x ** p as a float, inf where it overflows or x = 0 and p < 0."""
     try:
         return x ** p
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf

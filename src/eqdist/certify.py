@@ -327,8 +327,6 @@ def independence_rank_thm3(points: PointSet) -> int:
 @dataclass
 class CertifyConfig:
     c: float | None = None          # approximation constant override (thm2/thm5)
-    k: int | None = None            # even-k override (thm1)
-    p_override: float | None = None  # exponent override (thm1 selection, thm4)
     c_absolute: float = 2.01        # constant for the large-p regime note
 
 
@@ -404,16 +402,15 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
         return CertificateReport(theorem, 1, True, 0.0, 1.0, 1.0, 1, 1, True,
                                  ("single point: 1x1 identity certificate is trivial",))
 
-    space = points.space
+    space, p = points.space, points.space.p
     threshold_in_passes = True
-    if theorem in ("thm2", "thm5") and math.isinf(space.p):
+    if theorem in ("thm2", "thm5") and math.isinf(p):
         raise InputError(f"{theorem} requires finite p")
 
     # overflow or inf - inf in a build leaves non-finite entries, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if theorem == "thm1":
-            p = cfg.p_override if cfg.p_override is not None else space.p
-            k = cfg.k if cfg.k is not None else select_k(p)
+            k = select_k(p)
             A, dk = _thm1_planes(points, k)
             n = space.ambient_dim
             span = span_dim("thm1", n=n, k=k)
@@ -428,8 +425,8 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
         elif theorem == "thm2":
             dists = distance_profile(points)
             k = len(dists)
-            c = cfg.c if cfg.c is not None else _paper_c(space.p, k)
-            P = _approximant(space.p, c, space.ambient_dim, m, notes, f"k={k} distances, ")
+            c = cfg.c if cfg.c is not None else _paper_c(p, k)
+            P = _approximant(p, c, space.ambient_dim, m, notes, f"k={k} distances, ")
             A, gaps = matrix_thm2(points, dists, P)
             span = span_dim("thm2", n=space.ambient_dim, d=P.degree, k=k)
             notes.append(f"max |X-Y| = {gaps.max_gap:.3e} vs n*B(p)/d^p = {gaps.gap_bound:.3e} "
@@ -447,7 +444,6 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
             notes.append(_independence_note(lambda: (independence_rank_thm3(points),
                                                      m + a + b + 2)))
         elif theorem == "thm4":
-            p = cfg.p_override if cfg.p_override is not None else space.p
             if not (math.isfinite(p) and p == int(p) and int(p) % 2 == 0):
                 raise InputError(f"thm4 requires an even integer p, got {p}")
             p = int(p)
@@ -457,7 +453,6 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
             notes.append(_independence_note(lambda: (independence_rank_thm4(points, p),
                                                      blokhuis_family_size(m, a, b, p))))
         else:  # thm5
-            p = space.p
             c = cfg.c if cfg.c is not None else _paper_c(p)
             P = _approximant(p, c, space.n_blocks, m, notes)
             A, gaps = matrix_thm5(points, P)

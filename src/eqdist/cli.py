@@ -128,7 +128,8 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, help_, cmd):
-        p = sub.add_parser(name, help=help_)
+        # no prefix matching: certify's --p would otherwise read as --points
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--format", choices=FORMATS, default="json")
         p.set_defaults(cmd=cmd)
         return p
@@ -155,8 +156,6 @@ def _build_parser() -> _Parser:
     p = add("certify", "run a rank-certificate pipeline on a point-set file", _cmd_certify)
     p.add_argument("--points", required=True)
     p.add_argument("--theorem", required=True, choices=THEOREMS)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--p", type=_finite_float, default=None)
     p.add_argument("--c", type=_finite_float, default=None)
 
     p = add("approx", "certified even-polynomial approximation of |x|^p", _cmd_approx)
@@ -250,8 +249,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_certify(args) -> int:
     ps = _load_points(args.points)
-    cfg = CertifyConfig(c=args.c, k=args.k, p_override=args.p,
-                        c_absolute=_env_config().c_absolute)
+    cfg = CertifyConfig(c=args.c, c_absolute=_env_config().c_absolute)
     report = run_certify(ps, args.theorem, cfg)
     emit(report.to_jsonable(), args.format)
     if not report.passes:

@@ -178,6 +178,7 @@ def _check_dim(space: Space, x: Sequence[float]) -> np.ndarray:
 _CHUNK_BYTES = 1 << 20
 # Sums of squares below this have lost precision to underflow.
 _TINY = np.finfo(float).tiny
+_MAX = np.finfo(float).max
 
 
 def _block_sq_norms(space: Space, delta: np.ndarray) -> np.ndarray:
@@ -231,7 +232,8 @@ def _outer_norm(r: np.ndarray, p: float) -> np.ndarray:
     top = np.maximum.reduce(r, axis=-1, initial=0.0)
     if math.isinf(p):
         return top
-    scale = top + (top == 0.0)  # 1 where every entry is 0, which avoids 0/0
+    # 1 where every entry is 0 (no 0/0), the largest double where top is inf (no inf/inf)
+    scale = np.minimum(top + (top == 0.0), _MAX)
     return top * np.add.reduce((r / scale[..., None]) ** p, axis=-1) ** (1.0 / p)
 
 

@@ -40,7 +40,7 @@ PUBLIC_FIELDS = {
                     "construction"),
     "CertificateReport": ("theorem", "m", "diag_ok", "max_offdiag", "offdiag_threshold",
                           "rank_lemma_lower", "numerical_rank", "span_upper", "passes", "notes"),
-    "CertifyConfig": ("c", "k", "p_override", "c_absolute"),
+    "CertifyConfig": ("c", "c_absolute"),
     "EvenPolynomial": ("degree", "even_coeffs"),
     "Formula": ("expression", "constants", "numeric"),
     "PointSet": ("space", "points"),

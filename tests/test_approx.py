@@ -207,5 +207,8 @@ def test_choose_degree_past_2_53():
 def test_choose_degree_infeasible():
     with pytest.raises(InfeasibleDegreeError):
         choose_degree(2.0, 0.1, 1, 1)
+    # 2^(1/p) - 1 rounds to 0, so the needed c is 0^(-p): inf, not a ZeroDivisionError
+    with pytest.raises(InfeasibleDegreeError, match=r"= inf, got c=1\)"):
+        choose_degree(1e300, 1.0, 3, 6)
     with pytest.raises(InputError):
         choose_degree(2.0, 6.0, 0, 1)

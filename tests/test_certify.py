@@ -98,8 +98,7 @@ def test_rank_lower_bound_below_the_smallest_normal():
 
 
 def test_certify_config_fields():
-    assert [f.name for f in dataclasses.fields(CertifyConfig)] == ["c", "k", "p_override",
-                                                                   "c_absolute"]
+    assert [f.name for f in dataclasses.fields(CertifyConfig)] == ["c", "c_absolute"]
 
 
 def test_rank_lemma_soundness_sample():
@@ -547,7 +546,9 @@ def test_certify_thm4():
 ])
 def test_independence_note_at_the_caps(theorem, a, b, p, note):
     prod = product_construction(euclidean_simplex(a), euclidean_simplex(b))
-    rep = certify(prod, theorem, CertifyConfig(p_override=p))
+    if p is not None:  # thm4 reads p from the space
+        prod = PointSet(Space(float(p), (a, b)), prod.points)
+    rep = certify(prod, theorem)
     assert [n for n in rep.notes if "independen" in n] == [note]
 
 

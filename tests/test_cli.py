@@ -6,6 +6,8 @@ import json
 import math
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -246,6 +248,12 @@ _FUZZ_SETS = {
     "linf": {"space": "lp:n=2,p=inf", "points": [[0, 0], [1, 0], [0, 1], [1, 1]]},
     "p50": {"space": "lp:n=1,p=50", "points": [[0], [1], [3], [7], [15], [31]]},
 }
+# the same points in spaces whose p selects an exponent past certify's caps
+_FUZZ_SETS.update({
+    "cp3-p1e8": {**_FUZZ_SETS["cp3"], "space": "lp:n=3,p=100000000"},
+    "cp3-p1e300": {**_FUZZ_SETS["cp3"], "space": "lp:n=3,p=1e300"},
+    "prod-p1e8": {**_FUZZ_SETS["prod"], "space": "lpsum:blocks=1,2,p=100000000"},
+})
 
 
 @pytest.fixture(scope="module")
@@ -263,19 +271,16 @@ _FLAG = st.one_of(st.none(), st.none(), st.floats(0.5, 12).map(repr), st.integer
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(theorem=st.sampled_from(["thm1", "thm2", "thm3", "thm4", "thm5"]),
-       points=st.sampled_from(sorted(_FUZZ_SETS)), p=_FLAG, k=_FLAG, c=_FLAG)
-@example(theorem="thm2", points="linf", p=None, k=None, c=None)  # jackson_constant(inf)
-@example(theorem="thm2", points="p50", p=None, k=None, c=None)  # the paper's c overflows
-@example(theorem="thm1", points="cp3", p=None, k="100000000", c=None)  # used to hang
-@example(theorem="thm1", points="cp3", p="1e300", k=None, c=None)
-@example(theorem="thm4", points="prod", p="100000000", k=None, c=None)
-@example(theorem="thm5", points="cp3", p=None, k=None, c="1e300")
-def test_certify_fuzz_never_raises(fuzz_dir, theorem, points, p, k, c):
+       points=st.sampled_from(sorted(_FUZZ_SETS)), c=_FLAG)
+@example(theorem="thm2", points="linf", c=None)  # jackson_constant(inf)
+@example(theorem="thm2", points="p50", c=None)  # the paper's c overflows
+@example(theorem="thm1", points="cp3-p1e8", c=None)  # used to hang
+@example(theorem="thm1", points="cp3-p1e300", c=None)
+@example(theorem="thm4", points="prod-p1e8", c=None)
+@example(theorem="thm5", points="cp3", c="1e300")
+def test_certify_fuzz_never_raises(fuzz_dir, theorem, points, c):
     argv = ["certify", "--points", str(fuzz_dir / f"{points}.json"), "--theorem", theorem]
-    for flag, tok in (("--p", p), ("--k", k), ("--c", c)):
-        if tok is not None:
-            argv += [flag, tok]
-    code, out, err = _run_quietly(argv)
+    code, out, err = _run_quietly(argv + ([] if c is None else ["--c", c]))
     assert code in (0, 1, 2)
     assert err.count("\n") == (code != 0), err
     if code != 1:
@@ -442,9 +447,9 @@ def test_bound_past_the_largest_double():
 
 
 @pytest.mark.parametrize("points, flags", [
-    ("cp3", ("--theorem", "thm1", "--k", "100000000")),
-    ("cp3", ("--theorem", "thm1", "--p", "1e300")),
-    ("prod", ("--theorem", "thm4", "--p", "100000000")),
+    ("cp3-p1e8", ("--theorem", "thm1")),
+    ("cp3-p1e300", ("--theorem", "thm1")),
+    ("prod-p1e8", ("--theorem", "thm4")),
     ("cp3", ("--theorem", "thm5", "--c", "1e300"))])
 def test_huge_exponents_refused_exit_1(fuzz_dir, points, flags):
     # each of these used to run for longer than 20 s
@@ -452,6 +457,18 @@ def test_huge_exponents_refused_exit_1(fuzz_dir, points, flags):
                                    *flags])
     assert code == 1 and out == "" and err.count("\n") == 1
     assert "exceeds the cap" in err
+
+
+@pytest.mark.parametrize("flag", ["--k", "--p"])
+def test_certify_takes_its_exponent_from_the_points(fuzz_dir, flag):
+    # neither is a flag, nor a prefix of --points
+    code, out, err = _run_quietly(["certify", "--points", str(fuzz_dir / "prod.json"),
+                                   "--theorem", "thm4", flag, "4"])
+    assert (code, out, err) == (1, "", f"error: unrecognized arguments: {flag} 4\n")
+    parser = cli._build_parser()
+    certify = parser._subparsers._group_actions[0].choices["certify"]
+    assert [a.option_strings[-1] for a in certify._actions] == [
+        "--help", "--format", "--points", "--theorem", "--c"]
 
 
 def test_search_huge_p_one_stderr_line():
@@ -840,3 +857,26 @@ def test_closed_stdout_exits_1_with_one_line():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
     assert err == b"error: stdout was closed before the output was written\n"
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    # every eqdist line of the README's shell blocks exits 0, and the Python
+    # example prints the values its comments give
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [ln for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for ln in block.splitlines() if ln.startswith("eqdist ")]
+    assert len(lines) == 13
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        target = None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[argv.index(">") + 1]
+        assert run(argv) == 0, line
+        out = capsys.readouterr().out
+        if target is not None:
+            Path(target).write_text(out, encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    expected = [ln.split("#")[1].strip() for ln in example.splitlines() if ln.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == expected == ["13", "True"]

@@ -78,6 +78,8 @@ def test_norm_large_p_no_overflow():
     assert np.isfinite(norm(s, v)) and norm(s, v) > 0
     big = np.array([1e200, -2e200, 0.5e200])
     assert np.isfinite(norm(s, big))
+    # subnormal entries: a scale other than the largest entry would underflow (r/s)^800 to 0
+    assert math.isclose(norm(s, [1e-310, 2e-310, 3e-310]), 3e-310, rel_tol=1e-12)
 
 
 def test_lpsum_norm_extreme_scales():
@@ -155,6 +157,18 @@ def test_distance_matrix_chunks_give_same_bits(monkeypatch):
     monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 1)  # one row per chunk
     for ps, dm in zip(sets, whole):
         assert distance_matrix(ps).tobytes() == dm.tobytes()
+
+
+@pytest.mark.parametrize("p, blocks", [(1.0, (1, 1)), (2.0, (1, 1)), (3.0, (1, 1)),
+                                       (math.inf, (1, 1)), (2.0, (2, 1))])
+def test_overflowed_difference_is_inf(p, blocks):
+    s = Space(p, blocks)
+    x, y = np.zeros(s.ambient_dim), np.zeros(s.ambient_dim)
+    x[0], y[0] = 1e308, -1e308
+    with np.errstate(over="ignore", invalid="raise"):  # the scale's inf / inf used to give nan
+        assert distance(s, x, y) == math.inf
+        dm = distance_matrix(PointSet(s, [x, y]))
+    assert dm[0, 1] == dm[1, 0] == math.inf
 
 
 def test_distance_matrix_extreme_scales():
