@@ -161,8 +161,8 @@ def approximation_error(P: EvenPolynomial, p: float) -> float:
     local maximum; the result is a lower bound on the true sup-error and is
     within 1e-10 of it for the degrees in scope.
     """
-    if p < 1.0:
-        raise InputError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise InputError(f"p must be finite and >= 1, got {p}")
     xg = _cheb_grid(GRID_SIZE)
     err = np.abs(P(xg) - abs_power(xg, p))
     best = float(err.max())
@@ -288,7 +288,7 @@ def choose_degree(p: float, c: float, n: int, m: int) -> int:
         raise InputError(f"p must be finite and >= 1, got {p}")
     if n < 1 or m < 1:
         raise InputError(f"n and m must be >= 1, got n={n}, m={m}")
-    if c <= 0:
+    if not c > 0:
         raise InputError(f"c must be positive, got {c}")
     target = c * n * math.sqrt(m)
     if not math.isfinite(target):

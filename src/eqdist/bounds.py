@@ -312,7 +312,8 @@ def cluster_combine(per_s_bounds: Sequence[int], k: int) -> int:
     if len(per_s_bounds) < k - 1:
         raise InputError(
             f"need upper bounds for s = 1..{k - 1}, got {len(per_s_bounds)} entries")
-    e = [1] + [int(v) for v in per_s_bounds[: k - 1]]
-    if any(v < 1 for v in e):
+    bounds = per_s_bounds[: k - 1]
+    if any(not (1 <= v < math.inf and v % 1 == 0) for v in bounds):  # NaN fails too
         raise InputError("all per-s bounds must be positive integers")
+    e = [1] + [int(v) for v in bounds]
     return min(e[i] * max(e[: k - i + 1]) for i in range(1, k))

@@ -79,7 +79,7 @@ def epsilon_rank_bound(m: int, eps: float) -> float:
     off-diagonal magnitudes eps."""
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
-    if eps < 0:
+    if not eps >= 0:
         raise InputError(f"eps must be >= 0, got {eps}")
     return m / (1.0 + (m - 1) * eps * eps)
 
@@ -124,13 +124,9 @@ def _require_even_exponent(name: str, k: int) -> None:
         raise ResourceLimitError(f"{name}={k:.6g} exceeds the cap of {MAX_DEGREE}")
 
 
-def matrix_thm1(points: PointSet, k: int) -> SymMatrix:
-    """a_ij = 1 - ||p_i - p_j||_k^k for even k; the diagonal is exactly 1."""
-    return _thm1_planes(points, k)[0]
-
-
-def _thm1_planes(points: PointSet, k: int) -> tuple[SymMatrix, np.ndarray]:
-    """matrix_thm1 and the l_k distance matrix, from one pass over the pairs."""
+def matrix_thm1(points: PointSet, k: int) -> tuple[SymMatrix, np.ndarray]:
+    """a_ij = 1 - ||p_i - p_j||_k^k for even k, with the diagonal exactly 1, and
+    the l_k distance matrix, from one pass over the pairs."""
     _require_even_exponent("k", k)
     _require_lp(points, "matrix_thm1")
     def planes(U, V):
@@ -160,7 +156,7 @@ def matrix_thm2(points: PointSet, dists, P: EvenPolynomial) -> tuple[SymMatrix, 
     if math.isinf(p):
         raise InputError("matrix_thm2 requires finite p")
     dists = [float(a) for a in dists]
-    if not dists or abs(dists[0] - 1.0) > 1e-9:
+    if not dists or not abs(dists[0] - 1.0) <= 1e-9:
         raise InputError(f"largest distance must be 1, got {dists[:1]}")
     dists[0] = 1.0
     if any(not (0.0 < dists[i + 1] < dists[i]) for i in range(len(dists) - 1)):
@@ -329,6 +325,12 @@ class CertifyConfig:
     c: float | None = None          # approximation constant override (thm2/thm5)
     c_absolute: float = 2.01        # constant for the large-p regime note
 
+    def __post_init__(self):
+        if not self.c_absolute > 0:
+            raise InputError(f"c_absolute must be positive, got {self.c_absolute}")
+        if self.c is not None and not self.c > 0:
+            raise InputError(f"c must be positive, got {self.c}")
+
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -349,7 +351,8 @@ class CertificateReport:
 
 def select_k(p: float) -> int:
     """The even matrix exponent for thm1: the closest even integer to p,
-    rounding up when floor(p) is odd."""
+    rounding up when floor(p) is odd.  Every double >= 2^53 is an even integer,
+    so there k = p, which certify refuses by the exponent cap."""
     if not math.isfinite(p) or p < 1:
         raise InputError(f"need finite p >= 1, got {p}")
     fp = math.floor(p)
@@ -411,7 +414,7 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
     with np.errstate(over="ignore", invalid="ignore"):
         if theorem == "thm1":
             k = select_k(p)
-            A, dk = _thm1_planes(points, k)
+            A, dk = matrix_thm1(points, k)
             n = space.ambient_dim
             span = span_dim("thm1", n=n, k=k)
             off = dk[np.triu_indices(m, 1)]

@@ -119,8 +119,10 @@ def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
     counted as a distance.  Neither is one past the largest double."""
     if points.m < 2:
         raise InputError("distance profile needs at least 2 points")
-    if tol <= 0:
+    if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
+    if math.isinf(tol):
+        raise InputError(f"tol must be finite, got {tol}")
     with np.errstate(over="ignore", invalid="ignore"):  # overflows end in inf or nan
         dists = np.sort(distance_matrix(points)[np.triu_indices(points.m, 1)])
         if dists[0] < tol:
@@ -152,8 +154,10 @@ class SearchConfig:
                 f"{self.restarts} restarts are above the cap of {SEARCH_MAX_RESTARTS}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        if self.residual_target <= 0:
+        if not self.residual_target > 0:
             raise InputError(f"residual_target must be positive, got {self.residual_target}")
+        if math.isinf(self.residual_target):
+            raise InputError(f"residual_target must be finite, got {self.residual_target}")
 
 
 @dataclass(frozen=True)

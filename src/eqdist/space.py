@@ -203,7 +203,7 @@ def pair_block_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     On a plain lp space these are |A[i] - B[j]|.  Elsewhere they are the
     square roots of pair_block_sq_norms, except where a sum of squares
     overflows to inf or falls below the smallest normal float: those norms
-    are recomputed with rescaling, so they stay finite and nonzero as |.| does.
+    are recomputed by np.hypot, so they stay finite and nonzero as |.| does.
     """
     delta = A[..., :, None, :] - B[..., None, :, :]
     if space.is_lp:
@@ -213,12 +213,10 @@ def pair_block_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         R = np.sqrt(S)
         bad = (S == math.inf) | (S < _TINY)
         pairs = np.nonzero(bad.any(axis=-1))  # one pass for all blocks of these pairs
-        d = np.abs(delta[pairs])
         starts = [sl.start for sl in space.block_slices()]
-        top = np.maximum.reduceat(d, starts, axis=1)
-        scale = np.where((top > 0.0) & (top < math.inf), top, 1.0)
-        sums = np.add.reduceat((d / np.repeat(scale, space.blocks, axis=1)) ** 2, starts, axis=1)
-        R[pairs] = np.where(bad[pairs], top * np.sqrt(sums), R[pairs])
+        # hypot squares nothing; reduceat returns a one-coordinate block's entry, sign and all
+        rescued = np.hypot.reduceat(np.abs(delta[pairs]), starts, axis=1)
+        R[pairs] = np.where(bad[pairs], rescued, R[pairs])
     return R
 
 

@@ -86,7 +86,7 @@ def test_criterion_4_span_soundness():
                 sp = Space(2.0, (1,) * n)
                 for _ in range(200):
                     pts = PointSet(sp, rng.uniform(-0.5, 0.5, (span + 3, n)))
-                    assert numerical_rank(matrix_thm1(pts, k)) <= span
+                    assert numerical_rank(matrix_thm1(pts, k)[0]) <= span
         for blocks, d in [((8,), 2), ((4, 4), 3), ((2, 3, 3), 4),
                           ((2, 2, 2, 2), 5), ((1,) * 8, 6), ((3, 5), 4)]:
             span = span_dim("thm5", blocks=blocks, d=d)

@@ -1,17 +1,20 @@
 """The public API contract: the names ``eqdist`` exports, that each imports,
-and their parameters and fields; and the functions the traced benchmark run
-rebinds by name."""
+their parameters and fields, and that they refuse NaN and inf; and the
+functions the traced benchmark run rebinds by name."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import runpy
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import eqdist
+from eqdist.errors import InputError
 
 PUBLIC_NAMES = [
     "ApproxCertificate", "BoundConfig", "BoundReport", "CertificateReport", "CertifyConfig",
@@ -99,6 +102,28 @@ def test_every_public_name_imports():
     namespace: dict = {}
     exec("from eqdist import *", namespace)  # reads every name in __all__
     assert [name for name in PUBLIC_NAMES if name not in namespace] == []
+
+
+_SQUARE = eqdist.PointSet(eqdist.Space(2.0, (1, 1)), [[0, 0], [1, 0], [1, 1], [0, 1]])
+_X2 = eqdist.EvenPolynomial(2, (1.0,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eqdist.distance_profile(_SQUARE, math.nan),
+    lambda: eqdist.distance_profile(_SQUARE, math.inf),
+    lambda: eqdist.SearchConfig(residual_target=math.nan),
+    lambda: eqdist.SearchConfig(residual_target=math.inf),
+    lambda: eqdist.approximation_error(_X2, math.nan),
+    lambda: eqdist.approximation_error(_X2, math.inf),
+    lambda: eqdist.epsilon_rank_bound(3, math.nan),
+    lambda: eqdist.choose_degree(2.5, math.nan, 2, 3),
+    lambda: eqdist.CertifyConfig(c=math.nan),
+    lambda: eqdist.CertifyConfig(c_absolute=math.nan),
+], ids=["tol-nan", "tol-inf", "target-nan", "target-inf", "approx-p-nan", "approx-p-inf",
+        "eps-nan", "c-nan", "certify-c-nan", "certify-c-absolute-nan"])
+def test_nan_and_inf_are_refused(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_traced_functions_exist_unwrapped():

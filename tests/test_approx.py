@@ -92,10 +92,11 @@ def test_remez_matches_column_by_column_reference():
     # the level test stops (1, *), (1.5, *), (3.7, 4) and (3.7, 20); (3.7, 45) and
     # (6.5, 30) reach a fixed point, and (6.5, 45), (6.75, 20), (7.25, 45) and
     # (7.35, 30) a cycle of two reference sets, where the reference ran on to
-    # REMEZ_MAX_ITER
+    # REMEZ_MAX_ITER; (7.999999999, 12), (15, 42) and (20.7, 36) find more than
+    # nh + 2 same-sign runs and trim the candidates from the ends
     for p, d in [(1, 2), (1, 10), (1, 45), (1.5, 4), (1.5, 12), (1.5, 33), (3.7, 4),
                  (3.7, 20), (3.7, 45), (6.5, 30), (6.5, 45), (6.75, 20), (7.25, 45),
-                 (7.35, 30)]:
+                 (7.35, 30), (7.999999999, 12), (15, 42), (20.7, 36)]:
         q, err = approx._remez_even(p, d // 2)
         q_ref, err_ref = remez_reference(p, d // 2)
         assert q.tobytes() == q_ref.tobytes() and err == err_ref, (p, d)

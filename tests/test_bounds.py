@@ -185,7 +185,11 @@ def test_cluster_combine():
     lambda: enumerate_bounds(Space(3.0, (1, 1)), 0),
     lambda: sdistance_exponent(1.0, 2),
     lambda: cluster_combine([0], 2),
-], ids=["s-0", "exponent-at-2p-equal-s", "bound-below-1"])
+    lambda: cluster_combine([math.inf, 3], 3),
+    lambda: cluster_combine([math.nan, 3], 3),
+    lambda: cluster_combine([2.5, 3], 3),
+], ids=["s-0", "exponent-at-2p-equal-s", "bound-below-1", "bound-inf", "bound-nan",
+        "bound-not-integer"])
 def test_refusals(call):
     with pytest.raises(InputError):
         call()

@@ -8,9 +8,8 @@ import pytest
 
 from eqdist import space as space_mod
 from eqdist.approx import MAX_DEGREE, EvenPolynomial
-from eqdist.certify import (RANK_RTOL, CertifyConfig, SymMatrix, _f_thm4, _thm1_planes,
-                            blokhuis_family_size,
-                            certify, elementary_symmetric, epsilon_rank_bound,
+from eqdist.certify import (RANK_RTOL, CertifyConfig, SymMatrix, _f_thm4,
+                            blokhuis_family_size, certify, elementary_symmetric, epsilon_rank_bound,
                             gram_thm3, gram_thm4, independence_rank_thm3,
                             independence_rank_thm4, matrix_thm1, matrix_thm2,
                             matrix_thm5, numerical_rank, rank_lower_bound, select_k,
@@ -53,7 +52,10 @@ def test_symmatrix_reads_as_an_array():
     lambda: epsilon_rank_bound(3, -0.1),
     lambda: matrix_thm5(PointSet(Space(math.inf, (1, 1)), np.eye(2)), EvenPolynomial(2, (1.0,))),
     lambda: span_dim("thm4-monomials", a=1, p=3),
-], ids=["shape", "m-0", "eps-negative", "thm5-at-p-inf", "monomials-at-odd-p"])
+    lambda: CertifyConfig(c=0.0),
+    lambda: CertifyConfig(c_absolute=-5.0),
+], ids=["shape", "m-0", "eps-negative", "thm5-at-p-inf", "monomials-at-odd-p", "c-0",
+        "c-absolute-negative"])
 def test_refusals(call):
     with pytest.raises(InputError):
         call()
@@ -164,12 +166,12 @@ def test_sigma_sum_bound():
 
 def test_matrix_thm1_examples():
     tri = lp_simplex(2, 2.0)
-    A = matrix_thm1(tri, 2)
+    A, _ = matrix_thm1(tri, 2)
     assert np.max(np.abs(A.entries - np.eye(3))) < 1e-13
     single = PointSet(Space(2.0, (1, 1)), np.array([[0.3, 0.4]]))
-    assert np.array_equal(matrix_thm1(single, 2).entries, [[1.0]])
+    assert np.array_equal(matrix_thm1(single, 2)[0].entries, [[1.0]])
     two = PointSet(Space(4.0, (1, 1)), np.array([[0, 0], [1, 0.0]]))
-    assert np.array_equal(matrix_thm1(two, 4).entries, np.eye(2))
+    assert np.array_equal(matrix_thm1(two, 4)[0].entries, np.eye(2))
     with pytest.raises(InputError):
         matrix_thm1(two, 3)
     with pytest.raises(InputError):
@@ -184,7 +186,7 @@ def test_matrix_thm1_span_soundness_sample():
             for _ in range(20):
                 pts = PointSet(Space(2.0, (1,) * n),
                                rng.uniform(-0.5, 0.5, (span + 4, n)))
-                A = matrix_thm1(pts, k)
+                A, _ = matrix_thm1(pts, k)
                 assert numerical_rank(A) <= span
 
 
@@ -205,14 +207,14 @@ def test_matrix_thm2_reduces_to_thm1_at_k1():
         pts = PointSet(Space(float(k), (1,) * 3), rng.uniform(-0.4, 0.4, (6, 3)))
         P = EvenPolynomial(k, tuple(0.0 for _ in range(k // 2 - 1)) + (1.0,))
         A2, _ = matrix_thm2(pts, [1.0], P)
-        A1 = matrix_thm1(pts, k)
+        A1, _ = matrix_thm1(pts, k)
         assert np.array_equal(A2.entries, A1.entries)
 
 
 def test_matrix_thm2_validation():
     P2 = EvenPolynomial(2, (1.0,))
     two = PointSet(Space(2.0, (1,)), np.array([[0.0], [1.0]]))
-    for bad in ([], [0.9], [1.0, 1.2], [1.0, 0.4, 0.5], [1.0, 0.0]):
+    for bad in ([], [0.9], [math.nan], [1.0, 1.2], [1.0, 0.4, 0.5], [1.0, 0.0]):
         with pytest.raises(InputError):
             matrix_thm2(two, bad, P2)
     inf_pts = PointSet(Space(math.inf, (1, 1)), np.array([[0, 0], [1, 0.0]]))
@@ -306,7 +308,7 @@ def _builder_cases():
     lp = PointSet(Space(2.5, (1,) * 7), rng.uniform(-0.5, 0.5, (40, 7)))
     pts = rng.uniform(-0.5, 0.5, (40, 7))
     P = EvenPolynomial(6, (0.5, -0.2, 0.1))
-    return [lambda: matrix_thm1(lp, 4), lambda: _thm1_planes(lp, 4),
+    return [lambda: matrix_thm1(lp, 4),
             lambda: matrix_thm2(lp, [1.0, 0.6], P),
             lambda: matrix_thm5(PointSet(Space(2.5, (3, 4)), pts), P),
             lambda: gram_thm3(PointSet(Space(math.inf, (3, 4)), pts)),
@@ -342,8 +344,7 @@ def test_thm1_distance_plane_is_distance_matrix_in_lk():
     for ps in _thm1_scaled_sets():
         for k in (2, 4, 6):
             with np.errstate(over="ignore"):
-                A, dk = _thm1_planes(ps, k)
-                assert A.entries.tobytes() == matrix_thm1(ps, k).entries.tobytes()
+                _, dk = matrix_thm1(ps, k)
             lk = distance_matrix(PointSet(Space(float(k), ps.space.blocks), ps.points))
             assert dk.tobytes() == lk.tobytes(), (ps.points[0, 0], k)
 
@@ -377,7 +378,7 @@ def test_exponent_cap(monkeypatch):
     lp, two = cross_polytope(2), PointSet(Space(4.0, (1, 1)), np.array([[0, 0], [1.0, 0]]))
     assert MAX_DEGREE == 400
     # 1 - |1|^400 = 0, and 1 - 2 * 0.5^400 rounds to 1
-    assert np.array_equal(matrix_thm1(lp, 400).entries[0], [1.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(matrix_thm1(lp, 400)[0].entries[0], [1.0, 0.0, 1.0, 1.0])
     assert np.array_equal(gram_thm4(two, 400).entries, np.eye(2))
     assert len(calls) == 2
     for build in (lambda k: matrix_thm1(lp, k), lambda k: gram_thm4(two, k)):
@@ -453,6 +454,10 @@ def test_select_k():
     assert select_k(3.5) == 4
     assert select_k(4.2) == 4
     assert select_k(5.0) == 6
+    # every double >= 2^53 is an even integer, so k = p there
+    assert select_k(2.0 ** 53 - 1) == 2 ** 53
+    assert select_k(2.0 ** 53) == 2 ** 53
+    assert select_k(1e300) == int(1e300)
     with pytest.raises(InputError):
         select_k(math.inf)
 

@@ -627,6 +627,16 @@ def test_non_finite_flags_exit_1(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
 
 
+def test_certify_nonpositive_c_exit_1(tmp_path, capsys):
+    # refused for every theorem, also those that read no c
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps({"space": "lp:n=1,p=2", "points": [[0], [1]]}))
+    for theorem in ("thm1", "thm2", "thm3", "thm4", "thm5"):
+        for c in ("0", "-1"):
+            argv = ("certify", "--points", str(f), "--theorem", theorem, "--c", c)
+            assert _run(capsys, *argv) == (1, "", f"error: c must be positive, got {float(c)}\n")
+
+
 def test_negative_c_absolute_exit_1(tmp_path, capsys, monkeypatch):
     code, out, err = _run(capsys, "bound", "--space", "lp:n=3,p=3", "--c", "-1")
     assert code == 1 and out == "" and "c_absolute must be positive" in err
