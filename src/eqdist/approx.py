@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (CertificationError, InfeasibleDegreeError, InputError,
-                     NumericalError, ResourceLimitError)
+                     NumericalError, ResourceLimitError, require_int)
 
 GRID_SIZE = 4097          # Chebyshev-spaced measurement grid on [0, 1]
 REMEZ_MAX_ITER = 50
@@ -34,8 +34,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def falling_factorial(x: float, k: int) -> float:
     """x * (x-1) * ... * (x-k+1); the empty product 1 when k = 0."""
-    if k < 0:
-        raise InputError(f"k must be >= 0, got {k}")
+    k = require_int("k", k, 0)
     out = 1.0
     for i in range(k):
         out *= x - i
@@ -89,9 +88,10 @@ class EvenPolynomial:
     even_coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise InputError(f"degree must be >= 1, got {self.degree}")
+        object.__setattr__(self, "degree", require_int("degree", self.degree, 1))
         coeffs = tuple(float(c) for c in self.even_coeffs)
+        if not all(map(math.isfinite, coeffs)):
+            raise InputError(f"even coefficients must be finite, got {coeffs}")
         if len(coeffs) > self.degree // 2:
             raise InputError(
                 f"{len(coeffs)} even coefficients exceed degree budget {self.degree}")
@@ -248,6 +248,7 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
         raise InputError(f"p must be finite and >= 1, got {p}")
     if d < math.ceil(p):
         raise InputError(f"degree d={d} is below ceil(p)={math.ceil(p)}")
+    d = require_int("degree d", d, 1)
     if d > MAX_DEGREE:
         raise ResourceLimitError(f"degree {d} exceeds the cap of {MAX_DEGREE}")
     nh = d // 2
@@ -286,8 +287,7 @@ def choose_degree(p: float, c: float, n: int, m: int) -> int:
     """
     if not 1.0 <= p < math.inf:
         raise InputError(f"p must be finite and >= 1, got {p}")
-    if n < 1 or m < 1:
-        raise InputError(f"n and m must be >= 1, got n={n}, m={m}")
+    n, m = require_int("n", n, 1), require_int("m", m, 1)
     if not c > 0:
         raise InputError(f"c must be positive, got {c}")
     target = c * n * math.sqrt(m)

@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .errors import InputError, ResourceLimitError, UnsupportedRequestError
+from .errors import InputError, ResourceLimitError, UnsupportedRequestError, require_int
 from .space import Space
 
 UNSPECIFIED = "unspecified"
@@ -21,6 +21,10 @@ UNSPECIFIED = "unspecified"
 # bounds C(N + s, s).  On a 2-vCPU Xeon, `bound` on lp:n=1000000,p=3 took 0.45 s
 # at s = 1, 0.82 s at s = 17 (4.17e6 bits, just inside) and 2.4 s at s = 1000.
 MAX_BOUND_BITS = 1 << 22
+# What a constants file may set besides c_absolute: the named constants, and the
+# flag treat_asymptotic_as_explicit in one of these spellings (any case)
+_NAMED_CONSTANTS = ("c_p", "c_ps", "c_pa")
+_FLAG_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,14 @@ def load_config(path: str) -> BoundConfig:
                 raise InputError(f"bad config line (expected key=value): {raw.rstrip()}")
             key, val = (part.strip() for part in line.split("=", 1))
             if key == "treat_asymptotic_as_explicit":
-                settings["treat_asymptotic_as_explicit"] = val.lower() in ("1", "true", "yes")
+                if val.lower() not in _FLAG_VALUES:
+                    raise InputError(f"bad value for {key}: {val!r} "
+                                     "(expected true, false, 1, 0, yes or no)")
+                settings[key] = _FLAG_VALUES[val.lower()]
                 continue
+            if key not in ("c_absolute", *_NAMED_CONSTANTS):
+                raise InputError(f"unknown config key {key!r} (expected c_absolute, "
+                                 f"{', '.join(_NAMED_CONSTANTS)} or treat_asymptotic_as_explicit)")
             try:
                 num = float(val)
             except ValueError as e:
@@ -128,14 +138,20 @@ def kusner_even_upper(p: int, n: int) -> int:
     return (half - 1) * n + 1 if p % 4 == 0 else half * n + 1
 
 
+def large_p_gate(c: float, n: int) -> float | None:
+    """The thm1.2 threshold c*(n ln n)^2 on p, or None where there is none (n = 1 or c <= 2)."""
+    if n == 1 or not c > 2.0:
+        return None
+    return c * (n * math.log(n)) ** 2
+
+
 def _is_int(p: float) -> bool:
     return math.isfinite(p) and p == int(p)
 
 
 def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) -> list[BoundReport]:
     """All catalog bounds applicable to (space, s)."""
-    if s < 1:
-        raise InputError(f"s must be >= 1, got {s}")
+    s = require_int("s", s, 1)
     cfg = config or BoundConfig()
     p, nb, N = space.p, space.n_blocks, space.ambient_dim
     bits = N * math.log2(s + 1)
@@ -174,15 +190,14 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
                 ("blocks all 1", "p >= 1"), "thm1.1",
                 constants_used={"c": cfg.c_absolute, "c_p": c_p}))
 
-            if nb > 1 and cfg.c_absolute > 2.0:
-                gate = cfg.c_absolute * (nb * math.log(nb)) ** 2
-                if p >= gate:
-                    value = 2.0 * (p + 1.0) * nb  # past the largest double, p is an integer
-                    out.append(BoundReport(
-                        "upper", "explicit",
-                        math.floor(value) if math.isfinite(value) else 2 * (int(p) + 1) * nb,
-                        ("n > 1", f"p >= c*(n*ln n)^2 = {gate:.6g}"), "thm1.2",
-                        constants_used={"c": cfg.c_absolute}))
+            gate = large_p_gate(cfg.c_absolute, nb)
+            if gate is not None and p >= gate:
+                value = 2.0 * (p + 1.0) * nb  # past the largest double, p is an integer
+                out.append(BoundReport(
+                    "upper", "explicit",
+                    math.floor(value) if math.isfinite(value) else 2 * (int(p) + 1) * nb,
+                    ("n > 1", f"p >= c*(n*ln n)^2 = {gate:.6g}"), "thm1.2",
+                    constants_used={"c": cfg.c_absolute}))
 
             if _is_int(p) and int(p) % 2 == 0:
                 out.append(BoundReport(
@@ -307,13 +322,9 @@ def cluster_combine(per_s_bounds: Sequence[int], k: int) -> int:
     per_s_bounds[j-1] is a valid upper bound on the j-distance maximum for
     1 <= j <= k-1.
     """
-    if k < 2:
-        raise InputError(f"k must be >= 2, got {k}")
+    k = require_int("k", k, 2)
     if len(per_s_bounds) < k - 1:
         raise InputError(
             f"need upper bounds for s = 1..{k - 1}, got {len(per_s_bounds)} entries")
-    bounds = per_s_bounds[: k - 1]
-    if any(not (1 <= v < math.inf and v % 1 == 0) for v in bounds):  # NaN fails too
-        raise InputError("all per-s bounds must be positive integers")
-    e = [1] + [int(v) for v in bounds]
+    e = [1] + [require_int("each per-s bound", v, 1) for v in per_s_bounds[: k - 1]]
     return min(e[i] * max(e[: k - i + 1]) for i in range(1, k))

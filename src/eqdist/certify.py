@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .approx import (MAX_DEGREE, EvenPolynomial, abs_power, approximate_abs_power,
                      choose_degree, int_power, jackson_constant)
+from .bounds import large_p_gate
 from .construct import distance_profile
-from .errors import InputError, NumericalError, ResourceLimitError
+from .errors import InputError, NumericalError, ResourceLimitError, require_int
 from .space import (_TINY, PointSet, Space, _outer_norm, pair_block_norms,
                     pair_block_sq_norms, pair_map)
 
@@ -77,8 +78,7 @@ def rank_lower_bound(A) -> float:
 def epsilon_rank_bound(m: int, eps: float) -> float:
     """m / (1 + (m-1) eps^2): the rank bound for a unit-diagonal matrix with
     off-diagonal magnitudes eps."""
-    if m < 1:
-        raise InputError(f"m must be >= 1, got {m}")
+    m = require_int("m", m, 1)
     if not eps >= 0:
         raise InputError(f"eps must be >= 0, got {eps}")
     return m / (1.0 + (m - 1) * eps * eps)
@@ -144,9 +144,7 @@ class ApproxGapDiagnostics:
 
     max_gap: float           # max over pairs of |X_ij - Y_ij|
     gap_bound: float         # n * B(p) / d^p
-    gap_within_bound: bool
-    min_y: float             # smallest off-diagonal Y_ij (thm2 only; else nan)
-    y_positive: bool
+    min_y: float             # smallest off-diagonal Y_ij (nan when m = 1)
 
 
 def matrix_thm2(points: PointSet, dists, P: EvenPolynomial) -> tuple[SymMatrix, ApproxGapDiagnostics]:
@@ -170,8 +168,7 @@ def matrix_thm5(points: PointSet, P: EvenPolynomial) -> tuple[SymMatrix, ApproxG
     """m_ij = 1 - sum_k P(||block_k(p_i - p_j)||); the diagonal is exactly 1."""
     if math.isinf(points.space.p):
         raise InputError("matrix_thm5 requires finite p")
-    A, diag = _surrogate_matrix(points, P, lambda Y: 1.0 - Y)
-    return A, replace(diag, min_y=math.nan, y_positive=True)
+    return _surrogate_matrix(points, P, lambda Y: 1.0 - Y)
 
 
 def _surrogate_matrix(points: PointSet, P: EvenPolynomial,
@@ -189,9 +186,7 @@ def _surrogate_matrix(points: PointSet, P: EvenPolynomial,
     gap = float(np.max(np.abs(X[off] - Y[off]))) if m > 1 else 0.0
     min_y = float(np.min(Y[off])) if m > 1 else math.nan
     bound = space.n_blocks * jackson_constant(space.p) / P.degree ** space.p
-    diag = ApproxGapDiagnostics(gap, bound, gap <= bound, min_y,
-                                bool(m == 1 or min_y > 0.0))
-    return _unit_diagonal(A), diag
+    return _unit_diagonal(A), ApproxGapDiagnostics(gap, bound, min_y)
 
 
 def _require_two_blocks(points: PointSet, what: str) -> None:
@@ -232,34 +227,32 @@ def _f_thm4(space: Space, U: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
 # span dimensions
 
 
+def _thm4_block_monomials(a: int, p: int) -> int:
+    """The monomials one a-dimensional block adds to the thm4 span, for even p."""
+    if p % 2 != 0:
+        raise InputError(f"p must be even, got {p}")
+    half = p // 2
+    return math.comb(a + half, a) + math.comb(a + half - 1, a)
+
+
+_SPAN_DIMS = {
+    "thm1": lambda n, k: (k - 1) * n + 2,
+    "thm2": lambda n, d, k: (d * n) ** k,
+    "thm3": lambda a, b: (a + 2) * (b + 2),
+    "thm4": lambda a, b, p: _thm4_block_monomials(a, p) + _thm4_block_monomials(b, p) - 1,
+    "thm4-monomials": _thm4_block_monomials,
+    "thm5": lambda blocks, d: 2 + sum(math.comb(a + d - 1, a) for a in blocks) - len(blocks),
+}
+
+
 def span_dim(theorem: str, **params) -> int:
     """Span-dimension upper bound on the rank of the theorem's matrix."""
+    if theorem not in _SPAN_DIMS:
+        raise InputError(f"unknown span_dim theorem tag: {theorem!r}")
     try:
-        if theorem == "thm1":
-            n, k = params["n"], params["k"]
-            return (k - 1) * n + 2
-        if theorem == "thm2":
-            n, d, k = params["n"], params["d"], params["k"]
-            return (d * n) ** k
-        if theorem == "thm3":
-            a, b = params["a"], params["b"]
-            return (a + 2) * (b + 2)
-        if theorem == "thm4":
-            a, b, p = params["a"], params["b"], params["p"]
-            return (span_dim("thm4-monomials", a=a, p=p)
-                    + span_dim("thm4-monomials", a=b, p=p) - 1)
-        if theorem == "thm4-monomials":
-            a, p = params["a"], params["p"]
-            if p % 2 != 0:
-                raise InputError(f"p must be even, got {p}")
-            half = p // 2
-            return math.comb(a + half, a) + math.comb(a + half - 1, a)
-        if theorem == "thm5":
-            blocks, d = params["blocks"], params["d"]
-            return 2 + sum(math.comb(a + d - 1, a) for a in blocks) - len(blocks)
-    except KeyError as e:
-        raise InputError(f"missing parameter {e} for span_dim({theorem!r})") from e
-    raise InputError(f"unknown span_dim theorem tag: {theorem!r}")
+        return _SPAN_DIMS[theorem](**params)
+    except TypeError as e:  # a missing, unexpected or mistyped parameter
+        raise InputError(f"span_dim({theorem!r}): {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +269,8 @@ def _low_exponents(nvars: int, half: int) -> list[tuple[int, ...]]:
     return [g for g in itertools.product(range(half), repeat=nvars) if 0 < sum(g) < half]
 
 
-def blokhuis_family_size(m: int, a: int, b: int, p: int) -> int:
-    """Expected rank when the augmented family is linearly independent."""
-    half = p // 2
-    return m + len(_low_exponents(a, half)) + len(_low_exponents(b, half)) + 1
-
-
-def independence_rank_thm4(points: PointSet, p: int) -> int:
-    """Rank of {f_u} plus the augmenting monomials x1^g (0 < |g| < p/2),
+def independence_rank_thm4(points: PointSet, p: int) -> tuple[int, int]:
+    """Rank and size of {f_u} plus the augmenting monomials x1^g (0 < |g| < p/2),
     x2^g, and 1, evaluated at seeded generic points."""
     _require_even_exponent("p", p)
     _require_two_blocks(points, "independence_rank_thm4")
@@ -292,28 +279,25 @@ def independence_rank_thm4(points: PointSet, p: int) -> int:
         raise ResourceLimitError(
             f"expansion with a+b={a + b}, p={p} exceeds the tractability cap "
             f"(a+b <= {BLOKHUIS_MAX_VARS}, p <= {BLOKHUIS_MAX_P})")
-    rows = blokhuis_family_size(points.m, a, b, p)
-    X = np.random.default_rng(0).standard_normal((3 * rows, a + b))
-    x1, x2 = X[:, :a], X[:, a:]
+    g1, g2 = _low_exponents(a, p // 2), _low_exponents(b, p // 2)
+    X = np.random.default_rng(0).standard_normal((3 * (points.m + len(g1) + len(g2) + 1), a + b))
     M = np.array([*_f_thm4(points.space, points.points, X, p),
-                  *(np.prod(x1 ** g, axis=1) for g in _low_exponents(a, p // 2)),
-                  *(np.prod(x2 ** g, axis=1) for g in _low_exponents(b, p // 2)),
+                  *(np.prod(X[:, :a] ** g, axis=1) for g in g1),
+                  *(np.prod(X[:, a:] ** g, axis=1) for g in g2),
                   np.ones(len(X))])
-    return numerical_rank(M)
+    return numerical_rank(M), len(M)
 
 
-def independence_rank_thm3(points: PointSet) -> int:
-    """Rank of {f_u, 1, x_k, ||x1||^2} for the sup-sum pipeline, evaluated at
-    seeded generic points (expected m + dim + 2 when independent)."""
+def independence_rank_thm3(points: PointSet) -> tuple[int, int]:
+    """Rank and size of the family {f_u, 1, x_k, ||x1||^2}, evaluated at seeded generic points."""
     _require_two_blocks(points, "independence_rank_thm3")
     a, b = points.space.blocks
     if a + b > 2 * BLOKHUIS_MAX_VARS:
         raise ResourceLimitError(f"expansion with a+b={a + b} exceeds the cap")
-    rows = points.m + a + b + 2
-    X = np.random.default_rng(0).standard_normal((3 * rows, a + b))
+    X = np.random.default_rng(0).standard_normal((3 * (points.m + a + b + 2), a + b))
     M = np.array([*_f_thm3(points.space, points.points, X), *X.T,
                   np.sum(X[:, :a] ** 2, axis=1), np.ones(len(X))])
-    return numerical_rank(M)
+    return numerical_rank(M), len(M)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +354,10 @@ def _paper_c(p: float, k: int = 0) -> float:
                              f"p={p:g}; pass a smaller c") from None
 
 
-def _independence_note(ranks) -> str:
-    """The note on an augmented family: ranks() gives its rank and the rank if independent."""
+def _independence_note(rank_and_size, *args) -> str:
+    """The note on the augmented family whose rank and size rank_and_size(*args) gives."""
     try:
-        return "augmented family rank {} (independent iff {})".format(*ranks())
+        return "augmented family rank {} (independent iff {})".format(*rank_and_size(*args))
     except ResourceLimitError as e:
         return f"independence check skipped: {e}"
 
@@ -421,8 +405,8 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
             lo, hi = sorted((1.0, n ** (1.0 / k - 1.0 / p)))
             notes.append(f"p={p:g}, k={k}: unit l_{p:g} distances must have l_{k} length in "
                          f"[{lo:.6g}, {hi:.6g}]; measured [{off.min():.6g}, {off.max():.6g}]")
-            if space.n_blocks > 1:
-                gate = cfg.c_absolute * (space.n_blocks * math.log(space.n_blocks)) ** 2
+            gate = large_p_gate(cfg.c_absolute, space.n_blocks)
+            if gate is not None:
                 notes.append(f"large-p regime p >= c*(n*ln n)^2 = {gate:.6g} "
                              f"{'holds' if p >= gate else 'does not hold'} at c={cfg.c_absolute}")
         elif theorem == "thm2":
@@ -433,8 +417,8 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
             A, gaps = matrix_thm2(points, dists, P)
             span = span_dim("thm2", n=space.ambient_dim, d=P.degree, k=k)
             notes.append(f"max |X-Y| = {gaps.max_gap:.3e} vs n*B(p)/d^p = {gaps.gap_bound:.3e} "
-                         f"({'ok' if gaps.gap_within_bound else 'exceeded'})")
-            if not gaps.y_positive:
+                         f"({'ok' if gaps.max_gap <= gaps.gap_bound else 'exceeded'})")
+            if not gaps.min_y > 0.0:
                 notes.append(f"surrogate Y_ij not everywhere positive (min {gaps.min_y:.3e})")
             if k >= 2:
                 threshold_in_passes = False
@@ -444,8 +428,7 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
             A = gram_thm3(points)
             a, b = space.blocks
             span = span_dim("thm3", a=a, b=b)
-            notes.append(_independence_note(lambda: (independence_rank_thm3(points),
-                                                     m + a + b + 2)))
+            notes.append(_independence_note(independence_rank_thm3, points))
         elif theorem == "thm4":
             if not (math.isfinite(p) and p == int(p) and int(p) % 2 == 0):
                 raise InputError(f"thm4 requires an even integer p, got {p}")
@@ -453,15 +436,15 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
             A = gram_thm4(points, p)
             a, b = space.blocks
             span = span_dim("thm4", a=a, b=b, p=p)
-            notes.append(_independence_note(lambda: (independence_rank_thm4(points, p),
-                                                     blokhuis_family_size(m, a, b, p))))
+            notes.append(_independence_note(independence_rank_thm4, points, p))
         else:  # thm5
             c = cfg.c if cfg.c is not None else _paper_c(p)
             P = _approximant(p, c, space.n_blocks, m, notes)
             A, gaps = matrix_thm5(points, P)
             span = span_dim("thm5", blocks=space.blocks, d=P.degree)
             notes.append(f"max per-pair gap = {gaps.max_gap:.3e} vs n*B(p)/d^p = "
-                         f"{gaps.gap_bound:.3e} ({'ok' if gaps.gap_within_bound else 'exceeded'})")
+                         f"{gaps.gap_bound:.3e} "
+                         f"({'ok' if gaps.max_gap <= gaps.gap_bound else 'exceeded'})")
 
     arr = A.entries
     if not np.isfinite(arr).all():

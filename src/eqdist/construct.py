@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import space as space_mod
-from .errors import DegenerateDistanceError, InputError, NumericalError, ResourceLimitError
+from .errors import (DegenerateDistanceError, InputError, NumericalError, ResourceLimitError,
+                     require_int)
 from .space import (PointSet, Space, _block_sq_norms, _outer_norm, distance_matrix,
                     pair_block_norms)
 
@@ -40,8 +41,7 @@ def _check_size(m: int, dim: int) -> None:
 
 def cross_polytope(n: int) -> PointSet:
     """The 2n points {+-e_i/2} in l1^n; all pairwise l1 distances are 1."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = require_int("n", n, 1)
     _check_size(2 * n, n)
     pts = np.zeros((2 * n, n))
     pts[np.arange(2 * n), np.arange(2 * n) // 2] = np.tile([0.5, -0.5], n)
@@ -55,8 +55,7 @@ def simplex_lambda(n: int, p: float) -> float:
     Bisection prefers the bracket (0, 1]; it extends to (1, 2] when the
     equation has no root at or below 1 (this happens only for n = 2).
     """
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
+    n = require_int("n", n, 2)
     if not (1.0 < p < math.inf):
         raise InputError(f"need 1 < p < inf, got {p}")
 
@@ -91,8 +90,7 @@ def lp_simplex(n: int, p: float) -> PointSet:
 
 def euclidean_simplex(n: int) -> PointSet:
     """Regular unit simplex: n+1 points in E^n at pairwise distance 1."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = require_int("n", n, 1)
     if n == 1:
         return PointSet(Space(2.0, (1,)), np.array([[0.0], [1.0]]))
     return lp_simplex(n, 2.0)
@@ -147,13 +145,11 @@ class SearchConfig:
     residual_target: float = 1e-10
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise InputError(f"restarts must be >= 1, got {self.restarts}")
+        object.__setattr__(self, "restarts", require_int("restarts", self.restarts, 1))
         if self.restarts > SEARCH_MAX_RESTARTS:
             raise ResourceLimitError(
                 f"{self.restarts} restarts are above the cap of {SEARCH_MAX_RESTARTS}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
         if not self.residual_target > 0:
             raise InputError(f"residual_target must be positive, got {self.residual_target}")
         if math.isinf(self.residual_target):
@@ -273,8 +269,7 @@ def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) ->
     ties broken by lowest restart index; non-convergence is a reported state,
     not an error.
     """
-    if m < 2:
-        raise InputError(f"m must be >= 2, got {m}")
+    m = require_int("m", m, 2)
     cfg = cfg or SearchConfig()
     dim = space.ambient_dim
     pair_coords = m * m * dim

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check of a count input.
 
 The CLI maps these onto exit codes.  CertificationError and
 DegenerateDistanceError describe a well-formed computation with a negative
@@ -37,3 +37,13 @@ class CertificationError(RuntimeError):
 class DegenerateDistanceError(RuntimeError):
     """A point set contains a (near-)zero pairwise distance; zero is not
     counted as a distance."""
+
+
+def require_int(name: str, value, least: int) -> int:
+    """value as an int, or InputError unless it is a whole number >= least
+    (NaN, inf and 2.5 are refused; 2.0 is read as 2)."""
+    if not value >= least:  # NaN fails here
+        raise InputError(f"{name} must be >= {least}, got {value}")
+    if not (isinstance(value, int) or float(value).is_integer()):  # inf is not
+        raise InputError(f"{name} must be an integer, got {value}")
+    return int(value)

@@ -87,6 +87,47 @@ PUBLIC_PARAMETERS = {
     "simplex_lambda": ("n", "p"),
     "span_dim": ("theorem", "params"),
 }
+# the return annotation of each public function, pinned the same way: a changed return
+# (a bare int becoming a pair, say) shows up here as a test change
+PUBLIC_RETURNS = {
+    "approximate_abs_power": "tuple[EvenPolynomial, ApproxCertificate]",
+    "approximation_error": "float",
+    "best_explicit_upper": "BoundReport",
+    "certify": "CertificateReport",
+    "choose_degree": "int",
+    "cluster_combine": "int",
+    "cross_polytope": "PointSet",
+    "distance": "float",
+    "distance_matrix": "np.ndarray",
+    "distance_profile": "list[float]",
+    "elementary_symmetric": "list[float]",
+    "enumerate_bounds": "list[BoundReport]",
+    "epsilon_rank_bound": "float",
+    "euclidean_simplex": "PointSet",
+    "falling_factorial": "float",
+    "gram_thm3": "SymMatrix",
+    "gram_thm4": "SymMatrix",
+    "independence_rank_thm3": "tuple[int, int]",  # (rank, family size)
+    "independence_rank_thm4": "tuple[int, int]",
+    "jackson_constant": "float",
+    "lower_bound": "BoundReport",
+    "lp_simplex": "PointSet",
+    "matrix_thm1": "tuple[SymMatrix, np.ndarray]",
+    "matrix_thm2": "tuple[SymMatrix, ApproxGapDiagnostics]",
+    "matrix_thm5": "tuple[SymMatrix, ApproxGapDiagnostics]",
+    "norm": "float",
+    "norm_sandwich_check": "tuple[bool, tuple[float, float, float]]",
+    "numerical_rank": "int",
+    "product_construction": "PointSet",
+    "rank_lower_bound": "float",
+    "search_equilateral": "SearchResult",
+    "simplex_lambda": "float",
+    "span_dim": "int",
+}
+# the fields of the dataclasses that public functions return but eqdist does not export
+RETURNED_FIELDS = {
+    "certify.ApproxGapDiagnostics": ("max_gap", "gap_bound", "min_y"),
+}
 
 
 def test_public_signatures():
@@ -96,6 +137,16 @@ def test_public_signatures():
         assert tuple(f.name for f in dataclasses.fields(getattr(eqdist, name))) == fields, name
     for name, params in PUBLIC_PARAMETERS.items():
         assert tuple(inspect.signature(getattr(eqdist, name)).parameters) == params, name
+
+
+def test_public_returns():
+    assert sorted(PUBLIC_RETURNS) == sorted(PUBLIC_PARAMETERS)
+    for name, annotation in PUBLIC_RETURNS.items():
+        assert inspect.signature(getattr(eqdist, name)).return_annotation == annotation, name
+    for path, fields in RETURNED_FIELDS.items():
+        modname, name = path.split(".")
+        cls = getattr(importlib.import_module(f"eqdist.{modname}"), name)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == fields, path
 
 
 def test_every_public_name_imports():
@@ -119,11 +170,43 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
     lambda: eqdist.choose_degree(2.5, math.nan, 2, 3),
     lambda: eqdist.CertifyConfig(c=math.nan),
     lambda: eqdist.CertifyConfig(c_absolute=math.nan),
+    lambda: eqdist.SearchConfig(restarts=math.nan),
+    lambda: eqdist.SearchConfig(restarts=math.inf),
+    lambda: eqdist.SearchConfig(restarts=2.5),
+    lambda: eqdist.SearchConfig(seed=math.nan),
+    lambda: eqdist.SearchConfig(seed=1.5),
+    lambda: eqdist.search_equilateral(_SQUARE.space, 2.5),
+    lambda: eqdist.enumerate_bounds(_SQUARE.space, math.nan),
+    lambda: eqdist.enumerate_bounds(_SQUARE.space, 1.5),
+    lambda: eqdist.EvenPolynomial(2, (math.nan,)),
+    lambda: eqdist.EvenPolynomial(2, (math.inf,)),
+    lambda: eqdist.EvenPolynomial(math.nan, (1.0,)),
+    lambda: eqdist.EvenPolynomial(2.5, (1.0,)),
+    lambda: eqdist.cluster_combine([3, 3], math.nan),
+    lambda: eqdist.cluster_combine([3, 3], 2.5),
+    lambda: eqdist.simplex_lambda(math.nan, 2.5),
+    lambda: eqdist.lp_simplex(2.5, 2.5),
+    lambda: eqdist.choose_degree(2.5, 2, math.nan, 3),
+    lambda: eqdist.choose_degree(2.5, 2, 2, 2.5),
+    lambda: eqdist.approximate_abs_power(2.5, 3.5),
+    lambda: eqdist.epsilon_rank_bound(math.nan, 0.1),
 ], ids=["tol-nan", "tol-inf", "target-nan", "target-inf", "approx-p-nan", "approx-p-inf",
-        "eps-nan", "c-nan", "certify-c-nan", "certify-c-absolute-nan"])
+        "eps-nan", "c-nan", "certify-c-nan", "certify-c-absolute-nan", "restarts-nan",
+        "restarts-inf", "restarts-2.5", "seed-nan", "seed-1.5", "search-m-2.5", "s-nan", "s-1.5",
+        "coeff-nan", "coeff-inf", "degree-nan", "degree-2.5", "cluster-k-nan", "cluster-k-2.5",
+        "lambda-n-nan", "simplex-n-2.5", "degree-n-nan", "degree-m-2.5", "approx-d-3.5",
+        "eps-m-nan"])
 def test_nan_and_inf_are_refused(call):
     with pytest.raises(InputError):
         call()
+
+
+def test_whole_floats_are_read_as_ints():
+    cfg = eqdist.SearchConfig(restarts=2.0, seed=3.0)
+    assert (cfg.restarts, cfg.seed) == (2, 3) and type(cfg.seed) is int  # the rng takes no float
+    assert eqdist.search_equilateral(_SQUARE.space, 3.0, cfg).converged
+    assert eqdist.EvenPolynomial(4.0, (1.0,)).degree == 4
+    assert eqdist.cluster_combine([3, 3], 3.0) == eqdist.cluster_combine([3, 3], 3)
 
 
 def test_traced_functions_exist_unwrapped():

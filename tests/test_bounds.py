@@ -213,6 +213,20 @@ def test_load_config(tmp_path):
         bad.write_text(line + "\n")
         with pytest.raises(InputError):
             load_config(str(bad))
+    # a misspelt key or flag value would otherwise be dropped in silence
+    for line, message in [("c_pp = 6", "unknown config key 'c_pp'"),
+                          ("C_absolute = 3", "unknown config key 'C_absolute'"),
+                          ("treat_asymptotic_as_explicit = ture", "bad value for"),
+                          ("treat_asymptotic_as_explicit =", "bad value for")]:
+        bad.write_text(line + "\n")
+        with pytest.raises(InputError, match=message):
+            load_config(str(bad))
+    for spelling, flag in [("1", True), ("TRUE", True), ("Yes", True), ("0", False),
+                           ("false", False), ("no", False)]:
+        f.write_text(f"c_p = 6\nc_pa = 9\ntreat_asymptotic_as_explicit = {spelling}\n")
+        cfg = load_config(str(f))
+        assert cfg.treat_asymptotic_as_explicit is flag
+        assert cfg.constants == {"c_p": 6.0, "c_pa": 9.0}
 
 
 def test_treat_asymptotic_as_explicit():

@@ -8,8 +8,9 @@ import pytest
 
 from eqdist import space as space_mod
 from eqdist.approx import MAX_DEGREE, EvenPolynomial
+from eqdist.bounds import BoundConfig, enumerate_bounds
 from eqdist.certify import (RANK_RTOL, CertifyConfig, SymMatrix, _f_thm4,
-                            blokhuis_family_size, certify, elementary_symmetric, epsilon_rank_bound,
+                            certify, elementary_symmetric, epsilon_rank_bound,
                             gram_thm3, gram_thm4, independence_rank_thm3,
                             independence_rank_thm4, matrix_thm1, matrix_thm2,
                             matrix_thm5, numerical_rank, rank_lower_bound, select_k,
@@ -195,7 +196,7 @@ def test_matrix_thm2_examples():
     two = PointSet(Space(2.0, (1,)), np.array([[0.0], [1.0]]))
     A, diag = matrix_thm2(two, [1.0], P2)
     assert np.array_equal(A.entries, np.eye(2))
-    assert diag.max_gap == 0.0 and diag.y_positive
+    assert diag.max_gap == 0.0 and diag.min_y == 1.0
     single = PointSet(Space(2.0, (1, 1)), np.array([[0.1, 0.2]]))
     A, _ = matrix_thm2(single, [1.0], P2)
     assert np.array_equal(A.entries, [[1.0]])
@@ -248,10 +249,10 @@ def test_matrix_thm5_examples():
     pair = PointSet(Space(2.0, (2, 1)), np.array([[0, 0, 0], [1, 0, 0.0]]))
     A, diag = matrix_thm5(pair, P2)
     assert np.array_equal(A.entries, np.eye(2))
-    assert diag.max_gap == 0.0
+    assert diag.max_gap == 0.0 and diag.min_y == 1.0  # measured, as for thm2
     single = PointSet(Space(3.0, (2, 2)), np.array([[0.0, 1.0, 2.0, 3.0]]))
-    A, _ = matrix_thm5(single, P2)
-    assert np.array_equal(A.entries, [[1.0]])
+    A, diag = matrix_thm5(single, P2)
+    assert np.array_equal(A.entries, [[1.0]]) and math.isnan(diag.min_y)
 
 
 def test_matrix_thm5_blocks1_matches_thm2_k1():
@@ -411,8 +412,12 @@ def test_span_dim():
     assert span_dim("thm5", blocks=(2, 2), d=4) == 20
     with pytest.raises(InputError):
         span_dim("thm9", n=1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="missing 1 required positional argument: 'k'"):
         span_dim("thm1", n=3)
+    with pytest.raises(InputError, match="unexpected keyword argument 'd'"):
+        span_dim("thm1", n=3, k=4, d=9)
+    with pytest.raises(InputError, match="unexpected keyword argument 'b'"):
+        span_dim("thm4-monomials", a=1, b=2, p=4)
 
 
 def test_monomial_count_identity():
@@ -431,9 +436,12 @@ def test_independence_rank_thm4():
     assert no_rows.shape == (0, 9)
     assert numerical_rank(np.vstack([no_rows, X.T, np.ones(9)])) == 3
     pair = PointSet(sp, np.array([[0, 0], [1, 0.0]]))
-    assert independence_rank_thm4(pair, 4) == 5 == blokhuis_family_size(2, 1, 1, 4)
+    assert independence_rank_thm4(pair, 4) == (5, 5)  # 2 points, x1, x2 and 1
     dup = PointSet(sp, np.array([[0, 0], [0, 0.0]]))
-    assert independence_rank_thm4(dup, 4) < blokhuis_family_size(2, 1, 1, 4)
+    assert independence_rank_thm4(dup, 4) == (4, 5)
+    # the size counts the augmenting monomials with 0 < |g| < p/2 in each block
+    trio = PointSet(Space(8.0, (2, 1)), np.eye(3))
+    assert independence_rank_thm4(trio, 8)[1] == 3 + 9 + 3 + 1
     big = PointSet(Space(4.0, (4, 4)), np.zeros((1, 8)))
     with pytest.raises(ResourceLimitError):
         independence_rank_thm4(big, 4)
@@ -441,8 +449,9 @@ def test_independence_rank_thm4():
 
 def test_independence_rank_thm3():
     prod = product_construction(euclidean_simplex(2), euclidean_simplex(2))
-    got = independence_rank_thm3(prod)
-    assert got == prod.m + 4 + 2
+    assert independence_rank_thm3(prod) == (prod.m + 4 + 2,) * 2
+    dup = PointSet(prod.space, np.vstack([prod.points, prod.points[:1]]))
+    assert independence_rank_thm3(dup) == (prod.m + 4 + 2, prod.m + 1 + 4 + 2)
 
 
 def test_select_k():
@@ -467,6 +476,23 @@ def test_certify_thm1_simplex():
     assert rep.passes and rep.numerical_rank == 4 and rep.span_upper == 5
     assert rep.diag_ok and rep.max_offdiag < rep.offdiag_threshold
     assert rep.rank_lemma_lower <= rep.numerical_rank
+
+
+@pytest.mark.parametrize("c", [1.5, 2.01])
+def test_certify_large_p_note_agrees_with_the_catalog(c):
+    # the note says the regime holds exactly where `bound` lists thm1.2; at c <= 2
+    # neither gives the theorem, and the note is left out
+    held = []
+    for n, p in [(1, 3.0), (2, 1.5), (2, 4.0), (3, 20.0), (3, 200.0), (4, 50.0), (4, 70.0)]:
+        points = lp_simplex(n, p) if n > 1 else PointSet(Space(p, (1,)), [[0.0], [1.0]])
+        notes = [note for note in certify(points, "thm1", CertifyConfig(c_absolute=c)).notes
+                 if note.startswith("large-p regime")]
+        reports = enumerate_bounds(Space(p, (1,) * n), 1, BoundConfig(c_absolute=c))
+        listed = any(r.source == "thm1.2" for r in reports)
+        assert len(notes) == (0 if n == 1 or c <= 2 else 1)
+        assert any(" holds at " in note for note in notes) == listed, (n, p)
+        held.append(listed)
+    assert held == ([False] * 7 if c <= 2 else [False, False, True, False, True, False, True])
 
 
 def test_certify_thm1_cross_polytope_documents_sandwich():

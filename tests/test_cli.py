@@ -747,6 +747,12 @@ def test_eqd_config_env(tmp_path, capsys, monkeypatch):
     assert any(r["source"] == "thm1.2" for r in json.loads(out))
     monkeypatch.setenv("EQD_CONFIG", str(tmp_path / "missing.cfg"))
     assert _run(capsys, "bound", "--space", "lp:n=2,p=4")[0] == 1
+    # a misspelt key or flag is refused with one line, not ignored
+    for line in ("c_pp = 6", "treat_asymptotic_as_explicit = ture"):
+        cfg.write_text(line + "\n")
+        monkeypatch.setenv("EQD_CONFIG", str(cfg))
+        code, out, err = _run(capsys, "bound", "--space", "lp:n=2,p=4", "--best")
+        assert code == 1 and out == "" and err.count("\n") == 1, err
 
 
 def test_render_json_17_digits():
