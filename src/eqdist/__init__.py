@@ -7,10 +7,9 @@ from .approx import (ApproxCertificate, EvenPolynomial, approximate_abs_power,
 from .bounds import (BoundConfig, BoundReport, Formula, best_explicit_upper,
                      cluster_combine, enumerate_bounds, lower_bound)
 from .certify import (CertificateReport, CertifyConfig, SymMatrix, certify,
-                      elementary_symmetric, epsilon_rank_bound, gram_thm3,
-                      gram_thm4, independence_rank_thm3, independence_rank_thm4,
-                      matrix_thm1, matrix_thm2, matrix_thm5, numerical_rank,
-                      rank_lower_bound, span_dim)
+                      gram_thm3, gram_thm4, independence_rank_thm3,
+                      independence_rank_thm4, matrix_thm1, matrix_thm2,
+                      matrix_thm5, numerical_rank, rank_lower_bound, span_dim)
 from .construct import (SearchConfig, SearchResult, cross_polytope,
                         distance_profile, euclidean_simplex, lp_simplex,
                         product_construction, search_equilateral, simplex_lambda)
@@ -25,11 +24,10 @@ __all__ = [
     "SearchConfig", "SearchResult", "Space", "SymMatrix",
     "approximate_abs_power", "approximation_error", "best_explicit_upper",
     "certify", "choose_degree", "cluster_combine", "cross_polytope",
-    "distance", "distance_matrix", "distance_profile", "elementary_symmetric",
-    "enumerate_bounds", "epsilon_rank_bound", "euclidean_simplex",
-    "falling_factorial", "gram_thm3", "gram_thm4", "independence_rank_thm3",
-    "independence_rank_thm4", "jackson_constant", "lower_bound", "lp_simplex",
-    "matrix_thm1", "matrix_thm2", "matrix_thm5", "norm", "norm_sandwich_check",
-    "numerical_rank", "product_construction", "rank_lower_bound",
-    "search_equilateral", "simplex_lambda", "span_dim",
+    "distance", "distance_matrix", "distance_profile", "enumerate_bounds",
+    "euclidean_simplex", "falling_factorial", "gram_thm3", "gram_thm4",
+    "independence_rank_thm3", "independence_rank_thm4", "jackson_constant",
+    "lower_bound", "lp_simplex", "matrix_thm1", "matrix_thm2", "matrix_thm5",
+    "norm", "norm_sandwich_check", "numerical_rank", "product_construction",
+    "rank_lower_bound", "search_equilateral", "simplex_lambda", "span_dim",
 ]

@@ -25,7 +25,7 @@ from .approx import (MAX_DEGREE, EvenPolynomial, abs_power, approximate_abs_powe
 from .bounds import large_p_gate
 from .construct import distance_profile
 from .errors import InputError, NumericalError, ResourceLimitError, require_int
-from .space import (_TINY, PointSet, Space, _outer_norm, pair_block_norms,
+from .space import (_TINY, PointSet, _outer_norm, pair_block_norms,
                     pair_block_sq_norms, pair_map)
 
 THEOREMS = ("thm1", "thm2", "thm3", "thm4", "thm5")
@@ -75,29 +75,10 @@ def rank_lower_bound(A) -> float:
     return tr ** 2 / denom
 
 
-def epsilon_rank_bound(m: int, eps: float) -> float:
-    """m / (1 + (m-1) eps^2): the rank bound for a unit-diagonal matrix with
-    off-diagonal magnitudes eps."""
-    m = require_int("m", m, 1)
-    if not eps >= 0:
-        raise InputError(f"eps must be >= 0, got {eps}")
-    return m / (1.0 + (m - 1) * eps * eps)
-
-
 def numerical_rank(A) -> int:
     """Number of singular values above RANK_RTOL * sigma_max."""
     sv = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
     return int(np.sum(sv > RANK_RTOL * sv.max(initial=0.0)))
-
-
-def elementary_symmetric(vals) -> list[float]:
-    """[sigma_0, ..., sigma_k] by the stable one-pass recurrence."""
-    vals = [float(v) for v in vals]
-    e = [1.0] + [0.0] * len(vals)
-    for i, v in enumerate(vals):
-        for ell in range(i + 1, 0, -1):
-            e[ell] += v * e[ell - 1]
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -109,33 +90,53 @@ def _require_lp(points: PointSet, what: str) -> None:
         raise InputError(f"{what} requires a space with all blocks of dimension 1")
 
 
-def _unit_diagonal(A: np.ndarray) -> SymMatrix:
-    """The symmetric pair array A with its diagonal set to exactly 1."""
-    np.fill_diagonal(A, 1.0)
-    return SymMatrix(len(A), A)
+def _require_two_blocks(points: PointSet, what: str) -> None:
+    if points.space.n_blocks != 2:
+        raise InputError(f"{what} requires a two-block space")
 
 
-def _require_even_exponent(name: str, k: int) -> None:
-    """Refuse k unless it is even, at least 2 and at most approx.MAX_DEGREE (a k-th
-    power costs k/2 array products)."""
-    if k % 2 != 0 or k < 2:
+def _require_even_exponent(name: str, k) -> int:
+    """k as an int, refused unless it is even, at least 2 and at most approx.MAX_DEGREE
+    (a k-th power costs k/2 array products)."""
+    k = require_int(name, k, 2)
+    if k % 2 != 0:
         raise InputError(f"{name} must be a positive even integer, got {k}")
     if k > MAX_DEGREE:
         raise ResourceLimitError(f"{name}={k:.6g} exceeds the cap of {MAX_DEGREE}")
+    return k
+
+
+def _power_sum_entry(T: np.ndarray, h: int) -> np.ndarray:
+    """1 - sum_b T_b^h over the last axis of the squared block norms T: thm1's
+    1 - ||Delta||_k^k on one-coordinate blocks at h = k/2, thm4's
+    1 - ||Delta_1||^p - ||Delta_2||^p at h = p/2."""
+    return 1.0 - int_power(T, h).sum(axis=-1)
+
+
+def _thm3_entry(T: np.ndarray) -> np.ndarray:
+    """(1 - T_1)(1 - T_2) over the last axis of the squared block norms T."""
+    return (1.0 - T[..., 0]) * (1.0 - T[..., 1])
+
+
+def _pair_planes(points: PointSet, kernel, planes) -> tuple:
+    """The certificate matrix and any further (m, m) planes that planes(Q) gives, from
+    one pair_map pass; Q = kernel(space, U, V) holds a chunk's (rows, cols, n_blocks)
+    block norms (pair_block_norms) or squared block norms (pair_block_sq_norms).
+    The matrix is the first plane, with its diagonal set to exactly 1."""
+    space = points.space
+    A, *rest = np.moveaxis(
+        pair_map(points, lambda U, V: np.stack(planes(kernel(space, U, V)), axis=-1)), -1, 0)
+    np.fill_diagonal(A, 1.0)
+    return SymMatrix(len(A), A), *rest
 
 
 def matrix_thm1(points: PointSet, k: int) -> tuple[SymMatrix, np.ndarray]:
     """a_ij = 1 - ||p_i - p_j||_k^k for even k, with the diagonal exactly 1, and
     the l_k distance matrix, from one pass over the pairs."""
-    _require_even_exponent("k", k)
+    k = _require_even_exponent("k", k)
     _require_lp(points, "matrix_thm1")
-    def planes(U, V):
-        R = pair_block_norms(points.space, U, V)
-        return np.stack([1.0 - abs_power(R, float(k)).sum(axis=2), _outer_norm(R, float(k))],
-                        axis=-1)
-
-    A, dk = np.moveaxis(pair_map(points, planes), -1, 0)
-    return _unit_diagonal(A), dk
+    return _pair_planes(points, pair_block_norms,
+                        lambda R: (_power_sum_entry(R * R, k // 2), _outer_norm(R, float(k))))
 
 
 @dataclass(frozen=True)
@@ -176,22 +177,16 @@ def _surrogate_matrix(points: PointSet, P: EvenPolynomial,
     """The unit-diagonal matrix of entry(Y), Y_ij = sum_k P(r_k) over the block norms
     r_k of p_i - p_j, and how far Y strays from X_ij = sum_k r_k^p off the diagonal."""
     space, m = points.space, points.m
-    def sums(U, V):
-        R = pair_block_norms(space, U, V)
-        Y = P(R).sum(axis=2)
-        return np.stack([entry(Y), abs_power(R, space.p).sum(axis=2), Y], axis=-1)
+    def planes(R):
+        Y = P(R).sum(axis=-1)
+        return entry(Y), abs_power(R, space.p).sum(axis=-1), Y
 
-    A, X, Y = np.moveaxis(pair_map(points, sums), -1, 0)
+    A, X, Y = _pair_planes(points, pair_block_norms, planes)
     off = ~np.eye(m, dtype=bool)
     gap = float(np.max(np.abs(X[off] - Y[off]))) if m > 1 else 0.0
     min_y = float(np.min(Y[off])) if m > 1 else math.nan
     bound = space.n_blocks * jackson_constant(space.p) / P.degree ** space.p
-    return _unit_diagonal(A), ApproxGapDiagnostics(gap, bound, min_y)
-
-
-def _require_two_blocks(points: PointSet, what: str) -> None:
-    if points.space.n_blocks != 2:
-        raise InputError(f"{what} requires a two-block space")
+    return A, ApproxGapDiagnostics(gap, bound, min_y)
 
 
 def gram_thm3(points: PointSet) -> SymMatrix:
@@ -200,27 +195,14 @@ def gram_thm3(points: PointSet) -> SymMatrix:
     _require_two_blocks(points, "gram_thm3")
     if not math.isinf(points.space.p):
         raise InputError("gram_thm3 requires p = inf")
-    return _unit_diagonal(pair_map(points, lambda U, X: _f_thm3(points.space, U, X)))
-
-
-def _f_thm3(space: Space, U: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(len U, len X) values f_u(x) = (1 - ||x1 - u1||^2)(1 - ||x2 - u2||^2)."""
-    S = pair_block_sq_norms(space, U, X)
-    return (1.0 - S[:, :, 0]) * (1.0 - S[:, :, 1])
+    return _pair_planes(points, pair_block_sq_norms, lambda T: (_thm3_entry(T),))[0]
 
 
 def gram_thm4(points: PointSet, p: int) -> SymMatrix:
     """(u,v) entry: 1 - ||Delta_1||^p - ||Delta_2||^p for even p."""
-    _require_even_exponent("p", p)
+    p = _require_even_exponent("p", p)
     _require_two_blocks(points, "gram_thm4")
-    return _unit_diagonal(pair_map(points, lambda U, X: _f_thm4(points.space, U, X, p)))
-
-
-def _f_thm4(space: Space, U: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
-    """(len U, len X) values f_u(x) = 1 - ||x1 - u1||^p - ||x2 - u2||^p, p even."""
-    S = pair_block_sq_norms(space, U, X)
-    half = p // 2
-    return 1.0 - int_power(S[:, :, 0], half) - int_power(S[:, :, 1], half)
+    return _pair_planes(points, pair_block_sq_norms, lambda T: (_power_sum_entry(T, p // 2),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +254,7 @@ def _low_exponents(nvars: int, half: int) -> list[tuple[int, ...]]:
 def independence_rank_thm4(points: PointSet, p: int) -> tuple[int, int]:
     """Rank and size of {f_u} plus the augmenting monomials x1^g (0 < |g| < p/2),
     x2^g, and 1, evaluated at seeded generic points."""
-    _require_even_exponent("p", p)
+    p = _require_even_exponent("p", p)
     _require_two_blocks(points, "independence_rank_thm4")
     a, b = points.space.blocks
     if a + b > BLOKHUIS_MAX_VARS or p > BLOKHUIS_MAX_P:
@@ -281,7 +263,7 @@ def independence_rank_thm4(points: PointSet, p: int) -> tuple[int, int]:
             f"(a+b <= {BLOKHUIS_MAX_VARS}, p <= {BLOKHUIS_MAX_P})")
     g1, g2 = _low_exponents(a, p // 2), _low_exponents(b, p // 2)
     X = np.random.default_rng(0).standard_normal((3 * (points.m + len(g1) + len(g2) + 1), a + b))
-    M = np.array([*_f_thm4(points.space, points.points, X, p),
+    M = np.array([*_power_sum_entry(pair_block_sq_norms(points.space, points.points, X), p // 2),
                   *(np.prod(X[:, :a] ** g, axis=1) for g in g1),
                   *(np.prod(X[:, a:] ** g, axis=1) for g in g2),
                   np.ones(len(X))])
@@ -295,7 +277,7 @@ def independence_rank_thm3(points: PointSet) -> tuple[int, int]:
     if a + b > 2 * BLOKHUIS_MAX_VARS:
         raise ResourceLimitError(f"expansion with a+b={a + b} exceeds the cap")
     X = np.random.default_rng(0).standard_normal((3 * (points.m + a + b + 2), a + b))
-    M = np.array([*_f_thm3(points.space, points.points, X), *X.T,
+    M = np.array([*_thm3_entry(pair_block_sq_norms(points.space, points.points, X)), *X.T,
                   np.sum(X[:, :a] ** 2, axis=1), np.ones(len(X))])
     return numerical_rank(M), len(M)
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, require_int
 
 # A point is a plain 1-d coordinate array covering all blocks in order.
 Point = np.ndarray
@@ -40,9 +40,9 @@ class Space:
         if not (p >= 1.0):  # also rejects NaN
             raise InputError(f"p must satisfy p >= 1 or p = inf, got {self.p}")
         object.__setattr__(self, "p", p)
-        blocks = tuple(int(a) for a in self.blocks)
-        if not blocks or any(a < 1 for a in blocks):
-            raise InputError(f"blocks must be a nonempty tuple of positive ints, got {self.blocks}")
+        blocks = tuple(require_int("a block dimension", a, 1) for a in self.blocks)
+        if not blocks:
+            raise InputError("blocks must not be empty")
         _check_ambient_dim(sum(blocks))
         object.__setattr__(self, "blocks", blocks)
 

@@ -21,12 +21,12 @@ PUBLIC_NAMES = [
     "EvenPolynomial", "Formula", "Point", "PointSet", "SearchConfig", "SearchResult", "Space",
     "SymMatrix", "approximate_abs_power", "approximation_error", "best_explicit_upper",
     "certify", "choose_degree", "cluster_combine", "cross_polytope", "distance",
-    "distance_matrix", "distance_profile", "elementary_symmetric", "enumerate_bounds",
-    "epsilon_rank_bound", "euclidean_simplex", "falling_factorial", "gram_thm3", "gram_thm4",
-    "independence_rank_thm3", "independence_rank_thm4", "jackson_constant", "lower_bound",
-    "lp_simplex", "matrix_thm1", "matrix_thm2", "matrix_thm5", "norm", "norm_sandwich_check",
-    "numerical_rank", "product_construction", "rank_lower_bound", "search_equilateral",
-    "simplex_lambda", "span_dim",
+    "distance_matrix", "distance_profile", "enumerate_bounds", "euclidean_simplex",
+    "falling_factorial", "gram_thm3", "gram_thm4", "independence_rank_thm3",
+    "independence_rank_thm4", "jackson_constant", "lower_bound", "lp_simplex", "matrix_thm1",
+    "matrix_thm2", "matrix_thm5", "norm", "norm_sandwich_check", "numerical_rank",
+    "product_construction", "rank_lower_bound", "search_equilateral", "simplex_lambda",
+    "span_dim",
 ]
 
 
@@ -63,9 +63,7 @@ PUBLIC_PARAMETERS = {
     "distance": ("space", "x", "y"),
     "distance_matrix": ("pointset",),
     "distance_profile": ("points", "tol"),
-    "elementary_symmetric": ("vals",),
     "enumerate_bounds": ("space", "s", "config"),
-    "epsilon_rank_bound": ("m", "eps"),
     "euclidean_simplex": ("n",),
     "falling_factorial": ("x", "k"),
     "gram_thm3": ("points",),
@@ -100,9 +98,7 @@ PUBLIC_RETURNS = {
     "distance": "float",
     "distance_matrix": "np.ndarray",
     "distance_profile": "list[float]",
-    "elementary_symmetric": "list[float]",
     "enumerate_bounds": "list[BoundReport]",
-    "epsilon_rank_bound": "float",
     "euclidean_simplex": "PointSet",
     "falling_factorial": "float",
     "gram_thm3": "SymMatrix",
@@ -166,7 +162,6 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
     lambda: eqdist.SearchConfig(residual_target=math.inf),
     lambda: eqdist.approximation_error(_X2, math.nan),
     lambda: eqdist.approximation_error(_X2, math.inf),
-    lambda: eqdist.epsilon_rank_bound(3, math.nan),
     lambda: eqdist.choose_degree(2.5, math.nan, 2, 3),
     lambda: eqdist.CertifyConfig(c=math.nan),
     lambda: eqdist.CertifyConfig(c_absolute=math.nan),
@@ -189,13 +184,11 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
     lambda: eqdist.choose_degree(2.5, 2, math.nan, 3),
     lambda: eqdist.choose_degree(2.5, 2, 2, 2.5),
     lambda: eqdist.approximate_abs_power(2.5, 3.5),
-    lambda: eqdist.epsilon_rank_bound(math.nan, 0.1),
 ], ids=["tol-nan", "tol-inf", "target-nan", "target-inf", "approx-p-nan", "approx-p-inf",
-        "eps-nan", "c-nan", "certify-c-nan", "certify-c-absolute-nan", "restarts-nan",
+        "c-nan", "certify-c-nan", "certify-c-absolute-nan", "restarts-nan",
         "restarts-inf", "restarts-2.5", "seed-nan", "seed-1.5", "search-m-2.5", "s-nan", "s-1.5",
         "coeff-nan", "coeff-inf", "degree-nan", "degree-2.5", "cluster-k-nan", "cluster-k-2.5",
-        "lambda-n-nan", "simplex-n-2.5", "degree-n-nan", "degree-m-2.5", "approx-d-3.5",
-        "eps-m-nan"])
+        "lambda-n-nan", "simplex-n-2.5", "degree-n-nan", "degree-m-2.5", "approx-d-3.5"])
 def test_nan_and_inf_are_refused(call):
     with pytest.raises(InputError):
         call()
@@ -209,17 +202,46 @@ def test_whole_floats_are_read_as_ints():
     assert eqdist.cluster_combine([3, 3], 3.0) == eqdist.cluster_combine([3, 3], 3)
 
 
+_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
 def test_traced_functions_exist_unwrapped():
     # bench/tracing.py rebinds each of these by name; a rename, or a decorator
     # whose __wrapped__ the run takes for a leftover wrapper, would otherwise
     # surface only as a failed traced run
-    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    for modname, names in runpy.run_path(str(tracing))["TRACED"].items():
+    for modname, names in runpy.run_path(str(_TRACING))["TRACED"].items():
         module = importlib.import_module(modname)
         for name in names:
             fn = getattr(module, name, None)
             assert callable(fn), f"{modname}.{name} is missing"
             assert not hasattr(fn, "__wrapped__"), f"{modname}.{name} is wrapped"
+
+
+_PAIR = [[0.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("theorem, points, traced", [
+    ("thm1", eqdist.lp_simplex(3, 2.5), ["matrix_thm1"]),
+    ("thm2", eqdist.PointSet(eqdist.Space(2.0, (1,)), [[0.0], [1.0]]), ["matrix_thm2"]),
+    ("thm3", eqdist.product_construction(eqdist.euclidean_simplex(2), eqdist.euclidean_simplex(1)),
+     ["gram_thm3", "independence_rank_thm3"]),
+    ("thm4", eqdist.PointSet(eqdist.Space(4.0, (1, 1)), _PAIR),
+     ["gram_thm4", "independence_rank_thm4"]),
+    ("thm5", eqdist.PointSet(eqdist.Space(2.0, (1, 1)), _PAIR), ["matrix_thm5"]),
+], ids=["thm1", "thm2", "thm3", "thm4", "thm5"])
+def test_certify_calls_the_traced_builders(monkeypatch, theorem, points, traced):
+    # bench/tracing.py counts certify.matrix_build.* and certify.independence_rank.* by
+    # rebinding these names on eqdist.certify; a certify that reached the pair planes
+    # another way would read as zero builds, and no traced run would fail
+    tracing = runpy.run_path(str(_TRACING))
+    module, calls = importlib.import_module("eqdist.certify"), []
+    for name in tracing["MATRIX_BUILDERS"] + tracing["INDEPENDENCE"]:
+        name = name.removeprefix("certify.")
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _fn=fn, _name=name:
+                            calls.append(_name) or _fn(*args))
+    eqdist.certify(points, theorem)
+    assert sorted(calls) == traced
 
 
 def test_library_code_has_a_caller_in_the_library():

@@ -9,16 +9,15 @@ import pytest
 from eqdist import space as space_mod
 from eqdist.approx import MAX_DEGREE, EvenPolynomial
 from eqdist.bounds import BoundConfig, enumerate_bounds
-from eqdist.certify import (RANK_RTOL, CertifyConfig, SymMatrix, _f_thm4,
-                            certify, elementary_symmetric, epsilon_rank_bound,
-                            gram_thm3, gram_thm4, independence_rank_thm3,
+from eqdist.certify import (RANK_RTOL, CertifyConfig, SymMatrix, _power_sum_entry,
+                            certify, gram_thm3, gram_thm4, independence_rank_thm3,
                             independence_rank_thm4, matrix_thm1, matrix_thm2,
                             matrix_thm5, numerical_rank, rank_lower_bound, select_k,
                             span_dim)
 from eqdist.construct import (cross_polytope, euclidean_simplex, lp_simplex,
                               product_construction)
 from eqdist.errors import InputError, ResourceLimitError
-from eqdist.space import PointSet, Space, distance_matrix
+from eqdist.space import PointSet, Space, distance_matrix, pair_block_sq_norms
 from monomial_counts import monomial_count_enumerated, monomial_count_telescoped
 
 certify_mod = importlib.import_module("eqdist.certify")  # the package exports certify()
@@ -49,14 +48,11 @@ def test_symmatrix_reads_as_an_array():
 
 @pytest.mark.parametrize("call", [
     lambda: SymMatrix(2, np.eye(3)),
-    lambda: epsilon_rank_bound(0, 0.1),
-    lambda: epsilon_rank_bound(3, -0.1),
     lambda: matrix_thm5(PointSet(Space(math.inf, (1, 1)), np.eye(2)), EvenPolynomial(2, (1.0,))),
     lambda: span_dim("thm4-monomials", a=1, p=3),
     lambda: CertifyConfig(c=0.0),
     lambda: CertifyConfig(c_absolute=-5.0),
-], ids=["shape", "m-0", "eps-negative", "thm5-at-p-inf", "monomials-at-odd-p", "c-0",
-        "c-absolute-negative"])
+], ids=["shape", "thm5-at-p-inf", "monomials-at-odd-p", "c-0", "c-absolute-negative"])
 def test_refusals(call):
     with pytest.raises(InputError):
         call()
@@ -112,15 +108,6 @@ def test_rank_lemma_soundness_sample():
         assert rank_lower_bound(A) <= numerical_rank(A) + 1e-9
 
 
-def test_epsilon_rank_bound():
-    assert abs(epsilon_rank_bound(4, 0.5) - 16 / 7) < 1e-15
-    for m in (1, 2, 10, 500):
-        assert epsilon_rank_bound(m, 0.0) == m
-        half = epsilon_rank_bound(m, m ** -0.5)
-        assert abs(half - m * m / (2 * m - 1)) < 1e-9
-        assert half >= m / 2
-
-
 def test_epsilon_bound_matches_rank_lemma_on_sign_matrices():
     rng = np.random.default_rng(5)
     for m, eps in [(3, 0.25), (6, 0.1), (12, 0.5)]:
@@ -128,7 +115,8 @@ def test_epsilon_bound_matches_rank_lemma_on_sign_matrices():
         A = eps * signs
         np.fill_diagonal(A, 1.0)
         A = _mirror_upper(A)
-        assert abs(rank_lower_bound(A) - epsilon_rank_bound(m, eps)) < 1e-12
+        # the rank lemma's bound for a unit diagonal and off-diagonal magnitudes eps
+        assert abs(rank_lower_bound(A) - m / (1 + (m - 1) * eps * eps)) < 1e-12
 
 
 def test_numerical_rank():
@@ -145,24 +133,6 @@ def test_numerical_rank_cut_off_edge():
     assert numerical_rank(np.diag([1.0, RANK_RTOL])) == 1
     assert numerical_rank(np.diag([1.0, np.nextafter(RANK_RTOL, 1.0)])) == 2
     assert numerical_rank(np.diag([4.0, 4.0 * RANK_RTOL])) == 1  # relative to sigma_max
-
-
-def test_elementary_symmetric():
-    assert elementary_symmetric([]) == [1.0]
-    assert elementary_symmetric([1.0, 0.5]) == [1.0, 1.5, 0.5]
-    x, y, z = 0.3, 1.7, -2.0
-    s = elementary_symmetric([x, y, z])
-    assert np.allclose(s, [1.0, x + y + z, x * y + x * z + y * z, x * y * z])
-
-
-def test_sigma_sum_bound():
-    rng = np.random.default_rng(31)
-    for _ in range(300):
-        k = int(rng.integers(1, 9))
-        a = rng.uniform(0.0, 1.0, size=k)
-        a[a == 0.0] = 0.5
-        sig = elementary_symmetric(a.tolist())
-        assert sum(sig[:k]) < 2 ** k
 
 
 def test_matrix_thm1_examples():
@@ -304,6 +274,27 @@ def test_gram_thm4():
         gram_thm4(pair, 3)
 
 
+def test_thm1_and_thm4_are_one_rule():
+    # on one-coordinate blocks 1 - ||Delta||_k^k is 1 - sum_b ||Delta_b||^k, bit for bit
+    rng = np.random.default_rng(23)
+    for k in (2, 4, 6):
+        ps = PointSet(Space(float(k), (1, 1)), rng.uniform(-0.5, 0.5, (25, 2)))
+        assert matrix_thm1(ps, k)[0].entries.tobytes() == gram_thm4(ps, k).entries.tobytes()
+
+
+def test_whole_float_exponents():
+    ps = PointSet(Space(4.0, (1, 2)), np.random.default_rng(29).uniform(-0.5, 0.5, (12, 3)))
+    assert gram_thm4(ps, 4.0).entries.tobytes() == gram_thm4(ps, 4).entries.tobytes()
+    assert independence_rank_thm4(ps, 4.0) == independence_rank_thm4(ps, 4)
+    lp = PointSet(Space(4.0, (1, 1, 1)), ps.points)
+    assert matrix_thm1(lp, 4.0)[0].entries.tobytes() == matrix_thm1(lp, 4)[0].entries.tobytes()
+    for p in (4.5, math.nan, math.inf):
+        for build in (lambda: gram_thm4(ps, p), lambda: independence_rank_thm4(ps, p),
+                      lambda: matrix_thm1(lp, p)):
+            with pytest.raises(InputError):
+                build()
+
+
 def _builder_cases():
     rng = np.random.default_rng(41)
     lp = PointSet(Space(2.5, (1,) * 7), rng.uniform(-0.5, 0.5, (40, 7)))
@@ -432,7 +423,7 @@ def test_monomial_count_identity():
 def test_independence_rank_thm4():
     sp = Space(4.0, (1, 1))
     X = np.random.default_rng(0).standard_normal((9, 2))
-    no_rows = _f_thm4(sp, np.zeros((0, 2)), X, 4)
+    no_rows = _power_sum_entry(pair_block_sq_norms(sp, np.zeros((0, 2)), X), 2)
     assert no_rows.shape == (0, 9)
     assert numerical_rank(np.vstack([no_rows, X.T, np.ones(9)])) == 3
     pair = PointSet(sp, np.array([[0, 0], [1, 0.0]]))

@@ -22,6 +22,11 @@ def test_space_validation():
         Space(2.0, ())
     with pytest.raises(InputError):
         Space(2.0, (1, 0))
+    for bad in (1.5, math.nan):  # int() truncated 1.5 to 1
+        with pytest.raises(InputError):
+            Space(2.0, (bad,))
+    blocks = Space(2.0, (2.0,)).blocks
+    assert blocks == (2,) and type(blocks[0]) is int
     s = Space(math.inf, (2, 3))
     assert s.ambient_dim == 5 and s.n_blocks == 2 and not s.is_lp
 
