@@ -32,23 +32,14 @@ MAX_DEGREE = 400
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def falling_factorial(x: float, k: int) -> float:
-    """x * (x-1) * ... * (x-k+1); the empty product 1 when k = 0."""
-    k = require_int("k", k, 0)
-    out = 1.0
-    for i in range(k):
-        out *= x - i
-    return out
-
-
 def jackson_constant(p: float) -> float:
     """The explicit constant B(p) in the degree-d error bound B(p)/d^p."""
     if not 1.0 <= p < math.inf:
         raise InputError(f"p must be finite and >= 1, got {p}")
     cp = math.ceil(p)
     try:
-        return ((cp ** p) * (1.0 + math.pi ** 2 / 2.0) ** cp * falling_factorial(p, cp - 1)
-                / math.factorial(cp))
+        return ((cp ** p) * (1.0 + math.pi ** 2 / 2.0) ** cp
+                * math.prod(p - i for i in range(cp - 1)) / math.factorial(cp))
     except OverflowError:
         raise NumericalError(f"B(p) overflows double precision at p={p:g}") from None
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .errors import InputError, ResourceLimitError, UnsupportedRequestError, require_int
+from .errors import InputError, ResourceLimitError, require_int
 from .space import Space
 
 UNSPECIFIED = "unspecified"
@@ -304,16 +304,6 @@ def best_explicit_upper(space: Space, s: int, config: BoundConfig | None = None)
                            "unbounded-explicit")
     pool.sort(key=lambda t: (t[0], t[1]))
     return pool[0][2]
-
-
-def lower_bound(space: Space, s: int = 1) -> BoundReport:
-    """Best constructive lower bound (equilateral case only)."""
-    if s != 1:
-        raise UnsupportedRequestError(
-            f"lower bounds are only implemented for s = 1, got s = {s}")
-    cands = _lower_candidates(space)
-    cands.sort(key=lambda r: (-r.value, r.construction))
-    return cands[0]
 
 
 def cluster_combine(per_s_bounds: Sequence[int], k: int) -> int:

@@ -113,8 +113,8 @@ def product_construction(S: PointSet, T: PointSet) -> PointSet:
 
 def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
     """Distinct pairwise distances, clustered with single linkage at gap tol,
-    sorted descending.  A (near-)zero distance is an error: zero is not
-    counted as a distance.  Neither is one past the largest double."""
+    sorted descending.  A zero distance (coincident points) is an error: zero is
+    not counted as a distance.  Neither is one past the largest double."""
     if points.m < 2:
         raise InputError("distance profile needs at least 2 points")
     if not tol > 0:
@@ -123,7 +123,7 @@ def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
         raise InputError(f"tol must be finite, got {tol}")
     with np.errstate(over="ignore", invalid="ignore"):  # overflows end in inf or nan
         dists = np.sort(distance_matrix(points)[np.triu_indices(points.m, 1)])
-        if dists[0] < tol:
+        if dists[0] == 0.0:
             raise DegenerateDistanceError("zero distance present")
         clusters = np.split(dists, np.flatnonzero(np.diff(dists) > tol) + 1)
         profile = sorted((float(np.mean(c)) for c in clusters), reverse=True)

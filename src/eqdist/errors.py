@@ -12,11 +12,6 @@ class InputError(ValueError):
     theorem not applicable to the given space, ...)."""
 
 
-class UnsupportedRequestError(InputError):
-    """The request is outside the implemented scope (e.g. s-distance lower
-    bounds for s > 1)."""
-
-
 class InfeasibleDegreeError(InputError):
     """No integer degree d satisfies c*n*sqrt(m) < d^p < 2*c*n*sqrt(m)."""
 
@@ -35,14 +30,18 @@ class CertificationError(RuntimeError):
 
 
 class DegenerateDistanceError(RuntimeError):
-    """A point set contains a (near-)zero pairwise distance; zero is not
-    counted as a distance."""
+    """A point set contains a zero pairwise distance (coincident points); zero
+    is not counted as a distance."""
 
 
 def require_int(name: str, value, least: int) -> int:
     """value as an int, or InputError unless it is a whole number >= least
-    (NaN, inf and 2.5 are refused; 2.0 is read as 2)."""
-    if not value >= least:  # NaN fails here
+    (NaN, inf, 2.5 and '2' are refused; 2.0 is read as 2)."""
+    try:
+        below = not value >= least  # NaN is below
+    except TypeError:
+        raise InputError(f"{name} must be a number, got {value!r}") from None
+    if below:
         raise InputError(f"{name} must be >= {least}, got {value}")
     if not (isinstance(value, int) or float(value).is_integer()):  # inf is not
         raise InputError(f"{name} must be an integer, got {value}")

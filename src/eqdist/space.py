@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError, require_int
 
-# A point is a plain 1-d coordinate array covering all blocks in order.
-Point = np.ndarray
-
 _TOL_REL = 1e-12
 _TOL_ABS = 1e-14
 # Cap on a space's ambient dimension.  The block tuple and enumerate_bounds'

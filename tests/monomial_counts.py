@@ -1,5 +1,5 @@
 """Two independent counts of the per-block monomials in the thm4 span bound,
-checked against the closed form ``span_dim("thm4-monomials", ...)``."""
+checked against the closed form ``certify._thm4_block_monomials``."""
 
 import itertools
 import math

@@ -10,7 +10,6 @@ import math
 import runpy
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import eqdist
@@ -18,15 +17,14 @@ from eqdist.errors import InputError
 
 PUBLIC_NAMES = [
     "ApproxCertificate", "BoundConfig", "BoundReport", "CertificateReport", "CertifyConfig",
-    "EvenPolynomial", "Formula", "Point", "PointSet", "SearchConfig", "SearchResult", "Space",
+    "EvenPolynomial", "Formula", "PointSet", "SearchConfig", "SearchResult", "Space",
     "SymMatrix", "approximate_abs_power", "approximation_error", "best_explicit_upper",
     "certify", "choose_degree", "cluster_combine", "cross_polytope", "distance",
     "distance_matrix", "distance_profile", "enumerate_bounds", "euclidean_simplex",
-    "falling_factorial", "gram_thm3", "gram_thm4", "independence_rank_thm3",
-    "independence_rank_thm4", "jackson_constant", "lower_bound", "lp_simplex", "matrix_thm1",
-    "matrix_thm2", "matrix_thm5", "norm", "norm_sandwich_check", "numerical_rank",
-    "product_construction", "rank_lower_bound", "search_equilateral", "simplex_lambda",
-    "span_dim",
+    "gram_thm3", "gram_thm4", "independence_rank_thm3", "independence_rank_thm4",
+    "jackson_constant", "lp_simplex", "matrix_thm1", "matrix_thm2", "matrix_thm5", "norm",
+    "norm_sandwich_check", "numerical_rank", "product_construction", "rank_lower_bound",
+    "search_equilateral", "simplex_lambda", "span_dim",
 ]
 
 
@@ -65,13 +63,11 @@ PUBLIC_PARAMETERS = {
     "distance_profile": ("points", "tol"),
     "enumerate_bounds": ("space", "s", "config"),
     "euclidean_simplex": ("n",),
-    "falling_factorial": ("x", "k"),
     "gram_thm3": ("points",),
     "gram_thm4": ("points", "p"),
     "independence_rank_thm3": ("points",),
     "independence_rank_thm4": ("points", "p"),
     "jackson_constant": ("p",),
-    "lower_bound": ("space", "s"),
     "lp_simplex": ("n", "p"),
     "matrix_thm1": ("points", "k"),
     "matrix_thm2": ("points", "dists", "P"),
@@ -100,13 +96,11 @@ PUBLIC_RETURNS = {
     "distance_profile": "list[float]",
     "enumerate_bounds": "list[BoundReport]",
     "euclidean_simplex": "PointSet",
-    "falling_factorial": "float",
     "gram_thm3": "SymMatrix",
     "gram_thm4": "SymMatrix",
     "independence_rank_thm3": "tuple[int, int]",  # (rank, family size)
     "independence_rank_thm4": "tuple[int, int]",
     "jackson_constant": "float",
-    "lower_bound": "BoundReport",
     "lp_simplex": "PointSet",
     "matrix_thm1": "tuple[SymMatrix, np.ndarray]",
     "matrix_thm2": "tuple[SymMatrix, ApproxGapDiagnostics]",
@@ -127,8 +121,7 @@ RETURNED_FIELDS = {
 
 
 def test_public_signatures():
-    assert sorted([*PUBLIC_FIELDS, *PUBLIC_PARAMETERS, "Point"]) == PUBLIC_NAMES
-    assert eqdist.Point is np.ndarray
+    assert sorted([*PUBLIC_FIELDS, *PUBLIC_PARAMETERS]) == PUBLIC_NAMES
     for name, fields in PUBLIC_FIELDS.items():
         assert tuple(f.name for f in dataclasses.fields(getattr(eqdist, name))) == fields, name
     for name, params in PUBLIC_PARAMETERS.items():
@@ -184,11 +177,14 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
     lambda: eqdist.choose_degree(2.5, 2, math.nan, 3),
     lambda: eqdist.choose_degree(2.5, 2, 2, 2.5),
     lambda: eqdist.approximate_abs_power(2.5, 3.5),
+    lambda: eqdist.Space(2.0, ("2",)),
+    lambda: eqdist.SearchConfig(restarts="2"),
 ], ids=["tol-nan", "tol-inf", "target-nan", "target-inf", "approx-p-nan", "approx-p-inf",
         "c-nan", "certify-c-nan", "certify-c-absolute-nan", "restarts-nan",
         "restarts-inf", "restarts-2.5", "seed-nan", "seed-1.5", "search-m-2.5", "s-nan", "s-1.5",
         "coeff-nan", "coeff-inf", "degree-nan", "degree-2.5", "cluster-k-nan", "cluster-k-2.5",
-        "lambda-n-nan", "simplex-n-2.5", "degree-n-nan", "degree-m-2.5", "approx-d-3.5"])
+        "lambda-n-nan", "simplex-n-2.5", "degree-n-nan", "degree-m-2.5", "approx-d-3.5",
+        "block-str", "restarts-str"])
 def test_nan_and_inf_are_refused(call):
     with pytest.raises(InputError):
         call()

@@ -7,18 +7,10 @@ import pytest
 from eqdist import approx, cli
 from eqdist.approx import (MAX_REMEZ_DEGREE, EvenPolynomial,
                            approximate_abs_power, approximation_error,
-                           choose_degree, falling_factorial, jackson_constant)
+                           choose_degree, jackson_constant)
 from eqdist.errors import InfeasibleDegreeError, InputError, NumericalError, ResourceLimitError
 
 from remez_reference import remez_reference
-
-
-def test_falling_factorial():
-    assert falling_factorial(5, 3) == 60
-    assert falling_factorial(123.4, 0) == 1.0
-    assert falling_factorial(2.5, 2) == 3.75
-    with pytest.raises(InputError):
-        falling_factorial(2.0, -1)
 
 
 def test_jackson_constant_values():
@@ -26,6 +18,8 @@ def test_jackson_constant_values():
     assert abs(jackson_constant(1) - base) < 1e-14
     assert abs(jackson_constant(2) - 4 * base ** 2 * 2 / 2) < 1e-11
     assert abs(jackson_constant(1.5) - 2 ** 1.5 * base ** 2 * 1.5 / 2) < 1e-12
+    # the falling factorial p (p - 1) ... (p - ceil(p) + 2), multiplied left to right
+    assert jackson_constant(3.5) == 4 ** 3.5 * base ** 4 * (3.5 * 2.5 * 1.5) / 24
     with pytest.raises(InputError):
         jackson_constant(0.9)
     # 150^150 alone is past the largest double

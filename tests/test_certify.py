@@ -49,7 +49,7 @@ def test_symmatrix_reads_as_an_array():
 @pytest.mark.parametrize("call", [
     lambda: SymMatrix(2, np.eye(3)),
     lambda: matrix_thm5(PointSet(Space(math.inf, (1, 1)), np.eye(2)), EvenPolynomial(2, (1.0,))),
-    lambda: span_dim("thm4-monomials", a=1, p=3),
+    lambda: certify_mod._thm4_block_monomials(1, 3),
     lambda: CertifyConfig(c=0.0),
     lambda: CertifyConfig(c_absolute=-5.0),
 ], ids=["shape", "thm5-at-p-inf", "monomials-at-odd-p", "c-0", "c-absolute-negative"])
@@ -398,7 +398,7 @@ def test_span_dim():
     assert span_dim("thm1", n=3, k=4) == 11
     assert span_dim("thm2", n=2, d=3, k=2) == 36
     assert span_dim("thm3", a=2, b=3) == 20
-    assert span_dim("thm4-monomials", a=1, p=4) == 5
+    assert certify_mod._thm4_block_monomials(1, 4) == 5
     assert span_dim("thm4", a=1, b=1, p=4) == 9
     assert span_dim("thm5", blocks=(2, 2), d=4) == 20
     with pytest.raises(InputError):
@@ -407,8 +407,8 @@ def test_span_dim():
         span_dim("thm1", n=3)
     with pytest.raises(InputError, match="unexpected keyword argument 'd'"):
         span_dim("thm1", n=3, k=4, d=9)
-    with pytest.raises(InputError, match="unexpected keyword argument 'b'"):
-        span_dim("thm4-monomials", a=1, b=2, p=4)
+    with pytest.raises(InputError, match="unexpected keyword argument 'p'"):
+        span_dim("thm3", a=1, b=2, p=4)
 
 
 def test_monomial_count_identity():
@@ -416,7 +416,7 @@ def test_monomial_count_identity():
         for p in (2, 4, 6, 8):
             tele = monomial_count_telescoped(a, p)
             enum = monomial_count_enumerated(a, p)
-            closed = span_dim("thm4-monomials", a=a, p=p)
+            closed = certify_mod._thm4_block_monomials(a, p)
             assert tele == enum == closed
 
 
@@ -496,11 +496,31 @@ def test_certify_thm1_cross_polytope_documents_sandwich():
     assert any("within" in note and "threshold" in note for note in rep.notes)
 
 
-def test_certify_single_point_trivial():
-    single = PointSet(Space(1.0, (1, 1)), np.array([[0.5, 0.5]]))
-    for thm in ("thm1", "thm2", "thm3", "thm4", "thm5"):
-        rep = certify(single, thm)
-        assert rep.passes and rep.m == 1
+def test_certify_single_point_runs_its_theorem():
+    def one_and_two(space):
+        sp = Space.from_string(space)
+        one = np.full((1, sp.ambient_dim), 0.5)
+        return PointSet(sp, one), PointSet(sp, np.vstack([one, one + np.eye(sp.ambient_dim)[0]]))
+
+    # one point is refused where two points of its space are: no shortcut passes it
+    # past its theorem's hypotheses
+    for space, thm, msg in [("lp:n=3,p=3", "thm3", "requires a two-block space"),
+                            ("lp:n=2,p=3", "thm4", "p must be a positive even integer, got 3"),
+                            ("lp:n=2,p=inf", "thm2", "thm2 requires finite p"),
+                            ("lp:n=2,p=inf", "thm5", "thm5 requires finite p")]:
+        for pts in one_and_two(space):
+            with pytest.raises(InputError, match=msg):
+                certify(pts, thm)
+    with pytest.raises(InputError, match="needs at least 2 points"):  # thm2 reads the profile
+        certify(one_and_two("lp:n=2,p=2")[0], "thm2")
+    # where a theorem applies, one point is its 1x1 identity certificate
+    for space, thm in [("lp:n=2,p=1", "thm1"), ("lp:n=2,p=3", "thm5"), ("lp:n=2,p=4", "thm4"),
+                       ("lpsum:blocks=1,2,p=inf", "thm3"), ("lpsum:blocks=2,1,p=2", "thm5")]:
+        rep = certify(one_and_two(space)[0], thm)
+        assert rep.passes and rep.m == rep.numerical_rank == 1
+        assert (rep.max_offdiag, rep.offdiag_threshold, rep.rank_lemma_lower) == (0.0, 1.0, 1.0)
+        if thm == "thm1":
+            assert rep.notes[0].endswith("measured no pairs")
 
 
 def test_certify_thm2():

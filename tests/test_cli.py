@@ -102,6 +102,18 @@ def test_verify_duplicate_point(tmp_path, capsys):
     assert "zero distance present" in err
 
 
+def test_verify_tol_is_only_the_clustering_gap(tmp_path, capsys):
+    code, out, _ = _run(capsys, "construct", "lp-simplex", "--n", "2", "--p", "2.5")
+    f = tmp_path / "simplex.json"
+    f.write_text(out)
+    code, out, err = _run(capsys, "verify", "--points", str(f), "--tol", "1e308")
+    assert (code, err) == (0, "") and json.loads(out)["equilateral"] is True
+    g = tmp_path / "dup.json"
+    g.write_text(json.dumps({"space": "lp:n=2,p=2.5", "points": [[0, 0], [0, 0], [1, 0]]}))
+    code, out, err = _run(capsys, "verify", "--points", str(g), "--tol", "1e308")
+    assert (code, err) == (2, "zero distance present\n")
+
+
 def test_verify_non_equilateral(tmp_path, capsys):
     f = tmp_path / "sq.json"
     f.write_text(json.dumps({"space": "lp:n=2,p=2",

@@ -107,8 +107,12 @@ def test_distance_profile():
     assert len(prof) == 2
     assert abs(prof[0] - math.sqrt(2)) < 1e-12 and abs(prof[1] - 1.0) < 1e-12
     dup = PointSet(Space(2.0, (1, 1)), np.array([[0, 0], [0, 0.0]]))
-    with pytest.raises(DegenerateDistanceError):
-        distance_profile(dup)
+    for tol in (1e-300, 1e-7, 1e308):  # a zero distance is refused at every tol
+        with pytest.raises(DegenerateDistanceError):
+            distance_profile(dup, tol)
+    # only an exact zero is: a distance below tol is clustered like any other
+    near = PointSet(Space(2.0, (1,)), np.array([[0.0], [1e-12], [1.0]]))
+    assert distance_profile(near, 1e-7) == [1.0 - 5e-13, 1e-12]
     with pytest.raises(InputError):
         distance_profile(PointSet(Space(2.0, (1,)), np.array([[1.0]])))
     for tol in (0.0, -1.0):  # the CLI refuses these before calling it
@@ -145,10 +149,7 @@ def test_profile_matches_the_loop():
         x = rng.integers(0, 12, size=(m, 2)) * 0.1 + rng.normal(size=(m, 2)) * noise
         ps = PointSet(Space(float(rng.choice([1.0, 2.0, 3.5, math.inf])), (1, 1)), x)
         tol = 10.0 ** rng.uniform(-7, math.log10(0.5))
-        if distance_matrix(ps)[np.triu_indices(m, 1)].min() < tol:
-            with pytest.raises(DegenerateDistanceError):  # refused before clustering
-                distance_profile(ps, tol)
-            continue
+        # no two points coincide, so distances below tol are clustered, not refused
         want = [x.hex() for x in _profile_by_loop(ps, tol)]
         assert [x.hex() for x in distance_profile(ps, tol)] == want
     # sorted distances 1, 1.25, 2.25: a gap of exactly tol stays in its cluster,
