@@ -38,10 +38,13 @@ def jackson_constant(p: float) -> float:
         raise InputError(f"p must be finite and >= 1, got {p}")
     cp = math.ceil(p)
     try:
-        return ((cp ** p) * (1.0 + math.pi ** 2 / 2.0) ** cp
-                * math.prod(p - i for i in range(cp - 1)) / math.factorial(cp))
-    except OverflowError:
-        raise NumericalError(f"B(p) overflows double precision at p={p:g}") from None
+        b = ((cp ** p) * (1.0 + math.pi ** 2 / 2.0) ** cp
+             * math.prod(p - i for i in range(cp - 1)) / math.factorial(cp))
+    except OverflowError:  # cp ** p alone, from about p = 143
+        b = math.inf
+    if not math.isfinite(b):  # the float products overflow to inf for p > 75
+        raise NumericalError(f"B(p) overflows double precision at p={p:g}")
+    return b
 
 
 def int_power(t, k: int):

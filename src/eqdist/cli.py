@@ -53,17 +53,23 @@ def render_json(obj, indent: int | None = 0) -> str:
     if isinstance(obj, (dict, list, tuple)):
         if not obj:
             return "{}" if isinstance(obj, dict) else "[]"
-        inner = None if indent is None else indent + 2
-        if isinstance(obj, dict):
-            open_, close = "{", "}"
-            items = [f"{json.dumps(str(k))}: {render_json(v, inner)}" for k, v in obj.items()]
-        else:
-            open_, close = "[", "]"
-            items = [render_json(v, inner) for v in obj]
         if indent is None:
-            return open_ + ", ".join(items) + close
-        pad = "\n" + " " * indent
-        return open_ + pad + "  " + ("," + pad + "  ").join(items) + pad + close
+            inner, sep, open_, close = None, ", ", "", ""
+        else:
+            pad = "\n" + " " * indent
+            inner, sep, open_, close = indent + 2, "," + pad + "  ", pad + "  ", pad
+        if isinstance(obj, dict):
+            body = sep.join([f"{json.dumps(str(k))}: {render_json(v, inner)}"
+                             for k, v in obj.items()])
+            return "{" + open_ + body + close + "}"
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            # one % call for the whole list: "%.1f" writes an integral float
+            # below 1e17 as _fmt_float does, "%.17g" every other finite float
+            body = sep.join(["%.1f" if v.is_integer() and -1e17 < v < 1e17 else "%.17g"
+                             for v in obj]) % tuple(obj)
+        else:
+            body = sep.join([render_json(v, inner) for v in obj])
+        return "[" + open_ + body + close + "]"
     if isinstance(obj, (bool, int, str)) or obj is None:
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")

@@ -204,7 +204,7 @@ def pair_block_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     delta = A[..., :, None, :] - B[..., None, :, :]
     if space.is_lp:
-        return np.abs(delta)
+        return np.abs(delta, out=delta)  # delta is this call's own array
     with np.errstate(over="ignore"):  # overflowed sums are recomputed; an inf |delta| stays inf
         S = _block_sq_norms(space, delta)
         R = np.sqrt(S)
@@ -223,13 +223,19 @@ def _outer_norm(r: np.ndarray, p: float) -> np.ndarray:
     Rescales by the largest entry before exponentiating so large p does not
     overflow or underflow.  Calls the ufunc reductions directly: the
     np.max/np.sum wrappers cost a third of a call on one short vector.
+    r is only read, since callers read it again; the powers are taken in
+    place on the rescaled copy.
     """
     top = np.maximum.reduce(r, axis=-1, initial=0.0)
     if math.isinf(p):
         return top
     # 1 where every entry is 0 (no 0/0), the largest double where top is inf (no inf/inf)
     scale = np.minimum(top + (top == 0.0), _MAX)
-    return top * np.add.reduce((r / scale[..., None]) ** p, axis=-1) ** (1.0 / p)
+    x = r / scale[..., None]
+    if p == 1.0:  # x ** 1.0 would only copy x
+        return top * np.add.reduce(x, axis=-1)
+    x **= p  # the same ufunc as x ** p picks (np.square at p = 2)
+    return top * np.add.reduce(x, axis=-1) ** (1.0 / p)
 
 
 def distance(space: Space, x: Sequence[float], y: Sequence[float]) -> float:

@@ -30,6 +30,14 @@ def test_jackson_constant_values():
             jackson_constant(p)
 
 
+def test_jackson_constant_overflow_edge():
+    # above p = 75 the float products overflow to inf, which raises nothing by itself
+    assert math.isfinite(jackson_constant(75.0))
+    for p in (math.nextafter(75.0, 76.0), 75.1, 100.0, 142.9):
+        with pytest.raises(NumericalError, match="B\\(p\\) overflows"):
+            jackson_constant(p)
+
+
 def test_even_polynomial_structure():
     P = EvenPolynomial(6, (1.0, -0.5, 0.25))
     assert P(0.0) == 0.0

@@ -203,6 +203,25 @@ def test_approx_cli_schema(capsys):
     assert rep["measured_error"] <= rep["jackson_bound"]
 
 
+@pytest.mark.parametrize("p, d", [("100", "120"), ("75.1", "76")])
+def test_approx_refuses_an_overflowed_jackson_bound(p, d):
+    # "jackson_bound": "inf" would certify nothing; p = 100 takes the exact even-p path
+    code, out, err = _run_quietly(["approx", "--p", p, "--d", d])
+    assert (code, out) == (1, "")
+    assert err == f"error: B(p) overflows double precision at p={float(p):g}\n"
+
+
+@pytest.mark.parametrize("theorem", ["thm2", "thm5"])
+def test_certify_refuses_an_overflowed_jackson_bound(tmp_path, theorem):
+    # an inf n*B(p)/d^p would let any approximation gap pass
+    f = tmp_path / "s.json"
+    f.write_text(render_json(construct.lp_simplex(2, 100.0).to_jsonable()))
+    code, out, err = _run_quietly(["certify", "--points", str(f), "--theorem", theorem,
+                                   "--c", "1e216"])
+    assert (code, out) == (1, "")
+    assert err == "error: B(p) overflows double precision at p=100\n"
+
+
 def test_approx_coefficients_reproduce_measured_error(capsys):
     # the benchmark oracle's rule: Horner on the emitted coefficients, on a
     # uniform grid, stays within measured_error plus rounding, which in turn
@@ -800,12 +819,23 @@ _EVERY_CASE = {"nan": math.nan, "inf": [math.inf, -math.inf], "zero": (-0.0, 0.0
                "tiny": 5e-324, "huge": [HUGE_INT, [2 ** 20000, HUGE_INT - 1]],
                "flags": [True, False, None], "text": 'say "h\u00e9" \u2603',
                "empty": [[], {}, ()], "nested": {"a": {"b": [{"c": ()}]}}}
+# longer than the strategy's lists: finite floats on both sides of each switch
+# of render_json's one-call float-list format, then lists that leave that path
+_FLOAT_LIST = [0.0, -0.0, 5e-324, -5e-324, 1.0, -3.0, 1e16, -1e16, 99999999999999984.0,
+               -99999999999999984.0, 1e17, -1e17, 1e22, 0.1, 2.5, 1e-5, 2.0 ** 53 + 2]
+_FLOAT_LISTS = {"floats": _FLOAT_LIST, "nan": [*_FLOAT_LIST, math.nan],
+                "inf": [math.inf, *_FLOAT_LIST], "int": [*_FLOAT_LIST, 3],
+                "bool": [True, *_FLOAT_LIST], "np": [*_FLOAT_LIST, np.float64(0.1)],
+                "rows": [_FLOAT_LIST, tuple(_FLOAT_LIST)]}
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(obj=_JSON_VALUES)
 @example(obj=_EVERY_CASE)
 @example(obj=[_EVERY_CASE, (_EVERY_CASE,)])
+@example(obj=_FLOAT_LIST)
+@example(obj=_FLOAT_LISTS)
+@example(obj=[_FLOAT_LISTS, [_FLOAT_LISTS]])
 def test_render_json_matches_the_two_walker_reference(obj):
     assert render_json(obj) == json_reference.render_json(obj)
     assert render_json(obj, None) == json_reference._inline(obj)
@@ -815,6 +845,8 @@ def test_render_json_matches_the_two_walker_reference(obj):
 @given(obj=_JSON_ROWS | st.lists(_JSON_ROWS, max_size=4))
 @example(obj=_EVERY_CASE)
 @example(obj=[_EVERY_CASE, {"tiny": 1.0, "other": "x"}])
+@example(obj=_FLOAT_LISTS)
+@example(obj=[_FLOAT_LISTS, {"floats": [*_FLOAT_LIST, *_FLOAT_LIST], "x": 1.5}])
 def test_csv_and_text_match_the_two_walker_reference(obj):
     assert cli.render_csv(obj) == json_reference.render_csv(obj)
     assert cli.render_text(obj) == json_reference.render_text(obj)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import kernel_reference
 from eqdist import space as space_mod
 from eqdist.construct import cross_polytope
 from eqdist.errors import InputError, ResourceLimitError
@@ -162,6 +163,38 @@ def test_distance_matrix_chunks_give_same_bits(monkeypatch):
     monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 1)  # one row per chunk
     for ps, dm in zip(sets, whole):
         assert distance_matrix(ps).tobytes() == dm.tobytes()
+
+
+@pytest.mark.parametrize("one_row", [False, True])
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
+@pytest.mark.parametrize("blocks", [(1,) * 12, (1, 2, 3, 1, 5)])
+def test_distance_matrix_matches_the_reference_kernel(monkeypatch, blocks, scale, one_row):
+    rng = np.random.default_rng(37)
+    pts = rng.normal(size=(30, sum(blocks))) * scale
+    if one_row:
+        monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 1)
+    for p in (1.0, 1.5, 2.0, 2.5, 3.5, 7.0, math.inf):
+        ps = PointSet(Space(p, blocks), pts)
+        want = kernel_reference.pair_distances(ps.space, ps.points, ps.points)
+        assert distance_matrix(ps).tobytes() == want.tobytes(), p
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5, math.inf])
+def test_outer_norm_leaves_its_argument_alone(p):
+    r = np.abs(np.random.default_rng(41).normal(size=(6, 7)))
+    before = r.copy()
+    space_mod._outer_norm(r, p)
+    assert r.tobytes() == before.tobytes()
+
+
+def test_sandwich_reads_its_array_twice_unchanged():
+    x = np.random.default_rng(43).normal(size=9)
+    before = x.copy()
+    first = norm_sandwich_check(x, 1.0, 2.5)
+    assert norm_sandwich_check(x, 1.0, 2.5) == first
+    assert x.tobytes() == before.tobytes()
+    # the p-norm is taken after the q-norm, on the same array
+    assert first[1][1] == float(space_mod._outer_norm(np.abs(before), 1.0))
 
 
 @pytest.mark.parametrize("p, blocks", [(1.0, (1, 1)), (2.0, (1, 1)), (3.0, (1, 1)),
