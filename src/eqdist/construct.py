@@ -7,10 +7,12 @@ independently from (seed, restart_index) so results are reproducible.
 
 The restarts advance in lockstep: a batch of them is one (batch, m, dim)
 array, and each tick makes one energy-and-gradient call on every live
-restart's trial point, each restart with its own step size.  A restart
-leaves the batch when it converges, stalls or hits a cap, so each follows
-the same trajectory as it would alone.  Batches are sized so their
-(batch, m, m, dim) temporaries fit in the pairwise kernel's chunk size.
+restart's trial point, each restart with its own step size.  The energy
+function is built once per batch, and a tick steps only the live restarts,
+whose state is kept compacted.  A restart leaves the batch when it
+converges, stalls or hits a cap, so each follows the same trajectory as it
+would alone.  Batches are sized so their (batch, m, m, dim) temporaries fit
+in the pairwise kernel's chunk size.
 """
 
 from __future__ import annotations
@@ -163,11 +165,14 @@ class SearchResult:
     converged: bool
     restart_index: int
     iterations: int      # accepted steps of the best restart
-    stop: str            # why the best restart stopped: one of STOP_CAUSES
+    stop: str            # why the best restart stopped: one of STOP_CAUSES, or ENERGY_ONLY
 
 
 # Why a restart left the descent; _descend records the index, -1 while live.
 STOP_CAUSES = ("converged", "iteration cap", "stalled", "60 halvings", "step underflow")
+# The stop of a best restart whose descent converged on the energy, which
+# softens block norms below p = 2, while its true-norm residual misses the target.
+ENERGY_ONLY = "converged on the search energy, true-norm residual above the target"
 _CONVERGED, _CAPPED, _STALLED, _HALVED, _UNDERFLOW = range(len(STOP_CAUSES))
 MAX_ITERS = 4000  # accepted steps a restart may take
 _STEP_INIT = 0.1
@@ -184,81 +189,134 @@ _MIN_STEP = 1e-18
 # 0.998 of its energy over a 50-step plateau.
 _STALL_WINDOW = 100
 _STALL_DROP = 1e-2
-# Cap on one restart's m * m * dim.  Its energy and gradient hold about seven
-# (m, m, dim) float arrays at once (7 MB traced per 1 MB array), and a batch
-# never holds less than one restart: 1 << 22 entries keep that near 250 MB.
+# Cap on one restart's m * m * dim.  Its energy and gradient hold about four
+# (m, m, dim) float arrays at once (4.1 MB traced per 1 MB array on plain lp,
+# 3.1 MB on an lp sum of 2-dimensional blocks), and a batch never holds less
+# than one restart: at 1 << 22 entries a one-restart search traced 131 MB.
 SEARCH_MAX_PAIR_COORDS = 1 << 22
 # Added in quadrature to the block norms for 1 <= p < 2, where |.|^p is not
 # differentiable at 0.
 SMOOTHING_EPS = 1e-9
 
 
-def _pair_energy_grad(Q: np.ndarray, space: Space):
-    """Energies sum_{i<j} (d_ij - 1)^2 with softened block norms, and their
-    gradients, for each (m, dim) configuration on the leading axes of Q."""
-    m = Q.shape[-2]
-    delta = Q[..., :, None, :] - Q[..., None, :, :]
-    sq = _block_sq_norms(space, delta)
-    soften = space.p < 2.0 and math.isfinite(space.p)
-    r = np.sqrt(sq + SMOOTHING_EPS * SMOOTHING_EPS) if soften else np.sqrt(sq)
-    eye = np.eye(m, dtype=bool)
-    d = r.max(axis=-1) if math.isinf(space.p) else (r ** space.p).sum(axis=-1) ** (1.0 / space.p)
-    d[..., eye] = 1.0  # so the diagonal residuals, and with them their weights, are +0
-    resid = d - 1.0
-    energy = 0.5 * np.sum(resid ** 2, axis=(-2, -1))  # each pair counted twice
-    # w[..., i, j, b]: weight of block b of Q[i] - Q[j] in the gradient at Q[i]
-    if math.isinf(space.p):
-        is_max = r.argmax(axis=-1)[..., None] == np.arange(space.n_blocks)
-        w = 2.0 * resid[..., None] * is_max / np.maximum(r, 1e-12)
-    else:
-        base = 2.0 * resid * np.maximum(d, 1e-12) ** (1.0 - space.p)
-        w = base[..., None] * r ** (space.p - 2.0)
-    return energy, np.sum(np.repeat(w, space.blocks, axis=-1) * delta, axis=-2)
+def _search_energy(space: Space, m: int):
+    """The function that maps a (..., m, dim) array Q to the energies
+    sum_{i<j} (d_ij - 1)^2, with softened block norms, and their gradients,
+    for each configuration on the leading axes of Q.
+
+    What depends only on the space and m is fixed here, once per batch: the
+    exponents, whether to soften, the diagonal index, and whether blocks
+    need spreading over their coordinates (not on plain lp)."""
+    p = space.p
+    sup = math.isinf(p)
+    soften = p < 2.0 and not sup
+    eps_sq = SMOOTHING_EPS * SMOOTHING_EPS
+    diag = np.arange(m)
+    blocks = np.arange(space.n_blocks)
+    inv_p, decay, curve = 1.0 / p, 1.0 - p, p - 2.0
+    plain = space.is_lp
+
+    def energy_grad(Q: np.ndarray):
+        delta = Q[..., :, None, :] - Q[..., None, :, :]
+        r = _block_sq_norms(space, delta)  # the call's own array, so taken in place
+        if soften:
+            r += eps_sq
+        np.sqrt(r, out=r)
+        d = np.maximum.reduce(r, axis=-1) if sup else np.add.reduce(r ** p, axis=-1) ** inv_p
+        d[..., diag, diag] = 1.0  # so the diagonal residuals, and with them their weights, are +0
+        resid = d - 1.0
+        energy = 0.5 * np.add.reduce(resid ** 2, axis=(-2, -1))  # each pair counted twice
+        # w[..., i, j, b]: weight of block b of Q[i] - Q[j] in the gradient at Q[i]
+        if sup:
+            is_max = r.argmax(axis=-1)[..., None] == blocks
+            w = 2.0 * resid[..., None] * is_max / np.maximum(r, 1e-12)
+        else:
+            base = 2.0 * resid * np.maximum(d, 1e-12) ** decay
+            w = base[..., None] * r ** curve
+        if not plain:  # spread each block's weight over its coordinates
+            w = np.repeat(w, space.blocks, axis=-1)
+        w *= delta
+        return energy, np.add.reduce(w, axis=-2)
+
+    return energy_grad
+
+
+def _energy_target(residual_target: float) -> float:
+    """The largest double E with math.sqrt(E) <= residual_target / 4.  As sqrt
+    is monotone, an energy E has sqrt(max(E, 0)) <= residual_target / 4
+    exactly when E <= this."""
+    bound = 0.25 * residual_target
+    e = bound * bound
+    while math.sqrt(e) > bound:
+        e = math.nextafter(e, -math.inf)
+    while math.sqrt(math.nextafter(e, math.inf)) <= bound:
+        e = math.nextafter(e, math.inf)
+    return e
 
 
 def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
     """Backtracking descent of the restarts stacked on the first axis of Q.
 
-    Each tick takes every live restart's trial point Q - step * grad and
+    Each tick takes every live restart's trial point q - step * grad and
     computes its energy and gradient in one call.  A restart whose energy
     falls moves there and grows its step by 1.3; the others halve their step.
     A restart stops when it converges, stalls (see _STALL_WINDOW), reaches
     MAX_ITERS accepted steps, or cannot find a lower energy.  Returns the
     final points, the accepted steps and the STOP_CAUSES index of each restart.
+
+    The live restarts' state is kept compacted, row k belonging to restart
+    idx[k]; a restart is written back into Q on the tick it leaves.
     """
+    energy_grad = _search_energy(space, Q.shape[1])
+    done = _energy_target(cfg.residual_target)
     R = Q.shape[0]
+    iters_out = np.zeros(R, dtype=int)
+    stop_out = np.full(R, -1)
+    idx, q = np.arange(R), Q
+    energy, grad = energy_grad(q)
     step = np.full(R, _STEP_INIT)
     halvings = np.zeros(R, dtype=int)
     iters = np.zeros(R, dtype=int)
-    stop = np.full(R, -1)
-    energy, grad = _pair_energy_grad(Q, space)
     checkpoint = energy.copy()  # the energy at the last multiple of _STALL_WINDOW steps
-    live = np.arange(R)
-    while live.size:
-        trial = Q[live] - step[live, None, None] * grad[live]
-        en, g = _pair_energy_grad(trial, space)
-        ok = en < energy[live]
-        acc, rej = live[ok], live[~ok]
-        Q[acc], energy[acc], grad[acc] = trial[ok], en[ok], g[ok]
-        step[acc] *= 1.3
-        halvings[acc] = 0
-        iters[acc] += 1
-        if rej.size:  # 2 in 5 ticks of a converging search reject no restart
-            step[rej] *= 0.5
-            halvings[rej] += 1
+    tick = 0
+    while idx.size:
+        tick += 1
+        trial = q - step[:, None, None] * grad
+        en, g = energy_grad(trial)
+        ok = en < energy
+        if ok.all():  # 2 in 5 ticks of the benchmark's searches: take the trial arrays whole
+            q, energy, grad = trial, en, g
+            step *= 1.3
+            halvings.fill(0)
+            iters += 1
+            stop = np.full(idx.size, -1)
+        else:
+            q[ok], energy[ok], grad[ok] = trial[ok], en[ok], g[ok]
+            step *= np.where(ok, 1.3, 0.5)
+            halvings = np.where(ok, 0, halvings + 1)
+            iters += ok
             # later assignments win: underflow over halvings
-            stop[rej[halvings[rej] >= _MAX_HALVINGS]] = _HALVED
-            stop[rej[step[rej] < _MIN_STEP]] = _UNDERFLOW
-        # later assignments win: converged over a stall over the cap
-        it = iters[acc]
-        stop[acc[it >= MAX_ITERS]] = _CAPPED
-        check = acc[it % _STALL_WINDOW == 0]
-        if check.size:  # most ticks bring no restart to a checkpoint
-            stop[check[energy[check] > (1.0 - _STALL_DROP) * checkpoint[check]]] = _STALLED
-            checkpoint[check] = energy[check]
-        stop[acc[np.sqrt(np.maximum(energy[acc], 0.0)) <= 0.25 * cfg.residual_target]] = _CONVERGED
-        live = live[stop[live] < 0]
-    return Q, iters, stop
+            stop = np.where(halvings >= _MAX_HALVINGS, _HALVED, -1)
+            stop[~ok & (step < _MIN_STEP)] = _UNDERFLOW
+        # later assignments win: converged over a stall over the cap.  A
+        # restart's steps never outnumber the ticks, so neither count is reached
+        # earlier; a live restart is below MAX_ITERS, so only one that stepped on
+        # this tick can reach it
+        if tick >= MAX_ITERS:
+            stop[iters >= MAX_ITERS] = _CAPPED
+        if tick >= _STALL_WINDOW:
+            check = ok & (iters % _STALL_WINDOW == 0)
+            if check.any():  # most ticks bring no restart to a checkpoint
+                stop[check & (energy > (1.0 - _STALL_DROP) * checkpoint)] = _STALLED
+                checkpoint[check] = energy[check]
+        stop[ok & (energy <= done)] = _CONVERGED
+        leave = stop >= 0
+        if leave.any():
+            out, keep = idx[leave], ~leave
+            Q[out], iters_out[out], stop_out[out] = q[leave], iters[leave], stop[leave]
+            idx, q, energy, grad, step, halvings, iters, checkpoint = (
+                x[keep] for x in (idx, q, energy, grad, step, halvings, iters, checkpoint))
+    return Q, iters_out, stop_out
 
 
 def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) -> SearchResult:
@@ -293,5 +351,7 @@ def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) ->
             if best is None or resid < best[0]:
                 best = (float(resid), restart, q, int(it), STOP_CAUSES[stop])
     resid, restart, q, iters, stop = best
-    return SearchResult(PointSet(space, q), resid, resid <= cfg.residual_target, restart,
-                        iters, stop)
+    converged = resid <= cfg.residual_target
+    if stop == STOP_CAUSES[_CONVERGED] and not converged:
+        stop = ENERGY_ONLY
+    return SearchResult(PointSet(space, q), resid, converged, restart, iters, stop)

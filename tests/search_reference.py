@@ -7,6 +7,8 @@ stops as the lockstep search does: converged, stalled (the energy fell by
 less than the fraction _STALL_DROP over the last _STALL_WINDOW accepted
 steps), at the iteration cap, or when no step is found.  It reads these
 constants from ``eqdist.construct`` at each call, so a test may patch them.
+``descend_reference`` gives every restart's final points, accepted steps and
+stop cause, ``search_reference`` the best restart.
 """
 
 import math
@@ -56,6 +58,46 @@ def true_residual(Q: np.ndarray, space: Space) -> float:
     return float(np.max(np.abs(off - 1.0))) if off.size else 0.0
 
 
+def descend_reference(Q: np.ndarray, space: Space, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(final points, accepted steps, STOP_CAUSES index) of each restart stacked
+    on the first axis of Q, each descending alone; the values construct._descend
+    returns for the same Q."""
+    finals = [_descend_one(q, space, cfg) for q in Q]
+    return (np.array([f[0] for f in finals]), np.array([f[1] for f in finals]),
+            np.array([f[2] for f in finals]))
+
+
+def _descend_one(Q: np.ndarray, space: Space, cfg) -> tuple[np.ndarray, int, int]:
+    eps = construct.SMOOTHING_EPS
+    step = construct._STEP_INIT
+    energy, grad = pair_energy_grad(Q, space, eps, True)
+    checkpoint = energy
+    it = 0
+    while True:
+        for _ in range(construct._MAX_HALVINGS):
+            Qn = Q - step * grad
+            en, _ = pair_energy_grad(Qn, space, eps, False)
+            if en < energy:
+                break
+            step *= 0.5
+            if step < construct._MIN_STEP:
+                return Q, it, construct._UNDERFLOW
+        else:
+            return Q, it, construct._HALVED
+        Q, energy = Qn, en
+        step *= 1.3
+        it += 1
+        if math.sqrt(max(energy, 0.0)) <= 0.25 * cfg.residual_target:
+            return Q, it, construct._CONVERGED
+        if it % construct._STALL_WINDOW == 0:
+            if energy > (1.0 - construct._STALL_DROP) * checkpoint:
+                return Q, it, construct._STALLED
+            checkpoint = energy
+        if it >= construct.MAX_ITERS:
+            return Q, it, construct._CAPPED
+        grad = pair_energy_grad(Q, space, eps, True)[1]
+
+
 def search_reference(space: Space, m: int, cfg) -> tuple[np.ndarray, float, int]:
     """(points, residual, restart_index) of the best restart, merged by
     lowest residual with ties to the lowest restart index."""
@@ -63,32 +105,7 @@ def search_reference(space: Space, m: int, cfg) -> tuple[np.ndarray, float, int]
     best = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
-        Q = rng.uniform(-1.0, 1.0, size=(m, dim))
-        step = construct._STEP_INIT
-        energy, grad = pair_energy_grad(Q, space, construct.SMOOTHING_EPS, True)
-        checkpoint = energy
-        for it in range(1, construct.MAX_ITERS + 1):
-            moved = False
-            for _ in range(60):
-                Qn = Q - step * grad
-                en, _ = pair_energy_grad(Qn, space, construct.SMOOTHING_EPS, False)
-                if en < energy:
-                    Q, energy = Qn, en
-                    step *= 1.3
-                    moved = True
-                    break
-                step *= 0.5
-                if step < 1e-18:
-                    break
-            if not moved:
-                break
-            if math.sqrt(max(energy, 0.0)) <= 0.25 * cfg.residual_target:
-                break
-            if it % construct._STALL_WINDOW == 0:
-                if energy > (1.0 - construct._STALL_DROP) * checkpoint:
-                    break
-                checkpoint = energy
-            grad = pair_energy_grad(Q, space, construct.SMOOTHING_EPS, True)[1]
+        Q = _descend_one(rng.uniform(-1.0, 1.0, size=(m, dim)), space, cfg)[0]
         resid = true_residual(Q, space)
         if best is None or resid < best[0]:
             best = (resid, restart, Q)

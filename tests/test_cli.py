@@ -588,14 +588,51 @@ def test_readme_search_energy_calls(capsys, monkeypatch):
     # 4,000-step cap, and the search made 5,539 energy calls; the stdout is
     # the bytes it printed then.
     calls = []
-    energy_grad = construct._pair_energy_grad
-    monkeypatch.setattr(construct, "_pair_energy_grad",
-                        lambda *args: calls.append(1) or energy_grad(*args))
+    build = construct._search_energy
+
+    def counted(space, m):
+        energy_grad = build(space, m)
+        return lambda Q: calls.append(1) or energy_grad(Q)
+
+    monkeypatch.setattr(construct, "_search_energy", counted)
     code, out, _ = _run(capsys, "search", "--space", "lp:n=3,p=1", "--m", "6",
                         "--restarts", "32", "--seed", "7", "--target", "1e-8")
     assert code == 0 and len(calls) < 1000
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "d2fb42b0782a593230639c4928dbc425d98ebb681458e2d5f10f4ad035a83154"
+
+
+# (space, m, seed, exit code, sha256 of stdout, stderr) of searches at the
+# default 8 restarts.  The descent's float operations and their order fix
+# every trajectory, so any change to them shows here byte for byte.
+SEARCH_OUTPUTS = [
+    ("lp:n=3,p=1.5", 4, 3, 0,
+     "fc537e703ebecde0fea73b16d77b723efd945d23861b90d70ad713c3769bf365", ""),
+    ("lp:n=3,p=2.5", 4, 4, 0,
+     "111f5d5f89bcfa789b4bad6aec7b112b9f3e69ea9593782d77e22f87fd93706a", ""),
+    ("lp:n=3,p=inf", 5, 5, 0,
+     "b32e17a5c1cfe67edaa1380d9261138fb969cfe53ec19f465d75e7275c36a8ff", ""),
+    ("lpsum:blocks=2,2,p=4", 5, 6, 0,
+     "03e14840f5a4185ca1890b7adf17b72cf8ed1583416e94f85ba58c89487bf79f", ""),
+    ("lpsum:blocks=2,1,p=inf", 4, 7, 0,
+     "29e3021496ee0bf555fedc5fd8f11236369c84404d55887f06a09f5617743518", ""),
+    ("lp:n=2,p=2", 4, 8, 2,
+     "675ea59550f7387c1d8387db0462bbd79fb6abc2ca7ff48efbbd2dc9ab60ac56",
+     "search did not converge: residual 0.207107 (best restart 4: 24 iterations, "
+     "stop: step underflow)\n"),
+    # the descent converges on the softened energy, the true-norm residual does not
+    ("lp:n=4,p=1.02", 6, 0, 2,
+     "e3777165e2dbbc3480e45ade58f739ad6fdda0f5eb62eb94fb8743bd4b0136fa",
+     "search did not converge: residual 3.31549e-10 (best restart 5: 191 iterations, "
+     "stop: converged on the search energy, true-norm residual above the target)\n"),
+]
+
+
+@pytest.mark.parametrize("space,m,seed,code,digest,err", SEARCH_OUTPUTS,
+                         ids=[f"{s}-m{m}" for s, m, *_ in SEARCH_OUTPUTS])
+def test_search_outputs_pinned(capsys, space, m, seed, code, digest, err):
+    got = _run(capsys, "search", "--space", space, "--m", str(m), "--seed", str(seed))
+    assert (got[0], hashlib.sha256(got[1].encode()).hexdigest(), got[2]) == (code, digest, err)
 
 
 def test_input_errors_exit_1(capsys):

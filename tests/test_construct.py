@@ -13,7 +13,7 @@ from eqdist.construct import (SearchConfig, cross_polytope, distance_profile,
 from eqdist.errors import DegenerateDistanceError, InputError, ResourceLimitError
 from eqdist.space import PointSet, Space, _outer_norm, distance_matrix, pair_block_norms
 
-from search_reference import search_reference
+from search_reference import descend_reference, search_reference
 
 
 def _profile_is_unit(ps, tol):
@@ -299,15 +299,20 @@ def test_search_stop_causes(monkeypatch):
     assert res.stop == "stalled" and res.iterations == 2 * construct._STALL_WINDOW
     res = search_equilateral(Space(2.0, (1, 1)), 4, SearchConfig(seed=3, restarts=6))
     assert res.stop in ("60 halvings", "step underflow") and res.iterations > 0
+    # below p = 2 the energy softens block norms, so its descent can converge
+    # while the true-norm residual misses the target
+    res = search_equilateral(Space(1.02, (1,) * 4), 6, SearchConfig(seed=0))
+    assert not res.converged and 1e-10 < res.residual < 1e-9
+    assert res.stop == construct.ENERGY_ONLY and res.iterations == 191
 
 
-def _scripted_descent(monkeypatch, energies):
+def _scripted_descent(monkeypatch, energies, cfg=SearchConfig()):
     """(accepted steps, stop cause) of one restart whose k-th energy call
     returns energies[k], with a zero gradient."""
     calls = iter(energies)
-    monkeypatch.setattr(construct, "_pair_energy_grad",
-                        lambda Q, space: (np.full(Q.shape[0], next(calls)), np.zeros_like(Q)))
-    _, iters, stop = construct._descend(np.zeros((1, 2, 1)), Space(2.0, (1,)), SearchConfig())
+    monkeypatch.setattr(construct, "_search_energy", lambda space, m: lambda Q: (
+        np.full(Q.shape[0], next(calls)), np.zeros_like(Q)))
+    _, iters, stop = construct._descend(np.zeros((1, 2, 1)), Space(2.0, (1,)), cfg)
     return int(iters[0]), construct.STOP_CAUSES[stop[0]]
 
 
@@ -330,6 +335,55 @@ def test_search_stall_edges(monkeypatch):
     assert _scripted_descent(monkeypatch, energies) == (W, "converged")
 
 
+@pytest.mark.parametrize("target", [5e-324, 1e-300, 1e-10, 0.3, 1.0, 1e300, 1.7e308])
+def test_search_convergence_edge(monkeypatch, target):
+    # a restart has converged when sqrt(max(E, 0)) <= target / 4; the descent
+    # tests E <= edge, the largest double whose square root is within that
+    edge = construct._energy_target(target)
+    above = math.nextafter(edge, math.inf)
+    assert math.sqrt(edge) <= 0.25 * target < math.sqrt(above)
+    if 0.0 < edge and above < 1.0:
+        cfg = SearchConfig(residual_target=target)
+        assert _scripted_descent(monkeypatch, [1.0, edge], cfg) == (1, "converged")
+        # one ulp above the edge is a step, not convergence; the next low converges
+        assert _scripted_descent(monkeypatch, [1.0, above, edge], cfg) == (2, "converged")
+
+
+# (space, m, restarts, seed, residual_target, the construct.MAX_ITERS to run it
+# with, the stop causes of its restarts): batches whose restarts leave the
+# descent at different ticks; test_search_halving_caps adds 60 halvings
+DESCENT_CASES = [
+    (Space(math.inf, (1,) * 3), 6, 8, 2, 1e-10, 4000, {"converged", "stalled", "step underflow"}),
+    (Space(math.inf, (1,) * 3), 6, 8, 2, 1e-10, 100,
+     {"converged", "iteration cap", "step underflow"}),
+    (Space(1.0, (1,) * 3), 6, 8, 7, 1e-8, 150, {"iteration cap", "step underflow"}),
+    (Space(1.5, (2, 1)), 5, 8, 4, 1e-10, 4000, {"stalled"}),
+]
+
+
+def _check_descent(Q, space, cfg):
+    """The stop causes of construct._descend on the restarts of Q, after
+    checking every restart's output against it descending alone."""
+    with np.errstate(all="ignore"):
+        want = descend_reference(Q.copy(), space, cfg)
+        got = construct._descend(Q.copy(), space, cfg)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tolist() == want[1].tolist() and got[2].tolist() == want[2].tolist()
+    assert len(set(got[1].tolist())) > 1  # the restarts leave on different ticks
+    return {construct.STOP_CAUSES[i] for i in got[2]}
+
+
+@pytest.mark.parametrize("space,m,restarts,seed,target,cap,causes", DESCENT_CASES,
+                         ids=[f"{s.to_string()}-m{m}-cap{cap}" for s, m, *_, cap, _ in DESCENT_CASES])
+def test_descent_matches_one_restart_at_a_time(monkeypatch, space, m, restarts, seed, target,
+                                               cap, causes):
+    monkeypatch.setattr(construct, "MAX_ITERS", cap)
+    Q = np.stack([np.random.default_rng([seed, r]).uniform(-1.0, 1.0, size=(m, space.ambient_dim))
+                  for r in range(restarts)])
+    cfg = SearchConfig(restarts=restarts, seed=seed, residual_target=target)
+    assert _check_descent(Q, space, cfg) == causes
+
+
 def test_search_size_cap(monkeypatch):
     monkeypatch.setattr(construct, "SEARCH_MAX_PAIR_COORDS", 3 * 3 * 2)
     assert search_equilateral(Space(2.0, (1, 1)), 3, SearchConfig(restarts=1)).converged
@@ -345,3 +399,6 @@ def test_search_halving_caps(monkeypatch):
         Q = np.array([[[0.0], [1.0]]])
         _, iters, stop = construct._descend(Q, Space(2.0, (1,)), SearchConfig())
         assert iters[0] == 0 and construct.STOP_CAUSES[stop[0]] == cause
+        # in a batch, the segment leaves while the other restarts descend on
+        batch = np.array([[[0.0], [0.3]], [[0.0], [1.0]], [[0.2], [-0.7]]])
+        assert _check_descent(batch, Space(2.0, (1,)), SearchConfig()) == {cause, "converged"}
