@@ -159,7 +159,6 @@ def approximation_error(P: EvenPolynomial, p: float) -> float:
         raise InputError(f"p must be finite and >= 1, got {p}")
     xg = _cheb_grid(GRID_SIZE)
     err = np.abs(P(xg) - abs_power(xg, p))
-    best = float(err.max())
     if p == float(int(p)):
         fn = lambda x: np.abs(P(x) - abs_power(x, p))
     else:
@@ -168,9 +167,7 @@ def approximation_error(P: EvenPolynomial, p: float) -> float:
         # reported to full precision
         fn = lambda x: np.abs(P(x) - np.array([math.pow(v, p) for v in np.abs(x)]))
     interior = _interior_maxima(err)
-    if interior.size:
-        best = max(best, float(_golden_max(fn, xg[interior - 1], xg[interior + 1]).max()))
-    return best
+    return float(_golden_max(fn, xg[interior - 1], xg[interior + 1]).max(initial=err.max()))
 
 
 def _remez_even(p: float, half_degree: int) -> tuple[np.ndarray, float]:

@@ -126,9 +126,7 @@ def _pair_planes(points: PointSet, kernel, planes) -> tuple:
     one pair_map pass; Q = kernel(space, U, V) holds a chunk's (rows, cols, n_blocks)
     block norms (pair_block_norms) or squared block norms (pair_block_sq_norms).
     The matrix is the first plane, with its diagonal set to exactly 1."""
-    space = points.space
-    A, *rest = np.moveaxis(
-        pair_map(points, lambda U, V: np.stack(planes(kernel(space, U, V)), axis=-1)), -1, 0)
+    A, *rest = pair_map(points, lambda U, V: np.stack(planes(kernel(points.space, U, V))))
     np.fill_diagonal(A, 1.0)
     return SymMatrix(len(A), A), *rest
 
@@ -390,6 +388,8 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
                 notes.append(f"large-p regime p >= c*(n*ln n)^2 = {gate:.6g} "
                              f"{'holds' if p >= gate else 'does not hold'} at c={cfg.c_absolute}")
         elif theorem == "thm2":
+            if m == 1:  # no pair, so no largest distance to scale to 1
+                raise InputError("distance profile needs at least 2 points")
             dists = distance_profile(points)
             k = len(dists)
             c = cfg.c if cfg.c is not None else _paper_c(p, k)

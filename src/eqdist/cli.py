@@ -35,12 +35,11 @@ HUGE_INT = 10 ** 4000
 
 
 def _fmt_float(x: float) -> str:
+    """A finite x as "%.1f" when integral below 1e17, else "%.17g"; nan and
+    inf as JSON strings."""
     if math.isnan(x) or math.isinf(x):
         return json.dumps(str(x))
-    s = format(x, ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+    return ("%.1f" if x.is_integer() and -1e17 < x < 1e17 else "%.17g") % x
 
 
 def render_json(obj, indent: int | None = 0) -> str:
@@ -63,8 +62,7 @@ def render_json(obj, indent: int | None = 0) -> str:
                              for k, v in obj.items()])
             return "{" + open_ + body + close + "}"
         if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            # one % call for the whole list: "%.1f" writes an integral float
-            # below 1e17 as _fmt_float does, "%.17g" every other finite float
+            # _fmt_float's rule, with one % call for the whole list
             body = sep.join(["%.1f" if v.is_integer() and -1e17 < v < 1e17 else "%.17g"
                              for v in obj]) % tuple(obj)
         else:
@@ -229,13 +227,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     ps = _load_points(args.points)
-    if args.tol <= 0:  # distance_profile refuses it too, but a single point never gets there
-        raise InputError(f"tol must be positive, got {args.tol}")
     report = {"space": ps.space.to_string(), "m": ps.m}
-    if ps.m == 1:
-        report.update(profile=[], equilateral=True, max_deviation=0.0)
-        emit(report, args.format)
-        return 0
     try:
         profile = construct_mod.distance_profile(ps, args.tol)
     except DegenerateDistanceError as e:
@@ -243,8 +235,8 @@ def _cmd_verify(args) -> int:
         emit(report, args.format)
         print(str(e), file=sys.stderr)
         return 2
-    dev = max(abs(d - 1.0) for d in profile)
-    ok = len(profile) == 1 and dev <= args.tol
+    dev = max((abs(d - 1.0) for d in profile), default=0.0)
+    ok = len(profile) <= 1 and dev <= args.tol
     report.update(profile=profile, equilateral=ok, max_deviation=dev)
     emit(report, args.format)
     if not ok:

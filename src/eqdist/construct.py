@@ -105,24 +105,24 @@ def product_construction(S: PointSet, T: PointSet) -> PointSet:
     for name, ps in (("S", S), ("T", T)):
         if not ps.space.is_euclidean:
             raise InputError(f"{name} must live in a Euclidean space")
-        if ps.m >= 2:
-            prof = distance_profile(ps, 1e-8)
-            if len(prof) != 1 or abs(prof[0] - 1.0) > 1e-8:
-                raise InputError(f"{name} is not unit-equilateral (profile {prof})")
+        prof = distance_profile(ps, 1e-8)
+        if len(prof) > 1 or any(abs(d - 1.0) > 1e-8 for d in prof):
+            raise InputError(f"{name} is not unit-equilateral (profile {prof})")
     pts = np.hstack([np.repeat(S.points, T.m, axis=0), np.tile(T.points, (S.m, 1))])
     return PointSet(Space(math.inf, (S.space.ambient_dim, T.space.ambient_dim)), pts)
 
 
 def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
     """Distinct pairwise distances, clustered with single linkage at gap tol,
-    sorted descending.  A zero distance (coincident points) is an error: zero is
-    not counted as a distance.  Neither is one past the largest double."""
-    if points.m < 2:
-        raise InputError("distance profile needs at least 2 points")
+    sorted descending; empty for one point.  A zero distance (coincident points)
+    is an error: zero is not counted as a distance.  Neither is one past the
+    largest double."""
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
     if math.isinf(tol):
         raise InputError(f"tol must be finite, got {tol}")
+    if points.m == 1:  # no pair, no distance
+        return []
     with np.errstate(over="ignore", invalid="ignore"):  # overflows end in inf or nan
         dists = np.sort(distance_matrix(points)[np.triu_indices(points.m, 1)])
         if dists[0] == 0.0:

@@ -249,18 +249,17 @@ def norm(space: Space, x: Sequence[float]) -> float:
 
 
 def pair_map(pointset: PointSet, fn) -> np.ndarray:
-    """(m, m, ...) values of fn(A, B), which gives the (len A, len B, ...) values for
+    """(..., m, m) values of fn(A, B), which gives the (..., len A, len B) values for
     the row pairs of A and B, run on row chunks of the upper triangle and mirrored.
     A chunk's (rows, cols, dim) pairwise temporaries hold about _CHUNK_BYTES."""
     pts, m = pointset.points, pointset.m
     rows = max(1, _CHUNK_BYTES // (8 * pts.size))
-    first = fn(pts[:rows], pts)
-    out = np.empty((m, m) + first.shape[2:])
-    out[:rows] = first
-    for i in range(rows, m, rows):
-        out[i:i + rows, i:] = fn(pts[i:i + rows], pts[i:])
-    out = np.moveaxis(out, (0, 1), (-2, -1))
-    return np.moveaxis(np.triu(out) + np.triu(out, 1).swapaxes(-1, -2), (-2, -1), (0, 1))
+    for i in range(0, m, rows):
+        values = fn(pts[i:i + rows], pts[i:])
+        if i == 0:
+            out = np.empty(values.shape[:-2] + (m, m))
+        out[..., i:i + rows, i:] = values
+    return np.triu(out) + np.triu(out, 1).swapaxes(-1, -2)
 
 
 def distance_matrix(pointset: PointSet) -> np.ndarray:

@@ -73,6 +73,9 @@ def test_p1_d1_is_the_zero_polynomial():
     # Remez solves a 2x2 system; its one coefficient is T_0's, which P drops
     P, cert = approximate_abs_power(1, 1)
     assert P == EvenPolynomial(1, ()) and cert.measured_error == 1.0
+    # its error |x| rises over the grid, so no interior peak is refined and
+    # the measure is the grid maximum
+    assert approx._interior_maxima(approx._cheb_grid(approx.GRID_SIZE)).size == 0
 
 
 def test_error_over_the_bound_exits_2(monkeypatch, capsys):

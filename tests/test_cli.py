@@ -146,6 +146,19 @@ def test_certify_zero_distance_exit_2(tmp_path, capsys):
     assert (code, out, err) == (2, "", "failed: zero distance present\n")
 
 
+def test_certify_thm2_refuses_one_point_before_any_approximant(tmp_path, capsys, monkeypatch):
+    def no_approximant(*args):
+        raise AssertionError("an approximant was built")
+
+    monkeypatch.setattr(importlib.import_module("eqdist.certify"), "approximate_abs_power",
+                        no_approximant)
+    f = tmp_path / "one.json"
+    f.write_text(json.dumps({"space": "lp:n=2,p=3", "points": [[0.5, -1]]}))
+    for c in ((), ("--c", "4")):
+        assert _run(capsys, "certify", "--points", str(f), "--theorem", "thm2", *c) == (
+            1, "", "error: distance profile needs at least 2 points\n")
+
+
 def test_lp_simplex_past_the_largest_double(tmp_path, capsys):
     # at n = 2 the root bracket reaches 2, and 2^p overflows above p = 1024
     for p in ("1100", "1e300"):
@@ -632,6 +645,96 @@ SEARCH_OUTPUTS = [
                          ids=[f"{s}-m{m}" for s, m, *_ in SEARCH_OUTPUTS])
 def test_search_outputs_pinned(capsys, space, m, seed, code, digest, err):
     got = _run(capsys, "search", "--space", space, "--m", str(m), "--seed", str(seed))
+    assert (got[0], hashlib.sha256(got[1].encode()).hexdigest(), got[2]) == (code, digest, err)
+
+
+_PINNED_PERTURBED = construct.lp_simplex(3, 2.5).to_jsonable()
+_PINNED_PERTURBED["points"][1][0] += 1.5e-3
+_PINNED_TRIANGLE = construct.euclidean_simplex(2).points.tolist()
+# the point sets the pinned commands read, by the name passed to --points
+_PINNED_SETS = {
+    "simplex": construct.lp_simplex(3, 2.5).to_jsonable(),
+    "one": {"space": "lp:n=2,p=3", "points": [[0.5, -1]]},
+    "perturbed": _PINNED_PERTURBED,
+    "dup": {"space": "lp:n=2,p=2", "points": [[0, 0], [0, 0], [1, 0]]},
+    "cp3": construct.cross_polytope(3).to_jsonable(),
+    "prod": construct.product_construction(construct.euclidean_simplex(2),
+                                           construct.euclidean_simplex(1)).to_jsonable(),
+    # a unit triangle in the first block, one constant in the second
+    "equi4": {"space": "lpsum:blocks=2,1,p=4", "points": [[x, y, 0.25] for x, y in _PINNED_TRIANGLE]},
+    "simplex2": construct.lp_simplex(2, 3.5).to_jsonable(),
+}
+# (command, exit code, sha256 of stdout, stderr) of every subcommand but
+# search, which SEARCH_OUTPUTS pins: any change to an output shows here.
+CLI_OUTPUTS = [
+    ("approx --p 2.5 --d 10", 0,
+     "ded6282d30af7c6d8ab97514a0c2d6f04ee04ce8b48f487663a8006c3ee279b6", ""),
+    ("approx --p 3.5 --d 24", 0,
+     "bb6f32deec81149512f51c0492646b3d4a260112d1c49f6a46ca5522e368e0a1", ""),
+    ("approx --p 4 --d 8", 0,
+     "2f3dee435f22f992aacdb5a1c5e67b61338e9b7200347560a4e1250c60e4de2c", ""),
+    ("approx --p 1 --d 1", 0,
+     "4b3f337e8eeaba4a302365ad34776c55324531bc69192ef659cc4bd4c5461fca", ""),
+    ("bound --space lp:n=3,p=2.5", 0,
+     "fd6efa3e71039ff5173d5c88ac55755e511e5c7aa283e71cd5e88d7cfca85d9a", ""),
+    ("bound --space lpsum:blocks=2,3,p=inf --best", 0,
+     "8ed50e0d3deb4c93f346e5f93b38f775b3d2bdb674c79c70e762aca151a1ef64", ""),
+    ("bound --space lp:n=4,p=4 --format csv", 0,
+     "967037c59c082a9764f103bbfbd1a3fe42958205e1ba6b4a6480718469290946", ""),
+    ("bound --space lp:n=3,p=1.5 --format text", 0,
+     "2fb64971831e51c6d96f0e6b7220c3a87b446f08d95fd8c4c5d966f987648f5e", ""),
+    ("construct cross-polytope --n 3", 0,
+     "5f1b2e603fb9cb3486ae94658d8d5f87130aa4a1611a26f1d9383c012e74a694", ""),
+    ("construct lp-simplex --n 3 --p 2.5", 0,
+     "8be4ccd1ac0ae8fd06b78e914434cdf040c513290e8672796f044423535becd6", ""),
+    ("construct euclidean-simplex --n 3", 0,
+     "11fb6deae14ae5936436dfee77c7605f9d3a4f0a09bd3467808d4ad952d74ce9", ""),
+    ("construct product --a 2 --b 1", 0,
+     "82aa51358470589be27bf6192a30910ded9c8ccdede7f3f12f8a1c8ab7a103c3", ""),
+    ("verify --points simplex", 0,
+     "c32d5ed833848f7e35415d7ee5057ca61bfff58bf45a2e8b613cca7b0190cf80", ""),
+    ("verify --points one", 0,
+     "891b4c4cddff9d146f2485ca47cb3d865f2f0c62823b103759344b0a33c352b4", ""),
+    ("verify --points perturbed", 2,
+     "73096abe6c43a400f122b118a18a16d55646cc87dba41be5f78032dcc9af03cf",
+     "not unit-equilateral: profile [1.000000008714198, 0.9990111043211537]\n"),
+    ("verify --points dup", 2,
+     "305c0f71a6da44efbbeec4fe3f19bf250ac25b4842c28a34f5b9f2ea1239c359",
+     "zero distance present\n"),
+    ("certify --points cp3 --theorem thm1", 2,
+     "d3e775d28087976dbaf8652277cd1ca3814b5c2a8497aef00841c740ed2d7f30",
+     "certificate for thm1 did not pass\n"),
+    ("certify --points simplex --theorem thm1", 0,
+     "2b67e3ded2ee764b0becac82351a8cda013cd7032627678ca67b8a1afaf95b28", ""),
+    ("certify --points simplex --theorem thm2 --c 4", 0,
+     "15709435d7e40431899f65f2d7c7d3d551fe62d968f1e75041d9d1df2399aee0", ""),
+    ("certify --points one --theorem thm2", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: distance profile needs at least 2 points\n"),
+    ("certify --points prod --theorem thm3", 0,
+     "a9a19444845c4545b0ffd44ad90d688f6fd1f3300de2a21846342f48febdc523", ""),
+    ("certify --points equi4 --theorem thm4", 0,
+     "9e7ea95e2f2a857cf6b6cc652e6d18e00d1f82017baba6285a9f812a718f24f7", ""),
+    ("certify --points simplex2 --theorem thm5", 0,
+     "1aee415f0574424497aef13ad5ee56caaaf858ed4f2846e541f2f7b19bdf8923", ""),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pinned")
+    for name, obj in _PINNED_SETS.items():
+        (path / f"{name}.json").write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("command,code,digest,err", CLI_OUTPUTS,
+                         ids=[command for command, *_ in CLI_OUTPUTS])
+def test_cli_outputs_pinned(capsys, pinned_dir, command, code, digest, err):
+    argv = command.split()
+    argv = [str(pinned_dir / f"{a}.json") if prev == "--points" else a
+            for prev, a in zip([None, *argv], argv)]
+    got = _run(capsys, *argv)
     assert (got[0], hashlib.sha256(got[1].encode()).hexdigest(), got[2]) == (code, digest, err)
 
 

@@ -88,6 +88,10 @@ def test_product_single_point_copy():
     ps = product_construction(one, seg)
     assert ps.m == 2
     assert np.array_equal(ps.points[:, 1:], seg.points)
+    # a one-point factor has the empty profile, which passes the unit check
+    assert product_construction(seg, one).m == 2
+    lone = product_construction(one, one)
+    assert lone.m == 1 and np.array_equal(lone.points, [[0.25, 0.25]])
 
 
 def test_product_rejects_non_equilateral():
@@ -113,11 +117,14 @@ def test_distance_profile():
     # only an exact zero is: a distance below tol is clustered like any other
     near = PointSet(Space(2.0, (1,)), np.array([[0.0], [1e-12], [1.0]]))
     assert distance_profile(near, 1e-7) == [1.0 - 5e-13, 1e-12]
-    with pytest.raises(InputError):
-        distance_profile(PointSet(Space(2.0, (1,)), np.array([[1.0]])))
-    for tol in (0.0, -1.0):  # the CLI refuses these before calling it
-        with pytest.raises(InputError, match="tol must be positive"):
-            distance_profile(square, tol)
+    one = PointSet(Space(2.0, (1,)), np.array([[1.0]]))
+    assert distance_profile(one) == []
+    for tol in (1e-300, 1.0, 1e308):  # no pair, no distance, at every valid tol
+        assert distance_profile(one, tol) == []
+    for ps in (square, one):  # the tol checks run for every m
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(InputError, match="tol must be positive"):
+                distance_profile(ps, tol)
 
 
 def test_profile_clusters_nearby_distances():

@@ -165,6 +165,22 @@ def test_distance_matrix_chunks_give_same_bits(monkeypatch):
         assert distance_matrix(ps).tobytes() == dm.tobytes()
 
 
+@pytest.mark.parametrize("planes", [1, 3])
+def test_pair_map_chunks_give_same_bits(monkeypatch, planes):
+    ps = PointSet(Space(2.5, (2, 1)), np.random.default_rng(47).normal(size=(40, 3)))
+
+    def fn(A, B):  # pair axes last; several planes stack on a leading axis
+        S = pair_block_sq_norms(ps.space, A, B)
+        values = [S[..., 0] - (k + 1) * S[..., 1] for k in range(planes)]
+        return np.stack(values) if planes > 1 else values[0]
+
+    whole = space_mod.pair_map(ps, fn)  # one chunk
+    assert whole.shape == ((planes, ps.m, ps.m) if planes > 1 else (ps.m, ps.m))
+    assert np.array_equal(whole, whole.swapaxes(-1, -2))
+    monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 1)  # one row per chunk
+    assert space_mod.pair_map(ps, fn).tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("one_row", [False, True])
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
 @pytest.mark.parametrize("blocks", [(1,) * 12, (1, 2, 3, 1, 5)])
