@@ -2,13 +2,19 @@
 
 The central object is an even polynomial P with P(0) = 0 whose sup-norm
 distance to |x|^p is measured on a dense grid and certified against the
-explicit Jackson-type bound B(p)/d^p.  The construction runs a Remez
-exchange in the even-Chebyshev basis T_0, T_2, ..., T_{2*floor(d/2)} on
-[0, 1], which is equivalent to best approximation of t^(p/2) on [0, 1].
+explicit Jackson-type bound B(p)/d^p.  The construction interpolates
+t^(p/2), t = x^2, at the floor(d/2) + 1 Chebyshev-Lobatto points of
+u = 2t - 1, which gives P in the even-Chebyshev basis T_0(x), T_2(x), ...,
+T_{2*floor(d/2)}(x), since T_k(2x^2 - 1) = T_{2k}(x).  A Lobatto point sits
+at t = 0, so the interpolant vanishes there up to rounding.  It is not the
+best approximation, but it converges at the same algebraic rate within a
+Lebesgue-constant factor (Trefethen, Approximation Theory and Approximation
+Practice, 2013), well inside the bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,12 +25,10 @@ from .errors import (CertificationError, InfeasibleDegreeError, InputError,
                      NumericalError, ResourceLimitError, require_int)
 
 GRID_SIZE = 4097          # Chebyshev-spaced measurement grid on [0, 1]
-REMEZ_MAX_ITER = 50
-REMEZ_CONV_RTOL = 1e-10   # equioscillation levels agree to this relative tol
 # Beyond this degree the monomial coefficients of the approximant exceed
 # ~1e13 and their cancellation noise on [0, 1] overtakes the error bound in
 # double precision (even integer p is exempt: its coefficients are 0 and 1).
-MAX_REMEZ_DEGREE = 45
+MAX_MONOMIAL_DEGREE = 45
 # Cap on any degree, the exact even-integer path included: certify asks for no
 # more (certify._approximant), and measuring P on the grid takes time
 # linear in d, about 90 ms at d = 400 on one Xeon core.
@@ -148,86 +152,54 @@ def _interior_maxima(a: np.ndarray) -> np.ndarray:
     return np.flatnonzero((a[1:-1] >= a[:-2]) & (a[1:-1] >= a[2:])) + 1
 
 
+def _monomial(p: float, n: int) -> tuple[float, ...]:
+    """The n even coefficients of x^p, at even p <= 2n: one 1.0, the rest 0.0."""
+    return tuple(float(j == p // 2 - 1) for j in range(n))
+
+
 def approximation_error(P: EvenPolynomial, p: float) -> float:
     """Measured sup of |P(x) - |x|^p| over [0, 1] (equals [-1, 1] by evenness).
 
     Dense-grid maximum refined by golden-section search around every grid
     local maximum; the result is a lower bound on the true sup-error and is
-    within 1e-10 of it for the degrees in scope.
+    within 1e-10 of it for the degrees in scope.  P = x^p at even p is
+    exact, and is measured on the grid alone.
     """
     if not 1.0 <= p < math.inf:
         raise InputError(f"p must be finite and >= 1, got {p}")
     xg = _cheb_grid(GRID_SIZE)
     err = np.abs(P(xg) - abs_power(xg, p))
+    n = len(P.even_coeffs)
+    if p % 2 == 0 and p <= 2 * n and P.even_coeffs == _monomial(p, n):
+        # P is x^p: Horner multiplies as abs_power does, so the error is 0.0
+        # at every double in [-1, 1] and no flat peak needs refining
+        return float(err.max())
     if p == float(int(p)):
         fn = lambda x: np.abs(P(x) - abs_power(x, p))
     else:
         # the C library's pow, point by point: numpy's SIMD power on arrays
         # can differ from it in the last bit, and the refined maxima are
         # reported to full precision
-        fn = lambda x: np.abs(P(x) - np.array([math.pow(v, p) for v in np.abs(x)]))
+        fn = lambda x: np.abs(P(x) - np.fromiter(
+            map(math.pow, np.abs(x).tolist(), itertools.repeat(p)), float, x.size))
     interior = _interior_maxima(err)
     return float(_golden_max(fn, xg[interior - 1], xg[interior + 1]).max(initial=err.max()))
 
 
-def _remez_even(p: float, half_degree: int) -> tuple[np.ndarray, float]:
-    """Best even-polynomial approximation of |x|^p on [0, 1].
-
-    Returns (coefficients in the even-Chebyshev basis T_0, T_2, ..., and
-    the achieved equioscillation error).
+def _lobatto_interpolant(p: float, half_degree: int) -> np.ndarray:
+    """Monomial coefficients, in x, of the even polynomial of degree
+    2 * half_degree that interpolates |x|^p = t^(p/2) at the half_degree + 1
+    Chebyshev-Lobatto points of u = 2t - 1, t = x^2.  With no points to spare
+    (half_degree 0) it is the zero polynomial, the only even one with P(0) = 0.
     """
     nh = half_degree
-    j = np.arange(nh + 2)
-    # reference init: sqrt of shifted-Chebyshev extrema in t = x^2, so the
-    # points cluster near the x = 0 singularity the way the extrema do
-    t0 = 0.5 * (1.0 + np.cos(math.pi * j / (nh + 1)))[::-1]
-    x = np.sqrt(t0)
-    grid_n = max(GRID_SIZE, 32 * nh + 1)
-    xg = _cheb_grid(grid_n)
-    fg = abs_power(xg, p)
-    basis = np.eye(2 * nh + 1)[::2].T  # column k holds T_{2k}
-
-    best_q, best_err = None, math.inf
-    signs = (-1.0) ** j
-    used = set()  # the reference sets solved on so far
-    for _ in range(REMEZ_MAX_ITER):
-        used.add(x.tobytes())
-        # one Clenshaw pass for all columns, bit for bit a chebval call per column
-        A = np.column_stack((_cheb.chebval(x, basis).T, signs))
-        try:
-            sol = np.linalg.solve(A, abs_power(x, p))
-        except np.linalg.LinAlgError:
-            break
-        q, h = sol[: nh + 1], sol[nh + 1]
-        full = np.zeros(2 * nh + 1)
-        full[::2] = q
-        eg = _cheb.chebval(xg, full) - fg
-        ae = np.abs(eg)
-        # one candidate per maximal same-sign run: the largest |error| in it (numpy is slower)
-        cands: list[tuple[int, float, float]] = []  # (index, sign, |err|)
-        for i in [0, *_interior_maxima(ae).tolist(), grid_n - 1]:
-            s = 1.0 if eg[i] >= 0 else -1.0
-            if cands and cands[-1][1] == s:
-                if ae[i] > cands[-1][2]:
-                    cands[-1] = (i, s, ae[i])
-            else:
-                cands.append((i, s, ae[i]))
-        while len(cands) > nh + 2:
-            if cands[0][2] <= cands[-1][2]:
-                cands.pop(0)
-            else:
-                cands.pop()
-        emax = max(c[2] for c in cands)
-        if emax < best_err:
-            best_q, best_err = q.copy(), emax
-        if len(cands) < nh + 2 or emax - abs(h) <= REMEZ_CONV_RTOL * emax:
-            break
-        x = np.sort(xg[[c[0] for c in cands]])
-        if x.tobytes() in used:
-            break  # a fixed point or cycle: the rest would repeat iterations exactly
-    if best_q is None:
-        raise CertificationError("Remez exchange failed to produce a solution")
-    return best_q, best_err
+    if nh == 0:
+        return np.zeros(1)
+    u = _cheb.chebpts2(nh + 1)
+    full = np.zeros(2 * nh + 1)
+    full[::2] = _cheb.chebfit(u, ((u + 1.0) / 2.0) ** (p / 2.0), nh)  # T_k(u) = T_2k(x)
+    # T_{2k} has even powers only, so odd entries are exactly zero
+    return _cheb.cheb2poly(full)
 
 
 def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCertificate]:
@@ -245,22 +217,16 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
     nh = d // 2
     bound = jackson_constant(p) / d ** p
 
-    if p == float(int(p)) and int(p) % 2 == 0:
-        coeffs = [0.0] * nh
-        coeffs[int(p) // 2 - 1] = 1.0
-        P = EvenPolynomial(d, tuple(coeffs))
-    elif d > MAX_REMEZ_DEGREE:
+    if p % 2 == 0:
+        P = EvenPolynomial(d, _monomial(p, nh))
+    elif d > MAX_MONOMIAL_DEGREE:
         raise ResourceLimitError(
-            f"degree {d} exceeds {MAX_REMEZ_DEGREE}, past which the monomial "
+            f"degree {d} exceeds {MAX_MONOMIAL_DEGREE}, past which the monomial "
             "coefficients of the approximant are no longer representable in "
             "double precision (exact even-integer p is unaffected)")
     else:
-        q, _ = _remez_even(p, nh)
-        full = np.zeros(2 * nh + 1)
-        full[::2] = q
-        power = _cheb.cheb2poly(full)
-        # T_{2k} has even powers only, so odd entries are exactly zero
-        P = EvenPolynomial(d, tuple(power[2::2]))
+        # power[0] = P(0) is rounding noise, as the interpolant vanishes at t = 0
+        P = EvenPolynomial(d, tuple(_lobatto_interpolant(p, nh)[2::2]))
 
     measured = approximation_error(P, p)
     if measured > bound:

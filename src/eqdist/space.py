@@ -11,6 +11,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -65,9 +66,18 @@ class Space:
         """
         return self.p == 2.0 or self.n_blocks == 1
 
-    def block_slices(self) -> list[slice]:
+    @cached_property
+    def block_slices(self) -> tuple[slice, ...]:
+        """The coordinates of each block, fixed once per space."""
         ends = itertools.accumulate(self.blocks)
-        return [slice(end - a, end) for a, end in zip(self.blocks, ends)]
+        return tuple(slice(end - a, end) for a, end in zip(self.blocks, ends))
+
+    @cached_property
+    def block_starts(self) -> np.ndarray:
+        """The first coordinate of each block, fixed once per space."""
+        starts = np.array([sl.start for sl in self.block_slices], dtype=np.intp)
+        starts.setflags(write=False)
+        return starts
 
     def to_string(self) -> str:
         p_str = "inf" if math.isinf(self.p) else (
@@ -183,7 +193,7 @@ def _block_sq_norms(space: Space, delta: np.ndarray) -> np.ndarray:
     differences delta.  On a plain lp space each block is one coordinate: delta ** 2."""
     if space.is_lp:
         return delta ** 2
-    return np.stack([np.sum(delta[..., sl] ** 2, axis=-1) for sl in space.block_slices()],
+    return np.stack([np.add.reduce(delta[..., sl] ** 2, axis=-1) for sl in space.block_slices],
                     axis=-1)
 
 
@@ -210,9 +220,8 @@ def pair_block_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         R = np.sqrt(S)
         bad = (S == math.inf) | (S < _TINY)
         pairs = np.nonzero(bad.any(axis=-1))  # one pass for all blocks of these pairs
-        starts = [sl.start for sl in space.block_slices()]
         # hypot squares nothing; reduceat returns a one-coordinate block's entry, sign and all
-        rescued = np.hypot.reduceat(np.abs(delta[pairs]), starts, axis=1)
+        rescued = np.hypot.reduceat(np.abs(delta[pairs]), space.block_starts, axis=1)
         R[pairs] = np.where(bad[pairs], rescued, R[pairs])
     return R
 

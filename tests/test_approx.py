@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from eqdist import approx, cli
-from eqdist.approx import (MAX_REMEZ_DEGREE, EvenPolynomial,
+from eqdist.approx import (MAX_MONOMIAL_DEGREE, EvenPolynomial,
                            approximate_abs_power, approximation_error,
                            choose_degree, jackson_constant)
 from eqdist.errors import InfeasibleDegreeError, InputError, NumericalError, ResourceLimitError
-
-from remez_reference import remez_reference
 
 
 def test_jackson_constant_values():
@@ -70,7 +68,7 @@ def test_refusals(call):
 
 
 def test_p1_d1_is_the_zero_polynomial():
-    # Remez solves a 2x2 system; its one coefficient is T_0's, which P drops
+    # one Lobatto point leaves no even polynomial but 0 with P(0) = 0
     P, cert = approximate_abs_power(1, 1)
     assert P == EvenPolynomial(1, ()) and cert.measured_error == 1.0
     # its error |x| rises over the grid, so no interior peak is refined and
@@ -93,40 +91,61 @@ def test_degree_precondition():
         approximate_abs_power(0.5, 4)
 
 
-def test_remez_matches_column_by_column_reference():
-    # the level test stops (1, *), (1.5, *), (3.7, 4) and (3.7, 20); (3.7, 45) and
-    # (6.5, 30) reach a fixed point, and (6.5, 45), (6.75, 20), (7.25, 45) and
-    # (7.35, 30) a cycle of two reference sets, where the reference ran on to
-    # REMEZ_MAX_ITER; (7.999999999, 12), (15, 42) and (20.7, 36) find more than
-    # nh + 2 same-sign runs and trim the candidates from the ends
-    for p, d in [(1, 2), (1, 10), (1, 45), (1.5, 4), (1.5, 12), (1.5, 33), (3.7, 4),
-                 (3.7, 20), (3.7, 45), (6.5, 30), (6.5, 45), (6.75, 20), (7.25, 45),
-                 (7.35, 30), (7.999999999, 12), (15, 42), (20.7, 36)]:
-        q, err = approx._remez_even(p, d // 2)
-        q_ref, err_ref = remez_reference(p, d // 2)
-        assert q.tobytes() == q_ref.tobytes() and err == err_ref, (p, d)
-
-
-def test_remez_stops_at_fixed_point_or_cycle(monkeypatch):
-    solves = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda A, b: solves.append(1) or solve(A, b))
-    for p, d in [(3.7, 45), (7.35, 30)]:  # a fixed point, a cycle of two
-        solves.clear()
-        approx._remez_even(p, d // 2)
-        assert 1 <= len(solves) <= 10, (p, d)
-
-
-def test_degree_cap_for_remez_path():
+def test_degree_cap_for_monomial_conversion():
     # past the cap the monomial representation drowns in cancellation noise
     with pytest.raises(ResourceLimitError):
-        approximate_abs_power(1, MAX_REMEZ_DEGREE + 1)
+        approximate_abs_power(1, MAX_MONOMIAL_DEGREE + 1)
     # exact even-integer powers are exempt from the cap
     _, cert = approximate_abs_power(2, 100)
     assert cert.measured_error == 0.0
     # the largest allowed degree still certifies for the hardest exponent
-    _, cert = approximate_abs_power(1, MAX_REMEZ_DEGREE)
+    _, cert = approximate_abs_power(1, MAX_MONOMIAL_DEGREE)
     assert cert.measured_error <= cert.jackson_bound
+
+
+def test_lobatto_interpolant_certifies_every_degree():
+    # the grid covers the odd integers 1, 7 and 75, both sides of the even
+    # p = 2 and p = 8, and p past 10; p = 75 has the largest finite B(p) but
+    # no degree in range, as ceil(p) is past the cap
+    eps = np.finfo(float).eps
+    worst = (0.0, None)
+    for p in (1, 2 - 1e-6, 2 + 1e-6, 7, 8 - 1e-9, 12.3, 20.7):
+        for d in range(math.ceil(p), MAX_MONOMIAL_DEGREE + 1):
+            _, cert = approximate_abs_power(p, d)
+            worst = max(worst, (cert.measured_error / cert.jackson_bound, (p, d)))
+            # the node at t = 0 makes P(0) = 0 up to rounding, so dropping the
+            # constant term of the monomial form moves the error by no more
+            assert abs(approx._lobatto_interpolant(p, d // 2)[0]) <= 32 * eps, (p, d)
+    # every case certifies, the worst by a factor of 6: the zero polynomial at d = 1
+    assert worst[1] == (1, 1) and 0.168 < worst[0] < 0.169
+    with pytest.raises(ResourceLimitError):
+        approximate_abs_power(75, 75)
+
+
+def test_monomial_error_is_exact_at_even_p():
+    # Horner on the one-hot x^p and abs_power multiply alike, bit for bit, with
+    # zero coefficients above x^p or none; so its error needs no refining
+    rng = np.random.default_rng(26)
+    tiny = np.finfo(float).tiny
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 1000), rng.uniform(-tiny, tiny, 100),
+                        [0.0, -0.0, 5e-324, -5e-324, tiny, 1.0, -1.0, np.nextafter(1.0, 0.0)]])
+    for p in range(2, 401, 2):
+        for d in (p, p + 4):
+            P = EvenPolynomial(d, tuple(float(j == p // 2 - 1) for j in range(d // 2)))
+            assert P(x).tobytes() == approx.abs_power(x, p).tobytes(), (p, d)
+
+
+def test_only_the_exact_monomial_skips_refinement(monkeypatch):
+    refined = []
+    golden_max = approx._golden_max
+    monkeypatch.setattr(approx, "_golden_max", lambda *a: refined.append(1) or golden_max(*a))
+    assert approximate_abs_power(8, 45)[1].measured_error == 0.0 and not refined
+    assert approximation_error(EvenPolynomial(6, (0.0, -0.0, 1.0)), 6) == 0.0 and not refined
+    # one ulp above 1 is not x^p: its error is refined, and above 0
+    P = EvenPolynomial(4, (0.0, 1.0 + 2.0 ** -52))
+    assert approximation_error(P, 4) > 0.0 and refined
+    refined.clear()  # nor is the zero polynomial, too short to hold x^4
+    assert approximation_error(EvenPolynomial(3, (0.0,)), 4) == 1.0 and refined
 
 
 def test_p1_d10_example():

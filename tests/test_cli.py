@@ -668,9 +668,9 @@ _PINNED_SETS = {
 # search, which SEARCH_OUTPUTS pins: any change to an output shows here.
 CLI_OUTPUTS = [
     ("approx --p 2.5 --d 10", 0,
-     "ded6282d30af7c6d8ab97514a0c2d6f04ee04ce8b48f487663a8006c3ee279b6", ""),
+     "652a826bd3505bc76459e0d993cce1b15ce705508620526c922d8c086fd5e97f", ""),
     ("approx --p 3.5 --d 24", 0,
-     "bb6f32deec81149512f51c0492646b3d4a260112d1c49f6a46ca5522e368e0a1", ""),
+     "b4aef1c4f48a106b0757c58eda84f9bb598fe969dec7ed1e203b7fa088c3833d", ""),
     ("approx --p 4 --d 8", 0,
      "2f3dee435f22f992aacdb5a1c5e67b61338e9b7200347560a4e1250c60e4de2c", ""),
     ("approx --p 1 --d 1", 0,
@@ -707,7 +707,7 @@ CLI_OUTPUTS = [
     ("certify --points simplex --theorem thm1", 0,
      "2b67e3ded2ee764b0becac82351a8cda013cd7032627678ca67b8a1afaf95b28", ""),
     ("certify --points simplex --theorem thm2 --c 4", 0,
-     "15709435d7e40431899f65f2d7c7d3d551fe62d968f1e75041d9d1df2399aee0", ""),
+     "c3ba1e403190248d1b4a0874d268cd814a81bd8f7d19676042106f766897fb04", ""),
     ("certify --points one --theorem thm2", 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: distance profile needs at least 2 points\n"),
@@ -716,7 +716,7 @@ CLI_OUTPUTS = [
     ("certify --points equi4 --theorem thm4", 0,
      "9e7ea95e2f2a857cf6b6cc652e6d18e00d1f82017baba6285a9f812a718f24f7", ""),
     ("certify --points simplex2 --theorem thm5", 0,
-     "1aee415f0574424497aef13ad5ee56caaaf858ed4f2846e541f2f7b19bdf8923", ""),
+     "b85ddd80b6a29d0e1648286645632099cfab227a041fd8d36e3f926dd542bde6", ""),
 ]
 
 
