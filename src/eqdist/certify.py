@@ -371,8 +371,9 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
     if theorem in ("thm2", "thm5") and math.isinf(p):
         raise InputError(f"{theorem} requires finite p")
 
-    # overflow or inf - inf in a build leaves non-finite entries, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow, inf - inf or a division by an underflowed 0.0 in a build leaves
+    # non-finite entries, refused below
+    with np.errstate(all="ignore"):
         if theorem == "thm1":
             k = select_k(p)
             A, dk = matrix_thm1(points, k)
@@ -427,7 +428,7 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
     arr = A.entries
     if not np.isfinite(arr).all():
         raise NumericalError(f"{theorem}: the certificate matrix has non-finite entries "
-                             "(the points overflow double precision)")
+                             "(a value in its build overflows or underflows double precision)")
     diag_ok = bool(np.max(np.abs(np.diag(arr) - 1.0)) <= 1e-10)
     max_off = float(np.max(np.abs(arr[~np.eye(m, dtype=bool)]), initial=0.0))
     threshold = 1.0 / math.sqrt(m)

@@ -22,7 +22,7 @@ import eqdist
 import json_reference
 from eqdist import approx, cli, construct
 from eqdist.cli import HUGE_INT, render_json, run
-from eqdist.space import MAX_AMBIENT_DIM, PointSet, Space
+from eqdist.space import MAX_AMBIENT_DIM, PointSet, Space, distance_matrix
 
 
 def _run(capsys, *argv):
@@ -574,6 +574,23 @@ def test_certify_non_finite_matrix_exit_1(tmp_path, capfd):
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith(f"error: {theorem}: ")
         assert "non-finite" in err
+
+
+def test_certify_thm2_underflowed_normaliser_exit_1(tmp_path, capfd):
+    # 60 random points of [0, 1]^3 have 1770 distances; the product of their
+    # cubes, thm2's normaliser, underflows to 0.0 and the entries divided by it
+    # are not finite: one refusal line, and no divide-by-zero warning
+    space = Space.from_string("lp:n=3,p=3")
+    x = np.random.default_rng(1).uniform(0.0, 1.0, (60, 3))
+    f = tmp_path / "cube.json"
+    f.write_text(json.dumps(PointSet(space, x / distance_matrix(PointSet(space, x)).max())
+                            .to_jsonable()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["certify", "--points", str(f), "--theorem", "thm2", "--c", "4"])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: thm2: ") and "non-finite" in err
 
 
 def test_search_cli_deterministic(capsys):
