@@ -200,7 +200,7 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
     """
     _require_p(p)
     if d < math.ceil(p):
-        raise InputError(f"degree d={d} is below ceil(p)={math.ceil(p)}")
+        raise InputError(f"degree d={d} is below ceil(p)={math.ceil(p):.6g}")
     d = require_int("degree d", d, 1)
     if d > MAX_DEGREE:
         raise ResourceLimitError(f"degree {d} exceeds the cap of {MAX_DEGREE}")

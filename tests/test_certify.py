@@ -9,8 +9,8 @@ import pytest
 from eqdist import space as space_mod
 from eqdist.approx import MAX_DEGREE, EvenPolynomial
 from eqdist.bounds import BoundConfig, enumerate_bounds
-from eqdist.certify import (RANK_RTOL, CertifyConfig, SymMatrix, _power_sum_entry,
-                            certify, gram_thm3, gram_thm4, independence_rank_thm3,
+from eqdist.certify import (RANK_LEMMA_SLACK, RANK_RTOL, CertifyConfig, SymMatrix,
+                            _power_sum_entry, certify, gram_thm3, gram_thm4, independence_rank_thm3,
                             independence_rank_thm4, matrix_thm1, matrix_thm2,
                             matrix_thm5, numerical_rank, rank_lower_bound, select_k,
                             span_dim)
@@ -527,12 +527,13 @@ def test_certify_thm2():
     pts = PointSet(Space(2.0, (1,)), np.array([[0.0], [1.0]]))
     rep = certify(pts, "thm2", CertifyConfig(c=6.0))
     assert rep.passes
-    # a two-distance input exercises the k >= 2 structural-only path
+    # a two-distance input is gated by the same three checks: at p = 2 the approximant
+    # is exact, so every pair's Y_ij is one of the a_u^p and zeroes its own factor
     tri = PointSet(Space(2.0, (1, 1)),
                    np.array([[0, 0], [1, 0], [0.5, 0.1]]))
     rep = certify(tri, "thm2", CertifyConfig(c=6.0))
-    assert any("not gated" in n for n in rep.notes)
-    assert rep.diag_ok
+    assert rep.passes and rep.diag_ok and rep.max_offdiag == 0.0
+    assert rep.notes[0].startswith("k=2 distances, ") and len(rep.notes) == 2
 
 
 def test_certify_thm2_paper_constant_is_desk_scale_for_p2():
@@ -601,6 +602,58 @@ def test_certify_thm5():
     simplex4 = PointSet(Space(2.0, (2, 1)), lp_simplex(3, 2.0).points)
     rep = certify(simplex4, "thm5")
     assert rep.passes and rep.numerical_rank == 4
+
+
+def _random_unit_set(space, m, seed=0):
+    """m default_rng(seed) points of [0, 1]^dim, scaled to a largest distance of 1."""
+    sp = Space.from_string(space)
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, (m, sp.ambient_dim))
+    return PointSet(sp, x / distance_matrix(PointSet(sp, x)).max())
+
+
+_HALF_CROSS = PointSet(Space(3.0, (1, 1, 1)), np.vstack([np.eye(3), -np.eye(3)]) / 2)  # 2 distances
+_INVARIANT_SAMPLES = {
+    "thm1": [(lp_simplex(3, 2.5), None), (cross_polytope(3), None),
+             (_random_unit_set("lp:n=3,p=3", 6), None)],
+    "thm2": [(lp_simplex(3, 2.5), 4.0), (cross_polytope(2), 2.0),
+             (_HALF_CROSS, 2.0), (_HALF_CROSS, 10.0),
+             (_random_unit_set("lp:n=2,p=3", 5), 4.0)],
+    "thm3": [(product_construction(euclidean_simplex(2), euclidean_simplex(1)), None),
+             (_random_unit_set("lpsum:blocks=2,1,p=inf", 6), None)],
+    "thm4": [(PointSet(Space(4.0, (2, 1)), np.hstack([euclidean_simplex(2).points,
+                                                     np.full((3, 1), 0.25)])), None),
+             (_random_unit_set("lpsum:blocks=2,1,p=4", 6), None)],
+    "thm5": [(lp_simplex(2, 3.5), None),
+             (PointSet(Space(1.5, (1, 1)), lp_simplex(2, 1.5).points), None),
+             (_random_unit_set("lp:n=3,p=1.5", 6), 4.0),
+             (_random_unit_set("lpsum:blocks=2,1,p=3", 6), None)],
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(_INVARIANT_SAMPLES))
+def test_every_theorem_passes_by_the_same_three_checks(theorem):
+    # no theorem, and no number of distances, is exempt from any of the checks
+    reports = [certify(pts, theorem, CertifyConfig(c=c)) for pts, c in _INVARIANT_SAMPLES[theorem]]
+    for r in reports:
+        assert r.diag_ok
+        assert r.passes == (r.diag_ok and r.max_offdiag < r.offdiag_threshold
+                            and r.rank_lemma_lower <= r.numerical_rank + RANK_LEMMA_SLACK
+                            and r.numerical_rank <= r.span_upper)
+    # each theorem's samples reach both outcomes, and fail the off-diagonal check
+    assert {r.passes for r in reports} == {True, False}
+    assert any(r.max_offdiag >= r.offdiag_threshold for r in reports)
+
+
+def test_rank_lemma_slack_edge(monkeypatch):
+    # a rank lemma bound up to RANK_LEMMA_SLACK above the numerical rank is met, one
+    # ulp past it is not
+    tri = lp_simplex(2, 2.0)
+    assert certify(tri, "thm1").numerical_rank == 3
+    for lower, passes in [(3 + RANK_LEMMA_SLACK, True),
+                          (np.nextafter(3 + RANK_LEMMA_SLACK, 4.0), False)]:
+        monkeypatch.setattr(certify_mod, "rank_lower_bound", lambda A, lower=lower: lower)
+        rep = certify(tri, "thm1")
+        assert (rep.rank_lemma_lower, rep.passes) == (lower, passes)
 
 
 def test_certify_wrong_space_pairings():

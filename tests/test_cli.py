@@ -576,21 +576,68 @@ def test_certify_non_finite_matrix_exit_1(tmp_path, capfd):
         assert "non-finite" in err
 
 
-def test_certify_thm2_underflowed_normaliser_exit_1(tmp_path, capfd):
-    # 60 random points of [0, 1]^3 have 1770 distances; the product of their
-    # cubes, thm2's normaliser, underflows to 0.0 and the entries divided by it
-    # are not finite: one refusal line, and no divide-by-zero warning
-    space = Space.from_string("lp:n=3,p=3")
-    x = np.random.default_rng(1).uniform(0.0, 1.0, (60, 3))
-    f = tmp_path / "cube.json"
+def test_degree_floor_refusals_exit_1(tmp_path, capsys):
+    # ceil(1e308) has 309 digits; it is printed as the caps are
+    assert _run(capsys, "approx", "--p", "1e308", "--d", "400") == (
+        1, "", "error: degree d=400 is below ceil(p)=1e+308\n")
+    # certify names the degree its constant chose, and which way to move the constant
+    f = tmp_path / "two.json"
+    f.write_text(json.dumps({"space": "lp:n=1,p=3", "points": [[0.0], [1.0]]}))
+    assert _run(capsys, "certify", "--points", str(f), "--theorem", "thm2", "--c", "4") == (
+        1, "", "error: chosen degree 2 is below ceil(p)=3; pass a larger constant c\n")
+
+
+def _random_cube_file(tmp_path, m, p, seed):
+    """m default_rng(seed) points of [0, 1]^3, scaled to a largest l_p distance of 1:
+    all m(m - 1)/2 distances are distinct."""
+    space = Space(p, (1, 1, 1))
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, (m, 3))
+    f = tmp_path / f"cube-{m}-{p:g}-{seed}.json"
     f.write_text(json.dumps(PointSet(space, x / distance_matrix(PointSet(space, x)).max())
                             .to_jsonable()))
+    return f
+
+
+def _certify_thm2(capfd, f, c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = run(["certify", "--points", str(f), "--theorem", "thm2", "--c", "4"])
-    out, err = capfd.readouterr()
+        code = run(["certify", "--points", str(f), "--theorem", "thm2", "--c", c])
+    return (code, *capfd.readouterr())
+
+
+def test_certify_thm2_overflowed_product_exit_1(tmp_path, capfd):
+    # 60 random points of [0, 1]^3 at p = 3 have 1770 distances; the product of the
+    # 1770 factors 1 - Y/a_u^p overflows, so the entries are not finite: one refusal
+    # line, and no overflow warning
+    code, out, err = _certify_thm2(capfd, _random_cube_file(tmp_path, 60, 3.0, 1), "4")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: thm2: ") and "non-finite" in err
+
+
+@pytest.mark.parametrize("m,p,seed", [(20, 3.0, 1), (20, 1.5, 1),
+                                      (40, 1.5, 1), (40, 1.5, 2), (40, 1.5, 3)])
+def test_certify_thm2_random_cube_fails_the_off_diagonal_check(tmp_path, capfd, m, p, seed):
+    # every thm2 certificate is gated on 1/sqrt(m), at any number of distances: these
+    # sets (k = 190 and about 780) have finite entries far above it, so they fail with exit 2
+    code, out, err = _certify_thm2(capfd, _random_cube_file(tmp_path, m, p, seed), "4")
+    rep = json.loads(out)
+    assert (code, err) == (2, "certificate for thm2 did not pass\n")
+    assert not rep["passes"] and rep["max_offdiag"] > 1e30
+    assert rep["notes"][-1].startswith("off-diagonal check failed: ")
+
+
+@pytest.mark.parametrize("c,code", [("2", 2), ("10", 0)])
+def test_certify_thm2_two_distance_cross_polytope(tmp_path, capfd, c, code):
+    # the 2-distance set +-e_i/2 in l_3^3 (distances 1 and 4^(-1/3)): at d = 3 the largest
+    # off-diagonal entry is 0.5 >= 1/sqrt(6) = 0.408, at d = 5 it is 0.087
+    f = tmp_path / "cross.json"
+    f.write_text(json.dumps({"space": "lp:n=3,p=3", "points": [
+        [0.5, 0, 0], [-0.5, 0, 0], [0, 0.5, 0], [0, -0.5, 0], [0, 0, 0.5], [0, 0, -0.5]]}))
+    got, out, _ = _certify_thm2(capfd, f, c)
+    rep = json.loads(out)
+    assert got == code and rep["passes"] == (code == 0)
+    assert (rep["max_offdiag"] >= 0.5) == (code == 2)
+    assert rep["offdiag_threshold"] == 1 / math.sqrt(6)
 
 
 def test_search_cli_deterministic(capsys):
