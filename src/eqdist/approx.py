@@ -57,30 +57,21 @@ def jackson_constant(p: float) -> float:
     return b
 
 
-def int_power(t, k: int):
-    """t^k for an integer k >= 0 by k - 1 repeated multiplications by t."""
-    if k == 0:
-        return np.ones_like(t)
-    r = t
-    for _ in range(k - 1):
-        r = r * t
-    return r
-
-
 def abs_power(x, p: float):
     """|x|^p, evaluated so that integer p uses exact repeated multiplication.
 
-    For even integer p the sequence of multiplications matches the Horner
-    evaluation of the monomial x^p as an even polynomial, making the two
-    bitwise identical.
+    For integer p it is 1 multiplied by t = x^2, floor(p/2) times, then by |x|
+    once for odd p: at even p that is the sequence of products of the Horner
+    evaluation of the monomial x^p as an even polynomial, so the two agree bit
+    for bit.
     """
     x = np.asarray(x, dtype=float)
     if p == float(int(p)):
         k = int(p)
-        r = int_power(x * x, k // 2)
-        if k % 2 == 1:
-            r = r * np.abs(x)
-        return r
+        t, r = x * x, np.ones_like(x)
+        for _ in range(k // 2):
+            r = r * t
+        return r * np.abs(x) if k % 2 else r
     return np.abs(x) ** p
 
 

@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .approx import (MAX_DEGREE, EvenPolynomial, abs_power, approximate_abs_power,
-                     choose_degree, int_power, jackson_constant)
-from .bounds import large_p_gate
+                     choose_degree, jackson_constant)
+from .bounds import MAX_BOUND_BITS, large_p_gate
 from .construct import distance_profile
 from .errors import InputError, NumericalError, ResourceLimitError, require_int
 from .space import (_TINY, PointSet, _outer_norm, pair_block_norms,
@@ -44,6 +44,11 @@ RANK_RTOL = 1e-9
 # below the unit between two ranks.  bench/oracle.py checks the reports with the same slack.
 RANK_LEMMA_SLACK = 1e-9
 _SQRT_MAX = math.sqrt(np.finfo(float).max)  # the largest float whose square is finite
+# Cap on k * m(m - 1)/2, the factors 1 - Y/a_u^p of a thm2 build on m points at k distances:
+# all C(100, 2) distances of 100 points.  Random points of [0, 1]^3 at p = 3 and c = 4, with
+# every distance distinct, took 0.18 s in certify at m = 100, 1.0 s at 140 and 6.4 s at 200
+# (one in-process run each on a 2-vCPU Xeon); the cost grows as m^4.
+THM2_MAX_FACTORS = 4950 ** 2
 
 
 @dataclass(frozen=True)
@@ -103,21 +108,19 @@ def _require_two_blocks(points: PointSet, what: str) -> None:
 
 
 def _require_even_exponent(name: str, k) -> int:
-    """k as an int, refused unless it is even, at least 2 and at most approx.MAX_DEGREE
-    (a k-th power costs k/2 array products)."""
+    """k as an int, refused unless it is an even integer of at least 2.  Any size is
+    taken: an entry is one power call at any exponent (_power_sum_entry)."""
     k = require_int(name, k, 2)
     if k % 2 != 0:
         raise InputError(f"{name} must be a positive even integer, got {k}")
-    if k > MAX_DEGREE:
-        raise ResourceLimitError(f"{name}={k:.6g} exceeds the cap of {MAX_DEGREE}")
     return k
 
 
 def _power_sum_entry(T: np.ndarray, h: int) -> np.ndarray:
     """1 - sum_b T_b^h over the last axis of the squared block norms T: thm1's
     1 - ||Delta||_k^k on one-coordinate blocks at h = k/2, thm4's
-    1 - ||Delta_1||^p - ||Delta_2||^p at h = p/2."""
-    return 1.0 - int_power(T, h).sum(axis=-1)
+    1 - ||Delta_1||^p - ||Delta_2||^p at h = p/2, by one power call at any h."""
+    return 1.0 - (T ** float(h)).sum(axis=-1)
 
 
 def _thm3_entry(T: np.ndarray) -> np.ndarray:
@@ -212,20 +215,43 @@ def gram_thm4(points: PointSet, p: int) -> SymMatrix:
 # span dimensions
 
 
+def _require_bits(what: str, base, exponent) -> None:
+    """Refuse, before it is formed, an integer of about exponent * log2(base) bits
+    (base^exponent, or a binomial C(N, K) < (N + 1)^min(K, N - K)) above
+    bounds.MAX_BOUND_BITS, the catalog's cap on its exact bounds: a 4-million-bit
+    binomial takes seconds.  Compared as a quotient, so no float overflows."""
+    if abs(base) > 1 and exponent > MAX_BOUND_BITS / math.log2(abs(base)):
+        raise ResourceLimitError(f"{what} has more than {MAX_BOUND_BITS} bits, the cap")
+
+
 def _thm4_block_monomials(a: int, p: int) -> int:
     """The monomials one a-dimensional block adds to the thm4 span, for even p."""
     if p % 2 != 0:
         raise InputError(f"p must be even, got {p}")
     half = p // 2
+    _require_bits("the thm4 span term C(a + p/2, a)", a + half + 1, min(a, half))
     return math.comb(a + half, a) + math.comb(a + half - 1, a)
+
+
+def _thm5_span(blocks, d: int) -> int:
+    """The thm5 span for blocks of the given dimensions at degree d."""
+    for a in blocks:
+        _require_bits("the thm5 span term C(a + d - 1, a)", a + d, min(a, d - 1))
+    return 2 + sum(math.comb(a + d - 1, a) for a in blocks) - len(blocks)
+
+
+def _thm2_span(n: int, d: int, k: int) -> int:
+    """The thm2 span: (d*n)^k, for k distances at degree d in dimension n."""
+    _require_bits("the thm2 span (d*n)^k", d * n, k)
+    return (d * n) ** k
 
 
 _SPAN_DIMS = {
     "thm1": lambda n, k: (k - 1) * n + 2,
-    "thm2": lambda n, d, k: (d * n) ** k,
+    "thm2": _thm2_span,
     "thm3": lambda a, b: (a + 2) * (b + 2),
     "thm4": lambda a, b, p: _thm4_block_monomials(a, p) + _thm4_block_monomials(b, p) - 1,
-    "thm5": lambda blocks, d: 2 + sum(math.comb(a + d - 1, a) for a in blocks) - len(blocks),
+    "thm5": _thm5_span,
 }
 
 
@@ -320,7 +346,7 @@ class CertificateReport:
 def select_k(p: float) -> int:
     """The even matrix exponent for thm1: the closest even integer to p,
     rounding up when floor(p) is odd.  Every double >= 2^53 is an even integer,
-    so there k = p, which certify refuses by the exponent cap."""
+    so there k = p; an entry costs one power call at any k."""
     if not math.isfinite(p) or p < 1:
         raise InputError(f"need finite p >= 1, got {p}")
     fp = math.floor(p)
@@ -397,6 +423,10 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
                 raise InputError("distance profile needs at least 2 points")
             dists = distance_profile(points)
             k = len(dists)
+            factors = k * m * (m - 1) // 2
+            if factors > THM2_MAX_FACTORS:
+                raise ResourceLimitError(f"thm2: {k} distances over {m} points take {factors} "
+                                         f"factors, above the cap of {THM2_MAX_FACTORS}")
             c = cfg.c if cfg.c is not None else _paper_c(p, k)
             P = _approximant(p, c, space.ambient_dim, m, notes, f"k={k} distances, ")
             A, gaps = matrix_thm2(points, dists, P)

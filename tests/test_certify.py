@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from eqdist import space as space_mod
-from eqdist.approx import MAX_DEGREE, EvenPolynomial
-from eqdist.bounds import BoundConfig, enumerate_bounds
+from eqdist.approx import EvenPolynomial
+from eqdist.bounds import MAX_BOUND_BITS, BoundConfig, enumerate_bounds
 from eqdist.certify import (RANK_LEMMA_SLACK, RANK_RTOL, CertifyConfig, SymMatrix,
                             _power_sum_entry, certify, gram_thm3, gram_thm4, independence_rank_thm3,
                             independence_rank_thm4, matrix_thm1, matrix_thm2,
@@ -364,20 +364,17 @@ def test_certify_thm1_reads_the_pairs_once(monkeypatch):
 
 
 def test_exponent_cap(monkeypatch):
+    # no exponent cap: an entry is one power call at any even exponent, in one pass
     calls, pair_map = [], space_mod.pair_map
     monkeypatch.setattr(certify_mod, "pair_map",
                         lambda points, fn: calls.append(1) or pair_map(points, fn))
     lp, two = cross_polytope(2), PointSet(Space(4.0, (1, 1)), np.array([[0, 0], [1.0, 0]]))
-    assert MAX_DEGREE == 400
-    # 1 - |1|^400 = 0, and 1 - 2 * 0.5^400 rounds to 1
-    assert np.array_equal(matrix_thm1(lp, 400)[0].entries[0], [1.0, 0.0, 1.0, 1.0])
-    assert np.array_equal(gram_thm4(two, 400).entries, np.eye(2))
-    assert len(calls) == 2
-    for build in (lambda k: matrix_thm1(lp, k), lambda k: gram_thm4(two, k)):
-        for k in (402, 10 ** 8, 10 ** 300):
-            with pytest.raises(ResourceLimitError, match="exceeds the cap of 400"):
-                build(k)
-    assert len(calls) == 2  # refused before any pair is read
+    for k in (402, 10 ** 8, 10 ** 300):
+        calls.clear()
+        # 1 - |1|^k = 0, and 1 - 2 * 0.5^k rounds to 1
+        assert np.array_equal(matrix_thm1(lp, k)[0].entries[0], [1.0, 0.0, 1.0, 1.0])
+        assert np.array_equal(gram_thm4(two, k).entries, np.eye(2))
+        assert len(calls) == 2
 
 
 def test_builders_peak_memory():
@@ -409,6 +406,28 @@ def test_span_dim():
         span_dim("thm1", n=3, k=4, d=9)
     with pytest.raises(InputError, match="unexpected keyword argument 'p'"):
         span_dim("thm3", a=1, b=2, p=4)
+
+
+def test_span_dim_bit_cap(monkeypatch):
+    # thm2 at the cap: (d*n)^k with d*n = 2 has about k bits
+    assert span_dim("thm2", n=1, d=2, k=MAX_BOUND_BITS) == 2 ** MAX_BOUND_BITS
+    with pytest.raises(ResourceLimitError, match="thm2 span"):
+        span_dim("thm2", n=1, d=2, k=MAX_BOUND_BITS + 1)
+    # refused at once; each took from seconds to tens of seconds to form
+    for theorem, params in (("thm2", dict(n=1000, d=400, k=10 ** 6)),
+                            ("thm4", dict(a=16000, b=1, p=10 ** 300)),
+                            ("thm5", dict(blocks=(10 ** 6,), d=10 ** 6))):
+        with pytest.raises(ResourceLimitError, match=f"the {theorem} span"):
+            span_dim(theorem, **params)
+    # the binomial rows at a cap of 64 bits: 8 * log2(256) = 64 is taken, 8 * log2(257) is not
+    monkeypatch.setattr(certify_mod, "MAX_BOUND_BITS", 64)
+    assert span_dim("thm4", a=8, b=1, p=494) == (math.comb(255, 8) + math.comb(254, 8)
+                                                 + 248 + 247 - 1)
+    assert span_dim("thm5", blocks=(8,), d=248) == 2 + math.comb(255, 8) - 1
+    with pytest.raises(ResourceLimitError, match=r"C\(a \+ p/2, a\) has more than 64 bits"):
+        span_dim("thm4", a=8, b=1, p=496)
+    with pytest.raises(ResourceLimitError, match=r"C\(a \+ d - 1, a\) has more than 64 bits"):
+        span_dim("thm5", blocks=(8,), d=249)
 
 
 def test_monomial_count_identity():

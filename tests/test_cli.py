@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -292,7 +293,7 @@ _FUZZ_SETS = {
     "linf": {"space": "lp:n=2,p=inf", "points": [[0, 0], [1, 0], [0, 1], [1, 1]]},
     "p50": {"space": "lp:n=1,p=50", "points": [[0], [1], [3], [7], [15], [31]]},
 }
-# the same points in spaces whose p selects an exponent past certify's caps
+# the same points in spaces whose p selects an exponent of 10^8 or more
 _FUZZ_SETS.update({
     "cp3-p1e8": {**_FUZZ_SETS["cp3"], "space": "lp:n=3,p=100000000"},
     "cp3-p1e300": {**_FUZZ_SETS["cp3"], "space": "lp:n=3,p=1e300"},
@@ -495,12 +496,46 @@ def test_bound_past_the_largest_double():
     ("cp3-p1e300", ("--theorem", "thm1")),
     ("prod-p1e8", ("--theorem", "thm4")),
     ("cp3", ("--theorem", "thm5", "--c", "1e300"))])
-def test_huge_exponents_refused_exit_1(fuzz_dir, points, flags):
-    # each of these used to run for longer than 20 s
+def test_huge_exponents_end_in_under_a_second(fuzz_dir, points, flags):
+    # each of these once ran for longer than 20 s.  thm1 and thm4 take one power call per
+    # entry at any exponent and fail the off-diagonal check (these sets are not unit
+    # equilateral at such p); thm5's chosen degree is refused by the degree cap
+    t0 = time.perf_counter()
     code, out, err = _run_quietly(["certify", "--points", str(fuzz_dir / f"{points}.json"),
                                    *flags])
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert "exceeds the cap" in err
+    assert time.perf_counter() - t0 < 1.0
+    assert err.count("\n") == 1
+    if "thm5" in flags:
+        assert code == 1 and out == "" and "exceeds the cap 400" in err
+    else:
+        assert code == 2 and err == f"certificate for {flags[1]} did not pass\n"
+        assert not json.loads(out)["passes"]
+
+
+@pytest.mark.parametrize("n", [8, 10, 20, 50])
+@pytest.mark.parametrize("at", ["gate", "1e6"])
+def test_certify_thm1_in_the_large_p_regime(tmp_path, n, at):
+    # thm1.2, the paper's 2(p + 1)n for p >= c(n ln n)^2, at c = 2.01 and at p = 10^6: the
+    # lp-simplex certifies its n + 1 points, which lie under every concrete upper bound
+    # `bound` lists and equal the best lower one.  Each certify takes under 10 ms in-process.
+    p = math.ceil(2.01 * (n * math.log(n)) ** 2) if at == "gate" else 10 ** 6
+    f = tmp_path / "simplex.json"
+    code, out, err = _run_quietly(["construct", "lp-simplex", "--n", str(n), "--p", str(p)])
+    assert code == 0
+    f.write_text(out)
+    t0 = time.perf_counter()
+    code, out, err = _run_quietly(["certify", "--points", str(f), "--theorem", "thm1"])
+    assert time.perf_counter() - t0 < 1.0
+    rep = json.loads(out)
+    assert (code, err, rep["passes"], rep["m"]) == (0, "", True, n + 1)
+    assert rep["notes"][-1].endswith(" holds at c=2.01")
+    code, out, err = _run_quietly(["bound", "--space", f"lp:n={n},p={p}"])
+    reports = json.loads(out)
+    upper = {r["source"]: r["value"] for r in reports
+             if r["side"] == "upper" and isinstance(r["value"], int)}
+    lower = {r["source"]: r["value"] for r in reports if r["side"] == "lower"}
+    assert upper["thm1.2"] == 2 * (p + 1) * n and min(upper.values()) >= n + 1
+    assert max(lower.values()) == lower["lp-simplex"] == n + 1
 
 
 @pytest.mark.parametrize("flag", ["--k", "--p"])
@@ -612,6 +647,29 @@ def test_certify_thm2_overflowed_product_exit_1(tmp_path, capfd):
     code, out, err = _certify_thm2(capfd, _random_cube_file(tmp_path, 60, 3.0, 1), "4")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: thm2: ") and "non-finite" in err
+
+
+def _sidon_line_file(tmp_path, m):
+    """m points of lp:n=1,p=3 at the marks 202i + (i^2 mod 101), i < m <= 101, scaled to a
+    largest distance of 1: these marks differ pairwise by distinct amounts (Erdos and
+    Turan's Sidon set), so all m(m - 1)/2 distances are distinct."""
+    x = np.array([[202.0 * i + i * i % 101] for i in range(m)])
+    f = tmp_path / f"sidon-{m}.json"
+    f.write_text(json.dumps(PointSet(Space(3.0, (1,)), x / x[-1]).to_jsonable()))
+    return f
+
+
+@pytest.mark.parametrize("m", [100, 101])
+def test_certify_thm2_factor_cap(tmp_path, capfd, m):
+    # 100 points with all 4950 distances distinct take 4950^2 factors, exactly the cap, and are
+    # built (then refused for the overflowed product); 101 points are refused before the build
+    code, out, err = _certify_thm2(capfd, _sidon_line_file(tmp_path, m), "4")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    if m == 100:
+        assert err.startswith("error: thm2: the certificate matrix has non-finite entries")
+    else:
+        assert err == ("error: thm2: 5050 distances over 101 points take 25502500 factors, "
+                       f"above the cap of {4950 ** 2}\n")
 
 
 @pytest.mark.parametrize("m,p,seed", [(20, 3.0, 1), (20, 1.5, 1),
