@@ -14,7 +14,6 @@ Practice, 2013), well inside the bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,7 +62,8 @@ def abs_power(x, p: float):
     For integer p it is 1 multiplied by t = x^2, floor(p/2) times, then by |x|
     once for odd p: at even p that is the sequence of products of the Horner
     evaluation of the monomial x^p as an even polynomial, so the two agree bit
-    for bit.
+    for bit.  Any other p is numpy's power of |x|.  approximation_error reads
+    |x|^p through this one rule, on the grid and in its refinement alike.
     """
     x = np.asarray(x, dtype=float)
     if p == float(int(p)):
@@ -148,21 +148,14 @@ def approximation_error(P: EvenPolynomial, p: float) -> float:
     """Measured sup of |P(x) - |x|^p| over [0, 1] (equals [-1, 1] by evenness).
 
     Dense-grid maximum refined by golden-section search around every grid
-    local maximum above 0.0; the result is a lower bound on the true
-    sup-error and is within 1e-10 of it for the degrees in scope.  A peak of
-    0.0 lies where P and |x|^p agree exactly, as x^p at even p does at every
-    grid point, and is not refined.
+    local maximum above 0.0, both reading |x|^p through abs_power; the result
+    is a lower bound on the true sup-error and is within 1e-10 of it for the
+    degrees in scope.  A peak of 0.0 lies where P and |x|^p agree exactly, as
+    x^p at even p does at every grid point, and is not refined.
     """
     _require_p(p)
-    err = np.abs(P(_GRID) - abs_power(_GRID, p))
-    if p == float(int(p)):
-        fn = lambda x: np.abs(P(x) - abs_power(x, p))
-    else:
-        # the C library's pow, point by point: numpy's SIMD power on arrays
-        # can differ from it in the last bit, and the refined maxima are
-        # reported to full precision
-        fn = lambda x: np.abs(P(x) - np.fromiter(
-            map(math.pow, np.abs(x).tolist(), itertools.repeat(p)), float, x.size))
+    fn = lambda x: np.abs(P(x) - abs_power(x, p))
+    err = fn(_GRID)
     interior = _interior_maxima(err)
     interior = interior[err[interior] > 0.0]
     return float(_golden_max(fn, _GRID[interior - 1], _GRID[interior + 1]).max(initial=err.max()))

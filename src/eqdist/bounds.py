@@ -17,10 +17,23 @@ from .errors import InputError, ResourceLimitError, require_int
 from .space import Space
 
 UNSPECIFIED = "unspecified"
-# Cap on N * log2(s + 1), the bits of the exact (s + 1)**N bound, which also
+# Cap on the bits of every exact integer formed (_require_bits); for the
+# catalog, N * log2(s + 1), the bits of the exact (s + 1)**N bound, which also
 # bounds C(N + s, s).  On a 2-vCPU Xeon, `bound` on lp:n=1000000,p=3 took 0.45 s
 # at s = 1, 0.82 s at s = 17 (4.17e6 bits, just inside) and 2.4 s at s = 1000.
 MAX_BOUND_BITS = 1 << 22
+
+
+def _require_bits(what: str, base, exponent) -> None:
+    """Refuse, before it is formed, an integer of about exponent * log2(base) bits
+    (base^exponent, or a binomial C(N, K) < (N + 1)^min(K, N - K)) above
+    MAX_BOUND_BITS, the cap on every exact integer the library forms: a
+    4-million-bit binomial takes seconds.  Compared as a quotient, so no float
+    overflows."""
+    if abs(base) > 1 and exponent > MAX_BOUND_BITS / math.log2(abs(base)):
+        raise ResourceLimitError(f"{what} has more than {MAX_BOUND_BITS} bits, above the cap")
+
+
 # What a constants file may set besides c_absolute: the named constants, and the
 # flag treat_asymptotic_as_explicit in one of these spellings (any case)
 _NAMED_CONSTANTS = ("c_p", "c_ps", "c_pa")
@@ -154,10 +167,7 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
     s = require_int("s", s, 1)
     cfg = config or BoundConfig()
     p, nb, N = space.p, space.n_blocks, space.ambient_dim
-    bits = N * math.log2(s + 1)
-    if bits > MAX_BOUND_BITS:
-        raise ResourceLimitError(f"the (s + 1)^N bound at s = {s}, N = {N} has about "
-                                 f"{bits:.4g} bits, above the cap of {MAX_BOUND_BITS}")
+    _require_bits(f"the (s + 1)^N bound at s = {s}, N = {N}", s + 1, N)
     blocks = space.blocks
     a_max = max(blocks)
     out: list[BoundReport] = []
@@ -220,6 +230,8 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
 
         if _is_int(p) and int(p) % 2 == 0:
             half = int(p) // 2
+            # C(a + p/2, a) grows with a: the largest block's term bounds the others
+            _require_bits("the even-p term C(a + p/2, a)", a_max + half + 1, min(a_max, half))
             if nb == 2:
                 a, b = blocks
                 out.append(BoundReport(

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .approx import (MAX_DEGREE, EvenPolynomial, abs_power, approximate_abs_power,
                      choose_degree, jackson_constant)
-from .bounds import MAX_BOUND_BITS, large_p_gate
+from .bounds import _require_bits, large_p_gate
 from .construct import distance_profile
 from .errors import InputError, NumericalError, ResourceLimitError, require_int
 from .space import (_TINY, PointSet, _outer_norm, pair_block_norms,
@@ -108,9 +109,12 @@ def _require_two_blocks(points: PointSet, what: str) -> None:
 
 
 def _require_even_exponent(name: str, k) -> int:
-    """k as an int, refused unless it is an even integer of at least 2.  Any size is
-    taken: an entry is one power call at any exponent (_power_sum_entry)."""
+    """k as an int, refused unless it is an even integer of at least 2 that a double
+    holds.  Any such size is taken: an entry is one power call at any exponent
+    (_power_sum_entry), and that call reads k as a double."""
     k = require_int(name, k, 2)
+    if k > sys.float_info.max:  # compared exactly, and k is not printed: it may be too long
+        raise ResourceLimitError(f"{name} is above the largest double, {sys.float_info.max:.17g}")
     if k % 2 != 0:
         raise InputError(f"{name} must be a positive even integer, got {k}")
     return k
@@ -213,15 +217,6 @@ def gram_thm4(points: PointSet, p: int) -> SymMatrix:
 
 # ---------------------------------------------------------------------------
 # span dimensions
-
-
-def _require_bits(what: str, base, exponent) -> None:
-    """Refuse, before it is formed, an integer of about exponent * log2(base) bits
-    (base^exponent, or a binomial C(N, K) < (N + 1)^min(K, N - K)) above
-    bounds.MAX_BOUND_BITS, the catalog's cap on its exact bounds: a 4-million-bit
-    binomial takes seconds.  Compared as a quotient, so no float overflows."""
-    if abs(base) > 1 and exponent > MAX_BOUND_BITS / math.log2(abs(base)):
-        raise ResourceLimitError(f"{what} has more than {MAX_BOUND_BITS} bits, the cap")
 
 
 def _thm4_block_monomials(a: int, p: int) -> int:

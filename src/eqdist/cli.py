@@ -24,7 +24,7 @@ from . import construct as construct_mod
 from .certify import THEOREMS, CertifyConfig
 from .certify import certify as run_certify
 from .errors import (CertificationError, DegenerateDistanceError, InputError,
-                     NumericalError, ResourceLimitError)
+                     NumericalError, ResourceLimitError, require_int)
 from .space import PointSet, Space
 
 FORMATS = ("json", "csv", "text")
@@ -212,7 +212,8 @@ _CONSTRUCTIONS = {
     "lp-simplex": (("n", "p"), lambda n, p: construct_mod.lp_simplex(n, p)),
     "euclidean-simplex": (("n",), lambda n: construct_mod.euclidean_simplex(n)),
     "product": (("a", "b"), lambda a, b: construct_mod.product_construction(
-        construct_mod.euclidean_simplex(a), construct_mod.euclidean_simplex(b))),
+        construct_mod.euclidean_simplex(require_int("a", a, 1)),
+        construct_mod.euclidean_simplex(require_int("b", b, 1)))),
 }
 
 

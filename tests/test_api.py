@@ -267,3 +267,25 @@ def test_library_code_has_a_caller_in_the_library():
                     if name not in referenced and not name.startswith("__")
                     and name not in eqdist.__all__ and name not in overrides]
     assert unreferenced == []
+
+
+def test_every_import_is_read():
+    # an import its module never reads is left behind by deleted code; __init__
+    # re-exports the names in __all__, and a __future__ import binds no name
+    src = Path(eqdist.__file__).parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if path.stem == "__init__":
+            read.update(eqdist.__all__)
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert unread == []

@@ -1,11 +1,13 @@
 import dataclasses
 import importlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from eqdist import bounds as bounds_mod
 from eqdist import space as space_mod
 from eqdist.approx import EvenPolynomial
 from eqdist.bounds import MAX_BOUND_BITS, BoundConfig, enumerate_bounds
@@ -369,12 +371,19 @@ def test_exponent_cap(monkeypatch):
     monkeypatch.setattr(certify_mod, "pair_map",
                         lambda points, fn: calls.append(1) or pair_map(points, fn))
     lp, two = cross_polytope(2), PointSet(Space(4.0, (1, 1)), np.array([[0, 0], [1.0, 0]]))
-    for k in (402, 10 ** 8, 10 ** 300):
+    top = int(sys.float_info.max)  # the largest even integer a double holds
+    for k in (402, 10 ** 8, 10 ** 300, top):
         calls.clear()
         # 1 - |1|^k = 0, and 1 - 2 * 0.5^k rounds to 1
         assert np.array_equal(matrix_thm1(lp, k)[0].entries[0], [1.0, 0.0, 1.0, 1.0])
         assert np.array_equal(gram_thm4(two, k).entries, np.eye(2))
         assert len(calls) == 2
+    # the power call reads the exponent as a double; the last has too many digits to print
+    for k in (top + 2, 10 ** 400, 10 ** 5000 + 1):
+        with pytest.raises(ResourceLimitError, match="above the largest double"):
+            matrix_thm1(lp, k)
+        with pytest.raises(ResourceLimitError, match="above the largest double"):
+            gram_thm4(two, k)
 
 
 def test_builders_peak_memory():
@@ -420,7 +429,7 @@ def test_span_dim_bit_cap(monkeypatch):
         with pytest.raises(ResourceLimitError, match=f"the {theorem} span"):
             span_dim(theorem, **params)
     # the binomial rows at a cap of 64 bits: 8 * log2(256) = 64 is taken, 8 * log2(257) is not
-    monkeypatch.setattr(certify_mod, "MAX_BOUND_BITS", 64)
+    monkeypatch.setattr(bounds_mod, "MAX_BOUND_BITS", 64)
     assert span_dim("thm4", a=8, b=1, p=494) == (math.comb(255, 8) + math.comb(254, 8)
                                                  + 248 + 247 - 1)
     assert span_dim("thm5", blocks=(8,), d=248) == 2 + math.comb(255, 8) - 1

@@ -797,6 +797,10 @@ CLI_OUTPUTS = [
      "2f3dee435f22f992aacdb5a1c5e67b61338e9b7200347560a4e1250c60e4de2c", ""),
     ("approx --p 1 --d 1", 0,
      "4b3f337e8eeaba4a302365ad34776c55324531bc69192ef659cc4bd4c5461fca", ""),
+    ("approx --p 1.5 --d 35", 0,
+     "b0c1edb9549a7caf5f963e8f176de65031b502d86117b9028386d70632beebb1", ""),
+    ("approx --p 1.25 --d 38", 0,
+     "9b5a0561c9c050cf5a6be20b152f750ea1406ec2157f148820fd0cb91de773ae", ""),
     ("bound --space lp:n=3,p=2.5", 0,
      "fd6efa3e71039ff5173d5c88ac55755e511e5c7aa283e71cd5e88d7cfca85d9a", ""),
     ("bound --space lpsum:blocks=2,3,p=inf --best", 0,
@@ -1159,6 +1163,20 @@ def test_bound_s_above_the_bit_cap_exit_1():
     code, out, err = _run_quietly(["bound", "--space", "lp:n=1000,p=3", "--s", "9" * 4000])
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "above the cap" in err
+
+
+def test_bound_even_p_binomial_above_the_bit_cap_exit_1():
+    # C(8000 + 5e299, 8000) has about 7.96e6 bits, and took seconds to form
+    start = time.perf_counter()
+    code, out, err = _run_quietly(["bound", "--space", "lpsum:blocks=8000,1,p=1e300"])
+    assert (code, out) == (1, "") and time.perf_counter() - start < 2.0
+    assert err == "error: the even-p term C(a + p/2, a) has more than 4194304 bits, above the cap\n"
+
+
+@pytest.mark.parametrize("a, b, name", [("0", "2", "a"), ("2", "0", "b")])
+def test_construct_product_names_its_flag_exit_1(capsys, a, b, name):
+    code, out, err = _run(capsys, "construct", "product", "--a", a, "--b", b)
+    assert (code, out, err) == (1, "", f"error: {name} must be >= 1, got 0\n")
 
 
 def test_space_at_the_dimension_cap_exit_0():
