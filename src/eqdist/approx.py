@@ -1,7 +1,7 @@
 """Certified even-polynomial approximation of |x|^p on [-1, 1].
 
 The central object is an even polynomial P with P(0) = 0 whose sup-norm
-distance to |x|^p is measured on a dense grid and certified against the
+distance to |x|^p is bounded above in closed form and certified against the
 explicit Jackson-type bound B(p)/d^p.  The construction interpolates
 t^(p/2), t = x^2, at the floor(d/2) + 1 Chebyshev-Lobatto points of
 u = 2t - 1, which gives P in the even-Chebyshev basis T_0(x), T_2(x), ...,
@@ -10,6 +10,15 @@ at t = 0, so the interpolant vanishes there up to rounding.  It is not the
 best approximation, but it converges at the same algebraic rate within a
 Lebesgue-constant factor (Trefethen, Approximation Theory and Approximation
 Practice, 2013), well inside the bound.
+
+The error bound reads P in the same basis.  |x|^p = sum_k a_k T_2k(x) with
+a_k known in closed form and sum_{k>n} |a_k| too (ATAP Thm 4.2), and
+|T_2k| <= 1 on [-1, 1]; so for P = sum_k b_k T_2k,
+
+    sup |P(x) - |x|^p| <= sum_{k<=n} |a_k - b_k| + sum_{k>n} |a_k|.
+
+The b_k of the stored coefficients are summed exactly, in integers.
+approximation_error, a dense-grid maximum, is the independent lower check.
 """
 
 from __future__ import annotations
@@ -31,9 +40,12 @@ _GRID.setflags(write=False)
 # double precision (even integer p is exempt: its coefficients are 0 and 1).
 MAX_MONOMIAL_DEGREE = 45
 # Cap on any degree, the exact even-integer path included: certify asks for no
-# more (certify._approximant), and measuring P on the grid takes time
-# linear in d, about 1.2 ms at d = 400 (x^4) on one Xeon core.
+# more (certify._approximant), as its thm2 and thm5 spans grow with d.
 MAX_DEGREE = 400
+# Relative allowance for the float error of the closed-form a_k and of the
+# tail sum (lgamma, exp and the recurrence): at most 220 ulps, or 5e-14, for
+# p <= 45 and k <= 22 against mpmath (tests/test_approx.py).
+COEFF_RTOL = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -51,8 +63,13 @@ def jackson_constant(p: float) -> float:
              * math.prod(p - i for i in range(cp - 1)) / math.factorial(cp))
     except OverflowError:  # cp ** p alone, from about p = 143
         b = math.inf
-    if not math.isfinite(b):  # the float products overflow to inf for p > 75
-        raise NumericalError(f"B(p) overflows double precision at p={p:g}")
+    if not math.isfinite(b):  # the float products overflow for p > 75: take logs
+        try:  # the falling factorial is Gamma(p + 1) / Gamma(p - cp + 2)
+            b = math.exp(p * math.log(cp) + cp * math.log(1.0 + math.pi ** 2 / 2.0)
+                         + math.lgamma(p + 1.0) - math.lgamma(p - cp + 2.0)
+                         - math.lgamma(cp + 1.0))
+        except OverflowError:  # B(p) itself, from about p = 109.65
+            raise NumericalError(f"B(p) overflows double precision at p={p:g}") from None
     return b
 
 
@@ -105,9 +122,8 @@ class EvenPolynomial:
 class ApproxCertificate:
     p: float
     d: int
-    measured_error: float
+    measured_error: float  # a proven upper bound on sup |P(x) - |x|^p|
     jackson_bound: float
-    grid_size: int
 
 
 def _golden_max(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,6 +177,66 @@ def approximation_error(P: EvenPolynomial, p: float) -> float:
     return float(_golden_max(fn, _GRID[interior - 1], _GRID[interior + 1]).max(initial=err.max()))
 
 
+def _abs_power_chebyshev(p: float, n: int) -> list[float]:
+    """a_0, ..., a_n of |x|^p = sum_k a_k T_2k(x), each within COEFF_RTOL.
+
+    a_0 = Gamma(p + 1) / (2^p Gamma(p/2 + 1)^2), a_1 = 2 a_0 beta / (beta + 1)
+    and a_(k+1) / a_k = (beta - k) / (beta + k + 1), with beta = p/2.
+    """
+    beta = p / 2.0
+    a = [math.exp(math.lgamma(p + 1.0) - p * math.log(2.0) - 2.0 * math.lgamma(beta + 1.0))]
+    if n:
+        a.append(2.0 * a[0] * beta / (beta + 1.0))
+    for k in range(1, n):
+        a.append(a[-1] * (beta - k) / (beta + k + 1.0))
+    return a
+
+
+def _chebyshev_tail(p: float, n: int) -> float:
+    """sum_{k>n} |a_k|, within COEFF_RTOL; needs n + 1 > p/2.
+
+    For k > beta = p/2 the reflection formula gives |a_k| = Gamma(p + 1)
+    |sin(pi beta)| Gamma(k - beta) / (pi 2^(p-1) Gamma(k + beta + 1)), and the
+    sum over k > n telescopes to the closed form below.  The sine is taken at
+    beta - round(beta), exact in floats, so that it does not cancel near even p.
+    """
+    beta = p / 2.0
+    sine = abs(math.sin(math.pi * (beta - round(beta))))
+    log_ratio = (math.lgamma(p + 1.0) + math.lgamma(n + 1.0 - beta)
+                 - math.lgamma(n + 1.0 + beta) - (p - 1.0) * math.log(2.0))
+    return sine * math.exp(log_ratio) / (math.pi * p)
+
+
+def _error_bound(P: EvenPolynomial, p: float) -> float:
+    """A proven upper bound on sup |P(x) - |x|^p| over [-1, 1], rounded upward;
+    needs P.degree >= ceil(p), for the tail.
+
+    With n = P.degree // 2 it is tail(p, n) + sum_{k<=n} |a_k - b_k| plus
+    COEFF_RTOL of tail + sum |a_k| for their float error, where b_k are the
+    exact T_2k coefficients of P: x^(2j) = 2^(1-2j) sum_k C(2j, j-k) T_2k(x),
+    the k = 0 term halved.  Every term is a dyadic rational, so the sum is
+    exact in integers over 2**shift, and only the final division rounds.
+    """
+    n = P.degree // 2
+    a = _abs_power_chebyshev(p, n)
+    tail = _chebyshev_tail(p, n)
+    slack = COEFF_RTOL * (tail + math.fsum(map(abs, a)))
+    ratios = [x.as_integer_ratio() for x in (*P.even_coeffs, *a, tail, slack)]
+    shift = 2 * n + max(den.bit_length() - 1 for _, den in ratios)
+    scaled = [num << (shift - den.bit_length() + 1) for num, den in ratios]  # x * 2**shift
+    m = len(P.even_coeffs)
+    b = [0] * (n + 1)  # b_k * 2**shift
+    for j, c in enumerate(scaled[:m], start=1):
+        c >>= 2 * j - 1  # c_j 2^(1-2j): exact, as shift >= 2n + log2 of c_j's denominator
+        b[0] += math.comb(2 * j, j) * c >> 1
+        for k in range(1, j + 1):
+            b[k] += math.comb(2 * j, j - k) * c
+    total = sum(abs(x - y) for x, y in zip(scaled[m:m + n + 1], b)) + sum(scaled[m + n + 1:])
+    bound = total / (1 << shift)  # correctly rounded; step up if it rounded down
+    num, den = bound.as_integer_ratio()
+    return math.nextafter(bound, math.inf) if num << shift < total * den else bound
+
+
 def _lobatto_interpolant(p: float, half_degree: int) -> np.ndarray:
     """Monomial coefficients, in x, of the even polynomial of degree
     2 * half_degree that interpolates |x|^p = t^(p/2) at the half_degree + 1
@@ -180,6 +256,7 @@ def _lobatto_interpolant(p: float, half_degree: int) -> np.ndarray:
 def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCertificate]:
     """Even polynomial P, P(0) = 0, degree <= d, certified against B(p)/d^p.
 
+    The certificate's measured_error is the proven upper bound _error_bound.
     Even integer p with d >= p yields the exact monomial x^p (zero error).
     """
     _require_p(p)
@@ -191,8 +268,9 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
     nh = d // 2
     bound = jackson_constant(p) / d ** p
 
-    if p % 2 == 0:  # x^p: one 1.0 among the nh even coefficients
+    if p % 2 == 0:  # x^p: one 1.0 among the nh even coefficients, exact
         P = EvenPolynomial(d, tuple(float(j == p // 2 - 1) for j in range(nh)))
+        measured = 0.0
     elif d > MAX_MONOMIAL_DEGREE:
         raise ResourceLimitError(
             f"degree {d} exceeds {MAX_MONOMIAL_DEGREE}, past which the monomial "
@@ -201,13 +279,12 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
     else:
         # power[0] = P(0) is rounding noise, as the interpolant vanishes at t = 0
         P = EvenPolynomial(d, tuple(_lobatto_interpolant(p, nh)[2::2]))
-
-    measured = approximation_error(P, p)
+        measured = _error_bound(P, p)
     if measured > bound:
         raise CertificationError(
             f"approximation error {measured:.6e} exceeds bound {bound:.6e} "
             f"for p={p}, d={d}")
-    return P, ApproxCertificate(p, d, measured, bound, GRID_SIZE)
+    return P, ApproxCertificate(p, d, measured, bound)
 
 
 def choose_degree(p: float, c: float, n: int, m: int) -> int:

@@ -1,11 +1,12 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 from eqdist import approx, cli
-from eqdist.approx import (MAX_MONOMIAL_DEGREE, EvenPolynomial,
+from eqdist.approx import (COEFF_RTOL, MAX_MONOMIAL_DEGREE, EvenPolynomial,
                            approximate_abs_power, approximation_error,
                            choose_degree, jackson_constant)
 from eqdist.errors import InfeasibleDegreeError, InputError, NumericalError, ResourceLimitError
@@ -28,10 +29,23 @@ def test_jackson_constant_values():
             jackson_constant(p)
 
 
+def _jackson_mp(p):
+    """B(p) at 50 digits: with c = ceil(p),
+    c^p (1 + pi^2/2)^c Gamma(p + 1) / (Gamma(p - c + 2) c!)."""
+    with mpmath.workdps(50):
+        cp, p = math.ceil(p), mpmath.mpf(p)
+        return (cp ** p * (1 + mpmath.pi ** 2 / 2) ** cp * mpmath.gamma(p + 1)
+                / (mpmath.gamma(p - cp + 2) * mpmath.factorial(cp)))
+
+
 def test_jackson_constant_overflow_edge():
-    # above p = 75 the float products overflow to inf, which raises nothing by itself
-    assert math.isfinite(jackson_constant(75.0))
-    for p in (math.nextafter(75.0, 76.0), 75.1, 100.0, 142.9):
+    # up to p = 75 the float products are finite and give B(p); above it they
+    # overflow to inf and B(p) is taken in log space, until it overflows itself
+    assert jackson_constant(75.0) == (75.0 ** 75.0 * (1.0 + math.pi ** 2 / 2.0) ** 75
+                                      * math.prod(75.0 - i for i in range(74)) / math.factorial(75))
+    for p in (74.5, 75.0, math.nextafter(75.0, 76.0), 75.1, 80.0, 100.0, 109.6):
+        assert abs(jackson_constant(p) / _jackson_mp(p) - 1) < 1e-12, p
+    for p in (109.7, 110.0, 142.9):
         with pytest.raises(NumericalError, match="B\\(p\\) overflows"):
             jackson_constant(p)
 
@@ -68,12 +82,15 @@ def test_refusals(call):
 
 
 def test_p1_d1_is_the_zero_polynomial():
-    # one Lobatto point leaves no even polynomial but 0 with P(0) = 0
+    # one Lobatto point leaves no even polynomial but 0 with P(0) = 0; its
+    # bound is a_0 + tail(1, 0) = 2/pi + 2/pi, against the true error 1
     P, cert = approximate_abs_power(1, 1)
-    assert P == EvenPolynomial(1, ()) and cert.measured_error == 1.0
-    # its error |x| rises over the grid, so no interior peak is refined and
-    # the measure is the grid maximum
+    assert P == EvenPolynomial(1, ())
+    assert 4 / math.pi < cert.measured_error <= 4 / math.pi * (1 + 2 * COEFF_RTOL)
+    # |x| rises over the grid, so no interior peak is refined and the grid
+    # measure is the grid maximum, 1
     assert approx._interior_maxima(approx._GRID).size == 0
+    assert approximation_error(P, 1) == 1.0
 
 
 def test_error_over_the_bound_exits_2(monkeypatch, capsys):
@@ -105,19 +122,26 @@ def test_degree_cap_for_monomial_conversion():
 
 def test_lobatto_interpolant_certifies_every_degree():
     # the grid covers the odd integers 1, 7 and 75, both sides of the even
-    # p = 2 and p = 8, and p past 10; p = 75 has the largest finite B(p) but
-    # no degree in range, as ceil(p) is past the cap
+    # p = 2 and p = 8, and p past 10; p = 75 has the largest float-product
+    # B(p) but no degree in range, as ceil(p) is past the cap
     eps = np.finfo(float).eps
     worst = (0.0, None)
-    for p in (1, 2 - 1e-6, 2 + 1e-6, 7, 8 - 1e-9, 12.3, 20.7):
+    for p in (1, 1.3, 2 - 1e-6, 2 + 1e-6, 2.5, 4.7, 7, 8 - 1e-9, 12.3, 20.7):
         for d in range(math.ceil(p), MAX_MONOMIAL_DEGREE + 1):
-            _, cert = approximate_abs_power(p, d)
+            P, cert = approximate_abs_power(p, d)
             worst = max(worst, (cert.measured_error / cert.jackson_bound, (p, d)))
+            # the proven bound holds the grid-measured error, up to the
+            # rounding of Horner's evaluation of P
+            slack = 64 * eps * (1.0 + sum(map(abs, P.even_coeffs)))
+            assert approximation_error(P, p) <= cert.measured_error + slack, (p, d)
+            assert p < 2.5 or cert.measured_error < 1e-3 * cert.jackson_bound, (p, d)
             # the node at t = 0 makes P(0) = 0 up to rounding, so dropping the
             # constant term of the monomial form moves the error by no more
             assert abs(approx._lobatto_interpolant(p, d // 2)[0]) <= 32 * eps, (p, d)
-    # every case certifies, the worst by a factor of 6: the zero polynomial at d = 1
-    assert worst[1] == (1, 1) and 0.168 < worst[0] < 0.169
+    # every case certifies, the worst by a factor of 4.66, at p = 1 where the
+    # bound and B(p)/d^p both fall as 1/d (the zero polynomial at d = 1 is
+    # within 1e-7 of it); from p = 2.5 on, by a factor above 1000
+    assert worst[1] == (1, 45) and 0.2145 < worst[0] < 0.2146
     with pytest.raises(ResourceLimitError):
         approximate_abs_power(75, 75)
 
@@ -152,8 +176,9 @@ def test_only_the_exact_monomial_skips_refinement(monkeypatch):
 def test_p1_d10_example():
     P, cert = approximate_abs_power(1, 10)
     assert cert.measured_error <= jackson_constant(1) / 10
-    assert cert.measured_error <= 0.5935
-    assert 0.01 < cert.measured_error < 0.1
+    assert 0.1157 < cert.measured_error < 0.1158
+    # the proven bound is about twice the grid-measured error
+    assert 0.05 < approximation_error(P, 1) < cert.measured_error
 
 
 def test_approximation_error_examples():
@@ -238,3 +263,52 @@ def test_choose_degree_infeasible():
         choose_degree(1e300, 1.0, 3, 6)
     with pytest.raises(InputError):
         choose_degree(2.0, 6.0, 0, 1)
+
+
+def _a_mp(p, k):
+    """a_k of |x|^p = sum_k a_k T_2k(x) at 50 digits, from the Gamma form:
+    Gamma(p + 1) / (2^(p-1) Gamma(p/2 + k + 1) Gamma(p/2 - k + 1)), halved at k = 0."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        a = mpmath.gamma(p + 1) * mpmath.rgamma(p / 2 + k + 1) * mpmath.rgamma(p / 2 - k + 1)
+        return a / 2 ** (p - 1) / (2 if k == 0 else 1)
+
+
+def _tail_mp(p, n):
+    """sum_{k>n} |a_k| at 50 digits, from a finite sum: at x = 0 the series
+    gives sum_k (-1)^k a_k = 0, and (-1)^k a_k keeps one sign for k > p/2."""
+    with mpmath.workdps(50):
+        return abs(mpmath.fsum((-1) ** k * _a_mp(p, k) for k in range(n + 1)))
+
+
+@pytest.mark.parametrize("p, n", [(1, 0), (1.3, 5), (2 - 1e-6, 1), (2.5, 3), (7, 10),
+                                  (8 - 1e-9, 4), (12.3, 22)])
+def test_closed_form_coefficients_and_tail_match_mpmath(p, n):
+    rtol = COEFF_RTOL / 16
+    a = approx._abs_power_chebyshev(p, n)
+    for k in range(n + 1):
+        assert abs(a[k] - _a_mp(p, k)) <= rtol * abs(_a_mp(p, k)), (p, k)
+    tail = _tail_mp(p, n)
+    assert abs(approx._chebyshev_tail(p, n) - tail) <= rtol * tail
+    # a direct sum of the next 4000 terms, each from the one before as
+    # a_(k+1) / a_k = (p/2 - k) / (p/2 + k + 1), and the closed form for the rest
+    with mpmath.workdps(50):
+        beta, ak, head = mpmath.mpf(p) / 2, _a_mp(p, n + 1), 0
+        for k in range(n + 1, n + 4001):
+            head, ak = head + abs(ak), ak * (beta - k) / (beta + k + 1)
+    assert abs(head + approx._chebyshev_tail(p, n + 4000) - tail) <= rtol * tail
+
+
+def test_closed_form_error_is_inside_its_margin():
+    # the float error of a_k and of the tail grows with lgamma(p + 1); its edge
+    # is at the largest p and k that reach the bound (d <= 45): at most 220
+    # ulps there, about 1/20 of COEFF_RTOL
+    worst = 0.0
+    for p in (42.59191060437258, 44.9, 45 - 1e-9):
+        a = approx._abs_power_chebyshev(p, 22)
+        for k in range(23):
+            worst = max(worst, abs(float(a[k] / _a_mp(p, k)) - 1))
+        for n in range(math.ceil(p) // 2, 23):
+            worst = max(worst, abs(float(approx._chebyshev_tail(p, n) / _tail_mp(p, n)) - 1))
+    assert 2e-14 < worst < COEFF_RTOL / 16
+

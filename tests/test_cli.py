@@ -217,23 +217,34 @@ def test_approx_cli_schema(capsys):
     assert rep["measured_error"] <= rep["jackson_bound"]
 
 
-@pytest.mark.parametrize("p, d", [("100", "120"), ("75.1", "76")])
+@pytest.mark.parametrize("p, d", [("120", "130"), ("109.7", "110")])
 def test_approx_refuses_an_overflowed_jackson_bound(p, d):
-    # "jackson_bound": "inf" would certify nothing; p = 100 takes the exact even-p path
+    # "jackson_bound": "inf" would certify nothing; B(p) overflows even in log
+    # space from about p = 109.65, and p = 120 takes the exact even-p path
     code, out, err = _run_quietly(["approx", "--p", p, "--d", d])
     assert (code, out) == (1, "")
     assert err == f"error: B(p) overflows double precision at p={float(p):g}\n"
 
 
+def test_approx_past_the_float_product_of_jackson_bound():
+    # B(80) overflows the float product of jackson_constant, not its log form
+    code, out, err = _run_quietly(["approx", "--p", "80", "--d", "80"])
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["measured_error"] == 0.0 and rep["coefficients"][-1] == 1.0
+    assert 0.0 < rep["jackson_bound"] == approx.jackson_constant(80) / 80 ** 80 < math.inf
+
+
 @pytest.mark.parametrize("theorem", ["thm2", "thm5"])
 def test_certify_refuses_an_overflowed_jackson_bound(tmp_path, theorem):
-    # an inf n*B(p)/d^p would let any approximation gap pass
+    # an inf n*B(p)/d^p would let any approximation gap pass; c = 1e269 is
+    # about the least with a degree window at p = 120
     f = tmp_path / "s.json"
-    f.write_text(render_json(construct.lp_simplex(2, 100.0).to_jsonable()))
+    f.write_text(render_json(construct.lp_simplex(2, 120.0).to_jsonable()))
     code, out, err = _run_quietly(["certify", "--points", str(f), "--theorem", theorem,
-                                   "--c", "1e216"])
+                                   "--c", "1e269"])
     assert (code, out) == (1, "")
-    assert err == "error: B(p) overflows double precision at p=100\n"
+    assert err == "error: B(p) overflows double precision at p=120\n"
 
 
 def test_approx_coefficients_reproduce_measured_error(capsys):
@@ -790,17 +801,17 @@ _PINNED_SETS = {
 # search, which SEARCH_OUTPUTS pins: any change to an output shows here.
 CLI_OUTPUTS = [
     ("approx --p 2.5 --d 10", 0,
-     "652a826bd3505bc76459e0d993cce1b15ce705508620526c922d8c086fd5e97f", ""),
+     "a82e57e94d69ab97e353c77042b366bd09c068ced45f5a8a933166a614d0ad3f", ""),
     ("approx --p 3.5 --d 24", 0,
-     "b4aef1c4f48a106b0757c58eda84f9bb598fe969dec7ed1e203b7fa088c3833d", ""),
+     "17b2606319226a3febdf116acbf1870ef3f827cae48efd0854a053a818047fe4", ""),
     ("approx --p 4 --d 8", 0,
      "2f3dee435f22f992aacdb5a1c5e67b61338e9b7200347560a4e1250c60e4de2c", ""),
     ("approx --p 1 --d 1", 0,
-     "4b3f337e8eeaba4a302365ad34776c55324531bc69192ef659cc4bd4c5461fca", ""),
+     "4dbb5e3e6dab211fdb58fff2fc2c7fd460ced485063ff0198f76a86c64c94740", ""),
     ("approx --p 1.5 --d 35", 0,
-     "b0c1edb9549a7caf5f963e8f176de65031b502d86117b9028386d70632beebb1", ""),
+     "ea4e955e0eb90b22d449f65abdc4fc628a9663657dd98f18a9da35f2f4f253d7", ""),
     ("approx --p 1.25 --d 38", 0,
-     "9b5a0561c9c050cf5a6be20b152f750ea1406ec2157f148820fd0cb91de773ae", ""),
+     "b6ca28b5252b9ecf12a6444afad5e4cc470c8b01b481f865880f68841321a1c5", ""),
     ("bound --space lp:n=3,p=2.5", 0,
      "fd6efa3e71039ff5173d5c88ac55755e511e5c7aa283e71cd5e88d7cfca85d9a", ""),
     ("bound --space lpsum:blocks=2,3,p=inf --best", 0,
@@ -833,7 +844,7 @@ CLI_OUTPUTS = [
     ("certify --points simplex --theorem thm1", 0,
      "2b67e3ded2ee764b0becac82351a8cda013cd7032627678ca67b8a1afaf95b28", ""),
     ("certify --points simplex --theorem thm2 --c 4", 0,
-     "c3ba1e403190248d1b4a0874d268cd814a81bd8f7d19676042106f766897fb04", ""),
+     "75bbe6ee4044027361d59f5765cf1a232b416370d0a25a648dbc195cc51f1a7a", ""),
     ("certify --points one --theorem thm2", 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: distance profile needs at least 2 points\n"),
@@ -842,7 +853,7 @@ CLI_OUTPUTS = [
     ("certify --points equi4 --theorem thm4", 0,
      "9e7ea95e2f2a857cf6b6cc652e6d18e00d1f82017baba6285a9f812a718f24f7", ""),
     ("certify --points simplex2 --theorem thm5", 0,
-     "b85ddd80b6a29d0e1648286645632099cfab227a041fd8d36e3f926dd542bde6", ""),
+     "82b676d8d0e6a555a3da50747f1a2a3c567f213231592206b44637b7e0d4658c", ""),
 ]
 
 
