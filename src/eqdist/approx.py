@@ -73,25 +73,6 @@ def jackson_constant(p: float) -> float:
     return b
 
 
-def abs_power(x, p: float):
-    """|x|^p, evaluated so that integer p uses exact repeated multiplication.
-
-    For integer p it is 1 multiplied by t = x^2, floor(p/2) times, then by |x|
-    once for odd p: at even p that is the sequence of products of the Horner
-    evaluation of the monomial x^p as an even polynomial, so the two agree bit
-    for bit.  Any other p is numpy's power of |x|.  approximation_error reads
-    |x|^p through this one rule, on the grid and in its refinement alike.
-    """
-    x = np.asarray(x, dtype=float)
-    if p == float(int(p)):
-        k = int(p)
-        t, r = x * x, np.ones_like(x)
-        for _ in range(k // 2):
-            r = r * t
-        return r * np.abs(x) if k % 2 else r
-    return np.abs(x) ** p
-
-
 @dataclass(frozen=True)
 class EvenPolynomial:
     """P(x) = sum_j c_j x^(2j), j = 1..len(even_coeffs); P(0) = 0 structurally."""
@@ -164,13 +145,13 @@ def approximation_error(P: EvenPolynomial, p: float) -> float:
     """Measured sup of |P(x) - |x|^p| over [0, 1] (equals [-1, 1] by evenness).
 
     Dense-grid maximum refined by golden-section search around every grid
-    local maximum above 0.0, both reading |x|^p through abs_power; the result
-    is a lower bound on the true sup-error and is within 1e-10 of it for the
-    degrees in scope.  A peak of 0.0 lies where P and |x|^p agree exactly, as
-    x^p at even p does at every grid point, and is not refined.
+    local maximum above 0.0, both reading |x|^p as numpy's power of |x|; the
+    result is a lower bound on the true sup-error and is within 1e-10 of it
+    for the degrees in scope.  A peak of 0.0 lies where P and |x|^p agree
+    exactly, as x^2 at p = 2 does at every grid point, and is not refined.
     """
     _require_p(p)
-    fn = lambda x: np.abs(P(x) - abs_power(x, p))
+    fn = lambda x: np.abs(P(x) - np.abs(x) ** p)
     err = fn(_GRID)
     interior = _interior_maxima(err)
     interior = interior[err[interior] > 0.0]

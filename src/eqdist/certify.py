@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .approx import (MAX_DEGREE, EvenPolynomial, abs_power, approximate_abs_power,
-                     choose_degree, jackson_constant)
+from .approx import (MAX_DEGREE, EvenPolynomial, approximate_abs_power, choose_degree,
+                     jackson_constant)
 from .bounds import _require_bits, large_p_gate
 from .construct import distance_profile
 from .errors import InputError, NumericalError, ResourceLimitError, require_int
@@ -166,13 +166,19 @@ def matrix_thm2(points: PointSet, dists, P: EvenPolynomial) -> tuple[SymMatrix, 
     p = points.space.p
     if math.isinf(p):
         raise InputError("matrix_thm2 requires finite p")
+    return _surrogate_matrix(points, P, [a ** p for a in _unit_distances(dists)])
+
+
+def _unit_distances(dists) -> list[float]:
+    """thm2's distances as floats, the largest set to exactly 1; refused unless it is
+    within 1e-9 of 1 and they strictly decrease in (0, 1]."""
     dists = [float(a) for a in dists]
     if not dists or not abs(dists[0] - 1.0) <= 1e-9:
         raise InputError(f"largest distance must be 1, got {dists[:1]}")
     dists[0] = 1.0
     if any(not (0.0 < dists[i + 1] < dists[i]) for i in range(len(dists) - 1)):
         raise InputError(f"distances must be strictly decreasing in (0, 1]: {dists}")
-    return _surrogate_matrix(points, P, [a ** p for a in dists])
+    return dists
 
 
 def matrix_thm5(points: PointSet, P: EvenPolynomial) -> tuple[SymMatrix, ApproxGapDiagnostics]:
@@ -189,7 +195,7 @@ def _surrogate_matrix(points: PointSet, P: EvenPolynomial,
     space, m = points.space, points.m
     def planes(R):
         Y = P(R).sum(axis=-1)
-        return math.prod(1.0 - Y / au for au in ap), abs_power(R, space.p).sum(axis=-1), Y
+        return math.prod(1.0 - Y / au for au in ap), (R ** space.p).sum(axis=-1), Y
 
     A, X, Y = _pair_planes(points, pair_block_norms, planes)
     off = ~np.eye(m, dtype=bool)
@@ -414,9 +420,13 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
                 notes.append(f"large-p regime p >= c*(n*ln n)^2 = {gate:.6g} "
                              f"{'holds' if p >= gate else 'does not hold'} at c={cfg.c_absolute}")
         elif theorem == "thm2":
+            # matrix_thm2's refusals, each as soon as its input exists (the blocks
+            # before the profile, the largest distance right after it), as the
+            # approximant's refusal of its degree would hide them
+            _require_lp(points, "matrix_thm2")
             if m == 1:  # no pair, so no largest distance to scale to 1
                 raise InputError("distance profile needs at least 2 points")
-            dists = distance_profile(points)
+            dists = _unit_distances(distance_profile(points))
             k = len(dists)
             factors = k * m * (m - 1) // 2
             if factors > THM2_MAX_FACTORS:

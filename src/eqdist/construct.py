@@ -50,12 +50,24 @@ def cross_polytope(n: int) -> PointSet:
     return PointSet(Space(1.0, (1,) * n), pts)
 
 
+# simplex_lambda bisects from SIMPLEX_BRACKET_FLOOR up to 1 until the bracket is at
+# most SIMPLEX_BRACKET_ATOL wide, and refuses a midpoint that bracket does not pin to
+# SIMPLEX_BRACKET_RTOL of itself: a relative error r in lam moves the simplex's
+# distances by about 2r, and verify's default tolerance is 1e-7.  On (0, 1] the final
+# width is 2^-44, so roots below about 5.7e-5 are refused; lp_simplex's n stays below
+# 2,048 (CONSTRUCT_MAX_COORDS), where every root is above 4.8e-4.
+SIMPLEX_BRACKET_FLOOR = 1e-16
+SIMPLEX_BRACKET_ATOL = 1e-13
+SIMPLEX_BRACKET_RTOL = 1e-9
+
+
 def simplex_lambda(n: int, p: float) -> float:
     """Root of |1-lam|^p + (n-1) lam^p = 2, so {e_1..e_n, lam*(1,..,1)} is
     equilateral in lp^n.
 
     Bisection prefers the bracket (0, 1]; it extends to (1, 2] when the
-    equation has no root at or below 1 (this happens only for n = 2).
+    equation has no root at or below 1 (this happens only for n = 2).  A root
+    too small for the bisection to resolve is refused (NumericalError).
     """
     n = require_int("n", n, 2)
     if not (1.0 < p < math.inf):
@@ -67,18 +79,23 @@ def simplex_lambda(n: int, p: float) -> float:
         except OverflowError:  # lam^p past the largest double, so lam > 1 and g > 0
             return math.inf
 
-    lo, hi = 1e-16, 1.0
+    lo, hi = SIMPLEX_BRACKET_FLOOR, 1.0
     if g(hi) < 0.0:
         lo, hi = 1.0, 2.0
     if g(lo) >= 0.0 or g(hi) < 0.0:
         raise NumericalError(f"failed to bracket the root for n={n}, p={p}")
-    while hi - lo > 1e-13:
+    while hi - lo > SIMPLEX_BRACKET_ATOL:
         mid = 0.5 * (lo + hi)
         if g(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    if hi - lo > SIMPLEX_BRACKET_RTOL * mid:
+        raise NumericalError(f"the root for n={n}, p={p} is below the bisection's resolution: "
+                             f"its bracket [{lo:.3g}, {hi:.3g}] is wider than "
+                             f"{SIMPLEX_BRACKET_RTOL:g} of its midpoint")
+    return mid
 
 
 def lp_simplex(n: int, p: float) -> PointSet:

@@ -7,7 +7,9 @@ import dataclasses
 import importlib
 import inspect
 import math
+import re
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -289,3 +291,29 @@ def test_every_import_is_read():
                 continue
             unread += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
     assert unread == []
+
+
+def test_every_third_party_test_import_is_declared():
+    # a test module may import the standard library, eqdist, its sibling
+    # modules, and what [project] dependencies or the test extra declare
+    # (the two TOML arrays of strings read as Python literals; tomllib is 3.11+)
+    tests = Path(__file__).parent
+    toml = (tests.parent / "pyproject.toml").read_text(encoding="utf-8")
+    requirements = [req for key in ("dependencies", "test") for req in
+                    ast.literal_eval(re.search(rf"^{key} = (\[.*?\])", toml, re.M | re.S)[1])]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req)[0].lower().replace("-", "_")
+                for req in requirements}
+    local = {"eqdist", *(path.stem for path in tests.glob("*.py"))}
+    undeclared = []
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            undeclared += [f"{path.name}:{node.lineno} {name}" for name in names
+                           if name.split(".")[0] not in
+                           {*sys.stdlib_module_names, *local, *declared}]
+    assert undeclared == []

@@ -146,31 +146,32 @@ def test_lobatto_interpolant_certifies_every_degree():
         approximate_abs_power(75, 75)
 
 
-def test_monomial_error_is_exact_at_even_p():
-    # Horner on the one-hot x^p and abs_power multiply alike, bit for bit, with
-    # zero coefficients above x^p or none; so its error needs no refining
-    rng = np.random.default_rng(26)
-    tiny = np.finfo(float).tiny
-    x = np.concatenate([rng.uniform(-1.0, 1.0, 1000), rng.uniform(-tiny, tiny, 100),
-                        [0.0, -0.0, 5e-324, -5e-324, tiny, 1.0, -1.0, np.nextafter(1.0, 0.0)]])
-    for p in range(2, 401, 2):
-        for d in (p, p + 4):
-            P = EvenPolynomial(d, tuple(float(j == p // 2 - 1) for j in range(d // 2)))
-            assert P(x).tobytes() == approx.abs_power(x, p).tobytes(), (p, d)
-
-
 def test_only_the_exact_monomial_skips_refinement(monkeypatch):
     refined = []  # the number of intervals each refinement searches
     golden_max = approx._golden_max
     monkeypatch.setattr(approx, "_golden_max",
                         lambda fn, a, b: refined.append(len(a)) or golden_max(fn, a, b))
-    assert approximate_abs_power(8, 45)[1].measured_error == 0.0 and not any(refined)
-    assert approximation_error(EvenPolynomial(6, (0.0, -0.0, 1.0)), 6) == 0.0 and not any(refined)
-    # one ulp above 1 is not x^p: its error is refined, and above 0
-    P = EvenPolynomial(4, (0.0, 1.0 + 2.0 ** -52))
-    assert approximation_error(P, 4) > 0.0 and any(refined)
-    # nor is the zero polynomial, too short to hold x^4
-    assert approximation_error(EvenPolynomial(3, (0.0,)), 4) == 1.0
+    # numpy squares |x| exactly, and Horner on the one-hot x^2 multiplies the
+    # same way, with zero coefficients above x^2 or none
+    for P in (EvenPolynomial(2, (1.0,)), EvenPolynomial(6, (1.0, 0.0, -0.0))):
+        assert approximation_error(P, 2) == 0.0 and not any(refined)
+    # one ulp above 1 is not x^2: its error is refined, and above 0
+    P = EvenPolynomial(2, (1.0 + 2.0 ** -52,))
+    assert approximation_error(P, 2) > 0.0 and any(refined)
+    # nor is the zero polynomial, too short to hold x^2
+    assert approximation_error(EvenPolynomial(1, ()), 2) == 1.0
+
+
+@pytest.mark.parametrize("p", [4, 6, 8])
+def test_exact_monomial_grid_measure_is_within_rounding(p):
+    # past p = 2 numpy's power and Horner's products round apart, so the
+    # grid measure of the exact x^p is not 0.0, but stays within the slack
+    # bench/oracle.py allows the Horner sum: 64 eps (1 + sum |c_j|)
+    for d in (p, p + 5, 45):
+        P, cert = approximate_abs_power(p, d)
+        assert cert.measured_error == 0.0
+        slack = 64 * np.finfo(float).eps * (1.0 + sum(map(abs, P.even_coeffs)))
+        assert approximation_error(P, p) <= slack, (p, d)
 
 
 def test_p1_d10_example():

@@ -147,17 +147,42 @@ def test_certify_zero_distance_exit_2(tmp_path, capsys):
     assert (code, out, err) == (2, "", "failed: zero distance present\n")
 
 
-def test_certify_thm2_refuses_one_point_before_any_approximant(tmp_path, capsys, monkeypatch):
+def _forbid_approximants(monkeypatch):
     def no_approximant(*args):
         raise AssertionError("an approximant was built")
 
     monkeypatch.setattr(importlib.import_module("eqdist.certify"), "approximate_abs_power",
                         no_approximant)
+
+
+def test_certify_thm2_refuses_one_point_before_any_approximant(tmp_path, capsys, monkeypatch):
+    _forbid_approximants(monkeypatch)
     f = tmp_path / "one.json"
     f.write_text(json.dumps({"space": "lp:n=2,p=3", "points": [[0.5, -1]]}))
     for c in ((), ("--c", "4")):
         assert _run(capsys, "certify", "--points", str(f), "--theorem", "thm2", *c) == (
             1, "", "error: distance profile needs at least 2 points\n")
+
+
+@pytest.mark.parametrize("space, points, message", [
+    ("lpsum:blocks=2,1,p=3", [[0, 0, 0], [1, 0, 0], [0, 0, 1]],
+     "matrix_thm2 requires a space with all blocks of dimension 1"),
+    # checked before the profile, so coincident points are not reached (exit 2)
+    ("lpsum:blocks=2,1,p=3", [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+     "matrix_thm2 requires a space with all blocks of dimension 1"),
+    ("lp:n=2,p=3", [[0, 0], [2, 2], [2, 0]],
+     "largest distance must be 1, got [2.5198420997897464]"),
+], ids=["lpsum", "lpsum-coincident", "largest-distance-2.52"])
+def test_certify_thm2_refuses_inapplicable_input_before_any_approximant(
+        tmp_path, capsys, monkeypatch, space, points, message):
+    # with the paper's c, the approximant's degree (392 and 343 here) would be
+    # refused first, under a message about the degree
+    _forbid_approximants(monkeypatch)
+    f = tmp_path / "points.json"
+    f.write_text(json.dumps({"space": space, "points": points}))
+    for c in ((), ("--c", "4")):
+        assert _run(capsys, "certify", "--points", str(f), "--theorem", "thm2", *c) == (
+            1, "", f"error: {message}\n")
 
 
 def test_lp_simplex_past_the_largest_double(tmp_path, capsys):
@@ -486,9 +511,13 @@ def test_thm2_at_infinite_p_exit_1(fuzz_dir):
     assert (code, out, err) == (1, "", "error: thm2 requires finite p\n")
 
 
-def test_thm2_constant_overflow_exit_1(fuzz_dir):
-    code, out, err = _run_quietly(["certify", "--points", str(fuzz_dir / "p50.json"),
-                                   "--theorem", "thm2"])
+def test_thm2_constant_overflow_exit_1(tmp_path):
+    # the p50 fuzz set scaled to a largest distance of 1, which thm2 checks first;
+    # its 15 distances make the paper's c overflow
+    f = tmp_path / "p50-unit.json"
+    f.write_text(json.dumps({"space": "lp:n=1,p=50",
+                             "points": [[x / 31] for x in (0, 1, 3, 7, 15, 31)]}))
+    code, out, err = _run_quietly(["certify", "--points", str(f), "--theorem", "thm2"])
     assert code == 1 and out == "" and err.count("\n") == 1
     assert err.startswith("error: the paper's constant c overflows double precision at p=50")
 

@@ -1,16 +1,17 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from eqdist import construct
 from eqdist import space as space_mod
-from eqdist.construct import (SearchConfig, cross_polytope, distance_profile,
-                              euclidean_simplex, lp_simplex,
+from eqdist.construct import (SIMPLEX_BRACKET_RTOL, SearchConfig, cross_polytope,
+                              distance_profile, euclidean_simplex, lp_simplex,
                               product_construction, search_equilateral,
                               simplex_lambda)
-from eqdist.errors import DegenerateDistanceError, InputError, ResourceLimitError
+from eqdist.errors import DegenerateDistanceError, InputError, NumericalError, ResourceLimitError
 from eqdist.space import PointSet, Space, _outer_norm, distance_matrix, pair_block_norms
 
 from search_reference import descend_reference, search_reference
@@ -43,6 +44,37 @@ def test_simplex_lambda_residual():
         for p in (1.2, 1.5, 2, 3, 7.5):
             lam = simplex_lambda(n, p)
             assert abs(abs(1 - lam) ** p + (n - 1) * lam ** p - 2) <= 1e-12
+
+
+def _simplex_root_mp(n, p):
+    """The root of |1 - lam|^p + (n - 1) lam^p = 2 in (0, 1), at 40 digits."""
+    with mpmath.workdps(40):
+        g = lambda lam: abs(1 - lam) ** p + (n - 1) * lam ** p - 2
+        return float(mpmath.findroot(g, (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson"))
+
+
+def test_simplex_lambda_refuses_a_root_below_its_resolution():
+    # the (0, 1] bisection ends 2^-44 wide, so a root below about
+    # 2^-44 / SIMPLEX_BRACKET_RTOL = 5.7e-5 is refused, not returned as a midpoint
+    for n, p in ((19400, 1.01), (309520194, 2.0)):  # the largest n accepted at p
+        lam, root = simplex_lambda(n, p), _simplex_root_mp(n, p)
+        assert 5.68e-5 < root < 5.69e-5
+        assert abs(lam - root) <= 0.5 * SIMPLEX_BRACKET_RTOL * lam
+        with pytest.raises(NumericalError, match="wider than 1e-09 of its midpoint"):
+            simplex_lambda(n + 1, p)
+    # the root is 1.41e-15; the midpoint 2.85e-14 left a residual of 19.9
+    with pytest.raises(NumericalError):
+        simplex_lambda(10 ** 15, 1.01)
+
+
+def test_simplex_lambda_bits_at_the_construction_cap():
+    # lp_simplex's largest n under CONSTRUCT_MAX_COORDS; its smallest root, near
+    # p = 1, is 4.9e-4, far above the refusal
+    assert (2047 + 1) * 2047 <= construct.CONSTRUCT_MAX_COORDS < (2048 + 1) * 2048
+    for p, bits in ((1.0 + 2.0 ** -40, "0x1.0060240dc039ap-11"),
+                    (1.01, "0x1.147ca2f44039ap-11"), (2.0, "0x1.72382d6da201cp-6"),
+                    (7.5, "0x1.95cf2e4f58600p-2"), (1e6, "0x1.ffff1773b5b00p-1")):
+        assert simplex_lambda(2047, p).hex() == bits, p
 
 
 def test_simplex_lambda_validation():
