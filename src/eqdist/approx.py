@@ -218,10 +218,33 @@ def _error_bound(P: EvenPolynomial, p: float) -> float:
     return math.nextafter(bound, math.inf) if num << shift < total * den else bound
 
 
+def _cheb_to_monomial(c: np.ndarray) -> np.ndarray:
+    """Monomial coefficients of the Chebyshev series c, by the recurrence of
+    numpy's cheb2poly run in place on two arrays of len(c).
+
+    Each entry takes the same float operations as in numpy: the negation is
+    exact, a - b equals -b + a, and adding the zeros past numpy's shorter
+    arrays leaves a non-zero value unchanged.  On the interpolant's series
+    (odd entries +0.0, the last one non-zero) the result is cheb2poly's bit
+    for bit, signed zeros included; numpy would trim trailing zeros.
+    """
+    c0, c1 = np.zeros(len(c)), np.zeros(len(c))
+    c0[0] = c[-1]
+    for i in range(len(c), 1, -1):  # (c0, c1) <- (c[i-2] - c1, c0 + 2x c1)
+        c0, c1 = c1, c0
+        c1[1:] += 2.0 * c0[:-1]
+        np.negative(c0, out=c0)
+        c0[0] += c[i - 2]
+    c0[1:] += c1[:-1]  # c0 + x c1
+    return c0
+
+
 def _lobatto_interpolant(p: float, half_degree: int) -> np.ndarray:
     """Monomial coefficients, in x, of the even polynomial of degree
     2 * half_degree that interpolates |x|^p = t^(p/2) at the half_degree + 1
-    Chebyshev-Lobatto points of u = 2t - 1, t = x^2.  With no points to spare
+    Chebyshev-Lobatto points of u = 2t - 1, t = x^2.  chebfit gives it in the
+    even-Chebyshev basis, and _cheb_to_monomial takes it to monomials with
+    the same bits as numpy's cheb2poly.  With no points to spare
     (half_degree 0) it is the zero polynomial, the only even one with P(0) = 0.
     """
     nh = half_degree
@@ -231,7 +254,7 @@ def _lobatto_interpolant(p: float, half_degree: int) -> np.ndarray:
     full = np.zeros(2 * nh + 1)
     full[::2] = _cheb.chebfit(u, ((u + 1.0) / 2.0) ** (p / 2.0), nh)  # T_k(u) = T_2k(x)
     # T_{2k} has even powers only, so odd entries are exactly zero
-    return _cheb.cheb2poly(full)
+    return _cheb_to_monomial(full)
 
 
 def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCertificate]:
@@ -241,9 +264,9 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
     Even integer p with d >= p yields the exact monomial x^p (zero error).
     """
     _require_p(p)
+    d = require_int("degree d", d, 1)
     if d < math.ceil(p):
         raise InputError(f"degree d={d} is below ceil(p)={math.ceil(p):.6g}")
-    d = require_int("degree d", d, 1)
     if d > MAX_DEGREE:
         raise ResourceLimitError(f"degree {d} exceeds the cap of {MAX_DEGREE}")
     nh = d // 2

@@ -4,6 +4,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import cheb2poly
 
 from eqdist import approx, cli
 from eqdist.approx import (COEFF_RTOL, MAX_MONOMIAL_DEGREE, EvenPolynomial,
@@ -106,6 +107,10 @@ def test_degree_precondition():
         approximate_abs_power(2.5, 2)
     with pytest.raises(InputError):
         approximate_abs_power(0.5, 4)
+    # the degree is read as an integer before it is compared with ceil(p)
+    for d in ("5", None):
+        with pytest.raises(InputError, match="degree d must be a number"):
+            approximate_abs_power(3, d)
 
 
 def test_degree_cap_for_monomial_conversion():
@@ -144,6 +149,38 @@ def test_lobatto_interpolant_certifies_every_degree():
     assert worst[1] == (1, 45) and 0.2145 < worst[0] < 0.2146
     with pytest.raises(ResourceLimitError):
         approximate_abs_power(75, 75)
+
+
+def test_monomial_conversion_is_numpys_cheb2poly(monkeypatch):
+    # same values and sign bits of zeros as numpy's reference, on every series
+    # the interpolant converts: each d in [ceil(p), 45], so nh = d // 2 from 0
+    # (no conversion: the zero polynomial) and 1 (a series of length 3) up
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    seen, cases = [], 0
+    convert = approx._cheb_to_monomial
+
+    def record(c):
+        seen.append((c.copy(), convert(c)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(approx, "_cheb_to_monomial", record)
+    for p in (*np.linspace(1.0, 8.0, 71)[1:], 1, 1.5, 2.5, 8 - 1e-9, 12.3, 20.7, 44.9):
+        for nh in sorted({d // 2 for d in range(math.ceil(p), MAX_MONOMIAL_DEGREE + 1)}):
+            seen.clear()
+            out = approx._lobatto_interpolant(p, nh)
+            if nh == 0:
+                assert not seen and same(out, np.zeros(1)), p
+                continue
+            [(full, mono)] = seen
+            assert len(full) == 2 * nh + 1 and mono is out, (p, nh)
+            assert same(mono, cheb2poly(full)), (p, nh)
+            cases += 1
+    # a series of length 1 or 2 is its own monomial form, as in numpy
+    for c in ([0.0], [-0.0], [0.3], [0.3, -1.5]):
+        assert same(convert(np.array(c)), cheb2poly(c)), c
+    assert cases == 1566
 
 
 def test_only_the_exact_monomial_skips_refinement(monkeypatch):
