@@ -89,6 +89,9 @@ class BoundConfig:
     def __post_init__(self):
         if not self.c_absolute > 0:
             raise InputError(f"c_absolute must be positive, got {self.c_absolute}")
+        for name, value in {"c_absolute": self.c_absolute, **self.constants}.items():
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
 
 
 def load_config(path: str) -> BoundConfig:
@@ -309,7 +312,8 @@ def best_explicit_upper(space: Space, s: int, config: BoundConfig | None = None)
         if rep.kind in ("explicit", "exact") and isinstance(rep.value, int):
             pool.append((rep.value, rep.source, rep))
         elif (cfg.treat_asymptotic_as_explicit and rep.kind == "asymptotic"
-              and isinstance(rep.value, Formula) and rep.value.numeric is not None):
+              and isinstance(rep.value, Formula) and rep.value.numeric is not None
+              and math.isfinite(rep.value.numeric)):  # c * n^e past the largest double bounds nothing
             pool.append((math.ceil(rep.value.numeric), rep.source, rep))
     if not pool:
         return BoundReport("upper", "explicit", None, (),

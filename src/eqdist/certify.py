@@ -225,33 +225,36 @@ def gram_thm4(points: PointSet, p: int) -> SymMatrix:
 # span dimensions
 
 
-def _thm4_block_monomials(a: int, p: int) -> int:
+def _thm4_block_monomials(a: int, p) -> int:
     """The monomials one a-dimensional block adds to the thm4 span, for even p."""
-    if p % 2 != 0:
-        raise InputError(f"p must be even, got {p}")
-    half = p // 2
+    half = _require_even_exponent("p", p) // 2
     _require_bits("the thm4 span term C(a + p/2, a)", a + half + 1, min(a, half))
     return math.comb(a + half, a) + math.comb(a + half - 1, a)
 
 
-def _thm5_span(blocks, d: int) -> int:
+def _thm5_span(blocks, d) -> int:
     """The thm5 span for blocks of the given dimensions at degree d."""
+    blocks, d = [require_int("block", a, 1) for a in blocks], require_int("d", d, 1)
     for a in blocks:
         _require_bits("the thm5 span term C(a + d - 1, a)", a + d, min(a, d - 1))
     return 2 + sum(math.comb(a + d - 1, a) for a in blocks) - len(blocks)
 
 
-def _thm2_span(n: int, d: int, k: int) -> int:
+def _thm2_span(n, d, k) -> int:
     """The thm2 span: (d*n)^k, for k distances at degree d in dimension n."""
+    n, d, k = (require_int(name, value, 1) for name, value in (("n", n), ("d", d), ("k", k)))
     _require_bits("the thm2 span (d*n)^k", d * n, k)
     return (d * n) ** k
 
 
+# Each row reads its counts: n, d, a, b and every block a whole number >= 1, and
+# thm1's k and thm4's p even integers >= 2
 _SPAN_DIMS = {
-    "thm1": lambda n, k: (k - 1) * n + 2,
+    "thm1": lambda n, k: (_require_even_exponent("k", k) - 1) * require_int("n", n, 1) + 2,
     "thm2": _thm2_span,
-    "thm3": lambda a, b: (a + 2) * (b + 2),
-    "thm4": lambda a, b, p: _thm4_block_monomials(a, p) + _thm4_block_monomials(b, p) - 1,
+    "thm3": lambda a, b: (require_int("a", a, 1) + 2) * (require_int("b", b, 1) + 2),
+    "thm4": lambda a, b, p: (_thm4_block_monomials(require_int("a", a, 1), p)
+                             + _thm4_block_monomials(require_int("b", b, 1), p) - 1),
     "thm5": _thm5_span,
 }
 

@@ -258,34 +258,23 @@ def _search_energy(space: Space, m: int):
     return energy_grad
 
 
-def _energy_target(residual_target: float) -> float:
-    """The largest double E with math.sqrt(E) <= residual_target / 4.  As sqrt
-    is monotone, an energy E has sqrt(max(E, 0)) <= residual_target / 4
-    exactly when E <= this."""
-    bound = 0.25 * residual_target
-    e = bound * bound
-    while math.sqrt(e) > bound:
-        e = math.nextafter(e, -math.inf)
-    while math.sqrt(math.nextafter(e, math.inf)) <= bound:
-        e = math.nextafter(e, math.inf)
-    return e
-
-
 def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
     """Backtracking descent of the restarts stacked on the first axis of Q.
 
     Each tick takes every live restart's trial point q - step * grad and
-    computes its energy and gradient in one call.  A restart whose energy
-    falls moves there and grows its step by 1.3; the others halve their step.
-    A restart stops when it converges, stalls (see _STALL_WINDOW), reaches
-    MAX_ITERS accepted steps, or cannot find a lower energy.  Returns the
-    final points, the accepted steps and the STOP_CAUSES index of each restart.
+    computes its energy and gradient in one call.  One masked rule then
+    updates every restart: one whose energy falls moves there and grows its
+    step by 1.3; the others halve their step.  A restart stops when it
+    converges (sqrt(E) <= residual_target / 4), stalls (see _STALL_WINDOW),
+    reaches MAX_ITERS accepted steps, or cannot find a lower energy.  Returns
+    the final points, the accepted steps and the STOP_CAUSES index of each
+    restart.
 
     The live restarts' state is kept compacted, row k belonging to restart
     idx[k]; a restart is written back into Q on the tick it leaves.
     """
     energy_grad = _search_energy(space, Q.shape[1])
-    done = _energy_target(cfg.residual_target)
+    done = 0.25 * cfg.residual_target
     R = Q.shape[0]
     iters_out = np.zeros(R, dtype=int)
     stop_out = np.full(R, -1)
@@ -301,20 +290,15 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
         trial = q - step[:, None, None] * grad
         en, g = energy_grad(trial)
         ok = en < energy
-        if ok.all():  # 2 in 5 ticks of the benchmark's searches: take the trial arrays whole
-            q, energy, grad = trial, en, g
-            step *= 1.3
-            halvings.fill(0)
-            iters += 1
-            stop = np.full(idx.size, -1)
-        else:
-            q[ok], energy[ok], grad[ok] = trial[ok], en[ok], g[ok]
-            step *= np.where(ok, 1.3, 0.5)
-            halvings = np.where(ok, 0, halvings + 1)
-            iters += ok
-            # later assignments win: underflow over halvings
-            stop = np.where(halvings >= _MAX_HALVINGS, _HALVED, -1)
-            stop[~ok & (step < _MIN_STEP)] = _UNDERFLOW
+        np.copyto(q, trial, where=ok[:, None, None])
+        np.copyto(grad, g, where=ok[:, None, None])
+        np.copyto(energy, en, where=ok)
+        step *= np.where(ok, 1.3, 0.5)
+        halvings = np.where(ok, 0, halvings + 1)
+        iters += ok
+        # later assignments win: underflow over halvings
+        stop = np.where(halvings >= _MAX_HALVINGS, _HALVED, -1)
+        stop[~ok & (step < _MIN_STEP)] = _UNDERFLOW
         # later assignments win: converged over a stall over the cap.  A
         # restart's steps never outnumber the ticks, so neither count is reached
         # earlier; a live restart is below MAX_ITERS, so only one that stepped on
@@ -326,7 +310,7 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
             if check.any():  # most ticks bring no restart to a checkpoint
                 stop[check & (energy > (1.0 - _STALL_DROP) * checkpoint)] = _STALLED
                 checkpoint[check] = energy[check]
-        stop[ok & (energy <= done)] = _CONVERGED
+        stop[ok & (np.sqrt(energy) <= done)] = _CONVERGED
         leave = stop >= 0
         if leave.any():
             out, keep = idx[leave], ~leave
@@ -364,9 +348,9 @@ def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) ->
         # max over pairs of |d_ij - 1| for every restart of the batch, in the true norm
         dists = _outer_norm(pair_block_norms(space, Q, Q), space.p)[:, i, j]
         resids = np.max(np.abs(dists - 1.0), axis=1)
-        for restart, q, resid, it, stop in zip(restarts, Q, resids, iters, stops):
-            if best is None or resid < best[0]:
-                best = (float(resid), restart, q, int(it), STOP_CAUSES[stop])
+        k = np.argmin(resids)  # the first of equal residuals
+        if best is None or resids[k] < best[0]:
+            best = (float(resids[k]), restarts[k], Q[k], int(iters[k]), STOP_CAUSES[stops[k]])
     resid, restart, q, iters, stop = best
     converged = resid <= cfg.residual_target
     if stop == STOP_CAUSES[_CONVERGED] and not converged:

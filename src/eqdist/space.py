@@ -177,6 +177,8 @@ def _check_dim(space: Space, x: Sequence[float]) -> np.ndarray:
     if arr.shape != (space.ambient_dim,):
         raise InputError(
             f"point has shape {arr.shape}, expected ({space.ambient_dim},)")
+    if not np.isfinite(arr).all():
+        raise InputError("point coordinates must be finite numbers")
     return arr
 
 
@@ -288,6 +290,8 @@ def norm_sandwich_check(x: Sequence[float], p: float,
     if not p <= q:  # also refuses a NaN q
         raise InputError(f"need p <= q, got p={p}, q={q}")
     arr = np.abs(np.asarray(x, dtype=float))
+    if not np.isfinite(arr).all():  # q may be inf; the entries of x may not
+        raise InputError("x must be finite numbers")
     nq = float(_outer_norm(arr, q))
     np_ = float(_outer_norm(arr, p))
     upper = arr.size ** (1.0 / p - 1.0 / q) * nq  # 1 / inf is 0

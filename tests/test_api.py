@@ -181,12 +181,22 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
     lambda: eqdist.approximate_abs_power(2.5, 3.5),
     lambda: eqdist.Space(2.0, ("2",)),
     lambda: eqdist.SearchConfig(restarts="2"),
+    lambda: eqdist.distance(_SQUARE.space, [math.nan, 0.0], [0.0, 0.0]),
+    lambda: eqdist.distance(_SQUARE.space, [0.0, 0.0], [0.0, math.inf]),
+    lambda: eqdist.norm(_SQUARE.space, [math.inf, 1.0]),
+    lambda: eqdist.norm(_SQUARE.space, [math.nan, 1.0]),
+    lambda: eqdist.norm_sandwich_check([math.inf, 1.0], 1.0, 2.0),
+    lambda: eqdist.norm_sandwich_check([math.nan, 1.0], 1.0, math.inf),
+    lambda: eqdist.BoundConfig(constants={"c_p": math.nan}),
+    lambda: eqdist.BoundConfig(constants={"c_pa": math.inf}),
+    lambda: eqdist.BoundConfig(c_absolute=math.inf),
 ], ids=["tol-nan", "tol-inf", "target-nan", "target-inf", "approx-p-nan", "approx-p-inf",
         "c-nan", "certify-c-nan", "certify-c-absolute-nan", "restarts-nan",
         "restarts-inf", "restarts-2.5", "seed-nan", "seed-1.5", "search-m-2.5", "s-nan", "s-1.5",
         "coeff-nan", "coeff-inf", "degree-nan", "degree-2.5", "cluster-k-nan", "cluster-k-2.5",
         "lambda-n-nan", "simplex-n-2.5", "degree-n-nan", "degree-m-2.5", "approx-d-3.5",
-        "block-str", "restarts-str"])
+        "block-str", "restarts-str", "distance-x-nan", "distance-y-inf", "norm-inf", "norm-nan",
+        "sandwich-x-inf", "sandwich-x-nan", "constant-nan", "constant-inf", "c-absolute-inf"])
 def test_nan_and_inf_are_refused(call):
     with pytest.raises(InputError):
         call()

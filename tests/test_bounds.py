@@ -242,6 +242,11 @@ def test_treat_asymptotic_as_explicit():
     # off by default: the same constants never win the selection
     byv = best_explicit_upper(Space(9.0, (1,) * 3), 1, BoundConfig(constants={"c_p": 1e-9}))
     assert byv.kind in ("explicit", "exact")
+    # at p = 1e308 the default c_p = c * p is past the largest double, so the
+    # thm1.1 bound is inf and bounds nothing; the explicit ones are selected
+    cfg, huge = BoundConfig(treat_asymptotic_as_explicit=True), Space(1e308, (1,) * 3)
+    assert _find(enumerate_bounds(huge, 1, cfg), "thm1.1").value.numeric == math.inf
+    assert best_explicit_upper(huge, 1, cfg) == best_explicit_upper(huge, 1)
 
 
 def test_bound_bits_cap():

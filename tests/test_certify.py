@@ -415,6 +415,21 @@ def test_span_dim():
         span_dim("thm1", n=3, k=4, d=9)
     with pytest.raises(InputError, match="unexpected keyword argument 'p'"):
         span_dim("thm3", a=1, b=2, p=4)
+    # every count is a whole number >= 1, thm1's k and thm4's p even and >= 2
+    for theorem, params, message in (
+            ("thm1", dict(n=2.5, k=4), "n must be an integer"),
+            ("thm1", dict(n=3, k=3), "k must be a positive even integer"),
+            ("thm1", dict(n=0, k=4), "n must be >= 1"),
+            ("thm2", dict(n=2, d=3, k=-1), "k must be >= 1"),
+            ("thm2", dict(n=2, d=0, k=2), "d must be >= 1"),
+            ("thm3", dict(a=-5, b=1), "a must be >= 1"),
+            ("thm3", dict(a=1, b=math.nan), "b must be >= 1"),
+            ("thm4", dict(a=1, b=1, p=-2), "p must be >= 2"),
+            ("thm4", dict(a=1, b=0, p=4), "b must be >= 1"),
+            ("thm5", dict(blocks=(2,), d=-1), "d must be >= 1"),
+            ("thm5", dict(blocks=(2, 0), d=4), "block must be >= 1")):
+        with pytest.raises(InputError, match=message):
+            span_dim(theorem, **params)
 
 
 def test_span_dim_bit_cap(monkeypatch):

@@ -67,6 +67,18 @@ def test_simplex_lambda_refuses_a_root_below_its_resolution():
         simplex_lambda(10 ** 15, 1.01)
 
 
+def test_simplex_lambda_refuses_a_root_it_cannot_bracket():
+    # from n = 10036909309200967 at p = 1.0001, g(SIMPLEX_BRACKET_FLOOR) >= 0: the
+    # root is at or below the bracket's floor.  One n less, g is below 0 there,
+    # and the root is bracketed but below the bisection's resolution
+    edge, p = 10036909309200967, 1.0001
+    with pytest.raises(NumericalError, match="wider than 1e-09 of its midpoint"):
+        simplex_lambda(edge - 1, p)
+    for n in (edge, 2 * 10 ** 16):
+        with pytest.raises(NumericalError, match="failed to bracket the root"):
+            simplex_lambda(n, p)
+
+
 def test_simplex_lambda_bits_at_the_construction_cap():
     # lp_simplex's largest n under CONSTRUCT_MAX_COORDS; its smallest root, near
     # p = 1, is 4.9e-4, far above the refusal
@@ -377,11 +389,16 @@ def test_search_stall_edges(monkeypatch):
 
 @pytest.mark.parametrize("target", [5e-324, 1e-300, 1e-10, 0.3, 1.0, 1e300, 1.7e308])
 def test_search_convergence_edge(monkeypatch, target):
-    # a restart has converged when sqrt(max(E, 0)) <= target / 4; the descent
-    # tests E <= edge, the largest double whose square root is within that
-    edge = construct._energy_target(target)
+    # a restart has converged when sqrt(E) <= target / 4; the edge is the
+    # largest double whose math.sqrt is within that
+    bound = 0.25 * target
+    edge = bound * bound
+    while math.sqrt(edge) > bound:
+        edge = math.nextafter(edge, -math.inf)
+    while math.sqrt(math.nextafter(edge, math.inf)) <= bound:
+        edge = math.nextafter(edge, math.inf)
     above = math.nextafter(edge, math.inf)
-    assert math.sqrt(edge) <= 0.25 * target < math.sqrt(above)
+    assert math.sqrt(edge) <= bound < math.sqrt(above)
     if 0.0 < edge and above < 1.0:
         cfg = SearchConfig(residual_target=target)
         assert _scripted_descent(monkeypatch, [1.0, edge], cfg) == (1, "converged")
