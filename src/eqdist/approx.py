@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import (CertificationError, InfeasibleDegreeError, InputError,
-                     NumericalError, ResourceLimitError, require_int)
+from .errors import (CertificationError, InfeasibleDegreeError, InputError, NumericalError,
+                     ResourceLimitError, require_int, require_positive, require_real)
 
 GRID_SIZE = 4097          # Chebyshev-spaced measurement grid on [0, 1]
 _GRID = 0.5 * (1.0 - np.cos(math.pi * np.arange(GRID_SIZE) / (GRID_SIZE - 1)))
@@ -50,8 +50,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _require_p(p: float) -> None:
-    if not 1.0 <= p < math.inf:
-        raise InputError(f"p must be finite and >= 1, got {p}")
+    if require_real("p", p) < 1.0:
+        raise InputError(f"p must be >= 1, got {p}")
 
 
 def jackson_constant(p: float) -> float:
@@ -82,9 +82,7 @@ class EvenPolynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "degree", require_int("degree", self.degree, 1))
-        coeffs = tuple(float(c) for c in self.even_coeffs)
-        if not all(map(math.isfinite, coeffs)):
-            raise InputError(f"even coefficients must be finite, got {coeffs}")
+        coeffs = tuple(require_real("an even coefficient", c) for c in self.even_coeffs)
         if len(coeffs) > self.degree // 2:
             raise InputError(
                 f"{len(coeffs)} even coefficients exceed degree budget {self.degree}")
@@ -299,8 +297,7 @@ def choose_degree(p: float, c: float, n: int, m: int) -> int:
     """
     _require_p(p)
     n, m = require_int("n", n, 1), require_int("m", m, 1)
-    if not c > 0:
-        raise InputError(f"c must be positive, got {c}")
+    c = require_positive("c", c)
     target = c * n * math.sqrt(m)
     if not math.isfinite(target):
         raise InputError(f"c*n*sqrt(m) overflows double precision at c={c:.6g}")

@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .errors import InputError, ResourceLimitError, require_int
+from .errors import InputError, ResourceLimitError, require_int, require_positive, require_real
 from .space import Space
 
 UNSPECIFIED = "unspecified"
@@ -72,7 +72,7 @@ class BoundReport:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundConfig:
     """Configured constants for the catalog.
 
@@ -87,11 +87,9 @@ class BoundConfig:
     constants: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.c_absolute > 0:
-            raise InputError(f"c_absolute must be positive, got {self.c_absolute}")
-        for name, value in {"c_absolute": self.c_absolute, **self.constants}.items():
-            if not math.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value}")
+        require_positive("c_absolute", self.c_absolute)
+        for name, value in self.constants.items():
+            require_real(name, value)
 
 
 def load_config(path: str) -> BoundConfig:
@@ -123,8 +121,6 @@ def load_config(path: str) -> BoundConfig:
                 num = float(val)
             except ValueError as e:
                 raise InputError(f"bad numeric value for {key}: {val!r}") from e
-            if not math.isfinite(num):
-                raise InputError(f"bad numeric value for {key}: {val!r}")
             if key == "c_absolute":
                 settings["c_absolute"] = num
             else:

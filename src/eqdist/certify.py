@@ -21,12 +21,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .approx import (MAX_DEGREE, EvenPolynomial, approximate_abs_power, choose_degree,
-                     jackson_constant)
+from .approx import (MAX_DEGREE, EvenPolynomial, _require_p, approximate_abs_power,
+                     choose_degree, jackson_constant)
 from .bounds import _require_bits, large_p_gate
 from .construct import distance_profile
-from .errors import InputError, NumericalError, ResourceLimitError, require_int
-from .space import (_TINY, PointSet, _outer_norm, pair_block_norms,
+from .errors import InputError, NumericalError, ResourceLimitError, require_int, require_positive
+from .space import (_TINY, PointSet, _finite_array, _outer_norm, pair_block_norms,
                     pair_block_sq_norms, pair_map)
 
 THEOREMS = ("thm1", "thm2", "thm3", "thm4", "thm5")
@@ -75,7 +75,7 @@ class SymMatrix:
 
 def rank_lower_bound(A) -> float:
     """(sum of diagonal)^2 / (sum of squared entries); at most rank(A)."""
-    arr = np.asarray(A, dtype=float)
+    arr = _finite_array("matrix entries", A)
     with np.errstate(over="ignore"):
         denom, tr = float(np.sum(arr * arr)), float(np.trace(arr))
         if denom < _TINY or math.isinf(denom) or abs(tr) > _SQRT_MAX:
@@ -90,7 +90,7 @@ def rank_lower_bound(A) -> float:
 
 def numerical_rank(A) -> int:
     """Number of singular values above RANK_RTOL * sigma_max."""
-    sv = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
+    sv = np.linalg.svd(_finite_array("matrix entries", A), compute_uv=False)
     return int(np.sum(sv > RANK_RTOL * sv.max(initial=0.0)))
 
 
@@ -318,16 +318,15 @@ def independence_rank_thm3(points: PointSet) -> tuple[int, int]:
 # orchestration
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertifyConfig:
     c: float | None = None          # approximation constant override (thm2/thm5)
     c_absolute: float = 2.01        # constant for the large-p regime note
 
     def __post_init__(self):
-        if not self.c_absolute > 0:
-            raise InputError(f"c_absolute must be positive, got {self.c_absolute}")
-        if self.c is not None and not self.c > 0:
-            raise InputError(f"c must be positive, got {self.c}")
+        require_positive("c_absolute", self.c_absolute)
+        if self.c is not None:
+            require_positive("c", self.c)
 
 
 @dataclass(frozen=True)
@@ -351,8 +350,7 @@ def select_k(p: float) -> int:
     """The even matrix exponent for thm1: the closest even integer to p,
     rounding up when floor(p) is odd.  Every double >= 2^53 is an even integer,
     so there k = p; an entry costs one power call at any k."""
-    if not math.isfinite(p) or p < 1:
-        raise InputError(f"need finite p >= 1, got {p}")
+    _require_p(p)
     fp = math.floor(p)
     return fp + 1 if fp % 2 == 1 else max(fp, 2)
 
@@ -449,7 +447,6 @@ def certify(points: PointSet, theorem: str, config: CertifyConfig | None = None)
             span = span_dim("thm3", a=a, b=b)
             notes.append(_independence_note(independence_rank_thm3, points))
         elif theorem == "thm4":
-            p = _require_even_exponent("p", p)
             A = gram_thm4(points, p)
             a, b = space.blocks
             span = span_dim("thm4", a=a, b=b, p=p)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import space as space_mod
 from .errors import (DegenerateDistanceError, InputError, NumericalError, ResourceLimitError,
-                     require_int)
+                     require_int, require_positive, require_real)
 from .space import (PointSet, Space, _block_sq_norms, _outer_norm, distance_matrix,
                     pair_block_norms)
 
@@ -70,7 +70,7 @@ def simplex_lambda(n: int, p: float) -> float:
     too small for the bisection to resolve is refused (NumericalError).
     """
     n = require_int("n", n, 2)
-    if not (1.0 < p < math.inf):
+    if not require_real("p", p) > 1.0:
         raise InputError(f"need 1 < p < inf, got {p}")
 
     def g(lam: float) -> float:
@@ -134,10 +134,7 @@ def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
     sorted descending; empty for one point.  A zero distance (coincident points)
     is an error: zero is not counted as a distance.  Neither is one past the
     largest double."""
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
-    if math.isinf(tol):
-        raise InputError(f"tol must be finite, got {tol}")
+    require_positive("tol", tol)
     if points.m == 1:  # no pair, no distance
         return []
     with np.errstate(over="ignore", invalid="ignore"):  # overflows end in inf or nan
@@ -169,10 +166,7 @@ class SearchConfig:
             raise ResourceLimitError(
                 f"{self.restarts} restarts are above the cap of {SEARCH_MAX_RESTARTS}")
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
-        if not self.residual_target > 0:
-            raise InputError(f"residual_target must be positive, got {self.residual_target}")
-        if math.isinf(self.residual_target):
-            raise InputError(f"residual_target must be finite, got {self.residual_target}")
+        require_positive("residual_target", self.residual_target)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Exception types shared across the package, and the check of a count input.
+"""Exception types shared across the package, and the checks of a count input
+(require_int) and of a real number input (require_real, require_positive).
 
 The CLI maps these onto exit codes.  CertificationError and
 DegenerateDistanceError describe a well-formed computation with a negative
 outcome (exit 2).  InputError and its subclasses (a bad invocation),
 ResourceLimitError and NumericalError exit 1.
 """
+
+import math
 
 
 class InputError(ValueError):
@@ -46,3 +49,24 @@ def require_int(name: str, value, least: int) -> int:
     if not (isinstance(value, int) or float(value).is_integer()):  # inf is not
         raise InputError(f"{name} must be an integer, got {value}")
     return int(value)
+
+
+def require_real(name: str, value) -> float:
+    """value as a float, or InputError unless it is a finite real number (a str,
+    None, a complex, NaN, inf and an int past the largest double are refused)."""
+    try:
+        if -math.inf < value < math.inf:  # NaN is not
+            return float(value)
+    except TypeError:
+        raise InputError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # not printed: str() refuses an int of over 4300 digits
+        raise InputError(f"{name} must be finite, got an integer past the largest double") from None
+    raise InputError(f"{name} must be finite, got {value}")
+
+
+def require_positive(name: str, value) -> float:
+    """require_real's float, refused unless it is above 0 (NaN and -inf are not)."""
+    x = value if value != value or value == -math.inf else require_real(name, value)
+    if not x > 0:
+        raise InputError(f"{name} must be positive, got {x}")
+    return x

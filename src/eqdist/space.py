@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError, require_int
+from .errors import InputError, ResourceLimitError, require_int, require_real
 
 _TOL_REL = 1e-12
 _TOL_ABS = 1e-14
@@ -34,8 +34,8 @@ class Space:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        p = float(self.p)
-        if not (p >= 1.0):  # also rejects NaN
+        p = math.inf if self.p == math.inf else require_real("p", self.p)
+        if p < 1.0:
             raise InputError(f"p must satisfy p >= 1 or p = inf, got {self.p}")
         object.__setattr__(self, "p", p)
         blocks = tuple(require_int("a block dimension", a, 1) for a in self.blocks)
@@ -135,12 +135,7 @@ class PointSet:
     points: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        try:
-            pts = np.asarray(self.points, dtype=float)
-        except (TypeError, ValueError) as e:
-            raise InputError("points must be a rectangular array of numbers") from e
-        except OverflowError:  # an integer past the largest double
-            raise InputError("points must be finite numbers") from None
+        pts = _finite_array("points", self.points)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
         if pts.ndim != 2 or pts.shape[0] < 1:
@@ -149,8 +144,6 @@ class PointSet:
             raise InputError(
                 f"points have dimension {pts.shape[1]}, space has ambient dimension "
                 f"{self.space.ambient_dim}")
-        if not np.all(np.isfinite(pts)):
-            raise InputError("points must be finite numbers")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -172,13 +165,24 @@ class PointSet:
         return PointSet(space, points)
 
 
+def _finite_array(name: str, x) -> np.ndarray:
+    """x as a float array, or InputError unless it is a rectangular array of finite reals."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InputError(f"{name} must be a rectangular array of numbers") from e
+    except OverflowError:  # an integer past the largest double
+        raise InputError(f"{name} must be finite numbers") from None
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} must be finite numbers")
+    return arr
+
+
 def _check_dim(space: Space, x: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    arr = _finite_array("point coordinates", x)
     if arr.shape != (space.ambient_dim,):
         raise InputError(
             f"point has shape {arr.shape}, expected ({space.ambient_dim},)")
-    if not np.isfinite(arr).all():
-        raise InputError("point coordinates must be finite numbers")
     return arr
 
 
@@ -285,13 +289,11 @@ def norm_sandwich_check(x: Sequence[float], p: float,
 
     Returns (holds, (||x||_q, ||x||_p, n^(1/p-1/q)*||x||_q)).
     """
-    if not (1.0 <= p):
-        raise InputError(f"need p >= 1, got {p}")
-    if not p <= q:  # also refuses a NaN q
-        raise InputError(f"need p <= q, got p={p}, q={q}")
-    arr = np.abs(np.asarray(x, dtype=float))
-    if not np.isfinite(arr).all():  # q may be inf; the entries of x may not
-        raise InputError("x must be finite numbers")
+    p = math.inf if p == math.inf else require_real("p", p)
+    q = math.inf if q == math.inf else require_real("q", q)
+    if not 1.0 <= p <= q:
+        raise InputError(f"need 1 <= p <= q, got p={p}, q={q}")
+    arr = np.abs(_finite_array("x", x))
     nq = float(_outer_norm(arr, q))
     np_ = float(_outer_norm(arr, p))
     upper = arr.size ** (1.0 / p - 1.0 / q) * nq  # 1 / inf is 0

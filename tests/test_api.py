@@ -128,6 +128,12 @@ def test_public_signatures():
         assert tuple(f.name for f in dataclasses.fields(getattr(eqdist, name))) == fields, name
     for name, params in PUBLIC_PARAMETERS.items():
         assert tuple(inspect.signature(getattr(eqdist, name)).parameters) == params, name
+    # each config checks its fields when it is made, so none may be set after that
+    for cfg, name in [(eqdist.BoundConfig(), "c_absolute"), (eqdist.CertifyConfig(), "c"),
+                      (eqdist.CertifyConfig(), "c_absolute"),
+                      (eqdist.SearchConfig(), "residual_target")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, math.inf)
 
 
 def test_public_returns():
@@ -190,13 +196,44 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
     lambda: eqdist.BoundConfig(constants={"c_p": math.nan}),
     lambda: eqdist.BoundConfig(constants={"c_pa": math.inf}),
     lambda: eqdist.BoundConfig(c_absolute=math.inf),
+    lambda: eqdist.jackson_constant("x"),
+    lambda: eqdist.approximation_error(_X2, "3"),
+    lambda: eqdist.EvenPolynomial(4, (10 ** 400,)),
+    lambda: eqdist.EvenPolynomial(4, ("x",)),
+    lambda: eqdist.choose_degree(2.5, "x", 2, 3),
+    lambda: eqdist.choose_degree(2.5, 10 ** 400, 2, 3),
+    lambda: eqdist.BoundConfig(c_absolute="x"),
+    lambda: eqdist.BoundConfig(constants={"c_p": "x"}),
+    lambda: eqdist.BoundConfig(constants={"c_p": 10 ** 400}),
+    lambda: eqdist.CertifyConfig(c=math.inf),
+    lambda: eqdist.CertifyConfig(c_absolute=math.inf),
+    lambda: eqdist.CertifyConfig(c="x"),
+    lambda: eqdist.numerical_rank([[math.nan]]),
+    lambda: eqdist.rank_lower_bound([[math.nan]]),
+    lambda: eqdist.simplex_lambda(3, "x"),
+    lambda: eqdist.distance_profile(_SQUARE, "x"),
+    lambda: eqdist.SearchConfig(residual_target="x"),
+    lambda: eqdist.Space("x", (1,)),
+    lambda: eqdist.Space("3", (1,)),
+    lambda: eqdist.distance(eqdist.Space(2.0, (1,)), [10 ** 400], [0]),
+    lambda: eqdist.norm(eqdist.Space(2.0, (1,)), ["a"]),
+    lambda: eqdist.norm_sandwich_check(["a", 1.0], 1.0, 2.0),
+    lambda: eqdist.norm_sandwich_check([10 ** 400, 1.0], 1.0, 2.0),
+    lambda: eqdist.norm_sandwich_check([1.0, 2.0], "x", 2.0),
+    lambda: eqdist.norm_sandwich_check([1.0, 2.0], 1.0, "x"),
 ], ids=["tol-nan", "tol-inf", "target-nan", "target-inf", "approx-p-nan", "approx-p-inf",
         "c-nan", "certify-c-nan", "certify-c-absolute-nan", "restarts-nan",
         "restarts-inf", "restarts-2.5", "seed-nan", "seed-1.5", "search-m-2.5", "s-nan", "s-1.5",
         "coeff-nan", "coeff-inf", "degree-nan", "degree-2.5", "cluster-k-nan", "cluster-k-2.5",
         "lambda-n-nan", "simplex-n-2.5", "degree-n-nan", "degree-m-2.5", "approx-d-3.5",
         "block-str", "restarts-str", "distance-x-nan", "distance-y-inf", "norm-inf", "norm-nan",
-        "sandwich-x-inf", "sandwich-x-nan", "constant-nan", "constant-inf", "c-absolute-inf"])
+        "sandwich-x-inf", "sandwich-x-nan", "constant-nan", "constant-inf", "c-absolute-inf",
+        "jackson-p-str", "approx-p-str", "coeff-past-double", "coeff-str", "c-str",
+        "c-past-double", "c-absolute-str", "constant-str", "constant-past-double",
+        "certify-c-inf", "certify-c-absolute-inf", "certify-c-str", "rank-nan",
+        "rank-lower-bound-nan", "lambda-p-str", "tol-str", "target-str", "space-p-str",
+        "space-p-digit-str", "distance-x-past-double", "norm-x-str", "sandwich-x-str",
+        "sandwich-x-past-double", "sandwich-p-str", "sandwich-q-str"])
 def test_nan_and_inf_are_refused(call):
     with pytest.raises(InputError):
         call()
