@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import (CertificationError, InfeasibleDegreeError, InputError, NumericalError,
-                     ResourceLimitError, require_int, require_positive, require_real)
+from .errors import (CertificationError, InputError, NumericalError, ResourceLimitError,
+                     require_int, require_positive, require_real)
 
 GRID_SIZE = 4097          # Chebyshev-spaced measurement grid on [0, 1]
 _GRID = 0.5 * (1.0 - np.cos(math.pi * np.arange(GRID_SIZE) / (GRID_SIZE - 1)))
@@ -293,7 +293,8 @@ def choose_degree(p: float, c: float, n: int, m: int) -> int:
     """Smallest integer d with d^p > c*n*sqrt(m); checks d^p < 2*c*n*sqrt(m).
 
     The two-sided window is guaranteed to contain an integer p-th power when
-    c >= (2^(1/p) - 1)^(-p); otherwise an InfeasibleDegreeError may be raised.
+    c >= (2^(1/p) - 1)^(-p), as the paper's c (certify._paper_c, at least B(p))
+    always is; otherwise an InputError ("no degree with ...") may be raised.
     """
     _require_p(p)
     n, m = require_int("n", n, 1), require_int("m", m, 1)
@@ -311,7 +312,7 @@ def choose_degree(p: float, c: float, n: int, m: int) -> int:
         lo, hi = (lo, mid) if _power(mid, p) > target else (mid, hi)
     d = hi
     if not _power(d, p) < 2.0 * target:
-        raise InfeasibleDegreeError(
+        raise InputError(
             f"no degree with {target:.6g} < d^{p} < {2 * target:.6g} "
             f"(need c >= (2^(1/p)-1)^(-p) = {_power(2 ** (1 / p) - 1, -p):.6g}, got c={c:.6g})")
     return d

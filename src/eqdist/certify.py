@@ -25,9 +25,10 @@ from .approx import (MAX_DEGREE, EvenPolynomial, _require_p, approximate_abs_pow
                      choose_degree, jackson_constant)
 from .bounds import _require_bits, large_p_gate
 from .construct import distance_profile
-from .errors import InputError, NumericalError, ResourceLimitError, require_int, require_positive
-from .space import (_TINY, PointSet, _finite_array, _outer_norm, pair_block_norms,
-                    pair_block_sq_norms, pair_map)
+from .errors import (InputError, NumericalError, ResourceLimitError, require_int, require_positive,
+                     require_real)
+from .space import (PointSet, _finite_array, _outer_norm, pair_block_norms, pair_block_sq_norms,
+                    pair_map)
 
 THEOREMS = ("thm1", "thm2", "thm3", "thm4", "thm5")
 # On simplex products, in-process on a 2-vCPU Xeon, the thm4 family took 2.0 ms at (a, b, p) =
@@ -44,7 +45,6 @@ RANK_RTOL = 1e-9
 # float ratio rounds up by at most about 3 m log2(m^2) 2^-53: under 1e-11 at m = 1000, and far
 # below the unit between two ranks.  bench/oracle.py checks the reports with the same slack.
 RANK_LEMMA_SLACK = 1e-9
-_SQRT_MAX = math.sqrt(np.finfo(float).max)  # the largest float whose square is finite
 # Cap on k * m(m - 1)/2, the factors 1 - Y/a_u^p of a thm2 build on m points at k distances:
 # all C(100, 2) distances of 100 points.  Random points of [0, 1]^3 at p = 3 and c = 4, with
 # every distance distinct, took 0.18 s in certify at m = 100, 1.0 s at 140 and 6.4 s at 200
@@ -76,13 +76,10 @@ class SymMatrix:
 def rank_lower_bound(A) -> float:
     """(sum of diagonal)^2 / (sum of squared entries); at most rank(A)."""
     arr = _finite_array("matrix entries", A)
-    with np.errstate(over="ignore"):
-        denom, tr = float(np.sum(arr * arr)), float(np.trace(arr))
-        if denom < _TINY or math.isinf(denom) or abs(tr) > _SQRT_MAX:
-            # the ratio does not depend on scale, and scaling by a power of two is exact;
-            # a sum below the smallest normal float has lost bits, or all, to underflow
-            arr = np.ldexp(arr, -math.frexp(float(np.max(np.abs(arr), initial=0.0)))[1])
-            denom, tr = float(np.sum(arr * arr)), float(np.trace(arr))
+    # the ratio does not depend on scale, and a power-of-two scale is exact: with the largest
+    # |entry| in [1/2, 1), no square overflows, and one that underflows is far below the sum's ulp
+    arr = np.ldexp(arr, -math.frexp(float(np.max(np.abs(arr), initial=0.0)))[1])
+    denom, tr = float(np.sum(arr * arr)), float(np.trace(arr))
     if denom == 0.0:
         raise InputError("rank lower bound is undefined for the zero matrix")
     return tr ** 2 / denom
@@ -172,7 +169,7 @@ def matrix_thm2(points: PointSet, dists, P: EvenPolynomial) -> tuple[SymMatrix, 
 def _unit_distances(dists) -> list[float]:
     """thm2's distances as floats, the largest set to exactly 1; refused unless it is
     within 1e-9 of 1 and they strictly decrease in (0, 1]."""
-    dists = [float(a) for a in dists]
+    dists = [require_real("a distance", a) for a in dists]
     if not dists or not abs(dists[0] - 1.0) <= 1e-9:
         raise InputError(f"largest distance must be 1, got {dists[:1]}")
     dists[0] = 1.0
@@ -359,8 +356,7 @@ def _paper_c(p: float, k: int = 0) -> float:
     """The paper's constant c: for thm2 on k distances, or for thm5 with k = 0."""
     try:
         b = jackson_constant(p)
-        return max(b * k * 2.0 ** (p * k * k - p * k + 2 * k) if k else b,
-                   (2.0 ** (1.0 / p) - 1.0) ** (-p))
+        return b * k * 2.0 ** (p * k * k - p * k + 2 * k) if k else b
     except OverflowError:
         raise NumericalError(f"the paper's constant c overflows double precision at "
                              f"p={p:g}; pass a smaller c") from None

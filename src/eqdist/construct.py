@@ -100,6 +100,7 @@ def simplex_lambda(n: int, p: float) -> float:
 
 def lp_simplex(n: int, p: float) -> PointSet:
     """n+1 points {e_i, lam*(1,..,1)} in lp^n, scaled to unit distances."""
+    n = require_int("n", n, 2)
     _check_size(n + 1, n)
     lam = simplex_lambda(n, p)
     scale = 2.0 ** (-1.0 / p)

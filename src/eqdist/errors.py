@@ -3,20 +3,17 @@
 
 The CLI maps these onto exit codes.  CertificationError and
 DegenerateDistanceError describe a well-formed computation with a negative
-outcome (exit 2).  InputError and its subclasses (a bad invocation),
-ResourceLimitError and NumericalError exit 1.
+outcome (exit 2).  InputError (a bad invocation, an infeasible degree window
+among them), ResourceLimitError and NumericalError exit 1.
 """
 
 import math
+from sys import float_info
 
 
 class InputError(ValueError):
     """Malformed or inapplicable input (dimension mismatch, bad space string,
     theorem not applicable to the given space, ...)."""
-
-
-class InfeasibleDegreeError(InputError):
-    """No integer degree d satisfies c*n*sqrt(m) < d^p < 2*c*n*sqrt(m)."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -44,8 +41,9 @@ def require_int(name: str, value, least: int) -> int:
         below = not value >= least  # NaN is below
     except TypeError:
         raise InputError(f"{name} must be a number, got {value!r}") from None
-    if below:
-        raise InputError(f"{name} must be >= {least}, got {value}")
+    if below:  # not printed past the largest double: str() refuses an int of over 4300 digits
+        got = "a number past the largest double" if -math.inf < value < -float_info.max else value
+        raise InputError(f"{name} must be >= {least}, got {got}")
     if not (isinstance(value, int) or float(value).is_integer()):  # inf is not
         raise InputError(f"{name} must be an integer, got {value}")
     return int(value)

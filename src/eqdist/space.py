@@ -72,13 +72,6 @@ class Space:
         ends = itertools.accumulate(self.blocks)
         return tuple(slice(end - a, end) for a, end in zip(self.blocks, ends))
 
-    @cached_property
-    def block_starts(self) -> np.ndarray:
-        """The first coordinate of each block, fixed once per space."""
-        starts = np.array([sl.start for sl in self.block_slices], dtype=np.intp)
-        starts.setflags(write=False)
-        return starts
-
     def to_string(self) -> str:
         p_str = "inf" if math.isinf(self.p) else (
             str(int(self.p)) if self.p.is_integer() else repr(self.p))
@@ -168,7 +161,12 @@ class PointSet:
 def _finite_array(name: str, x) -> np.ndarray:
     """x as a float array, or InputError unless it is a rectangular array of finite reals."""
     try:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x)
+        # numpy reads "1.5" and 1j as floats: bool, int, float and str-free object dtypes pass
+        strings = arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
+        if strings or arr.dtype.kind not in "biufO":
+            raise TypeError(f"entries of dtype {arr.dtype}")
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as e:
         raise InputError(f"{name} must be a rectangular array of numbers") from e
     except OverflowError:  # an integer past the largest double
@@ -226,8 +224,8 @@ def pair_block_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         R = np.sqrt(S)
         bad = (S == math.inf) | (S < _TINY)
         pairs = np.nonzero(bad.any(axis=-1))  # one pass for all blocks of these pairs
-        # hypot squares nothing; reduceat returns a one-coordinate block's entry, sign and all
-        rescued = np.hypot.reduceat(np.abs(delta[pairs]), space.block_starts, axis=1)
+        D = np.abs(delta[pairs])  # hypot squares nothing; on one coordinate it gives the |entry|
+        rescued = np.stack([np.hypot.reduce(D[:, sl], axis=1) for sl in space.block_slices], axis=1)
         R[pairs] = np.where(bad[pairs], rescued, R[pairs])
     return R
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import eqdist
-from eqdist.errors import InputError
+from eqdist.errors import InputError, require_int
 
 PUBLIC_NAMES = [
     "ApproxCertificate", "BoundConfig", "BoundReport", "CertificateReport", "CertifyConfig",
@@ -221,6 +221,17 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
     lambda: eqdist.norm_sandwich_check([10 ** 400, 1.0], 1.0, 2.0),
     lambda: eqdist.norm_sandwich_check([1.0, 2.0], "x", 2.0),
     lambda: eqdist.norm_sandwich_check([1.0, 2.0], 1.0, "x"),
+    lambda: require_int("n", -10 ** 5000, 1),
+    lambda: eqdist.cross_polytope(-10 ** 5000),
+    lambda: eqdist.matrix_thm2(_SQUARE, ["x"], _X2),
+    lambda: eqdist.norm(eqdist.Space(2.0, (1,)), ["1.5"]),
+    lambda: eqdist.PointSet(eqdist.Space(2.0, (1,)), [["1.5"], ["0"]]),
+    lambda: eqdist.PointSet.from_jsonable({"space": "lp:n=1,p=2", "points": [["1.5"], ["0"]]}),
+    lambda: eqdist.PointSet(eqdist.Space(2.0, (1,)), [["1.5"], [2 ** 64]]),
+    lambda: eqdist.rank_lower_bound([[b"1"]]),
+    lambda: eqdist.lp_simplex("a", 3),
+    lambda: eqdist.lp_simplex(None, 3),
+    lambda: eqdist.lp_simplex(-10 ** 5000, 3),
 ], ids=["tol-nan", "tol-inf", "target-nan", "target-inf", "approx-p-nan", "approx-p-inf",
         "c-nan", "certify-c-nan", "certify-c-absolute-nan", "restarts-nan",
         "restarts-inf", "restarts-2.5", "seed-nan", "seed-1.5", "search-m-2.5", "s-nan", "s-1.5",
@@ -233,7 +244,10 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
         "certify-c-inf", "certify-c-absolute-inf", "certify-c-str", "rank-nan",
         "rank-lower-bound-nan", "lambda-p-str", "tol-str", "target-str", "space-p-str",
         "space-p-digit-str", "distance-x-past-double", "norm-x-str", "sandwich-x-str",
-        "sandwich-x-past-double", "sandwich-p-str", "sandwich-q-str"])
+        "sandwich-x-past-double", "sandwich-p-str", "sandwich-q-str", "int-past-str-limit",
+        "cross-n-past-str-limit", "thm2-distance-str", "norm-x-numeric-str",
+        "points-numeric-str", "points-json-numeric-str", "points-str-beside-int-past-int64",
+        "rank-bytes", "lp-simplex-n-str", "lp-simplex-n-none", "lp-simplex-n-past-str-limit"])
 def test_nan_and_inf_are_refused(call):
     with pytest.raises(InputError):
         call()

@@ -6,10 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eqdist import bounds as bounds_mod
 from eqdist import space as space_mod
-from eqdist.approx import EvenPolynomial
+from eqdist.approx import EvenPolynomial, choose_degree, jackson_constant
 from eqdist.bounds import MAX_BOUND_BITS, BoundConfig, enumerate_bounds
 from eqdist.certify import (RANK_LEMMA_SLACK, RANK_RTOL, CertifyConfig, SymMatrix,
                             _power_sum_entry, certify, gram_thm3, gram_thm4, independence_rank_thm3,
@@ -96,6 +98,19 @@ def test_rank_lower_bound_below_the_smallest_normal():
     assert rank_lower_bound(np.eye(3) * 2.0 ** -1060) == 3.0  # subnormal entries
     with pytest.raises(InputError):
         rank_lower_bound(np.zeros((3, 3)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 12), k=st.integers(-1000, 1000))
+def test_rank_lower_bound_is_the_same_at_every_power_of_two(seed, m, k):
+    # one power-of-two rescale at every scale: the bits do not move with k
+    rng = np.random.default_rng(seed)
+    A = _mirror_upper(rng.normal(size=(m, m)) * 2.0 ** rng.integers(-20, 21, size=(m, m))).entries
+    with np.errstate(over="ignore"):
+        scaled = A * 2.0 ** k
+    # wherever the scaled matrix is finite and every entry scaled exactly (so nonzero)
+    assume(np.isfinite(scaled).all() and np.array_equal(np.ldexp(scaled, -k), A))
+    assert rank_lower_bound(scaled) == rank_lower_bound(A)
 
 
 def test_certify_config_fields():
@@ -582,7 +597,20 @@ def test_certify_thm2():
 def test_certify_thm2_paper_constant_is_desk_scale_for_p2():
     pts = PointSet(Space(2.0, (1,)), np.array([[0.0], [1.0]]))
     rep = certify(pts, "thm2")
-    assert rep.passes  # c = max(4 B(2), ...) gives a modest degree for p = 2
+    assert rep.passes  # c = 4 B(2) gives a modest degree for p = 2
+
+
+def test_paper_constant_always_has_a_degree_window():
+    # B(p) >= (2^(1/p) - 1)^(-p), the c from which choose_degree's window always holds
+    # an integer p-th power, at every p that jackson_constant takes (up to about 109.65),
+    # integers and the doubles just above them included; the paper's c for thm2 is
+    # B(p) k 2^(p k^2 - p k + 2k) >= B(p), so _paper_c needs no clamp to the window
+    grid = [*np.linspace(1.0, 109.6, 100_001).tolist(), *range(1, 110),
+            *(math.nextafter(float(n), math.inf) for n in range(1, 110))]
+    assert all(jackson_constant(p) >= (2.0 ** (1.0 / p) - 1.0) ** (-p) for p in grid)
+    for p in (1.0, 1.5, 2.0, 7.3, 50.0, 109.6):
+        assert certify_mod._paper_c(p) == jackson_constant(p)
+        choose_degree(p, certify_mod._paper_c(p), 1, 1)  # finds a degree in the window
 
 
 def test_certify_thm2_l1_needs_constant_override():

@@ -321,7 +321,6 @@ def test_plain_lp_search_makes_no_block_pass(monkeypatch):
     Q = np.random.default_rng(3).normal(size=(2, 3, 50))
     want = (Q[:, :, None, :] - Q[:, None, :, :]) ** 2
     monkeypatch.setattr(Space, "block_slices", property(no_block_pass))
-    monkeypatch.setattr(Space, "block_starts", property(no_block_pass))
     assert space_mod.pair_block_sq_norms(space, Q, Q).tobytes() == want.tobytes()
     monkeypatch.setattr(construct, "MAX_ITERS", 50)
     res = search_equilateral(space, 3, SearchConfig(restarts=2))

@@ -369,6 +369,26 @@ def test_rescue_cut_offs(edge, past):
     assert not space_mod._TINY <= S_past < math.inf and R_past == past
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_rescue_folds_hypot_over_each_block(scale):
+    # every block sum of squares underflows at 1e-200 and overflows at 1e200, and none
+    # does at 1: the rescue gives np.hypot folded over each block's coordinates in
+    # order, bit for bit as np.hypot.reduceat at the blocks' first coordinates
+    rng = np.random.default_rng(11)
+    shapes = [b for n in (1, 2, 3) for b in itertools.product((1, 2, 3, 5), repeat=n)]
+    for blocks in shapes:
+        s, dim = Space(3.0, blocks), sum(blocks)
+        A, B = rng.normal(size=(2, 4, dim)) * scale
+        with np.errstate(over="ignore", under="ignore"):
+            S = pair_block_sq_norms(s, A, B)
+            R = pair_block_norms(s, A, B)
+        starts = np.cumsum((0,) + blocks[:-1])
+        folded = np.hypot.reduceat(np.abs(A[:, None, :] - B[None, :, :]), starts, axis=-1)
+        normal = (S >= space_mod._TINY) & (S < math.inf)
+        assert normal.all() if scale == 1.0 else not normal.any()
+        assert R.tobytes() == np.where(normal, np.sqrt(S), folded).tobytes()
+
+
 def test_blocks_all_one_matches_plain_lp():
     rng = np.random.default_rng(17)
     for p in [1, 1.5, 2, 4, math.inf]:
