@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (CertificationError, InputError, NumericalError, ResourceLimitError,
-                     require_int, require_positive, require_real)
+                     require_int, require_positive, require_real, shown)
 
 GRID_SIZE = 4097          # Chebyshev-spaced measurement grid on [0, 1]
 _GRID = 0.5 * (1.0 - np.cos(math.pi * np.arange(GRID_SIZE) / (GRID_SIZE - 1)))
@@ -266,7 +266,7 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
     if d < math.ceil(p):
         raise InputError(f"degree d={d} is below ceil(p)={math.ceil(p):.6g}")
     if d > MAX_DEGREE:
-        raise ResourceLimitError(f"degree {d} exceeds the cap of {MAX_DEGREE}")
+        raise ResourceLimitError(f"degree {shown(d)} exceeds the cap of {MAX_DEGREE}")
     nh = d // 2
     bound = jackson_constant(p) / d ** p
 
@@ -299,7 +299,10 @@ def choose_degree(p: float, c: float, n: int, m: int) -> int:
     _require_p(p)
     n, m = require_int("n", n, 1), require_int("m", m, 1)
     c = require_positive("c", c)
-    target = c * n * math.sqrt(m)
+    try:
+        target = c * n * math.sqrt(m)
+    except OverflowError:  # n or m past the largest double
+        target = math.inf
     if not math.isfinite(target):
         raise InputError(f"c*n*sqrt(m) overflows double precision at c={c:.6g}")
     # the smallest d with d^p > target, from just below target^(1/p) by doubling steps

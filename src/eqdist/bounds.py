@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .errors import InputError, ResourceLimitError, require_int, require_positive, require_real
+from .errors import InputError, ResourceLimitError, require_int, require_positive, require_real, shown
 from .space import Space
 
 UNSPECIFIED = "unspecified"
@@ -166,7 +166,7 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
     s = require_int("s", s, 1)
     cfg = config or BoundConfig()
     p, nb, N = space.p, space.n_blocks, space.ambient_dim
-    _require_bits(f"the (s + 1)^N bound at s = {s}, N = {N}", s + 1, N)
+    _require_bits(f"the (s + 1)^N bound at s = {shown(s)}, N = {N}", s + 1, N)
     blocks = space.blocks
     a_max = max(blocks)
     out: list[BoundReport] = []
@@ -269,11 +269,11 @@ def _configured_bound(cfg: BoundConfig, name: str, expo: float, nb: int,
                       conditions: tuple[str, ...], source: str) -> BoundReport:
     """The asymptotic upper bound name * n^expo, numeric when cfg sets the constant."""
     c = cfg.constants.get(name)
-    shown = {name: UNSPECIFIED if c is None else c}
+    used = {name: UNSPECIFIED if c is None else c}
     return BoundReport("upper", "asymptotic",
-                       Formula(f"{name} * n^{expo:.6g}", shown,
+                       Formula(f"{name} * n^{expo:.6g}", used,
                                numeric=None if c is None else c * nb ** expo),
-                       conditions, source, constants_used=dict(shown))
+                       conditions, source, constants_used=dict(used))
 
 
 def _lower_candidates(space: Space) -> list[BoundReport]:
@@ -327,6 +327,6 @@ def cluster_combine(per_s_bounds: Sequence[int], k: int) -> int:
     k = require_int("k", k, 2)
     if len(per_s_bounds) < k - 1:
         raise InputError(
-            f"need upper bounds for s = 1..{k - 1}, got {len(per_s_bounds)} entries")
+            f"need upper bounds for s = 1..{shown(k - 1)}, got {len(per_s_bounds)} entries")
     e = [1] + [require_int("each per-s bound", v, 1) for v in per_s_bounds[: k - 1]]
     return min(e[i] * max(e[: k - i + 1]) for i in range(1, k))

@@ -116,16 +116,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _finite_float(tok: str) -> float:
-    try:
-        x = float(tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {tok!r}") from None
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {tok!r}")
-    return x
-
-
 def _build_parser() -> _Parser:
     top = _Parser(prog="eqdist", description=__doc__.splitlines()[0]
                   if __doc__ else "")
@@ -143,27 +133,27 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--best", action="store_true",
                    help="report only the best concrete upper bound")
-    p.add_argument("--c", type=_finite_float, default=None,
+    p.add_argument("--c", type=float, default=None,
                    help="override the absolute constant c")
 
     p = add("construct", "emit one of the built-in equilateral configurations", _cmd_construct)
     p.add_argument("kind", choices=list(_CONSTRUCTIONS))
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=_finite_float, default=None)
+    p.add_argument("--p", type=float, default=None)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
 
     p = add("verify", "check that a point-set file is unit-equilateral", _cmd_verify)
     p.add_argument("--points", required=True)
-    p.add_argument("--tol", type=_finite_float, default=1e-7)
+    p.add_argument("--tol", type=float, default=1e-7)
 
     p = add("certify", "run a rank-certificate pipeline on a point-set file", _cmd_certify)
     p.add_argument("--points", required=True)
     p.add_argument("--theorem", required=True, choices=THEOREMS)
-    p.add_argument("--c", type=_finite_float, default=None)
+    p.add_argument("--c", type=float, default=None)
 
     p = add("approx", "certified even-polynomial approximation of |x|^p", _cmd_approx)
-    p.add_argument("--p", type=_finite_float, required=True)
+    p.add_argument("--p", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
 
     p = add("search", "numerical search for an equilateral witness", _cmd_search)
@@ -172,7 +162,7 @@ def _build_parser() -> _Parser:
     cfg = construct_mod.SearchConfig()
     p.add_argument("--restarts", type=int, default=cfg.restarts)
     p.add_argument("--seed", type=int, default=cfg.seed)
-    p.add_argument("--target", type=_finite_float, default=cfg.residual_target)
+    p.add_argument("--target", type=float, default=cfg.residual_target)
     return top
 
 

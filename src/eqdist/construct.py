@@ -24,7 +24,7 @@ import numpy as np
 
 from . import space as space_mod
 from .errors import (DegenerateDistanceError, InputError, NumericalError, ResourceLimitError,
-                     require_int, require_positive, require_real)
+                     require_int, require_positive, require_real, shown)
 from .space import (PointSet, Space, _block_sq_norms, _outer_norm, distance_matrix,
                     pair_block_norms)
 
@@ -37,8 +37,8 @@ CONSTRUCT_MAX_COORDS = 1 << 22
 def _check_size(m: int, dim: int) -> None:
     if m * dim > CONSTRUCT_MAX_COORDS:
         raise ResourceLimitError(
-            f"a construction of {m} points in dimension {dim} has {m * dim} coordinates, "
-            f"above the cap of {CONSTRUCT_MAX_COORDS}")
+            f"a construction of {shown(m)} points in dimension {shown(dim)} has {shown(m * dim)} "
+            f"coordinates, above the cap of {CONSTRUCT_MAX_COORDS}")
 
 
 def cross_polytope(n: int) -> PointSet:
@@ -70,12 +70,13 @@ def simplex_lambda(n: int, p: float) -> float:
     too small for the bisection to resolve is refused (NumericalError).
     """
     n = require_int("n", n, 2)
+    k = require_real("n", n - 1)  # the equation is solved in double precision
     if not require_real("p", p) > 1.0:
         raise InputError(f"need 1 < p < inf, got {p}")
 
     def g(lam: float) -> float:
         try:
-            return abs(1.0 - lam) ** p + (n - 1) * lam ** p - 2.0
+            return abs(1.0 - lam) ** p + k * lam ** p - 2.0
         except OverflowError:  # lam^p past the largest double, so lam > 1 and g > 0
             return math.inf
 
@@ -165,7 +166,7 @@ class SearchConfig:
         object.__setattr__(self, "restarts", require_int("restarts", self.restarts, 1))
         if self.restarts > SEARCH_MAX_RESTARTS:
             raise ResourceLimitError(
-                f"{self.restarts} restarts are above the cap of {SEARCH_MAX_RESTARTS}")
+                f"{shown(self.restarts)} restarts are above the cap of {SEARCH_MAX_RESTARTS}")
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
         require_positive("residual_target", self.residual_target)
 
@@ -329,8 +330,8 @@ def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) ->
     pair_coords = m * m * dim
     if pair_coords > SEARCH_MAX_PAIR_COORDS:
         raise ResourceLimitError(
-            f"search of {m} points in dimension {dim} needs {pair_coords} pair coordinates "
-            f"per restart, above the cap of {SEARCH_MAX_PAIR_COORDS}")
+            f"search of {shown(m)} points in dimension {dim} needs {shown(pair_coords)} "
+            f"pair coordinates per restart, above the cap of {SEARCH_MAX_PAIR_COORDS}")
     batch = max(1, space_mod._CHUNK_BYTES // (8 * pair_coords))
     i, j = np.triu_indices(m, 1)
     best = None

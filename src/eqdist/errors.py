@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks of a count input
-(require_int) and of a real number input (require_real, require_positive).
+"""Exception types shared across the package, the checks of a count input
+(require_int) and of a real input (require_real, require_positive), and shown.
 
 The CLI maps these onto exit codes.  CertificationError and
 DegenerateDistanceError describe a well-formed computation with a negative
@@ -34,6 +34,14 @@ class DegenerateDistanceError(RuntimeError):
     is not counted as a distance."""
 
 
+def shown(value) -> str:
+    """value as a refusal prints it: a number past the largest double is named, not
+    printed, as str() refuses an int of over 4300 digits."""
+    if float_info.max < abs(value) < math.inf:
+        return "a number past the largest double"
+    return str(value)
+
+
 def require_int(name: str, value, least: int) -> int:
     """value as an int, or InputError unless it is a whole number >= least
     (NaN, inf, 2.5 and '2' are refused; 2.0 is read as 2)."""
@@ -41,11 +49,10 @@ def require_int(name: str, value, least: int) -> int:
         below = not value >= least  # NaN is below
     except TypeError:
         raise InputError(f"{name} must be a number, got {value!r}") from None
-    if below:  # not printed past the largest double: str() refuses an int of over 4300 digits
-        got = "a number past the largest double" if -math.inf < value < -float_info.max else value
-        raise InputError(f"{name} must be >= {least}, got {got}")
-    if not (isinstance(value, int) or float(value).is_integer()):  # inf is not
-        raise InputError(f"{name} must be an integer, got {value}")
+    if below:
+        raise InputError(f"{name} must be >= {least}, got {shown(value)}")
+    if not (isinstance(value, int) or value < math.inf and value == int(value)):  # exact; inf is not
+        raise InputError(f"{name} must be an integer, got {shown(value)}")
     return int(value)
 
 
@@ -53,18 +60,16 @@ def require_real(name: str, value) -> float:
     """value as a float, or InputError unless it is a finite real number (a str,
     None, a complex, NaN, inf and an int past the largest double are refused)."""
     try:
-        if -math.inf < value < math.inf:  # NaN is not
+        if abs(value) <= float_info.max:  # NaN, inf and ints past it are not
             return float(value)
     except TypeError:
         raise InputError(f"{name} must be a number, got {value!r}") from None
-    except OverflowError:  # not printed: str() refuses an int of over 4300 digits
-        raise InputError(f"{name} must be finite, got an integer past the largest double") from None
-    raise InputError(f"{name} must be finite, got {value}")
+    raise InputError(f"{name} must be finite, got {shown(value)}")
 
 
 def require_positive(name: str, value) -> float:
-    """require_real's float, refused unless it is above 0 (NaN and -inf are not)."""
-    x = value if value != value or value == -math.inf else require_real(name, value)
+    """require_real's float (NaN and +-inf are not finite), refused unless it is above 0."""
+    x = require_real(name, value)
     if not x > 0:
         raise InputError(f"{name} must be positive, got {x}")
     return x

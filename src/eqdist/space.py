@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError, require_int, require_real
+from .errors import InputError, ResourceLimitError, require_int, require_real, shown
 
 _TOL_REL = 1e-12
 _TOL_ABS = 1e-14
@@ -95,7 +95,8 @@ class Space:
 
 def _check_ambient_dim(dim: int) -> None:
     if dim > MAX_AMBIENT_DIM:
-        raise ResourceLimitError(f"ambient dimension {dim} exceeds the cap of {MAX_AMBIENT_DIM}")
+        raise ResourceLimitError(
+            f"ambient dimension {shown(dim)} exceeds the cap of {MAX_AMBIENT_DIM}")
 
 
 def _parse_dim(tok: str) -> int:

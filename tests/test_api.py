@@ -10,12 +10,13 @@ import math
 import re
 import runpy
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import eqdist
-from eqdist.errors import InputError, require_int
+from eqdist.errors import InputError, ResourceLimitError, require_int
 
 PUBLIC_NAMES = [
     "ApproxCertificate", "BoundConfig", "BoundReport", "CertificateReport", "CertifyConfig",
@@ -232,6 +233,21 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
     lambda: eqdist.lp_simplex("a", 3),
     lambda: eqdist.lp_simplex(None, 3),
     lambda: eqdist.lp_simplex(-10 ** 5000, 3),
+    # str() refuses an int of over 4300 digits, so no refusal may print one
+    lambda: eqdist.cross_polytope(10 ** 5000),
+    lambda: eqdist.lp_simplex(10 ** 5000, 3),
+    lambda: eqdist.euclidean_simplex(10 ** 5000),
+    lambda: eqdist.SearchConfig(restarts=10 ** 5000),
+    lambda: eqdist.search_equilateral(_SQUARE.space, 10 ** 5000),
+    lambda: eqdist.approximate_abs_power(2, 10 ** 5000),
+    lambda: eqdist.simplex_lambda(10 ** 5000, 3.0),
+    lambda: eqdist.cluster_combine([2, 2, 2], 10 ** 5000),
+    lambda: eqdist.enumerate_bounds(eqdist.Space(2.0, (300,)), 10 ** 5000),
+    lambda: eqdist.Space(2.0, (10 ** 5000,)),
+    # counts past the largest double
+    lambda: require_int("n", Fraction(10 ** 400 + 1, 2), 1),
+    lambda: eqdist.choose_degree(2.5, 2.0, 10 ** 400, 3),
+    lambda: eqdist.choose_degree(2.5, 2.0, 3, 10 ** 400),
 ], ids=["tol-nan", "tol-inf", "target-nan", "target-inf", "approx-p-nan", "approx-p-inf",
         "c-nan", "certify-c-nan", "certify-c-absolute-nan", "restarts-nan",
         "restarts-inf", "restarts-2.5", "seed-nan", "seed-1.5", "search-m-2.5", "s-nan", "s-1.5",
@@ -247,10 +263,16 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
         "sandwich-x-past-double", "sandwich-p-str", "sandwich-q-str", "int-past-str-limit",
         "cross-n-past-str-limit", "thm2-distance-str", "norm-x-numeric-str",
         "points-numeric-str", "points-json-numeric-str", "points-str-beside-int-past-int64",
-        "rank-bytes", "lp-simplex-n-str", "lp-simplex-n-none", "lp-simplex-n-past-str-limit"])
+        "rank-bytes", "lp-simplex-n-str", "lp-simplex-n-none", "lp-simplex-n-past-str-limit",
+        "cross-n-above-str-limit", "lp-simplex-n-above-str-limit",
+        "euclidean-simplex-n-above-str-limit", "restarts-above-str-limit",
+        "search-m-above-str-limit", "approx-d-above-str-limit", "lambda-n-above-str-limit",
+        "cluster-k-above-str-limit", "bound-s-above-str-limit", "block-above-str-limit",
+        "int-fraction-past-double", "degree-n-past-double", "degree-m-past-double"])
 def test_nan_and_inf_are_refused(call):
-    with pytest.raises(InputError):
+    with pytest.raises((InputError, ResourceLimitError)) as refused:
         call()
+    assert "\n" not in str(refused.value)
 
 
 def test_whole_floats_are_read_as_ints():
@@ -259,6 +281,8 @@ def test_whole_floats_are_read_as_ints():
     assert eqdist.search_equilateral(_SQUARE.space, 3.0, cfg).converged
     assert eqdist.EvenPolynomial(4.0, (1.0,)).degree == 4
     assert eqdist.cluster_combine([3, 3], 3.0) == eqdist.cluster_combine([3, 3], 3)
+    # integrality is tested exactly, also past the largest double
+    assert require_int("n", Fraction(10 ** 400, 1), 1) == 10 ** 400
 
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"

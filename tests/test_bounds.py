@@ -260,3 +260,6 @@ def test_bound_bits_cap():
         enumerate_bounds(Space(2.0, (1,) * n), 256)
     with pytest.raises(ResourceLimitError):
         enumerate_bounds(Space(3.0, (1,) * (n + 1)), 255)
+    # an s of 5001 digits is within the cap in dimension 1: (s + 1)^1 is formed
+    huge = 10 ** 5000
+    assert _find(enumerate_bounds(Space(2.0, (1,)), huge), "swanepoel-conjecture").value == huge + 1

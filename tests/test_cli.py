@@ -943,25 +943,51 @@ def test_unreadable_points_exit_1(tmp_path, capsys, content, message):
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("approx", "--p", "nan", "--d", "4"),
-    ("approx", "--p", "inf", "--d", "4"),
-    ("certify", "--theorem", "thm2", "--c", "nan"),
-    ("certify", "--theorem", "thm2", "--c", "inf"),
-    ("certify", "--theorem", "thm5", "--c", "nan"),
-    ("certify", "--theorem", "thm5", "--c", "inf"),
-    ("search", "--space", "lp:n=2,p=2", "--m", "3", "--restarts", "1", "--target", "nan"),
-    ("verify", "--tol", "inf"),
-    ("bound", "--space", "lp:n=3,p=3", "--c", "nan"),
-])
-def test_non_finite_flags_exit_1(tmp_path, capsys, argv):
+_PAIR = PointSet(Space(2.0, (1,)), [[0], [1]])
+
+
+# each float flag is read only by the library gate that the API call reaches
+@pytest.mark.parametrize("argv, message, api", [
+    (("approx", "--p", "nan", "--d", "4"), "p must be finite, got nan",
+     lambda: approx.approximate_abs_power(math.nan, 4)),
+    (("approx", "--p", "inf", "--d", "4"), "p must be finite, got inf",
+     lambda: approx.approximate_abs_power(math.inf, 4)),
+    (("certify", "--theorem", "thm2", "--c", "nan"), "c must be finite, got nan",
+     lambda: eqdist.CertifyConfig(c=math.nan)),
+    (("certify", "--theorem", "thm2", "--c", "inf"), "c must be finite, got inf",
+     lambda: eqdist.CertifyConfig(c=math.inf)),
+    (("certify", "--theorem", "thm5", "--c", "nan"), "c must be finite, got nan",
+     lambda: eqdist.CertifyConfig(c=math.nan)),
+    (("certify", "--theorem", "thm5", "--c", "inf"), "c must be finite, got inf",
+     lambda: eqdist.CertifyConfig(c=math.inf)),
+    (("search", "--space", "lp:n=2,p=2", "--m", "3", "--restarts", "1", "--target", "nan"),
+     "residual_target must be finite, got nan",
+     lambda: construct.SearchConfig(restarts=1, residual_target=math.nan)),
+    (("verify", "--tol", "inf"), "tol must be finite, got inf",
+     lambda: construct.distance_profile(_PAIR, math.inf)),
+    (("bound", "--space", "lp:n=3,p=3", "--c", "nan"), "c_absolute must be finite, got nan",
+     lambda: eqdist.BoundConfig(c_absolute=math.nan)),
+    (("construct", "lp-simplex", "--n", "3", "--p", "nan"), "p must be finite, got nan",
+     lambda: construct.lp_simplex(3, math.nan)),
+    (("approx", "--p", "1e999", "--d", "4"), "p must be finite, got inf",
+     lambda: approx.approximate_abs_power(1e999, 4)),
+], ids=[f"argv{i}" for i in range(11)])
+def test_non_finite_flags_exit_1(tmp_path, capsys, argv, message, api):
     f = tmp_path / "pair.json"
-    f.write_text(json.dumps({"space": "lp:n=1,p=2", "points": [[0], [1]]}))
+    f.write_text(json.dumps(_PAIR.to_jsonable()))
     if argv[0] in ("certify", "verify"):
         argv += ("--points", str(f))
-    code, out, err = _run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
+    assert _run(capsys, *argv) == (1, "", f"error: {message}\n")
+    with pytest.raises(eqdist.errors.InputError) as refused:
+        api()
+    assert str(refused.value) == message
+
+
+def test_unread_construct_flag_is_not_checked(capsys):
+    # cross-polytope reads only --n, so its --p is not read, finite or not
+    for p in ("2.5", "nan"):
+        code, out, err = _run(capsys, "construct", "cross-polytope", "--n", "2", "--p", p)
+        assert (code, out, err) == (0, render_json(eqdist.cross_polytope(2).to_jsonable()) + "\n", "")
 
 
 def test_certify_nonpositive_c_exit_1(tmp_path, capsys):

@@ -166,8 +166,8 @@ def test_distance_profile():
     for tol in (1e-300, 1.0, 1e308):  # no pair, no distance, at every valid tol
         assert distance_profile(one, tol) == []
     for ps in (square, one):  # the tol checks run for every m
-        for tol in (0.0, -1.0, math.nan):
-            with pytest.raises(InputError, match="tol must be positive"):
+        for tol, rule in ((0.0, "positive"), (-1.0, "positive"), (math.nan, "finite")):
+            with pytest.raises(InputError, match=f"tol must be {rule}"):
                 distance_profile(ps, tol)
 
 
