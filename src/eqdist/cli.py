@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 = success; 1 = input error (bad flags, malformed space string,
-unreadable points file, inapplicable theorem); 2 = well-formed run with a
-negative outcome (failed verification or certification, non-converged
-search).  All numbers in reports are serialized with 17 significant digits
-so that outputs are byte-stable, reproducible oracles.
+Each handler returns its report and the stderr line of a negative outcome, or None;
+run alone writes them and picks the exit code: 0 = success; 1 = input error (bad
+flags, malformed space string, unreadable points file, inapplicable theorem); 2 =
+well-formed run with a negative outcome (failed verification or certification,
+non-converged search).  All numbers in reports are serialized with 17 significant
+digits so that outputs are byte-stable, reproducible oracles.
 """
 
 from __future__ import annotations
@@ -182,17 +183,15 @@ def _env_config() -> bounds_mod.BoundConfig:
     return bounds_mod.load_config(path) if path else bounds_mod.BoundConfig()
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple[object, str | None]:
     space = Space.from_string(args.space)
     cfg = _env_config()
     if args.c is not None:
         cfg = dataclasses.replace(cfg, c_absolute=args.c)
     if args.best:
-        emit(bounds_mod.best_explicit_upper(space, args.s, cfg).to_jsonable(), args.format)
-    else:
-        reports = bounds_mod.enumerate_bounds(space, args.s, cfg)
-        emit([r.to_jsonable() for r in reports], args.format)
-    return 0
+        return bounds_mod.best_explicit_upper(space, args.s, cfg).to_jsonable(), None
+    reports = bounds_mod.enumerate_bounds(space, args.s, cfg)
+    return [r.to_jsonable() for r in reports], None
 
 
 # construct kind -> (the flags it needs, the builder they are passed to); the
@@ -207,55 +206,44 @@ _CONSTRUCTIONS = {
 }
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[object, str | None]:
     names, build = _CONSTRUCTIONS[args.kind]
     values = [getattr(args, name) for name in names]
     if None in values:
         raise InputError(f"{args.kind} needs " + " and ".join(f"--{name}" for name in names))
-    emit(build(*values).to_jsonable(), args.format)
-    return 0
+    return build(*values).to_jsonable(), None
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[object, str | None]:
     ps = _load_points(args.points)
     report = {"space": ps.space.to_string(), "m": ps.m}
     try:
         profile = construct_mod.distance_profile(ps, args.tol)
     except DegenerateDistanceError as e:
         report.update(profile=None, equilateral=False, error=str(e))
-        emit(report, args.format)
-        print(str(e), file=sys.stderr)
-        return 2
+        return report, str(e)
     dev = max((abs(d - 1.0) for d in profile), default=0.0)
     ok = len(profile) <= 1 and dev <= args.tol
     report.update(profile=profile, equilateral=ok, max_deviation=dev)
-    emit(report, args.format)
-    if not ok:
-        print(f"not unit-equilateral: profile {profile}", file=sys.stderr)
-        return 2
-    return 0
+    return report, None if ok else f"not unit-equilateral: profile {profile}"
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple[object, str | None]:
     ps = _load_points(args.points)
     cfg = CertifyConfig(c=args.c, c_absolute=_env_config().c_absolute)
     report = run_certify(ps, args.theorem, cfg)
-    emit(report.to_jsonable(), args.format)
-    if not report.passes:
-        print(f"certificate for {args.theorem} did not pass", file=sys.stderr)
-        return 2
-    return 0
+    failure = None if report.passes else f"certificate for {args.theorem} did not pass"
+    return report.to_jsonable(), failure
 
 
-def _cmd_approx(args) -> int:
+def _cmd_approx(args) -> tuple[object, str | None]:
     P, cert = approx_mod.approximate_abs_power(args.p, args.d)
-    emit({"p": cert.p, "d": cert.d, "coefficients": list(P.even_coeffs),
-          "measured_error": cert.measured_error,
-          "jackson_bound": cert.jackson_bound}, args.format)
-    return 0
+    return {"p": cert.p, "d": cert.d, "coefficients": list(P.even_coeffs),
+            "measured_error": cert.measured_error,
+            "jackson_bound": cert.jackson_bound}, None
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[object, str | None]:
     space = Space.from_string(args.space)
     cfg = construct_mod.SearchConfig(restarts=args.restarts, seed=args.seed,
                                      residual_target=args.target)
@@ -263,13 +251,9 @@ def _cmd_search(args) -> int:
     out = res.points.to_jsonable()
     out.update(residual=res.residual, converged=res.converged,
                restart_index=res.restart_index)
-    emit(out, args.format)
-    if not res.converged:
-        print(f"search did not converge: residual {res.residual:.6g} (best restart "
-              f"{res.restart_index}: {res.iterations} iterations, stop: {res.stop})",
-              file=sys.stderr)
-        return 2
-    return 0
+    return out, None if res.converged else (
+        f"search did not converge: residual {res.residual:.6g} (best restart "
+        f"{res.restart_index}: {res.iterations} iterations, stop: {res.stop})")
 
 
 # The parser is built on the first run, not at import, and reused: building
@@ -278,19 +262,23 @@ _parser: _Parser | None = None
 
 
 def run(argv: list[str]) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
+    """Parse argv, dispatch and write the outcome; returns the process exit code."""
     global _parser
     try:
         if _parser is None:
             _parser = _build_parser()
         args = _parser.parse_args(argv)
-        return args.cmd(args)
+        report, failure = args.cmd(args)
     except (InputError, ResourceLimitError, NumericalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (CertificationError, DegenerateDistanceError) as e:
         print(f"failed: {e}", file=sys.stderr)
         return 2
+    emit(report, args.format)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    return 0 if failure is None else 2
 
 
 def main() -> None:

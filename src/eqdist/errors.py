@@ -1,5 +1,6 @@
 """Exception types shared across the package, the checks of a count input
 (require_int) and of a real input (require_real, require_positive), and shown.
+A Decimal NaN, whose ordering comparisons signal, is refused as a float NaN is.
 
 The CLI maps these onto exit codes.  CertificationError and
 DegenerateDistanceError describe a well-formed computation with a negative
@@ -8,6 +9,7 @@ among them), ResourceLimitError and NumericalError exit 1.
 """
 
 import math
+from contextlib import suppress
 from sys import float_info
 
 
@@ -37,8 +39,9 @@ class DegenerateDistanceError(RuntimeError):
 def shown(value) -> str:
     """value as a refusal prints it: a number past the largest double is named, not
     printed, as str() refuses an int of over 4300 digits."""
-    if float_info.max < abs(value) < math.inf:
-        return "a number past the largest double"
+    with suppress(ArithmeticError):  # a Decimal NaN signals where a float NaN compares False
+        if float_info.max < abs(value) < math.inf:
+            return "a number past the largest double"
     return str(value)
 
 
@@ -49,6 +52,8 @@ def require_int(name: str, value, least: int) -> int:
         below = not value >= least  # NaN is below
     except TypeError:
         raise InputError(f"{name} must be a number, got {value!r}") from None
+    except ArithmeticError:  # a Decimal NaN signals where a float NaN compares False
+        below = True
     if below:
         raise InputError(f"{name} must be >= {least}, got {shown(value)}")
     if not (isinstance(value, int) or value < math.inf and value == int(value)):  # exact; inf is not
@@ -64,6 +69,8 @@ def require_real(name: str, value) -> float:
             return float(value)
     except TypeError:
         raise InputError(f"{name} must be a number, got {value!r}") from None
+    except ArithmeticError:  # a Decimal NaN signals where a float NaN compares False
+        pass
     raise InputError(f"{name} must be finite, got {shown(value)}")
 
 

@@ -10,13 +10,14 @@ import math
 import re
 import runpy
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import eqdist
-from eqdist.errors import InputError, ResourceLimitError, require_int
+from eqdist.errors import InputError, ResourceLimitError, require_int, require_real
 
 PUBLIC_NAMES = [
     "ApproxCertificate", "BoundConfig", "BoundReport", "CertificateReport", "CertifyConfig",
@@ -248,6 +249,13 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
     lambda: require_int("n", Fraction(10 ** 400 + 1, 2), 1),
     lambda: eqdist.choose_degree(2.5, 2.0, 10 ** 400, 3),
     lambda: eqdist.choose_degree(2.5, 2.0, 3, 10 ** 400),
+    # an ordering comparison with a Decimal NaN signals InvalidOperation
+    lambda: require_real("x", Decimal("NaN")),
+    lambda: require_int("n", Decimal("NaN"), 1),
+    lambda: eqdist.SearchConfig(residual_target=Decimal("NaN")),
+    lambda: eqdist.Space(Decimal("NaN"), (1,)),
+    lambda: eqdist.cross_polytope(Decimal("NaN")),
+    lambda: require_real("x", Decimal("sNaN")),
 ], ids=["tol-nan", "tol-inf", "target-nan", "target-inf", "approx-p-nan", "approx-p-inf",
         "c-nan", "certify-c-nan", "certify-c-absolute-nan", "restarts-nan",
         "restarts-inf", "restarts-2.5", "seed-nan", "seed-1.5", "search-m-2.5", "s-nan", "s-1.5",
@@ -268,7 +276,9 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
         "euclidean-simplex-n-above-str-limit", "restarts-above-str-limit",
         "search-m-above-str-limit", "approx-d-above-str-limit", "lambda-n-above-str-limit",
         "cluster-k-above-str-limit", "bound-s-above-str-limit", "block-above-str-limit",
-        "int-fraction-past-double", "degree-n-past-double", "degree-m-past-double"])
+        "int-fraction-past-double", "degree-n-past-double", "degree-m-past-double",
+        "real-decimal-nan", "int-decimal-nan", "target-decimal-nan", "space-p-decimal-nan",
+        "cross-n-decimal-nan", "real-decimal-snan"])
 def test_nan_and_inf_are_refused(call):
     with pytest.raises((InputError, ResourceLimitError)) as refused:
         call()

@@ -894,14 +894,55 @@ def pinned_dir(tmp_path_factory):
     return path
 
 
+def _pinned_argv(pinned_dir, command):
+    """command's argv, each --points name read as that file of pinned_dir."""
+    argv = command.split()
+    return [str(pinned_dir / f"{a}.json") if prev == "--points" else a
+            for prev, a in zip([None, *argv], argv)]
+
+
 @pytest.mark.parametrize("command,code,digest,err", CLI_OUTPUTS,
                          ids=[command for command, *_ in CLI_OUTPUTS])
 def test_cli_outputs_pinned(capsys, pinned_dir, command, code, digest, err):
-    argv = command.split()
-    argv = [str(pinned_dir / f"{a}.json") if prev == "--points" else a
-            for prev, a in zip([None, *argv], argv)]
-    got = _run(capsys, *argv)
+    got = _run(capsys, *_pinned_argv(pinned_dir, command))
     assert (got[0], hashlib.sha256(got[1].encode()).hexdigest(), got[2]) == (code, digest, err)
+
+
+# every negative outcome a handler reports, with the start of its stderr line
+NEGATIVE_OUTCOMES = [
+    ("verify --points perturbed", "not unit-equilateral: profile ["),
+    ("verify --points dup", "zero distance present"),
+    ("certify --points cp3 --theorem thm1", "certificate for thm1 did not pass"),
+    ("search --space lp:n=2,p=2 --m 4 --restarts 1", "search did not converge: residual "),
+]
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("command,failure", NEGATIVE_OUTCOMES,
+                         ids=[command for command, _ in NEGATIVE_OUTCOMES])
+def test_negative_outcome_writes_the_report_then_one_line(pinned_dir, command, failure, fmt):
+    # exit 2: the whole report reaches stdout before the one stderr line that says why
+    argv = [*_pinned_argv(pinned_dir, command), "--format", fmt]
+    code, out, err = _run_quietly(argv)
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        assert run(argv) == code == 2
+    assert out and err.startswith(failure) and err.endswith("\n") and err.count("\n") == 1
+    assert both.getvalue() == out + err
+
+
+@pytest.mark.parametrize("command", [
+    "bound --space lp:n=0,p=2",
+    "construct lp-simplex --n 3",
+    "verify --points missing",
+    "certify --points one --theorem thm2",
+    "approx --p nan --d 4",
+    "search --space lp:n=2,p=2 --m 4 --target nan",
+])
+def test_input_error_writes_no_report(pinned_dir, command):
+    code, out, err = _run_quietly(_pinned_argv(pinned_dir, command))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_input_errors_exit_1(capsys):
@@ -1251,13 +1292,29 @@ def test_space_at_the_dimension_cap_exit_0():
     assert json.loads(out)["value"] == {"log2": float(MAX_AMBIENT_DIM)}
 
 
+def _module_env():
+    """os.environ with PYTHONPATH set so that `python -m eqdist.cli` runs this eqdist."""
+    return {**os.environ, "PYTHONPATH": str(Path(eqdist.__file__).resolve().parents[1])}
+
+
+@pytest.mark.parametrize("command,code", [
+    ("construct cross-polytope --n 2", 0),
+    ("approx --p nan --d 4", 1),
+    ("search --space lp:n=2,p=2 --m 4 --restarts 1", 2),
+])
+def test_main_exits_with_the_code_and_streams_of_run(command, code):
+    proc = subprocess.run([sys.executable, "-m", "eqdist.cli", *command.split()],
+                          capture_output=True, text=True, env=_module_env(), timeout=60)
+    assert proc.returncode == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == _run_quietly(command.split())
+
+
 def test_closed_stdout_exits_1_with_one_line():
     # `eqdist construct cross-polytope --n 300 | head -c 100`: the reader closes
     # the pipe while main() still has megabytes of JSON to write
-    env = {**os.environ, "PYTHONPATH": str(Path(eqdist.__file__).resolve().parents[1])}
     with subprocess.Popen([sys.executable, "-m", "eqdist.cli", "construct", "cross-polytope",
                            "--n", "300"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env) as proc:
+                          env=_module_env()) as proc:
         assert proc.stdout.read(100).startswith(b'{\n  "space": "lp:n=300,p=1"')
         proc.stdout.close()
         err = proc.stderr.read()
