@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (CertificationError, InputError, NumericalError, ResourceLimitError,
-                     require_int, require_positive, require_real, shown)
+                     require_exponent, require_int, require_positive, require_real, shown)
 
 GRID_SIZE = 4097          # Chebyshev-spaced measurement grid on [0, 1]
 _GRID = 0.5 * (1.0 - np.cos(math.pi * np.arange(GRID_SIZE) / (GRID_SIZE - 1)))
@@ -49,14 +49,9 @@ COEFF_RTOL = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _require_p(p: float) -> None:
-    if require_real("p", p) < 1.0:
-        raise InputError(f"p must be >= 1, got {p}")
-
-
 def jackson_constant(p: float) -> float:
     """The explicit constant B(p) in the degree-d error bound B(p)/d^p."""
-    _require_p(p)
+    p = require_exponent("p", p)
     cp = math.ceil(p)
     try:
         b = ((cp ** p) * (1.0 + math.pi ** 2 / 2.0) ** cp
@@ -148,7 +143,7 @@ def approximation_error(P: EvenPolynomial, p: float) -> float:
     for the degrees in scope.  A peak of 0.0 lies where P and |x|^p agree
     exactly, as x^2 at p = 2 does at every grid point, and is not refined.
     """
-    _require_p(p)
+    p = require_exponent("p", p)
     fn = lambda x: np.abs(P(x) - np.abs(x) ** p)
     err = fn(_GRID)
     interior = _interior_maxima(err)
@@ -261,7 +256,7 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
     The certificate's measured_error is the proven upper bound _error_bound.
     Even integer p with d >= p yields the exact monomial x^p (zero error).
     """
-    _require_p(p)
+    p = require_exponent("p", p)
     d = require_int("degree d", d, 1)
     if d < math.ceil(p):
         raise InputError(f"degree d={d} is below ceil(p)={math.ceil(p):.6g}")
@@ -296,7 +291,7 @@ def choose_degree(p: float, c: float, n: int, m: int) -> int:
     c >= (2^(1/p) - 1)^(-p), as the paper's c (certify._paper_c, at least B(p))
     always is; otherwise an InputError ("no degree with ...") may be raised.
     """
-    _require_p(p)
+    p = require_exponent("p", p)
     n, m = require_int("n", n, 1), require_int("m", m, 1)
     c = require_positive("c", c)
     try:

@@ -13,7 +13,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .errors import InputError, ResourceLimitError, require_int, require_positive, require_real, shown
+from .errors import (InputError, ResourceLimitError, require_even_exponent, require_int,
+                     require_positive, require_real, shown)
 from .space import Space
 
 UNSPECIFIED = "unspecified"
@@ -87,9 +88,9 @@ class BoundConfig:
     constants: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        require_positive("c_absolute", self.c_absolute)
-        for name, value in self.constants.items():
-            require_real(name, value)
+        object.__setattr__(self, "c_absolute", require_positive("c_absolute", self.c_absolute))
+        object.__setattr__(self, "constants", {name: require_real(name, value)
+                                               for name, value in self.constants.items()})
 
 
 def load_config(path: str) -> BoundConfig:
@@ -144,10 +145,8 @@ def sdistance_exponent(p: float, s: int) -> float:
 
 def kusner_even_upper(p: int, n: int) -> int:
     """Even-integer-p upper bound: (p/2-1)n+1 if 4 | p, else (p/2)n+1."""
-    if p % 2 != 0 or p < 2:
-        raise InputError(f"p must be a positive even integer, got {p}")
-    half = p // 2
-    return (half - 1) * n + 1 if p % 4 == 0 else half * n + 1
+    half = require_even_exponent("p", p) // 2
+    return (half - 1 if half % 2 == 0 else half) * require_int("n", n, 1) + 1
 
 
 def large_p_gate(c: float, n: int) -> float | None:
@@ -155,10 +154,6 @@ def large_p_gate(c: float, n: int) -> float | None:
     if n == 1 or not c > 2.0:
         return None
     return c * (n * math.log(n)) ** 2
-
-
-def _is_int(p: float) -> bool:
-    return math.isfinite(p) and p == int(p)
 
 
 def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) -> list[BoundReport]:
@@ -208,12 +203,12 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
                     ("n > 1", f"p >= c*(n*ln n)^2 = {gate:.6g}"), "thm1.2",
                     constants_used={"c": cfg.c_absolute}))
 
-            if _is_int(p) and int(p) % 2 == 0:
+            if p % 2 == 0:
                 out.append(BoundReport(
-                    "upper", "explicit", kusner_even_upper(int(p), nb),
+                    "upper", "explicit", kusner_even_upper(p, nb),
                     ("blocks all 1", "p is an even integer"), "swanepoel-even-p"))
 
-            if _is_int(p) and int(p) % 2 == 1:
+            if p % 2 == 1:
                 num = c_p * nb * math.log(nb) if nb > 1 else c_p
                 out.append(BoundReport(
                     "upper", "asymptotic",
@@ -227,7 +222,7 @@ def enumerate_bounds(space: Space, s: int, config: BoundConfig | None = None) ->
                 "upper", "explicit", (a + 1) * (b + 1) + 1,
                 ("two blocks", "p == inf"), "thm1.4"))
 
-        if _is_int(p) and int(p) % 2 == 0:
+        if p % 2 == 0:
             half = int(p) // 2
             # C(a + p/2, a) grows with a: the largest block's term bounds the others
             _require_bits("the even-p term C(a + p/2, a)", a_max + half + 1, min(a_max, half))

@@ -16,17 +16,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .approx import (MAX_DEGREE, EvenPolynomial, _require_p, approximate_abs_power,
-                     choose_degree, jackson_constant)
+from .approx import MAX_DEGREE, EvenPolynomial, approximate_abs_power, choose_degree, jackson_constant
 from .bounds import _require_bits, large_p_gate
 from .construct import distance_profile
-from .errors import (InputError, NumericalError, ResourceLimitError, require_int, require_positive,
-                     require_real)
+from .errors import (InputError, NumericalError, ResourceLimitError, require_even_exponent,
+                     require_exponent, require_int, require_positive, require_real)
 from .space import (PointSet, _finite_array, _outer_norm, pair_block_norms, pair_block_sq_norms,
                     pair_map)
 
@@ -105,18 +103,6 @@ def _require_two_blocks(points: PointSet, what: str) -> None:
         raise InputError(f"{what} requires a two-block space")
 
 
-def _require_even_exponent(name: str, k) -> int:
-    """k as an int, refused unless it is an even integer of at least 2 that a double
-    holds.  Any such size is taken: an entry is one power call at any exponent
-    (_power_sum_entry), and that call reads k as a double."""
-    k = require_int(name, k, 2)
-    if k > sys.float_info.max:  # compared exactly, and k is not printed: it may be too long
-        raise ResourceLimitError(f"{name} is above the largest double, {sys.float_info.max:.17g}")
-    if k % 2 != 0:
-        raise InputError(f"{name} must be a positive even integer, got {k}")
-    return k
-
-
 def _power_sum_entry(T: np.ndarray, h: int) -> np.ndarray:
     """1 - sum_b T_b^h over the last axis of the squared block norms T: thm1's
     1 - ||Delta||_k^k on one-coordinate blocks at h = k/2, thm4's
@@ -142,7 +128,7 @@ def _pair_planes(points: PointSet, kernel, planes) -> tuple:
 def matrix_thm1(points: PointSet, k: int) -> tuple[SymMatrix, np.ndarray]:
     """a_ij = 1 - ||p_i - p_j||_k^k for even k, with the diagonal exactly 1, and
     the l_k distance matrix, from one pass over the pairs."""
-    k = _require_even_exponent("k", k)
+    k = require_even_exponent("k", k)
     _require_lp(points, "matrix_thm1")
     return _pair_planes(points, pair_block_norms,
                         lambda R: (_power_sum_entry(R * R, k // 2), _outer_norm(R, float(k))))
@@ -213,7 +199,7 @@ def gram_thm3(points: PointSet) -> SymMatrix:
 
 def gram_thm4(points: PointSet, p: int) -> SymMatrix:
     """(u,v) entry: 1 - ||Delta_1||^p - ||Delta_2||^p for even p."""
-    p = _require_even_exponent("p", p)
+    p = require_even_exponent("p", p)
     _require_two_blocks(points, "gram_thm4")
     return _pair_planes(points, pair_block_sq_norms, lambda T: (_power_sum_entry(T, p // 2),))[0]
 
@@ -224,7 +210,7 @@ def gram_thm4(points: PointSet, p: int) -> SymMatrix:
 
 def _thm4_block_monomials(a: int, p) -> int:
     """The monomials one a-dimensional block adds to the thm4 span, for even p."""
-    half = _require_even_exponent("p", p) // 2
+    half = require_even_exponent("p", p) // 2
     _require_bits("the thm4 span term C(a + p/2, a)", a + half + 1, min(a, half))
     return math.comb(a + half, a) + math.comb(a + half - 1, a)
 
@@ -247,7 +233,7 @@ def _thm2_span(n, d, k) -> int:
 # Each row reads its counts: n, d, a, b and every block a whole number >= 1, and
 # thm1's k and thm4's p even integers >= 2
 _SPAN_DIMS = {
-    "thm1": lambda n, k: (_require_even_exponent("k", k) - 1) * require_int("n", n, 1) + 2,
+    "thm1": lambda n, k: (require_even_exponent("k", k) - 1) * require_int("n", n, 1) + 2,
     "thm2": _thm2_span,
     "thm3": lambda a, b: (require_int("a", a, 1) + 2) * (require_int("b", b, 1) + 2),
     "thm4": lambda a, b, p: (_thm4_block_monomials(require_int("a", a, 1), p)
@@ -283,7 +269,7 @@ def _low_exponents(nvars: int, half: int) -> list[tuple[int, ...]]:
 def independence_rank_thm4(points: PointSet, p: int) -> tuple[int, int]:
     """Rank and size of {f_u} plus the augmenting monomials x1^g (0 < |g| < p/2),
     x2^g, and 1, evaluated at seeded generic points."""
-    p = _require_even_exponent("p", p)
+    p = require_even_exponent("p", p)
     _require_two_blocks(points, "independence_rank_thm4")
     a, b = points.space.blocks
     if a + b > BLOKHUIS_MAX_VARS or p > BLOKHUIS_MAX_P:
@@ -321,9 +307,9 @@ class CertifyConfig:
     c_absolute: float = 2.01        # constant for the large-p regime note
 
     def __post_init__(self):
-        require_positive("c_absolute", self.c_absolute)
+        object.__setattr__(self, "c_absolute", require_positive("c_absolute", self.c_absolute))
         if self.c is not None:
-            require_positive("c", self.c)
+            object.__setattr__(self, "c", require_positive("c", self.c))
 
 
 @dataclass(frozen=True)
@@ -347,8 +333,7 @@ def select_k(p: float) -> int:
     """The even matrix exponent for thm1: the closest even integer to p,
     rounding up when floor(p) is odd.  Every double >= 2^53 is an even integer,
     so there k = p; an entry costs one power call at any k."""
-    _require_p(p)
-    fp = math.floor(p)
+    fp = math.floor(require_exponent("p", p))
     return fp + 1 if fp % 2 == 1 else max(fp, 2)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import space as space_mod
 from .errors import (DegenerateDistanceError, InputError, NumericalError, ResourceLimitError,
-                     require_int, require_positive, require_real, shown)
+                     require_exponent, require_int, require_positive, require_real, shown)
 from .space import (PointSet, Space, _block_sq_norms, _outer_norm, distance_matrix,
                     pair_block_norms)
 
@@ -71,8 +71,9 @@ def simplex_lambda(n: int, p: float) -> float:
     """
     n = require_int("n", n, 2)
     k = require_real("n", n - 1)  # the equation is solved in double precision
-    if not require_real("p", p) > 1.0:
-        raise InputError(f"need 1 < p < inf, got {p}")
+    p = require_exponent("p", p)
+    if p == 1.0:
+        raise InputError("need 1 < p < inf, got 1.0")
 
     def g(lam: float) -> float:
         try:
@@ -103,10 +104,11 @@ def lp_simplex(n: int, p: float) -> PointSet:
     """n+1 points {e_i, lam*(1,..,1)} in lp^n, scaled to unit distances."""
     n = require_int("n", n, 2)
     _check_size(n + 1, n)
+    p = require_exponent("p", p)
     lam = simplex_lambda(n, p)
     scale = 2.0 ** (-1.0 / p)
     pts = np.vstack([np.eye(n), np.full((1, n), lam)]) * scale
-    return PointSet(Space(float(p), (1,) * n), pts)
+    return PointSet(Space(p, (1,) * n), pts)
 
 
 def euclidean_simplex(n: int) -> PointSet:
@@ -136,7 +138,7 @@ def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
     sorted descending; empty for one point.  A zero distance (coincident points)
     is an error: zero is not counted as a distance.  Neither is one past the
     largest double."""
-    require_positive("tol", tol)
+    tol = require_positive("tol", tol)
     if points.m == 1:  # no pair, no distance
         return []
     with np.errstate(over="ignore", invalid="ignore"):  # overflows end in inf or nan
@@ -168,7 +170,8 @@ class SearchConfig:
             raise ResourceLimitError(
                 f"{shown(self.restarts)} restarts are above the cap of {SEARCH_MAX_RESTARTS}")
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
-        require_positive("residual_target", self.residual_target)
+        object.__setattr__(self, "residual_target",
+                           require_positive("residual_target", self.residual_target))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, the checks of a count input
-(require_int) and of a real input (require_real, require_positive), and shown.
-A Decimal NaN, whose ordering comparisons signal, is refused as a float NaN is.
+"""Exception types shared across the package, the input gates, which return the int
+or float the code computes with (a count: require_int; a real: require_real,
+require_positive; an exponent p >= 1, inf too where the caller allows it:
+require_exponent; an even integer >= 2 that a double holds: require_even_exponent),
+and shown, which prints a refused value.  A Decimal NaN is refused as a float NaN is.
 
 The CLI maps these onto exit codes.  CertificationError and
 DegenerateDistanceError describe a well-formed computation with a negative
@@ -9,7 +11,6 @@ among them), ResourceLimitError and NumericalError exit 1.
 """
 
 import math
-from contextlib import suppress
 from sys import float_info
 
 
@@ -37,11 +38,14 @@ class DegenerateDistanceError(RuntimeError):
 
 
 def shown(value) -> str:
-    """value as a refusal prints it: a number past the largest double is named, not
-    printed, as str() refuses an int of over 4300 digits."""
-    with suppress(ArithmeticError):  # a Decimal NaN signals where a float NaN compares False
-        if float_info.max < abs(value) < math.inf:
-            return "a number past the largest double"
+    """value as a refusal prints it: an int or a Fraction that float() overflows on is
+    named, not printed, as str() refuses an int of over 4300 digits."""
+    try:
+        float(value)
+    except OverflowError:
+        return "a number past the largest double"
+    except ValueError:  # float() refuses a Decimal sNaN
+        pass
     return str(value)
 
 
@@ -61,15 +65,17 @@ def require_int(name: str, value, least: int) -> int:
     return int(value)
 
 
-def require_real(name: str, value) -> float:
-    """value as a float, or InputError unless it is a finite real number (a str,
-    None, a complex, NaN, inf and an int past the largest double are refused)."""
+def require_real(name: str, value, inf: bool = False) -> float:
+    """value as a float, or InputError unless it is finite, or inf where inf is set (a
+    str, None, a complex, NaN, -inf and a number past the largest double are refused)."""
     try:
-        if abs(value) <= float_info.max:  # NaN, inf and ints past it are not
-            return float(value)
+        if math.isfinite(value) or inf and value == math.inf:
+            x = float(value)  # rounds a number just past the largest double down to it
+            if abs(x) != float_info.max or abs(value) <= float_info.max:  # exact there; a
+                return x  # float32 is never there, so the double is never cast to float32
     except TypeError:
         raise InputError(f"{name} must be a number, got {value!r}") from None
-    except ArithmeticError:  # a Decimal NaN signals where a float NaN compares False
+    except (OverflowError, ValueError):  # float() of an int past the largest double; a Decimal sNaN
         pass
     raise InputError(f"{name} must be finite, got {shown(value)}")
 
@@ -80,3 +86,22 @@ def require_positive(name: str, value) -> float:
     if not x > 0:
         raise InputError(f"{name} must be positive, got {x}")
     return x
+
+
+def require_exponent(name: str, value, inf: bool = False) -> float:
+    """require_real's float (inf too where inf is set), refused unless it is >= 1."""
+    x = require_real(name, value, inf)
+    if not x >= 1.0:
+        raise InputError(f"{name} must be >= 1, got {x}")
+    return x
+
+
+def require_even_exponent(name: str, value) -> int:
+    """value as an int, refused unless it is an even integer of at least 2 that a
+    double holds: a power call reads the exponent as a double."""
+    k = require_int(name, value, 2)
+    if k > float_info.max:  # compared exactly, and k is not printed: it may be too long
+        raise ResourceLimitError(f"{name} is above the largest double, {float_info.max:.17g}")
+    if k % 2 != 0:
+        raise InputError(f"{name} must be a positive even integer, got {k}")
+    return k

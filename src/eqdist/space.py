@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError, require_int, require_real, shown
+from .errors import InputError, ResourceLimitError, require_exponent, require_int, shown
 
 _TOL_REL = 1e-12
 _TOL_ABS = 1e-14
@@ -34,10 +34,7 @@ class Space:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        p = math.inf if self.p == math.inf else require_real("p", self.p)
-        if p < 1.0:
-            raise InputError(f"p must satisfy p >= 1 or p = inf, got {self.p}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", require_exponent("p", self.p, inf=True))
         blocks = tuple(require_int("a block dimension", a, 1) for a in self.blocks)
         if not blocks:
             raise InputError("blocks must not be empty")
@@ -288,9 +285,8 @@ def norm_sandwich_check(x: Sequence[float], p: float,
 
     Returns (holds, (||x||_q, ||x||_p, n^(1/p-1/q)*||x||_q)).
     """
-    p = math.inf if p == math.inf else require_real("p", p)
-    q = math.inf if q == math.inf else require_real("q", q)
-    if not 1.0 <= p <= q:
+    p, q = require_exponent("p", p, inf=True), require_exponent("q", q, inf=True)
+    if not p <= q:
         raise InputError(f"need 1 <= p <= q, got p={p}, q={q}")
     arr = np.abs(_finite_array("x", x))
     nq = float(_outer_norm(arr, q))

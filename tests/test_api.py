@@ -14,9 +14,11 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eqdist
+from eqdist.bounds import kusner_even_upper
 from eqdist.errors import InputError, ResourceLimitError, require_int, require_real
 
 PUBLIC_NAMES = [
@@ -256,6 +258,18 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
     lambda: eqdist.Space(Decimal("NaN"), (1,)),
     lambda: eqdist.cross_polytope(Decimal("NaN")),
     lambda: require_real("x", Decimal("sNaN")),
+    # == signals on a Decimal sNaN, so an exponent that may be inf is not compared first
+    lambda: eqdist.Space(Decimal("sNaN"), (1,)),
+    lambda: eqdist.norm_sandwich_check([1.0, 2.0], Decimal("sNaN"), 2.0),
+    lambda: eqdist.norm_sandwich_check([1.0, 2.0], 1.0, Decimal("sNaN")),
+    lambda: kusner_even_upper("4", 3),
+    lambda: kusner_even_upper(4, 2.5),
+    # a numpy float32 is read as a double, not compared in float32
+    lambda: require_real("x", np.float32("inf")),
+    lambda: eqdist.Space(np.float32("nan"), (1,)),
+    lambda: require_int("n", np.float32(2.5), 1),
+    # float() rounds an int just past the largest double down to it
+    lambda: require_real("x", int(sys.float_info.max) + 1),
 ], ids=["tol-nan", "tol-inf", "target-nan", "target-inf", "approx-p-nan", "approx-p-inf",
         "c-nan", "certify-c-nan", "certify-c-absolute-nan", "restarts-nan",
         "restarts-inf", "restarts-2.5", "seed-nan", "seed-1.5", "search-m-2.5", "s-nan", "s-1.5",
@@ -278,7 +292,10 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
         "cluster-k-above-str-limit", "bound-s-above-str-limit", "block-above-str-limit",
         "int-fraction-past-double", "degree-n-past-double", "degree-m-past-double",
         "real-decimal-nan", "int-decimal-nan", "target-decimal-nan", "space-p-decimal-nan",
-        "cross-n-decimal-nan", "real-decimal-snan"])
+        "cross-n-decimal-nan", "real-decimal-snan", "space-p-decimal-snan",
+        "sandwich-p-decimal-snan", "sandwich-q-decimal-snan", "kusner-p-str", "kusner-n-2.5",
+        "real-float32-inf", "space-p-float32-nan", "int-float32-2.5",
+        "real-int-just-past-double"])
 def test_nan_and_inf_are_refused(call):
     with pytest.raises((InputError, ResourceLimitError)) as refused:
         call()
@@ -291,8 +308,48 @@ def test_whole_floats_are_read_as_ints():
     assert eqdist.search_equilateral(_SQUARE.space, 3.0, cfg).converged
     assert eqdist.EvenPolynomial(4.0, (1.0,)).degree == 4
     assert eqdist.cluster_combine([3, 3], 3.0) == eqdist.cluster_combine([3, 3], 3)
+    assert kusner_even_upper(4.0, 3) == 4 and type(kusner_even_upper(4.0, 3)) is int
     # integrality is tested exactly, also past the largest double
     assert require_int("n", Fraction(10 ** 400, 1), 1) == 10 ** 400
+
+
+_L3 = eqdist.Space(3.0, (1, 1, 1))
+
+
+def _search(target):
+    found = eqdist.search_equilateral(_SQUARE.space, 3, eqdist.SearchConfig(residual_target=target))
+    return found.points.points.tolist(), found.residual, found.converged
+
+
+# each gate returns a float, and the code computes with it: a Decimal exponent or
+# constant gives the plain float's result, bit for bit
+@pytest.mark.parametrize("call", [
+    lambda x: eqdist.lp_simplex(3, x(2.5)).points.tolist(),
+    lambda x: eqdist.approximate_abs_power(x(1.5), 12),
+    lambda x: eqdist.jackson_constant(x(2.5)),
+    lambda x: eqdist.choose_degree(x(3), 4.0, 2, 3),
+    lambda x: [r.to_jsonable() for r in
+               eqdist.enumerate_bounds(_L3, 1, eqdist.BoundConfig(c_absolute=x(3)))],
+    lambda x: [r.to_jsonable() for r in
+               eqdist.enumerate_bounds(_L3, 1, eqdist.BoundConfig(constants={"c_p": x(3)}))],
+    lambda x: eqdist.certify(eqdist.lp_simplex(3, 2.5), "thm1",
+                             eqdist.CertifyConfig(c_absolute=x(3))).to_jsonable(),
+    lambda x: _search(x("1e-10")),
+], ids=["lp-simplex-p", "approx-p", "jackson-p", "degree-p", "bound-c-absolute",
+        "bound-constant", "certify-c-absolute", "search-target"])
+def test_decimal_reals_give_the_float_result(call):
+    assert repr(call(Decimal)) == repr(call(float))
+
+
+def test_numpy_scalars_are_read_without_a_warning():
+    # pytest turns warnings into errors here; a float32 compared with the largest
+    # double is cast to float32 first, which overflows
+    assert eqdist.Space(np.float32(2.5), (1, 1)).p == 2.5
+    assert require_real("p", np.float16(2)) == 2.0
+    assert eqdist.EvenPolynomial(4, (np.float32(1.5),)).even_coeffs == (1.5,)
+    _, cert = eqdist.approximate_abs_power(np.float32(1.5), 12)
+    assert (type(cert.p), type(cert.jackson_bound)) == (float, float)
+    assert cert == eqdist.approximate_abs_power(1.5, 12)[1]
 
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -386,6 +443,18 @@ def test_every_import_is_read():
                 continue
             unread += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
     assert unread == []
+
+
+def test_no_gate_result_is_dropped():
+    # each require_* gate of errors returns the int or float the code computes with;
+    # called as a bare statement, the code goes on with the unchecked value
+    src = Path(eqdist.__file__).parent
+    gates = {name for name in vars(eqdist.errors) if name.startswith("require_")}
+    dropped = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+               and getattr(node.value.func, "id", None) in gates]
+    assert gates and dropped == []
 
 
 def test_every_third_party_test_import_is_declared():
