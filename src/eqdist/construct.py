@@ -11,8 +11,15 @@ restart's trial point, each restart with its own step size.  The energy
 function is built once per batch, and a tick steps only the live restarts,
 whose state is kept compacted.  A restart leaves the batch when it
 converges, stalls or hits a cap, so each follows the same trajectory as it
-would alone.  Batches are sized so their (batch, m, m, dim) temporaries fit
+would alone.  Batches are sized so their (batch, dim, m, m) temporaries fit
 in the pairwise kernel's chunk size.
+
+During the descent the points and gradients are held coordinate-major, as
+(batch, dim, m): the energy's pairwise differences are (batch, dim, m, m),
+so its sums over a block's coordinates and over the blocks add whole (m, m)
+slabs one after another, first to last, rather than reduce a short last axis
+per pair.  A sum of 8 or more terms is so added in order, where numpy would
+add it pairwise over a last axis.
 """
 
 from __future__ import annotations
@@ -206,9 +213,10 @@ _MIN_STEP = 1e-18
 _STALL_WINDOW = 100
 _STALL_DROP = 1e-2
 # Cap on one restart's m * m * dim.  Its energy and gradient hold about four
-# (m, m, dim) float arrays at once (4.1 MB traced per 1 MB array on plain lp,
-# 3.1 MB on an lp sum of 2-dimensional blocks), and a batch never holds less
-# than one restart: at 1 << 22 entries a one-restart search traced 131 MB.
+# (dim, m, m) float arrays at once (4.2 MB traced per 1 MB array on plain lp,
+# 3.1 MB on an lp sum of 2-dimensional blocks, at m = 64), and a batch never
+# holds less than one restart: at 1 << 22 entries a one-restart search traced
+# 131 MB on lp^64 (m = 256) and 99 MB on an lp sum of 32 planes.
 SEARCH_MAX_PAIR_COORDS = 1 << 22
 # Added in quadrature to the block norms for 1 <= p < 2, where |.|^p is not
 # differentiable at 0.
@@ -216,41 +224,51 @@ SMOOTHING_EPS = 1e-9
 
 
 def _search_energy(space: Space, m: int):
-    """The function that maps a (..., m, dim) array Q to the energies
-    sum_{i<j} (d_ij - 1)^2, with softened block norms, and their gradients,
-    for each configuration on the leading axes of Q.
+    """The function that maps a (..., dim, m) array Q, whose column i is point i,
+    to the energies sum_{i<j} (d_ij - 1)^2, with softened block norms, and their
+    (..., dim, m) gradients, for each configuration on the leading axes of Q.
+
+    The coordinate axis comes ahead of the two pair axes: the differences are
+    one (..., dim, m, m) array, delta[..., k, j, i] = Q[..., k, i] - Q[..., k, j].
+    So every sum over the coordinates of a block, the p-sum over blocks and the
+    sup-norm maximum reduce over axis -3, where numpy adds or compares whole
+    (m, m) slabs one after another, first to last, and the sup-norm's argmax is
+    taken over that axis too; the gradient's sum over j reduces over axis -2,
+    also in order.  A sum of fewer than 8 terms has the same bits as over a
+    last axis; one of 8 or more need not, as numpy adds those pairwise.
 
     What depends only on the space and m is fixed here, once per batch: the
-    exponents, whether to soften, the diagonal index, and whether blocks
-    need spreading over their coordinates (not on plain lp)."""
+    exponents, whether to soften, the diagonal's step in a flat (m, m) slab,
+    and whether blocks need spreading over their coordinates (not on plain lp)."""
     p = space.p
     sup = math.isinf(p)
     soften = p < 2.0 and not sup
     eps_sq = SMOOTHING_EPS * SMOOTHING_EPS
-    diag = np.arange(m)
-    blocks = np.arange(space.n_blocks)
+    blocks = np.arange(space.n_blocks)[:, None, None]
     inv_p, decay, curve = 1.0 / p, 1.0 - p, p - 2.0
     plain = space.is_lp
 
     def energy_grad(Q: np.ndarray):
-        delta = Q[..., :, None, :] - Q[..., None, :, :]
-        r = _block_sq_norms(space, delta)  # the call's own array, so taken in place
+        delta = Q[..., None, :] - Q[..., :, None]
+        r = _block_sq_norms(space, delta, axis=-3)  # the call's own array, so taken in place
         if soften:
             r += eps_sq
         np.sqrt(r, out=r)
-        d = np.maximum.reduce(r, axis=-1) if sup else np.add.reduce(r ** p, axis=-1) ** inv_p
-        d[..., diag, diag] = 1.0  # so the diagonal residuals, and with them their weights, are +0
+        d = np.maximum.reduce(r, axis=-3) if sup else np.add.reduce(r ** p, axis=-3) ** inv_p
+        # so the diagonal residuals, and with them their weights, are +0; d is a
+        # fresh C-ordered array, so the reshape is a view of it
+        d.reshape(-1, m * m)[:, ::m + 1] = 1.0
         resid = d - 1.0
         energy = 0.5 * np.add.reduce(resid ** 2, axis=(-2, -1))  # each pair counted twice
-        # w[..., i, j, b]: weight of block b of Q[i] - Q[j] in the gradient at Q[i]
+        # w[..., b, j, i]: weight of block b of Q[i] - Q[j] in the gradient at Q[i]
         if sup:
-            is_max = r.argmax(axis=-1)[..., None] == blocks
-            w = 2.0 * resid[..., None] * is_max / np.maximum(r, 1e-12)
+            is_max = r.argmax(axis=-3)[..., None, :, :] == blocks
+            w = 2.0 * resid[..., None, :, :] * is_max / np.maximum(r, 1e-12)
         else:
             base = 2.0 * resid * np.maximum(d, 1e-12) ** decay
-            w = base[..., None] * r ** curve
+            w = base[..., None, :, :] * r ** curve
         if not plain:  # spread each block's weight over its coordinates
-            w = np.repeat(w, space.blocks, axis=-1)
+            w = np.repeat(w, space.blocks, axis=-3)
         w *= delta
         return energy, np.add.reduce(w, axis=-2)
 
@@ -269,14 +287,19 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
     the final points, the accepted steps and the STOP_CAUSES index of each
     restart.
 
-    The live restarts' state is kept compacted, row k belonging to restart
-    idx[k]; a restart is written back into Q on the tick it leaves.
+    Q is (R, m, dim), and so are the returned points.  In between, the points
+    and gradients are held as (R, dim, m), the layout _search_energy reads and
+    returns: Q is transposed once on entry and the result once on exit.  The
+    live restarts' state is kept compacted, row k belonging to restart idx[k];
+    a restart is written back into the (R, dim, m) copy of Q on the tick it
+    leaves.
     """
     energy_grad = _search_energy(space, Q.shape[1])
     done = 0.25 * cfg.residual_target
     R = Q.shape[0]
     iters_out = np.zeros(R, dtype=int)
     stop_out = np.full(R, -1)
+    Q = np.ascontiguousarray(Q.transpose(0, 2, 1))
     idx, q = np.arange(R), Q
     energy, grad = energy_grad(q)
     step = np.full(R, _STEP_INIT)
@@ -316,13 +339,13 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
             Q[out], iters_out[out], stop_out[out] = q[leave], iters[leave], stop[leave]
             idx, q, energy, grad, step, halvings, iters, checkpoint = (
                 x[keep] for x in (idx, q, energy, grad, step, halvings, iters, checkpoint))
-    return Q, iters_out, stop_out
+    return Q.transpose(0, 2, 1), iters_out, stop_out
 
 
 def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) -> SearchResult:
     """Multi-restart descent toward an m-point unit-equilateral set in space.
 
-    Restarts run in lockstep, in batches whose (batch, m, m, dim) temporaries
+    Restarts run in lockstep, in batches whose (batch, dim, m, m) temporaries
     fit in the kernel's chunk size.  Restarts are merged by lowest residual,
     ties broken by lowest restart index; non-convergence is a reported state,
     not an error.

@@ -190,13 +190,18 @@ _TINY = np.finfo(float).tiny
 _MAX = np.finfo(float).max
 
 
-def _block_sq_norms(space: Space, delta: np.ndarray) -> np.ndarray:
-    """(..., n_blocks) squared Euclidean norms of the blocks of the (..., dim)
-    differences delta.  On a plain lp space each block is one coordinate: delta ** 2."""
+def _block_sq_norms(space: Space, delta: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Squared Euclidean norms of the blocks of the differences delta, whose
+    coordinates lie on the negative axis `axis`; that axis, of length dim,
+    becomes one of length n_blocks.  On a plain lp space each block is one
+    coordinate: delta ** 2.  A block's squares are summed along `axis`, so on the
+    last axis numpy sums 8 or more of them pairwise, and on an earlier axis one
+    slab after another."""
     if space.is_lp:
         return delta ** 2
-    return np.stack([np.add.reduce(delta[..., sl] ** 2, axis=-1) for sl in space.block_slices],
-                    axis=-1)
+    rest = (slice(None),) * (-1 - axis)  # the axes after the coordinate axis
+    return np.stack([np.add.reduce(delta[(..., sl) + rest] ** 2, axis=axis)
+                     for sl in space.block_slices], axis=axis)
 
 
 def pair_block_sq_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:

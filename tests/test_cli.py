@@ -800,6 +800,13 @@ SEARCH_OUTPUTS = [
      "e3777165e2dbbc3480e45ade58f739ad6fdda0f5eb62eb94fb8743bd4b0136fa",
      "search did not converge: residual 3.31549e-10 (best restart 5: 191 iterations, "
      "stop: converged on the search energy, true-norm residual above the target)\n"),
+    # 8 blocks, and a block of 8 coordinates: the energy adds their 8 terms in
+    # order, one (m, m) slab after another, where a sum over a last axis of 8
+    # or more terms is pairwise
+    ("lp:n=8,p=1.5", 5, 9, 0,
+     "ff1eae8ee6492a915e74b3d06cb7ddd0d4da41feea4b2b77cf3a75d21b1b9fb3", ""),
+    ("lpsum:blocks=8,1,p=3", 4, 10, 0,
+     "4b79efd3a72f6b9a6e7ac921c1c48bafb2e524dafe1145df58729f2a6c2edbfa", ""),
 ]
 
 

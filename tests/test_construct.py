@@ -262,6 +262,8 @@ REFERENCE_CASES = [
     (Space(2.0, (1,) * 4), 8, SearchConfig(restarts=3, seed=1), 300),
     (Space(1.0, (1,) * 4), 9, SearchConfig(restarts=2, seed=2), 200),
     (Space(1.0, (1, 1)), 4, SearchConfig(restarts=1, seed=0), 4000),
+    # 8 blocks, the first of 8 coordinates: sums of 8 terms, added in order
+    (Space(3.0, (8,) + (1,) * 7), 4, SearchConfig(restarts=3, seed=0), 4000),
 ]
 
 
@@ -327,8 +329,31 @@ def test_plain_lp_search_makes_no_block_pass(monkeypatch):
     assert res.iterations > 0
 
 
+# spaces whose search energy's gradient is checked against central differences
+GRADIENT_SPACES = ["lp:n=3,p=1", "lp:n=3,p=1.5", "lp:n=3,p=2", "lp:n=3,p=3",
+                   "lpsum:blocks=2,1,p=3", "lp:n=3,p=inf", "lpsum:blocks=2,1,p=inf"]
+
+
+@pytest.mark.parametrize("space", GRADIENT_SPACES)
+def test_search_gradient_matches_central_differences(space):
+    # the energy at Q and at Q +- h in each coordinate of each point, in one call
+    space, m, h = Space.from_string(space), 5, 1e-6
+    dim = space.ambient_dim
+    Q = np.random.default_rng(1).uniform(-1.0, 1.0, size=(dim, m))
+    steps = h * np.eye(dim * m).reshape(-1, dim, m)
+    energy, grad = construct._search_energy(space, m)(np.concatenate([Q[None], Q + steps,
+                                                                      Q - steps]))
+    if math.isinf(space.p):  # the largest block of every pair stays the largest within h
+        norms = np.sort(pair_block_norms(space, Q.T, Q.T), axis=-1)
+        off = ~np.eye(m, dtype=bool)
+        assert np.min(norms[..., -1] - norms[..., -2], where=off, initial=np.inf) > 100 * h
+    n = dim * m
+    central = ((energy[1:n + 1] - energy[n + 1:]) / (2 * h)).reshape(dim, m)
+    assert np.max(np.abs(grad[0] - central)) <= 1e-6 * np.max(np.abs(grad[0]))
+
+
 def test_search_memory_bounded_by_batches(monkeypatch):
-    # 64 restarts at m = 20 in l2^20 take 25 MB unbatched; 16 per batch take 7 MB
+    # 64 restarts at m = 20 in l2^20 trace 17 MB unbatched; 16 per batch trace 4.4 MB
     monkeypatch.setattr(construct, "MAX_ITERS", 2)
     tracemalloc.start()
     try:
