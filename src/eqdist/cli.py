@@ -253,7 +253,8 @@ def _cmd_search(args) -> tuple[object, str | None]:
                restart_index=res.restart_index)
     return out, None if res.converged else (
         f"search did not converge: residual {res.residual:.6g} (best restart "
-        f"{res.restart_index}: {res.iterations} iterations, stop: {res.stop})")
+        f"{res.restart_index}: {res.iterations} iterations, stop: {res.stop}, "
+        f"final damping {res.damping:.3g})")
 
 
 # The parser is built on the first run, not at import, and reused: building

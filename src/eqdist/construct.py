@@ -1,25 +1,17 @@
 """Explicit equilateral configurations and numerical witness search.
 
 All constructions are normalized so every pairwise distance is exactly 1.
-The search minimizes the squared deviation of all pairwise distances from 1
-by multi-restart adaptive-step gradient descent; restarts are seeded
-independently from (seed, restart_index) so results are reproducible.
+The search drives the pair residuals d_ij - 1 to 0 by multi-restart
+Levenberg-Marquardt (damped Gauss-Newton); restarts are seeded independently
+from (seed, restart_index) so results are reproducible.
 
-The restarts advance in lockstep: a batch of them is one (batch, m, dim)
-array, and each tick makes one energy-and-gradient call on every live
-restart's trial point, each restart with its own step size.  The energy
-function is built once per batch, and a tick steps only the live restarts,
-whose state is kept compacted.  A restart leaves the batch when it
-converges, stalls or hits a cap, so each follows the same trajectory as it
-would alone.  Batches are sized so their (batch, dim, m, m) temporaries fit
-in the pairwise kernel's chunk size.
-
-During the descent the points and gradients are held coordinate-major, as
-(batch, dim, m): the energy's pairwise differences are (batch, dim, m, m),
-so its sums over a block's coordinates and over the blocks add whole (m, m)
-slabs one after another, first to last, rather than reduce a short last axis
-per pair.  A sum of 8 or more terms is so added in order, where numpy would
-add it pairwise over a last axis.
+The restarts advance in lockstep, held coordinate-major as one (batch, dim, m)
+array: each tick makes one batched solve of the damped systems and one
+residual-and-Jacobian call on every live restart's trial point, each restart
+with its own damping.  The live restarts' state is kept compacted, and a
+restart leaves the batch when it converges, stalls or hits a cap, so each
+follows the same trajectory as it would alone.  Batches are sized so their
+pair temporaries and damped systems fit in the pairwise kernel's chunk size.
 """
 
 from __future__ import annotations
@@ -160,8 +152,8 @@ def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
 
 
 # Cap on a search's restarts.  Run time grows linearly with them; at the cap,
-# in-process on a 2-vCPU Xeon, the README's l1^3 m = 6 search takes 8.7 s and
-# m = 3 in lp^3 0.43 s, where 10^8 restarts ran past two minutes uncapped.
+# in-process on a 2-vCPU Xeon, the README's l1^3 m = 6 search takes 1.2 s and
+# m = 3 in lp^3 0.1 s, where 10^8 restarts ran past two minutes uncapped.
 SEARCH_MAX_RESTARTS = 1 << 12
 
 
@@ -189,176 +181,184 @@ class SearchResult:
     restart_index: int
     iterations: int      # accepted steps of the best restart
     stop: str            # why the best restart stopped: one of STOP_CAUSES, or ENERGY_ONLY
+    damping: float       # the best restart's damping lambda when it stopped
 
 
-# Why a restart left the descent; _descend records the index, -1 while live.
-STOP_CAUSES = ("converged", "iteration cap", "stalled", "60 halvings", "step underflow")
-# The stop of a best restart whose descent converged on the energy, which
-# softens block norms below p = 2, while its true-norm residual misses the target.
+# Why a restart left the solver; _descend records the index, -1 while live.
+STOP_CAUSES = ("converged", "iteration cap", "stalled", "damping overflow")
+# The stop of a best restart whose residuals converged with block norms
+# softened below p = 2, while its true-norm residual misses the target.
 ENERGY_ONLY = "converged on the search energy, true-norm residual above the target"
-_CONVERGED, _CAPPED, _STALLED, _HALVED, _UNDERFLOW = range(len(STOP_CAUSES))
-MAX_ITERS = 4000  # accepted steps a restart may take
-_STEP_INIT = 0.1
-_MAX_HALVINGS = 60
-_MIN_STEP = 1e-18
-# A restart stalls when, at a multiple of _STALL_WINDOW accepted steps, its
-# energy has not fallen by the fraction _STALL_DROP since the last multiple.
-# Set from every accepted-step energy of the 3,840 restarts of 8 seed-0/1/2
-# witness-search benchmark rounds: over a 100-step window, no converging
-# restart kept more than 0.28 of its energy, while the 120 l1^3 (m = 6)
-# restarts that ran to the 4,000-step cap kept more than 0.9999 from step 100
-# to 200, so they stop at step 200.  Any drop from 1e-3 to 1e-1 splits them
-# the same way.  A 50-step window does not: one converging lpsum restart kept
-# 0.998 of its energy over a 50-step plateau.
-_STALL_WINDOW = 100
+_CONVERGED, _CAPPED, _STALLED, _OVERFLOW = range(len(STOP_CAUSES))
+# Set from every accepted-step energy of 4,784 restarts run with no stall rule
+# or cap: the 3,840 of 8 seed-0/1/2 witness-search benchmark rounds, and 944 on
+# 20 harder cases (p near 1, 2000, 1e300 and inf, lp sums, impossible m).  No
+# converging restart took over 273 accepted steps (lp^6, p = 1.1, m = 9), kept
+# over 0.87 of its energy across 20 (0.965 across 10), or stepped at a damping
+# over 35.  A restart stalls when, at a multiple of _STALL_WINDOW steps, its
+# energy has not fallen by the fraction _STALL_DROP since the last one.  A limit
+# of 1e8, not 1e16, kept all 480 round outputs and cut residual calls by 16%.
+# Without _DAMPING_MIN an l2^2 m = 6 restart reached 1.7e-16 and a singular
+# system.  _DAMPING_INIT from 1e-1 to 1e-3 ran the 24 rounds within 4%.
+MAX_ITERS = 500  # accepted steps a restart may take
+_STALL_WINDOW = 20
 _STALL_DROP = 1e-2
-# Cap on one restart's m * m * dim.  Its energy and gradient hold about four
-# (dim, m, m) float arrays at once (4.2 MB traced per 1 MB array on plain lp,
-# 3.1 MB on an lp sum of 2-dimensional blocks, at m = 64), and a batch never
-# holds less than one restart: at 1 << 22 entries a one-restart search traced
-# 131 MB on lp^64 (m = 256) and 99 MB on an lp sum of 32 planes.
+_DAMPING_INIT, _DAMPING_MIN, _DAMPING_MAX = 1e-3, 1e-12, 1e8
+# Caps on one restart's m * m * dim pair coordinates and on the order
+# k = min(m(m-1)/2, m * dim) of its damped system, whose k * k doubles take about
+# k^3 operations per step.  At the caps a one-restart search traced 145 MB on
+# lp^1024 (m = 64) and 272 MB on the line (m = 2048, k = 2048, 0.44 s a step).
 SEARCH_MAX_PAIR_COORDS = 1 << 22
+SEARCH_MAX_SYSTEM = 1 << 11
 # Added in quadrature to the block norms for 1 <= p < 2, where |.|^p is not
 # differentiable at 0.
 SMOOTHING_EPS = 1e-9
 
 
-def _search_energy(space: Space, m: int):
+def _search_residuals(space: Space, m: int):
     """The function that maps a (..., dim, m) array Q, whose column i is point i,
-    to the energies sum_{i<j} (d_ij - 1)^2, with softened block norms, and their
-    (..., dim, m) gradients, for each configuration on the leading axes of Q.
-
-    The coordinate axis comes ahead of the two pair axes: the differences are
-    one (..., dim, m, m) array, delta[..., k, j, i] = Q[..., k, i] - Q[..., k, j].
-    So every sum over the coordinates of a block, the p-sum over blocks and the
-    sup-norm maximum reduce over axis -3, where numpy adds or compares whole
-    (m, m) slabs one after another, first to last, and the sup-norm's argmax is
-    taken over that axis too; the gradient's sum over j reduces over axis -2,
-    also in order.  A sum of fewer than 8 terms has the same bits as over a
-    last axis; one of 8 or more need not, as numpy adds those pairwise.
-
-    What depends only on the space and m is fixed here, once per batch: the
-    exponents, whether to soften, the diagonal's step in a flat (m, m) slab,
-    and whether blocks need spreading over their coordinates (not on plain lp)."""
-    p = space.p
-    sup = math.isinf(p)
+    to the energies sum (d_ij - 1)^2, the residuals d_ij - 1 (..., P) over the P
+    pairs i < j in np.triu_indices order, and their gradients g = dd_ij/dx_i =
+    -dd_ij/dx_j (..., dim, P), all with softened block norms.  With r_b the
+    block norms of x_i - x_j, d = r_max (sum_b (r_b/r_max)^p)^(1/p) and g =
+    (r_b/d)^(p-2) (x_i - x_j)/d on block b, so no r^p is formed unscaled; at
+    p = inf g is (x_i - x_j)/d on the first largest block.  The sums over a
+    block's coordinates and over the blocks add whole slabs, first to last."""
+    p, sup, plain = space.p, math.isinf(space.p), space.is_lp
     soften = p < 2.0 and not sup
-    eps_sq = SMOOTHING_EPS * SMOOTHING_EPS
-    blocks = np.arange(space.n_blocks)[:, None, None]
-    inv_p, decay, curve = 1.0 / p, 1.0 - p, p - 2.0
-    plain = space.is_lp
+    blocks = np.arange(space.n_blocks)[:, None]
+    i, j = np.triu_indices(m, 1)
 
-    def energy_grad(Q: np.ndarray):
-        delta = Q[..., None, :] - Q[..., :, None]
-        r = _block_sq_norms(space, delta, axis=-3)  # the call's own array, so taken in place
+    def residuals(Q: np.ndarray):
+        delta = np.take(Q, i, axis=-1) - np.take(Q, j, axis=-1)  # C-ordered, unlike Q[..., i]
+        r = _block_sq_norms(space, delta, axis=-2)  # the call's own array, so taken in place
         if soften:
-            r += eps_sq
+            r += SMOOTHING_EPS * SMOOTHING_EPS
         np.sqrt(r, out=r)
-        d = np.maximum.reduce(r, axis=-3) if sup else np.add.reduce(r ** p, axis=-3) ** inv_p
-        # so the diagonal residuals, and with them their weights, are +0; d is a
-        # fresh C-ordered array, so the reshape is a view of it
-        d.reshape(-1, m * m)[:, ::m + 1] = 1.0
-        resid = d - 1.0
-        energy = 0.5 * np.add.reduce(resid ** 2, axis=(-2, -1))  # each pair counted twice
-        # w[..., b, j, i]: weight of block b of Q[i] - Q[j] in the gradient at Q[i]
+        top = np.maximum.reduce(r, axis=-2)
         if sup:
-            is_max = r.argmax(axis=-3)[..., None, :, :] == blocks
-            w = 2.0 * resid[..., None, :, :] * is_max / np.maximum(r, 1e-12)
+            d, w = top, r.argmax(axis=-2)[..., None, :] == blocks
         else:
-            base = 2.0 * resid * np.maximum(d, 1e-12) ** decay
-            w = base[..., None, :, :] * r ** curve
+            d = top * np.add.reduce((r / top[..., None, :]) ** p, axis=-2) ** (1.0 / p)
+            w = (r / d[..., None, :]) ** (p - 2.0)
         if not plain:  # spread each block's weight over its coordinates
-            w = np.repeat(w, space.blocks, axis=-3)
-        w *= delta
-        return energy, np.add.reduce(w, axis=-2)
+            w = np.repeat(w, space.blocks, axis=-2)
+        res = d - 1.0
+        return np.add.reduce(res * res, axis=-1), res, w * delta / d[..., None, :]
 
-    return energy_grad
+    return residuals
+
+
+def _damped_step(m: int, dim: int):
+    """The function that maps residuals res (B, P), per-pair gradients G
+    (B, dim, P) and dampings lam (B,) to the steps -(J^T J + lam I)^-1 J^T res
+    (B, dim, m).  J (row a = (i, j): g_a at point i, -g_a at j) is never formed:
+    with M the (P, m) pair incidence, if P <= m dim the step is -J^T y, where
+    (S o G^T G + lam I) y = res and S = M M^T.  Otherwise J^T J's block (i, j)
+    is -g_a g_a^T, each row of blocks sums to 0, and J^T res at point i sums
+    res_a g_a over the pairs (i, j) and -res_a g_a over (j, i)."""
+    i, j = np.triu_indices(m, 1)
+    P, k = i.size, m * dim
+    if P <= k:  # then P <= SEARCH_MAX_SYSTEM, so M is small
+        M = np.zeros((P, m))
+        M[np.arange(P), i], M[np.arange(P), j] = 1.0, -1.0
+        S = M @ M.T
+
+        def dual(res, G, lam):
+            A = np.swapaxes(G, -1, -2) @ G
+            A *= S
+            A.reshape(-1, P * P)[:, ::P + 1] += lam[:, None]
+            y = np.linalg.solve(A, res[..., None])[..., 0]
+            return -((y[:, None, :] * G) @ M)
+        return dual
+
+    def primal(res, G, lam):
+        H = np.zeros((G.shape[0], dim, m, dim, m))
+        view = H.transpose(0, 1, 3, 2, 4)  # (B, dim, dim, m, m)
+        view[..., i, j] = view[..., j, i] = -(G[:, :, None, :] * G[:, None, :, :])
+        view[..., np.arange(m), np.arange(m)] = -np.add.reduce(view, axis=-1)
+        H.reshape(-1, k * k)[:, ::k + 1] += lam[:, None]
+        T = np.zeros((G.shape[0], dim, m, m))
+        T[..., i, j] = weighted = res[:, None, :] * G
+        T[..., j, i] = -weighted
+        rhs = np.add.reduce(T, axis=-1).reshape(-1, k, 1)
+        return -np.linalg.solve(H.reshape(-1, k, k), rhs).reshape(-1, dim, m)
+
+    return primal
 
 
 def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
-    """Backtracking descent of the restarts stacked on the first axis of Q.
+    """Levenberg-Marquardt on the pair residuals of the restarts stacked on the
+    first axis of Q, (R, m, dim).  Returns their final points, (R, m, dim), and
+    the accepted steps, STOP_CAUSES index and final damping of each.
 
-    Each tick takes every live restart's trial point q - step * grad and
-    computes its energy and gradient in one call.  One masked rule then
-    updates every restart: one whose energy falls moves there and grows its
-    step by 1.3; the others halve their step.  A restart stops when it
+    Each tick makes one _search_residuals call on every live restart's trial
+    point q + _damped_step.  One masked rule then updates every restart: one
+    whose energy E falls moves there and divides its damping by 3, down to
+    _DAMPING_MIN; the others multiply theirs by 4.  A restart stops when it
     converges (sqrt(E) <= residual_target / 4), stalls (see _STALL_WINDOW),
-    reaches MAX_ITERS accepted steps, or cannot find a lower energy.  Returns
-    the final points, the accepted steps and the STOP_CAUSES index of each
-    restart.
-
-    Q is (R, m, dim), and so are the returned points.  In between, the points
-    and gradients are held as (R, dim, m), the layout _search_energy reads and
-    returns: Q is transposed once on entry and the result once on exit.  The
-    live restarts' state is kept compacted, row k belonging to restart idx[k];
-    a restart is written back into the (R, dim, m) copy of Q on the tick it
-    leaves.
+    reaches MAX_ITERS accepted steps, or its damping passes _DAMPING_MAX.  The
+    points are held as (R, dim, m), and the live restarts' state compacted, row
+    k belonging to restart idx[k], written back into Q on the tick it leaves.
     """
-    energy_grad = _search_energy(space, Q.shape[1])
+    R, m, dim = Q.shape
+    residuals, step = _search_residuals(space, m), _damped_step(m, dim)
     done = 0.25 * cfg.residual_target
-    R = Q.shape[0]
-    iters_out = np.zeros(R, dtype=int)
-    stop_out = np.full(R, -1)
+    iters_out, stop_out, lam_out = np.zeros(R, dtype=int), np.full(R, -1), np.zeros(R)
     Q = np.ascontiguousarray(Q.transpose(0, 2, 1))
     idx, q = np.arange(R), Q
-    energy, grad = energy_grad(q)
-    step = np.full(R, _STEP_INIT)
-    halvings = np.zeros(R, dtype=int)
+    energy, res, G = residuals(q)
+    lam = np.full(R, _DAMPING_INIT)
     iters = np.zeros(R, dtype=int)
     checkpoint = energy.copy()  # the energy at the last multiple of _STALL_WINDOW steps
-    tick = 0
     while idx.size:
-        tick += 1
-        trial = q - step[:, None, None] * grad
-        en, g = energy_grad(trial)
+        trial = q + step(res, G, lam)
+        en, r, g = residuals(trial)
         ok = en < energy
         np.copyto(q, trial, where=ok[:, None, None])
-        np.copyto(grad, g, where=ok[:, None, None])
+        np.copyto(res, r, where=ok[:, None])
+        np.copyto(G, g, where=ok[:, None, None])
         np.copyto(energy, en, where=ok)
-        step *= np.where(ok, 1.3, 0.5)
-        halvings = np.where(ok, 0, halvings + 1)
+        lam = np.where(ok, np.maximum(lam / 3.0, _DAMPING_MIN), lam * 4.0)
         iters += ok
-        # later assignments win: underflow over halvings
-        stop = np.where(halvings >= _MAX_HALVINGS, _HALVED, -1)
-        stop[~ok & (step < _MIN_STEP)] = _UNDERFLOW
-        # later assignments win: converged over a stall over the cap.  A
-        # restart's steps never outnumber the ticks, so neither count is reached
-        # earlier; a live restart is below MAX_ITERS, so only one that stepped on
-        # this tick can reach it
-        if tick >= MAX_ITERS:
-            stop[iters >= MAX_ITERS] = _CAPPED
-        if tick >= _STALL_WINDOW:
-            check = ok & (iters % _STALL_WINDOW == 0)
-            if check.any():  # most ticks bring no restart to a checkpoint
-                stop[check & (energy > (1.0 - _STALL_DROP) * checkpoint)] = _STALLED
-                checkpoint[check] = energy[check]
+        stop = np.where(lam > _DAMPING_MAX, _OVERFLOW, -1)
+        # later assignments win: converged over a stall over the cap.  Only a
+        # restart that stepped on this tick can reach any of the three
+        stop[iters >= MAX_ITERS] = _CAPPED
+        check = ok & (iters % _STALL_WINDOW == 0)
+        if check.any():  # most ticks bring no restart to a checkpoint
+            stop[check & (energy > (1.0 - _STALL_DROP) * checkpoint)] = _STALLED
+            checkpoint[check] = energy[check]
         stop[ok & (np.sqrt(energy) <= done)] = _CONVERGED
         leave = stop >= 0
         if leave.any():
             out, keep = idx[leave], ~leave
-            Q[out], iters_out[out], stop_out[out] = q[leave], iters[leave], stop[leave]
-            idx, q, energy, grad, step, halvings, iters, checkpoint = (
-                x[keep] for x in (idx, q, energy, grad, step, halvings, iters, checkpoint))
-    return Q.transpose(0, 2, 1), iters_out, stop_out
+            Q[out], iters_out[out], stop_out[out], lam_out[out] = (
+                q[leave], iters[leave], stop[leave], lam[leave])
+            idx, q, res, G, energy, lam, iters, checkpoint = (
+                x[keep] for x in (idx, q, res, G, energy, lam, iters, checkpoint))
+    return Q.transpose(0, 2, 1), iters_out, stop_out, lam_out
 
 
 def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) -> SearchResult:
-    """Multi-restart descent toward an m-point unit-equilateral set in space.
+    """Multi-restart Levenberg-Marquardt toward an m-point unit-equilateral set
+    in space.
 
     Restarts run in lockstep, in batches whose (batch, dim, m, m) temporaries
-    fit in the kernel's chunk size.  Restarts are merged by lowest residual,
-    ties broken by lowest restart index; non-convergence is a reported state,
-    not an error.
+    and (batch, k, k) damped systems fit in the kernel's chunk size.  Restarts
+    are merged by lowest residual, ties broken by lowest restart index;
+    non-convergence is a reported state, not an error.
     """
     m = require_int("m", m, 2)
     cfg = cfg or SearchConfig()
     dim = space.ambient_dim
-    pair_coords = m * m * dim
-    if pair_coords > SEARCH_MAX_PAIR_COORDS:
-        raise ResourceLimitError(
-            f"search of {shown(m)} points in dimension {dim} needs {shown(pair_coords)} "
-            f"pair coordinates per restart, above the cap of {SEARCH_MAX_PAIR_COORDS}")
-    batch = max(1, space_mod._CHUNK_BYTES // (8 * pair_coords))
+    pair_coords, order = m * m * dim, min(m * (m - 1) // 2, m * dim)
+    for size, what, cap in ((pair_coords, "pair coordinates", SEARCH_MAX_PAIR_COORDS),
+                            (order, "damped-system rows", SEARCH_MAX_SYSTEM)):
+        if size > cap:
+            raise ResourceLimitError(f"search of {shown(m)} points in dimension {dim} needs "
+                                     f"{shown(size)} {what} per restart, above the cap of {cap}")
+    batch = max(1, space_mod._CHUNK_BYTES // (8 * max(pair_coords, order * order)))
     i, j = np.triu_indices(m, 1)
     best = None
     for first in range(0, cfg.restarts, batch):
@@ -366,15 +366,15 @@ def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) ->
         Q = np.stack([np.random.default_rng([cfg.seed, r]).uniform(-1.0, 1.0, size=(m, dim))
                       for r in restarts])
         with np.errstate(all="ignore"):  # a non-finite energy is a rejected step
-            Q, iters, stops = _descend(Q, space, cfg)
+            Q, iters, stops, lams = _descend(Q, space, cfg)
         # max over pairs of |d_ij - 1| for every restart of the batch, in the true norm
         dists = _outer_norm(pair_block_norms(space, Q, Q), space.p)[:, i, j]
         resids = np.max(np.abs(dists - 1.0), axis=1)
         k = np.argmin(resids)  # the first of equal residuals
         if best is None or resids[k] < best[0]:
-            best = (float(resids[k]), restarts[k], Q[k], int(iters[k]), STOP_CAUSES[stops[k]])
-    resid, restart, q, iters, stop = best
+            best = (float(resids[k]), restarts[k], Q[k], iters[k], stops[k], lams[k])
+    resid, restart, q, iters, stop, lam = best
     converged = resid <= cfg.residual_target
-    if stop == STOP_CAUSES[_CONVERGED] and not converged:
-        stop = ENERGY_ONLY
-    return SearchResult(PointSet(space, q), resid, converged, restart, iters, stop)
+    cause = ENERGY_ONLY if stop == _CONVERGED and not converged else STOP_CAUSES[stop]
+    return SearchResult(PointSet(space, q), resid, converged, restart, int(iters), cause,
+                        float(lam))

@@ -1,18 +1,23 @@
 """The one-restart-at-a-time witness search, kept as the reference that the
 lockstep search in ``eqdist.construct`` must match bit for bit.
 
-Each restart runs its own backtracking descent: an energy-only call per
-trial step and a separate energy-and-gradient call per accepted step.  It
-stops as the lockstep search does: converged, stalled (the energy fell by
-less than the fraction _STALL_DROP over the last _STALL_WINDOW accepted
-steps), at the iteration cap, or when no step is found.  It reads these
-constants from ``eqdist.construct`` at each call, so a test may patch them.
-``descend_reference`` gives every restart's final points, accepted steps and
-stop cause, ``search_reference`` the best restart.
+Each restart runs its own Levenberg-Marquardt loop: one residual-and-gradient
+call per trial point, accepted when the energy sum (d_ij - 1)^2 falls.  An
+accepted step divides the damping by 3, down to _DAMPING_MIN; a rejected one
+multiplies it by 4.  A restart stops as the lockstep search does: converged,
+stalled (the energy fell by less than the fraction _STALL_DROP over the last
+_STALL_WINDOW accepted steps), at the iteration cap, or when its damping
+passes _DAMPING_MAX.  It reads these constants from ``eqdist.construct`` at
+each call, so a test may patch them.  ``descend_reference`` gives every
+restart's final points, accepted steps, stop cause and damping,
+``search_reference`` the best restart.
 
-The squares of a block's coordinates, and the blocks' powers, are added one
-term after another, first to last, as the search adds them slab by slab; so
-the sums of 8 or more terms match it too.
+One restart's points are held as (dim, m), and its pair differences as
+(dim, P) over the pairs i < j in ``np.triu_indices`` order, so that each
+product and solve below is the one the lockstep search makes for that
+restart.  The squares of a block's coordinates, and the blocks' powers, are
+added one term after another, first to last, as the search adds them slab by
+slab; so the sums of 8 or more terms match it too.
 """
 
 import functools
@@ -25,40 +30,57 @@ from eqdist.space import PointSet, Space, distance_matrix
 
 
 def _in_order(x: np.ndarray) -> np.ndarray:
-    """The sum over the last axis of x, the first term first."""
-    return functools.reduce(np.add, np.moveaxis(x, -1, 0))
+    """The sum over the first axis of x, the first term first."""
+    return functools.reduce(np.add, x)
 
 
-def pair_energy_grad(Q: np.ndarray, space: Space, eps: float, want_grad: bool):
-    """Energy sum_{i<j} (d_ij - 1)^2 with softened block norms, and gradient."""
-    m = Q.shape[0]
-    delta = Q[:, None, :] - Q[None, :, :]
-    sq = np.stack([_in_order(delta[:, :, sl] ** 2) for sl in space.block_slices], axis=2)
+def pair_residuals(Q: np.ndarray, space: Space, eps: float):
+    """Residuals d_ij - 1, (P,), with softened block norms, and per-pair
+    gradients g = dd_ij/dx_i, (dim, P), of the points Q (dim, m)."""
+    i, j = np.triu_indices(Q.shape[1], 1)
+    delta = Q[:, i] - Q[:, j]
+    sq = np.array([_in_order(delta[sl] ** 2) for sl in space.block_slices])
     soften = space.p < 2.0 and math.isfinite(space.p)
     r = np.sqrt(sq + eps * eps) if soften else np.sqrt(sq)
-    eye = np.eye(m, dtype=bool)
+    top = r.max(axis=0)
     if math.isinf(space.p):
-        d = r.max(axis=2)
+        d = top
+        w = r.argmax(axis=0) == np.arange(space.n_blocks)[:, None]
     else:
-        rp = r ** space.p
-        ssum = _in_order(rp)
-        ssum[eye] = 1.0
-        d = ssum ** (1.0 / space.p)
-    d[eye] = 1.0
-    resid = d - 1.0
-    resid[eye] = 0.0
-    energy = 0.5 * float(np.sum(resid ** 2))  # each pair counted twice
-    if not want_grad:
-        return energy, None
-    # w[i, j, b]: weight of block b of Q[i] - Q[j] in the gradient at Q[i]
-    if math.isinf(space.p):
-        is_max = r.argmax(axis=2)[:, :, None] == np.arange(space.n_blocks)
-        w = 2.0 * resid[:, :, None] * is_max / np.maximum(r, 1e-12)
-    else:
-        base = 2.0 * resid * np.maximum(d, 1e-12) ** (1.0 - space.p)
-        w = base[:, :, None] * r ** (space.p - 2.0)
-    w[eye] = 0.0
-    return energy, np.sum(np.repeat(w, space.blocks, axis=2) * delta, axis=1)
+        d = top * _in_order((r / top) ** space.p) ** (1.0 / space.p)
+        w = (r / d) ** (space.p - 2.0)
+    return d - 1.0, np.repeat(w, space.blocks, axis=0) * delta / d
+
+
+def damped_step(res: np.ndarray, G: np.ndarray, lam: float) -> np.ndarray:
+    """-(J^T J + lam I)^-1 J^T res for one restart, (dim, m): by the P x P
+    system S o G^T G + lam I when P <= m dim, else by J^T J itself."""
+    dim, P = G.shape
+    m = int(round((1 + math.sqrt(1 + 8 * P)) / 2))
+    i, j = np.triu_indices(m, 1)
+    if P <= m * dim:
+        M = np.zeros((P, m))
+        M[np.arange(P), i] = 1.0
+        M[np.arange(P), j] = -1.0
+        A = (G.T @ G) * (M @ M.T)
+        A[np.diag_indices(P)] += lam
+        y = np.linalg.solve(A, res[:, None])[:, 0]
+        return -((y * G) @ M)
+    # J^T J and J^T res, pair by pair
+    k = m * dim
+    H = np.zeros((dim, m, dim, m))
+    T = np.zeros((dim, m, m))
+    for a in range(P):
+        H[:, i[a], :, j[a]] = H[:, j[a], :, i[a]] = -np.outer(G[:, a], G[:, a])
+        T[:, i[a], j[a]] = res[a] * G[:, a]
+        T[:, j[a], i[a]] = -T[:, i[a], j[a]]
+    rows = -np.add.reduce(H.transpose(0, 2, 1, 3), axis=-1)  # (dim, dim, m)
+    for point in range(m):
+        H[:, point, :, point] = rows[:, :, point]
+    H = H.reshape(k, k)
+    H[np.diag_indices(k)] += lam
+    rhs = np.add.reduce(T, axis=-1).reshape(k, 1)
+    return -np.linalg.solve(H, rhs).reshape(dim, m)
 
 
 def true_residual(Q: np.ndarray, space: Space) -> float:
@@ -68,44 +90,40 @@ def true_residual(Q: np.ndarray, space: Space) -> float:
     return float(np.max(np.abs(off - 1.0))) if off.size else 0.0
 
 
-def descend_reference(Q: np.ndarray, space: Space, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(final points, accepted steps, STOP_CAUSES index) of each restart stacked
-    on the first axis of Q, each descending alone; the values construct._descend
-    returns for the same Q."""
+def descend_reference(Q: np.ndarray, space: Space, cfg):
+    """(final points, accepted steps, STOP_CAUSES index, final damping) of
+    each restart stacked on the first axis of Q, each descending alone; the
+    values construct._descend returns for the same Q."""
     finals = [_descend_one(q, space, cfg) for q in Q]
-    return (np.array([f[0] for f in finals]), np.array([f[1] for f in finals]),
-            np.array([f[2] for f in finals]))
+    return tuple(np.array([f[n] for f in finals]) for n in range(4))
 
 
-def _descend_one(Q: np.ndarray, space: Space, cfg) -> tuple[np.ndarray, int, int]:
+def _descend_one(Q: np.ndarray, space: Space, cfg):
     eps = construct.SMOOTHING_EPS
-    step = construct._STEP_INIT
-    energy, grad = pair_energy_grad(Q, space, eps, True)
-    checkpoint = energy
-    it = 0
+    q = np.ascontiguousarray(Q.T)
+    res, G = pair_residuals(q, space, eps)
+    energy = np.add.reduce(res * res)
+    checkpoint, lam, it = energy, construct._DAMPING_INIT, 0
     while True:
-        for _ in range(construct._MAX_HALVINGS):
-            Qn = Q - step * grad
-            en, _ = pair_energy_grad(Qn, space, eps, False)
-            if en < energy:
-                break
-            step *= 0.5
-            if step < construct._MIN_STEP:
-                return Q, it, construct._UNDERFLOW
-        else:
-            return Q, it, construct._HALVED
-        Q, energy = Qn, en
-        step *= 1.3
+        trial = q + damped_step(res, G, lam)
+        r, g = pair_residuals(trial, space, eps)
+        en = np.add.reduce(r * r)
+        if not en < energy:
+            lam *= 4.0
+            if lam > construct._DAMPING_MAX:
+                return q.T, it, construct._OVERFLOW, lam
+            continue
+        q, res, G, energy = trial, r, g, en
+        lam = max(lam / 3.0, construct._DAMPING_MIN)
         it += 1
-        if math.sqrt(max(energy, 0.0)) <= 0.25 * cfg.residual_target:
-            return Q, it, construct._CONVERGED
+        if math.sqrt(energy) <= 0.25 * cfg.residual_target:
+            return q.T, it, construct._CONVERGED, lam
         if it % construct._STALL_WINDOW == 0:
             if energy > (1.0 - construct._STALL_DROP) * checkpoint:
-                return Q, it, construct._STALLED
+                return q.T, it, construct._STALLED, lam
             checkpoint = energy
         if it >= construct.MAX_ITERS:
-            return Q, it, construct._CAPPED
-        grad = pair_energy_grad(Q, space, eps, True)[1]
+            return q.T, it, construct._CAPPED, lam
 
 
 def search_reference(space: Space, m: int, cfg) -> tuple[np.ndarray, float, int]:

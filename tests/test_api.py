@@ -52,7 +52,8 @@ PUBLIC_FIELDS = {
     "Formula": ("expression", "constants", "numeric"),
     "PointSet": ("space", "points"),
     "SearchConfig": ("restarts", "seed", "residual_target"),
-    "SearchResult": ("points", "residual", "converged", "restart_index", "iterations", "stop"),
+    "SearchResult": ("points", "residual", "converged", "restart_index", "iterations", "stop",
+                     "damping"),
     "Space": ("p", "blocks"),
     "SymMatrix": ("dim", "entries"),
 }

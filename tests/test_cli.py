@@ -591,7 +591,8 @@ def test_certify_takes_its_exponent_from_the_points(fuzz_dir, flag):
 
 
 def test_search_huge_p_one_stderr_line():
-    code, out, err = _run_quietly(["search", "--space", "lp:n=2,p=1e300", "--m", "3"])
+    # l_inf^2 holds at most 4 equilateral points, so 5 at p = 1e300 cannot converge
+    code, out, err = _run_quietly(["search", "--space", "lp:n=2,p=1e300", "--m", "5"])
     assert code == 2 and json.loads(out)["converged"] is False
     assert err.count("\n") == 1 and err.startswith("search did not converge")
 
@@ -759,54 +760,74 @@ def test_search_cli_nonconverged(capsys):
 
 
 def test_readme_search_energy_calls(capsys, monkeypatch):
-    # 24 of this search's 32 restarts stall.  23 of them used to run to the
-    # 4,000-step cap, and the search made 5,539 energy calls; the stdout is
-    # the bytes it printed then.
+    # 8 of this search's 32 restarts stall and 14 pass the damping limit; the
+    # search makes 100 residual calls, where the first-order descent it replaced
+    # made 478 energy calls (5,539 before the stall rule)
     calls = []
-    build = construct._search_energy
+    build = construct._search_residuals
 
     def counted(space, m):
-        energy_grad = build(space, m)
-        return lambda Q: calls.append(1) or energy_grad(Q)
+        residuals = build(space, m)
+        return lambda Q: calls.append(1) or residuals(Q)
 
-    monkeypatch.setattr(construct, "_search_energy", counted)
+    monkeypatch.setattr(construct, "_search_residuals", counted)
     code, out, _ = _run(capsys, "search", "--space", "lp:n=3,p=1", "--m", "6",
                         "--restarts", "32", "--seed", "7", "--target", "1e-8")
-    assert code == 0 and len(calls) < 1000
+    assert code == 0 and len(calls) < 250
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "d2fb42b0782a593230639c4928dbc425d98ebb681458e2d5f10f4ad035a83154"
+        "bad4536751ef12711fb7a504d82669962b926be8087e168e5d74f390385daa86"
+
+
+@pytest.mark.parametrize("p", ["2000", "100000"])
+def test_search_large_p_converges(capsys, p):
+    # the first-order descent made no step here (residual 0.385, exit 2): it
+    # formed r^p unscaled
+    code, out, err = _run(capsys, "search", "--space", f"lp:n=3,p={p}", "--m", "4")
+    assert (code, err) == (0, "") and json.loads(out)["residual"] <= 1e-10
+
+
+def test_search_near_p_1_converges_in_time(capsys):
+    # 9 points in l_1.05^6: the first-order descent ended at 4.19e-10 after
+    # 0.88 s; this solver reaches 1.2e-15 in about 0.2 s on a 2-vCPU Xeon
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "search", "--space", "lp:n=6,p=1.05", "--m", "9",
+                          "--restarts", "64")
+    assert time.perf_counter() - start < 5.0
+    assert (code, err) == (0, "") and json.loads(out)["residual"] <= 1e-10
 
 
 # (space, m, seed, exit code, sha256 of stdout, stderr) of searches at the
-# default 8 restarts.  The descent's float operations and their order fix
+# default 8 restarts.  The solver's float operations and their order fix
 # every trajectory, so any change to them shows here byte for byte.
 SEARCH_OUTPUTS = [
     ("lp:n=3,p=1.5", 4, 3, 0,
-     "fc537e703ebecde0fea73b16d77b723efd945d23861b90d70ad713c3769bf365", ""),
+     "5261e4e7a7385b8953d26b4444d1ba99ae11c16db88fc35d9df37bb424459487", ""),
     ("lp:n=3,p=2.5", 4, 4, 0,
-     "111f5d5f89bcfa789b4bad6aec7b112b9f3e69ea9593782d77e22f87fd93706a", ""),
+     "98fd69092a18636ed5fc09ca5e0382a3871acb497a178aa0c913f67b2de9ae93", ""),
     ("lp:n=3,p=inf", 5, 5, 0,
-     "b32e17a5c1cfe67edaa1380d9261138fb969cfe53ec19f465d75e7275c36a8ff", ""),
+     "130f5ac936892051bca856e3d540243814c940a9bc0f3707a4350412cbb79fb5", ""),
     ("lpsum:blocks=2,2,p=4", 5, 6, 0,
-     "03e14840f5a4185ca1890b7adf17b72cf8ed1583416e94f85ba58c89487bf79f", ""),
+     "9802bc1c1b1dcfd632684fae90be8e99653ff5950e6a73808cf780b514bae2aa", ""),
     ("lpsum:blocks=2,1,p=inf", 4, 7, 0,
-     "29e3021496ee0bf555fedc5fd8f11236369c84404d55887f06a09f5617743518", ""),
+     "3eb698e377d444c42e585d9f7e8b6f4e72a09cb666a42481ca3a5bcafca78da4", ""),
     ("lp:n=2,p=2", 4, 8, 2,
-     "675ea59550f7387c1d8387db0462bbd79fb6abc2ca7ff48efbbd2dc9ab60ac56",
-     "search did not converge: residual 0.207107 (best restart 4: 24 iterations, "
-     "stop: step underflow)\n"),
-    # the descent converges on the softened energy, the true-norm residual does not
-    ("lp:n=4,p=1.02", 6, 0, 2,
-     "e3777165e2dbbc3480e45ade58f739ad6fdda0f5eb62eb94fb8743bd4b0136fa",
-     "search did not converge: residual 3.31549e-10 (best restart 5: 191 iterations, "
-     "stop: converged on the search energy, true-norm residual above the target)\n"),
-    # 8 blocks, and a block of 8 coordinates: the energy adds their 8 terms in
-    # order, one (m, m) slab after another, where a sum over a last axis of 8
-    # or more terms is pairwise
+     "73993a1e5046504e88efca725f5fa0125b99a0de6f0ff92fd510c6f106b1e68f",
+     "search did not converge: residual 0.207107 (best restart 0: 13 iterations, "
+     "stop: damping overflow, final damping 1.81e+08)\n"),
+    # the residuals converge with softened block norms, the true-norm residual
+    # does not; at seed 0 both converge
+    ("lp:n=4,p=1.02", 6, 10, 2,
+     "32842b83cefdd583a0363ee966883667567171e5985011dd7a572f3f336b470d",
+     "search did not converge: residual 1.87709e-09 (best restart 7: 59 iterations, "
+     "stop: converged on the search energy, true-norm residual above the target, "
+     "final damping 1e-12)\n"),
+    # 8 blocks, and a block of 8 coordinates: the residuals add their 8 terms in
+    # order, one slab after another, where a sum over a last axis of 8 or more
+    # terms is pairwise
     ("lp:n=8,p=1.5", 5, 9, 0,
-     "ff1eae8ee6492a915e74b3d06cb7ddd0d4da41feea4b2b77cf3a75d21b1b9fb3", ""),
+     "23fee7bf185ed2392e4b9b77dc862cf424bf5a976a13dd5e1ffb3a7cc57a1e4b", ""),
     ("lpsum:blocks=8,1,p=3", 4, 10, 0,
-     "4b79efd3a72f6b9a6e7ac921c1c48bafb2e524dafe1145df58729f2a6c2edbfa", ""),
+     "bbc2036e2e546e3914c4437491384d04282bf3e2f2aff63469b0d4da82b351cd", ""),
 ]
 
 

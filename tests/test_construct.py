@@ -250,47 +250,59 @@ def test_search_config_validation():
         search_equilateral(Space(2.0, (1,)), 1)
 
 
-# (space, m, config, the construct.MAX_ITERS to run it with)
+# (space, m, config); the last three solve the J^T J system (m > 2 dim + 1),
+# and at m = 9 sum rows of 9 blocks
 REFERENCE_CASES = [
-    (Space(1.0, (1,) * 3), 6, SearchConfig(restarts=3, seed=7, residual_target=1e-8), 400),
-    (Space(1.5, (1,) * 3), 4, SearchConfig(restarts=8, seed=1), 4000),
-    (Space(2.0, (1, 1)), 4, SearchConfig(restarts=6, seed=3), 4000),
-    (Space(3.0, (1, 1)), 3, SearchConfig(restarts=8, seed=5), 4000),
-    (Space(math.inf, (1,) * 3), 5, SearchConfig(restarts=8, seed=2), 4000),
-    (Space(1.5, (2, 1)), 5, SearchConfig(restarts=4, seed=4), 300),
-    (Space(math.inf, (2, 1)), 4, SearchConfig(restarts=8, seed=9, residual_target=1e-8), 4000),
-    (Space(2.0, (1,) * 4), 8, SearchConfig(restarts=3, seed=1), 300),
-    (Space(1.0, (1,) * 4), 9, SearchConfig(restarts=2, seed=2), 200),
-    (Space(1.0, (1, 1)), 4, SearchConfig(restarts=1, seed=0), 4000),
+    (Space(1.0, (1,) * 3), 6, SearchConfig(restarts=3, seed=7, residual_target=1e-8)),
+    (Space(1.5, (1,) * 3), 4, SearchConfig(restarts=8, seed=1)),
+    (Space(2.0, (1, 1)), 4, SearchConfig(restarts=6, seed=3)),
+    (Space(3.0, (1, 1)), 3, SearchConfig(restarts=8, seed=5)),
+    (Space(math.inf, (1,) * 3), 5, SearchConfig(restarts=8, seed=2)),
+    (Space(1.5, (2, 1)), 5, SearchConfig(restarts=4, seed=4)),
+    (Space(math.inf, (2, 1)), 4, SearchConfig(restarts=8, seed=9, residual_target=1e-8)),
+    (Space(2.0, (1,) * 4), 8, SearchConfig(restarts=3, seed=1)),
+    (Space(1.0, (1,) * 4), 9, SearchConfig(restarts=2, seed=2)),
+    (Space(1.0, (1, 1)), 4, SearchConfig(restarts=1, seed=0)),
     # 8 blocks, the first of 8 coordinates: sums of 8 terms, added in order
-    (Space(3.0, (8,) + (1,) * 7), 4, SearchConfig(restarts=3, seed=0), 4000),
+    (Space(3.0, (8,) + (1,) * 7), 4, SearchConfig(restarts=3, seed=0)),
+    (Space(math.inf, (1, 1)), 6, SearchConfig(restarts=4, seed=0)),
+    (Space(2.0, (1, 1)), 9, SearchConfig(restarts=2, seed=1)),
+    (Space(1.5, (1,)), 9, SearchConfig(restarts=2, seed=3)),
 ]
 
 
-@pytest.mark.parametrize("space,m,cfg,cap", REFERENCE_CASES,
+@pytest.mark.parametrize("space,m,cfg", REFERENCE_CASES,
                          ids=[f"{s.to_string()}-m{m}-r{c.restarts}"
-                              for s, m, c, _ in REFERENCE_CASES])
-def test_search_matches_one_restart_at_a_time(monkeypatch, space, m, cfg, cap):
-    monkeypatch.setattr(construct, "MAX_ITERS", cap)
+                              for s, m, c in REFERENCE_CASES])
+def test_search_matches_one_restart_at_a_time(space, m, cfg):
     points, residual, restart = search_reference(space, m, cfg)
     res = search_equilateral(space, m, cfg)
     assert np.array_equal(res.points.points, points)
     assert res.residual == residual and res.restart_index == restart
 
 
+def _footprint(space, m):
+    """The doubles one restart counts for in a batch: its m * m * dim pair
+    coordinates, or the k * k entries of its damped system if more."""
+    order = min(m * (m - 1) // 2, m * space.ambient_dim)
+    return max(m * m * space.ambient_dim, order * order)
+
+
 def test_search_batches_give_same_bits(monkeypatch):
     space, m, cfg = Space(math.inf, (1,) * 3), 5, SearchConfig(restarts=8, seed=2)
     whole = search_equilateral(space, m, cfg)
-    monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 3 * 8 * m * m * 3)  # batches of 3, 3, 2
+    # batches of 3, 3, 2, each restart counted by its 10 x 10 system
+    assert _footprint(space, m) == 100
+    monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 3 * 8 * 100)
     split = search_equilateral(space, m, cfg)
     assert np.array_equal(split.points.points, whole.points.points)
-    assert (split.residual, split.restart_index, split.iterations, split.stop) == \
-        (whole.residual, whole.restart_index, whole.iterations, whole.stop)
+    assert (split.residual, split.restart_index, split.iterations, split.stop, split.damping) == \
+        (whole.residual, whole.restart_index, whole.iterations, whole.stop, whole.damping)
 
 
-@pytest.mark.parametrize("space,m,cfg,cap", REFERENCE_CASES[4:7],
+@pytest.mark.parametrize("space,m,cfg", REFERENCE_CASES[4:7],
                          ids=[s.to_string() for s, *_ in REFERENCE_CASES[4:7]])
-def test_batched_residuals_match_distance_matrix(monkeypatch, space, m, cfg, cap):
+def test_batched_residuals_match_distance_matrix(monkeypatch, space, m, cfg):
     # the search takes each restart's residual from one kernel call per batch;
     # every value must be the distance_matrix residual of that restart
     finals = []
@@ -302,8 +314,7 @@ def test_batched_residuals_match_distance_matrix(monkeypatch, space, m, cfg, cap
         return out
 
     monkeypatch.setattr(construct, "_descend", recording)
-    monkeypatch.setattr(construct, "MAX_ITERS", cap)
-    monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 3 * 8 * m * m * space.ambient_dim)
+    monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 3 * 8 * _footprint(space, m))
     res = search_equilateral(space, m, cfg)
     Q = np.array(finals)
     i, j = np.triu_indices(m, 1)
@@ -329,31 +340,61 @@ def test_plain_lp_search_makes_no_block_pass(monkeypatch):
     assert res.iterations > 0
 
 
-# spaces whose search energy's gradient is checked against central differences
+# spaces whose per-pair gradients are checked against central differences of
+# the residuals; p = 2000 is reached with no case of its own
 GRADIENT_SPACES = ["lp:n=3,p=1", "lp:n=3,p=1.5", "lp:n=3,p=2", "lp:n=3,p=3",
-                   "lpsum:blocks=2,1,p=3", "lp:n=3,p=inf", "lpsum:blocks=2,1,p=inf"]
+                   "lpsum:blocks=2,1,p=3", "lp:n=3,p=inf", "lpsum:blocks=2,1,p=inf",
+                   "lp:n=3,p=2000"]
+
+
+def _jacobian(G, m):
+    """The dense (P, dim, m) Jacobian of the pair residuals: g_a at point i of
+    pair a = (i, j), -g_a at point j."""
+    i, j = np.triu_indices(m, 1)
+    J = np.zeros((i.size, G.shape[0], m))
+    J[np.arange(i.size), :, i] = G.T
+    J[np.arange(i.size), :, j] = -G.T
+    return J
 
 
 @pytest.mark.parametrize("space", GRADIENT_SPACES)
 def test_search_gradient_matches_central_differences(space):
-    # the energy at Q and at Q +- h in each coordinate of each point, in one call
+    # the residuals at Q and at Q +- h in each coordinate of each point, in one call
     space, m, h = Space.from_string(space), 5, 1e-6
     dim = space.ambient_dim
     Q = np.random.default_rng(1).uniform(-1.0, 1.0, size=(dim, m))
     steps = h * np.eye(dim * m).reshape(-1, dim, m)
-    energy, grad = construct._search_energy(space, m)(np.concatenate([Q[None], Q + steps,
+    _, res, G = construct._search_residuals(space, m)(np.concatenate([Q[None], Q + steps,
                                                                       Q - steps]))
     if math.isinf(space.p):  # the largest block of every pair stays the largest within h
         norms = np.sort(pair_block_norms(space, Q.T, Q.T), axis=-1)
         off = ~np.eye(m, dtype=bool)
         assert np.min(norms[..., -1] - norms[..., -2], where=off, initial=np.inf) > 100 * h
     n = dim * m
-    central = ((energy[1:n + 1] - energy[n + 1:]) / (2 * h)).reshape(dim, m)
-    assert np.max(np.abs(grad[0] - central)) <= 1e-6 * np.max(np.abs(grad[0]))
+    central = ((res[1:n + 1] - res[n + 1:]) / (2 * h)).T.reshape(-1, dim, m)
+    J = _jacobian(G[0], m)
+    assert np.max(np.abs(J - central)) <= 1e-6 * np.max(np.abs(J))
+
+
+@pytest.mark.parametrize("space,m", [("lp:n=3,p=1.5", 5), ("lpsum:blocks=2,1,p=inf", 4),
+                                     ("lp:n=2,p=3", 7), ("lp:n=1,p=2", 4)])
+def test_damped_step_solves_the_damped_normal_equations(space, m):
+    # the first two take the P x P system, the last two J^T J: each step must be
+    # the dense (J^T J + lam I) delta = -J^T res solution
+    space = Space.from_string(space)
+    dim = space.ambient_dim
+    Q = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, dim, m))
+    _, res, G = construct._search_residuals(space, m)(Q)
+    lam = np.array([1e-3, 0.5, 40.0])
+    steps = construct._damped_step(m, dim)(res, G, lam)
+    for b in range(3):
+        J = _jacobian(G[b], m).reshape(-1, dim * m)
+        want = -np.linalg.solve(J.T @ J + lam[b] * np.eye(dim * m), J.T @ res[b])
+        assert np.allclose(steps[b].reshape(-1), want, rtol=1e-9, atol=1e-12)
 
 
 def test_search_memory_bounded_by_batches(monkeypatch):
-    # 64 restarts at m = 20 in l2^20 trace 17 MB unbatched; 16 per batch trace 4.4 MB
+    # 64 restarts at m = 20 in l2^20 trace 25 MB unbatched; 3 per batch trace 2.2 MB
     monkeypatch.setattr(construct, "MAX_ITERS", 2)
     tracemalloc.start()
     try:
@@ -368,28 +409,33 @@ def test_search_stop_causes(monkeypatch):
     res = search_equilateral(Space(2.0, (1, 1)), 3, SearchConfig(seed=5))
     assert res.stop == "converged" and 0 < res.iterations < construct.MAX_ITERS
     with monkeypatch.context() as patch:
-        patch.setattr(construct, "MAX_ITERS", 50)
+        patch.setattr(construct, "MAX_ITERS", 10)
         res = search_equilateral(Space(1.0, (1,) * 3), 6, SearchConfig(restarts=2, seed=7))
-        assert res.stop == "iteration cap" and res.iterations == 50
+        assert res.stop == "iteration cap" and res.iterations == 10
     res = search_equilateral(Space(1.0, (1,) * 3), 6, SearchConfig(restarts=1, seed=0))
-    assert res.stop == "stalled" and res.iterations == 2 * construct._STALL_WINDOW
+    assert res.stop == "stalled" and res.iterations == 3 * construct._STALL_WINDOW
     res = search_equilateral(Space(2.0, (1, 1)), 4, SearchConfig(seed=3, restarts=6))
-    assert res.stop in ("60 halvings", "step underflow") and res.iterations > 0
-    # below p = 2 the energy softens block norms, so its descent can converge
-    # while the true-norm residual misses the target
+    assert res.stop == "damping overflow" and res.iterations > 0
+    assert res.damping > construct._DAMPING_MAX
+    # below p = 2 the residuals soften block norms, so they can converge while
+    # the true-norm residual misses the target; the first-order descent this
+    # solver replaced ended so at seed 0, which now converges
+    res = search_equilateral(Space(1.02, (1,) * 4), 6, SearchConfig(seed=10))
+    assert not res.converged and 1e-10 < res.residual < 1e-8
+    assert res.stop == construct.ENERGY_ONLY and res.iterations == 59
     res = search_equilateral(Space(1.02, (1,) * 4), 6, SearchConfig(seed=0))
-    assert not res.converged and 1e-10 < res.residual < 1e-9
-    assert res.stop == construct.ENERGY_ONLY and res.iterations == 191
+    assert res.converged and res.stop == "converged"
 
 
 def _scripted_descent(monkeypatch, energies, cfg=SearchConfig()):
-    """(accepted steps, stop cause) of one restart whose k-th energy call
-    returns energies[k], with a zero gradient."""
+    """(accepted steps, stop cause, final damping) of one restart whose k-th
+    residual call returns the energy energies[k], with zero residuals and
+    gradients, so that every step is 0."""
     calls = iter(energies)
-    monkeypatch.setattr(construct, "_search_energy", lambda space, m: lambda Q: (
-        np.full(Q.shape[0], next(calls)), np.zeros_like(Q)))
-    _, iters, stop = construct._descend(np.zeros((1, 2, 1)), Space(2.0, (1,)), cfg)
-    return int(iters[0]), construct.STOP_CAUSES[stop[0]]
+    monkeypatch.setattr(construct, "_search_residuals", lambda space, m: lambda Q: (
+        np.full(Q.shape[0], next(calls)), np.zeros((Q.shape[0], 1)), np.zeros((Q.shape[0], 1, 1))))
+    _, iters, stop, lam = construct._descend(np.zeros((1, 2, 1)), Space(2.0, (1,)), cfg)
+    return int(iters[0]), construct.STOP_CAUSES[stop[0]], float(lam[0])
 
 
 def test_search_stall_edges(monkeypatch):
@@ -399,16 +445,16 @@ def test_search_stall_edges(monkeypatch):
     # from its end, and its drop of f / 2 (1.5 f from the start) stops it
     first = np.linspace(1.0, 1.0 - f, W + 1)
     second = (1.0 - f) * np.linspace(1.0, 1.0 - f / 2, W + 1)[1:]
-    assert _scripted_descent(monkeypatch, np.concatenate([first, second])) == (2 * W, "stalled")
+    assert _scripted_descent(monkeypatch, np.concatenate([first, second]))[:2] == (2 * W, "stalled")
     # one ulp less of a drop stops it at the first checkpoint
     first[-1] = np.nextafter(1.0 - f, 2.0)
-    assert _scripted_descent(monkeypatch, first) == (W, "stalled")
+    assert _scripted_descent(monkeypatch, first)[:2] == (W, "stalled")
     # converging on a checkpoint tick with too small a drop reports convergence
     target = SearchConfig().residual_target
     edge = (0.25 * target) ** 2
     energies = np.append(np.linspace(1.005, 1.001, W), 0.999) * edge
     assert energies[-1] > (1.0 - f) * energies[0]
-    assert _scripted_descent(monkeypatch, energies) == (W, "converged")
+    assert _scripted_descent(monkeypatch, energies)[:2] == (W, "converged")
 
 
 @pytest.mark.parametrize("target", [5e-324, 1e-300, 1e-10, 0.3, 1.0, 1e300, 1.7e308])
@@ -425,20 +471,55 @@ def test_search_convergence_edge(monkeypatch, target):
     assert math.sqrt(edge) <= bound < math.sqrt(above)
     if 0.0 < edge and above < 1.0:
         cfg = SearchConfig(residual_target=target)
-        assert _scripted_descent(monkeypatch, [1.0, edge], cfg) == (1, "converged")
+        assert _scripted_descent(monkeypatch, [1.0, edge], cfg)[:2] == (1, "converged")
         # one ulp above the edge is a step, not convergence; the next low converges
-        assert _scripted_descent(monkeypatch, [1.0, above, edge], cfg) == (2, "converged")
+        assert _scripted_descent(monkeypatch, [1.0, above, edge], cfg)[:2] == (2, "converged")
+
+
+def test_search_iteration_cap_edge(monkeypatch):
+    # every step is accepted; the restart stops on the step that reaches the cap
+    monkeypatch.setattr(construct, "MAX_ITERS", 7)
+    assert _scripted_descent(monkeypatch, 0.5 ** np.arange(9))[:2] == (7, "iteration cap")
+
+
+def test_search_damping_edges(monkeypatch):
+    init, top = construct._DAMPING_INIT, construct._DAMPING_MAX
+    # no call is a new low: each rejected step multiplies the damping by 4, exactly,
+    # and the restart stops on the first damping above _DAMPING_MAX
+    rejects = math.ceil(math.log(top / init, 4))
+    assert init * 4.0 ** (rejects - 1) <= top < init * 4.0 ** rejects
+    assert _scripted_descent(monkeypatch, [1.0] * (rejects + 1)) == \
+        (0, "damping overflow", init * 4.0 ** rejects)
+    # a limit equal to a damping lets it stand; one ulp below, it stops the restart
+    monkeypatch.setattr(construct, "_DAMPING_MAX", init * 4.0 ** 10)
+    assert _scripted_descent(monkeypatch, [1.0] * 12) == (0, "damping overflow", init * 4.0 ** 11)
+    monkeypatch.setattr(construct, "_DAMPING_MAX", math.nextafter(init * 4.0 ** 10, 0.0))
+    assert _scripted_descent(monkeypatch, [1.0] * 11) == (0, "damping overflow", init * 4.0 ** 10)
+    # every call is a new low: each accepted step divides the damping by 3, down
+    # to _DAMPING_MIN and no further
+    lam, steps = init, 0
+    while lam / 3.0 > construct._DAMPING_MIN:
+        lam, steps = lam / 3.0, steps + 1
+    monkeypatch.setattr(construct, "MAX_ITERS", steps)
+    assert _scripted_descent(monkeypatch, 0.5 ** np.arange(steps + 1)) == \
+        (steps, "iteration cap", lam)
+    monkeypatch.setattr(construct, "MAX_ITERS", steps + 2)
+    assert _scripted_descent(monkeypatch, 0.5 ** np.arange(steps + 3)) == \
+        (steps + 2, "iteration cap", construct._DAMPING_MIN)
 
 
 # (space, m, restarts, seed, residual_target, the construct.MAX_ITERS to run it
 # with, the stop causes of its restarts): batches whose restarts leave the
-# descent at different ticks; test_search_halving_caps adds 60 halvings
+# solver at different ticks; test_search_damping_overflow adds a restart that
+# never steps.  The last two solve the J^T J system.
 DESCENT_CASES = [
-    (Space(math.inf, (1,) * 3), 6, 8, 2, 1e-10, 4000, {"converged", "stalled", "step underflow"}),
-    (Space(math.inf, (1,) * 3), 6, 8, 2, 1e-10, 100,
-     {"converged", "iteration cap", "step underflow"}),
-    (Space(1.0, (1,) * 3), 6, 8, 7, 1e-8, 150, {"iteration cap", "step underflow"}),
+    (Space(math.inf, (1,) * 3), 6, 8, 2, 1e-10, 4000, {"converged", "damping overflow"}),
+    (Space(math.inf, (1,) * 3), 6, 8, 3, 1e-10, 100, {"converged", "damping overflow"}),
+    (Space(1.0, (1,) * 3), 6, 8, 7, 1e-8, 150, {"converged", "damping overflow", "stalled"}),
+    (Space(1.0, (1,) * 3), 6, 8, 7, 1e-8, 30, {"converged", "damping overflow", "iteration cap"}),
     (Space(1.5, (2, 1)), 5, 8, 4, 1e-10, 4000, {"stalled"}),
+    (Space(2.0, (1, 1)), 9, 4, 0, 1e-10, 4000, {"stalled"}),
+    (Space(math.inf, (1, 1)), 6, 8, 0, 1e-10, 4000, {"damping overflow"}),
 ]
 
 
@@ -448,8 +529,8 @@ def _check_descent(Q, space, cfg):
     with np.errstate(all="ignore"):
         want = descend_reference(Q.copy(), space, cfg)
         got = construct._descend(Q.copy(), space, cfg)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tolist() == want[1].tolist() and got[2].tolist() == want[2].tolist()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
     assert len(set(got[1].tolist())) > 1  # the restarts leave on different ticks
     return {construct.STOP_CAUSES[i] for i in got[2]}
 
@@ -472,14 +553,26 @@ def test_search_size_cap(monkeypatch):
         search_equilateral(Space(2.0, (1, 1)), 4, SearchConfig(restarts=1))
 
 
-def test_search_halving_caps(monkeypatch):
-    # a unit segment is a stationary point, so every trial step is rejected:
-    # 1e3 * 2**-60 = 8.7e-16 stays above the 1e-18 floor, 0.1 * 2**-57 falls below it
-    for step_init, cause in ((1e3, "60 halvings"), (0.1, "step underflow")):
-        monkeypatch.setattr(construct, "_STEP_INIT", step_init)
-        Q = np.array([[[0.0], [1.0]]])
-        _, iters, stop = construct._descend(Q, Space(2.0, (1,)), SearchConfig())
-        assert iters[0] == 0 and construct.STOP_CAUSES[stop[0]] == cause
-        # in a batch, the segment leaves while the other restarts descend on
-        batch = np.array([[[0.0], [0.3]], [[0.0], [1.0]], [[0.2], [-0.7]]])
-        assert _check_descent(batch, Space(2.0, (1,)), SearchConfig()) == {cause, "converged"}
+def test_search_system_cap(monkeypatch):
+    # the damped system has order min(m(m - 1)/2, m dim): 3 pairs of 3 points in
+    # the plane, 3 coordinates of 3 points on the line; 6 pairs, 4 coordinates
+    monkeypatch.setattr(construct, "SEARCH_MAX_SYSTEM", 3)
+    assert search_equilateral(Space(2.0, (1, 1)), 3, SearchConfig(restarts=1)).converged
+    search_equilateral(Space(2.0, (1,)), 3, SearchConfig(restarts=1))
+    with pytest.raises(ResourceLimitError, match="needs 6 damped-system rows per restart"):
+        search_equilateral(Space(2.0, (1, 1)), 4, SearchConfig(restarts=1))
+    with pytest.raises(ResourceLimitError, match="needs 4 damped-system rows per restart"):
+        search_equilateral(Space(2.0, (1,)), 4, SearchConfig(restarts=1))
+
+
+def test_search_damping_overflow():
+    # a unit segment has zero residuals, so no trial step lowers its energy: the
+    # damping grows from _DAMPING_INIT until it passes _DAMPING_MAX
+    Q = np.array([[[0.0], [1.0]]])
+    _, iters, stop, lam = construct._descend(Q, Space(2.0, (1,)), SearchConfig())
+    assert iters[0] == 0 and construct.STOP_CAUSES[stop[0]] == "damping overflow"
+    assert lam[0] / 4.0 <= construct._DAMPING_MAX < lam[0]
+    # in a batch, the segment leaves while the other restarts go on
+    batch = np.array([[[0.0], [0.3]], [[0.0], [1.0]], [[0.2], [-0.7]]])
+    assert _check_descent(batch, Space(2.0, (1,)), SearchConfig()) == \
+        {"damping overflow", "converged"}
