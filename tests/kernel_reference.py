@@ -1,11 +1,11 @@
-"""The pairwise-distance kernel as it was before its powers were taken in
-place, kept as the reference that ``eqdist.space.distance_matrix`` must match
-bit for bit.
+"""The pairwise-distance kernel in its plainest form, kept as the reference
+that ``eqdist.space.distance_matrix`` must match bit for bit.
 
 The block norms of an lp sum come from ``pair_block_norms``; on a plain lp
-space they are ``np.abs`` of a fresh difference array.  The outer norm
-rescales by the largest block norm, then takes ``(r / scale) ** p`` and
-``** (1 / p)`` on new arrays, at p = 1 too.
+space they are ``np.abs`` of a fresh difference array.  At p = 1 the outer
+norm is the plain sum of the block norms, with no rescale.  At other finite p
+it rescales by the largest block norm, then takes ``(r / scale) ** p`` on a
+new array, zeros included, and ``** (1 / p)`` of the sum.
 """
 
 import math
@@ -21,6 +21,8 @@ def pair_distances(space, A, B):
         r = np.abs(A[:, None, :] - B[None, :, :])
     else:
         r = pair_block_norms(space, A, B)
+    if space.p == 1.0:
+        return np.sum(r, axis=-1)
     top = np.max(r, axis=-1, initial=0.0)
     if math.isinf(space.p):
         return top

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import kernel_reference
 from eqdist import space as space_mod
-from eqdist.construct import cross_polytope
+from eqdist.construct import cross_polytope, lp_simplex
 from eqdist.errors import InputError, ResourceLimitError
 from eqdist.space import (MAX_AMBIENT_DIM, PointSet, Space, distance, distance_matrix, norm,
                           norm_sandwich_check, pair_block_norms, pair_block_sq_norms)
@@ -195,12 +195,63 @@ def test_distance_matrix_matches_the_reference_kernel(monkeypatch, blocks, scale
         assert distance_matrix(ps).tobytes() == want.tobytes(), p
 
 
-@pytest.mark.parametrize("p", [1.0, 2.5, math.inf])
+def _structured_points(kind: str) -> np.ndarray:
+    """12-dimensional points whose differences are mostly exact zeros."""
+    rng = np.random.default_rng(53)
+    if kind == "cross-polytope":
+        return cross_polytope(12).points
+    if kind == "lp-simplex":
+        return lp_simplex(12, 3.5).points
+    if kind == "repeated":
+        return rng.integers(-2, 3, size=(30, 12)) * 0.75
+    if kind == "subnormal":  # subnormal differences, alone or beside a difference of 1
+        pts = rng.integers(-2, 3, size=(30, 12)) * 2.0 ** -1070
+        pts[:, 0] = rng.integers(0, 2, size=30)
+        return pts
+    return rng.choice([-1e308, 0.0, 1e308], size=(20, 12), p=[0.1, 0.8, 0.1])  # overflow
+
+
+@pytest.mark.parametrize("one_row", [False, True])
+@pytest.mark.parametrize("kind", ["cross-polytope", "lp-simplex", "repeated", "subnormal",
+                                  "overflow"])
+@pytest.mark.parametrize("blocks", [(1,) * 12, (1, 2, 3, 1, 5)])
+def test_distance_matrix_matches_the_reference_kernel_on_zeros(monkeypatch, blocks, kind,
+                                                               one_row):
+    # the kernel raises only the nonzero entries to the p-th power; the reference raises all
+    pts = _structured_points(kind)
+    if one_row:
+        monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 1)
+    for p in (1.0, 1.5, 2.0, 3.5, 7.0, 2000.0, math.inf):
+        ps = PointSet(Space(p, blocks), pts)
+        with np.errstate(over="ignore"):  # differences of +-1e308 overflow to inf
+            want = kernel_reference.pair_distances(ps.space, ps.points, ps.points)
+            got = distance_matrix(ps)
+        assert got.tobytes() == want.tobytes(), p
+
+
+def test_l1_norm_is_the_plain_sum():
+    s = Space(1.0, (1, 1, 1))
+    # dyadic sums that top * sum(r / top), the rule with a rescale, rounds off
+    assert norm(s, [1.0, -3.0, 3.0]) == 7.0
+    assert distance(s, [1.0, 1.0, 0.0], [0.0, 0.0, -13.0]) == 15.0
+    dm = distance_matrix(PointSet(s, [[0.0, 0.0, 0.0], [-1.0, 3.0, 3.0]]))
+    assert dm[0, 1] == dm[1, 0] == 7.0
+    with np.errstate(over="ignore", invalid="raise"):  # the sum overflows
+        assert norm(s, [1e308, -1e308, 0.0]) == math.inf
+    assert norm(s, [0.0, 0.0, 0.0]) == 0.0
+    assert norm(Space(1.0, (2, 1)), [0.0, 0.0, 0.0]) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.5, math.inf])
 def test_outer_norm_leaves_its_argument_alone(p):
-    r = np.abs(np.random.default_rng(41).normal(size=(6, 7)))
-    before = r.copy()
-    space_mod._outer_norm(r, p)
-    assert r.tobytes() == before.tobytes()
+    rng = np.random.default_rng(41)
+    dense = np.abs(rng.normal(size=(6, 7)))
+    zeros = dense * (rng.random((6, 7)) < 0.2)
+    zeros[0] = 0.0
+    for r in (dense, zeros):
+        before = r.copy()
+        space_mod._outer_norm(r, p)
+        assert r.tobytes() == before.tobytes()
 
 
 def test_sandwich_reads_its_array_twice_unchanged():
