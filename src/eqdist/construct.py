@@ -24,8 +24,7 @@ import numpy as np
 from . import space as space_mod
 from .errors import (DegenerateDistanceError, InputError, NumericalError, ResourceLimitError,
                      require_exponent, require_int, require_positive, require_real, shown)
-from .space import (PointSet, Space, _block_sq_norms, _outer_norm, distance_matrix,
-                    pair_block_norms)
+from .space import PointSet, Space, _block_sq_norms, distance_matrix
 
 # Cap on a construction's points x dimension.  The largest sets within it print
 # as about 46 MB of JSON, and a verify of the largest cross-polytope within it
@@ -176,19 +175,16 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchResult:
     points: PointSet
-    residual: float      # max over pairs of |d_ij - 1|, true norm
+    residual: float      # max over pairs of |d_ij - 1| at the best restart's points
     converged: bool
     restart_index: int
     iterations: int      # accepted steps of the best restart
-    stop: str            # why the best restart stopped: one of STOP_CAUSES, or ENERGY_ONLY
+    stop: str            # why the best restart stopped: one of STOP_CAUSES
     damping: float       # the best restart's damping lambda when it stopped
 
 
 # Why a restart left the solver; _descend records the index, -1 while live.
 STOP_CAUSES = ("converged", "iteration cap", "stalled", "damping overflow")
-# The stop of a best restart whose residuals converged with block norms
-# softened below p = 2, while its true-norm residual misses the target.
-ENERGY_ONLY = "converged on the search energy, true-norm residual above the target"
 _CONVERGED, _CAPPED, _STALLED, _OVERFLOW = range(len(STOP_CAUSES))
 # Set from every accepted-step energy of 4,784 restarts run with no stall rule
 # or cap: the 3,840 of 8 seed-0/1/2 witness-search benchmark rounds, and 944 on
@@ -210,37 +206,35 @@ _DAMPING_INIT, _DAMPING_MIN, _DAMPING_MAX = 1e-3, 1e-12, 1e8
 # lp^1024 (m = 64) and 272 MB on the line (m = 2048, k = 2048, 0.44 s a step).
 SEARCH_MAX_PAIR_COORDS = 1 << 22
 SEARCH_MAX_SYSTEM = 1 << 11
-# Added in quadrature to the block norms for 1 <= p < 2, where |.|^p is not
-# differentiable at 0.
-SMOOTHING_EPS = 1e-9
 
 
 def _search_residuals(space: Space, m: int):
     """The function that maps a (..., dim, m) array Q, whose column i is point i,
     to the energies sum (d_ij - 1)^2, the residuals d_ij - 1 (..., P) over the P
     pairs i < j in np.triu_indices order, and their gradients g = dd_ij/dx_i =
-    -dd_ij/dx_j (..., dim, P), all with softened block norms.  With r_b the
-    block norms of x_i - x_j, d = r_max (sum_b (r_b/r_max)^p)^(1/p) and g =
-    (r_b/d)^(p-2) (x_i - x_j)/d on block b, so no r^p is formed unscaled; at
-    p = inf g is (x_i - x_j)/d on the first largest block.  The sums over a
-    block's coordinates and over the blocks add whole slabs, first to last."""
+    -dd_ij/dx_j (..., dim, P).  With r_b the block norms of x_i - x_j,
+    d = r_max (sum_b (r_b/r_max)^p)^(1/p) and g = (r_b/d)^(p-2) (x_i - x_j)/d
+    on block b, so no r^p is formed unscaled; at p = inf g is (x_i - x_j)/d on
+    the first largest block.  Only a nonzero r_b/d is raised, so a block with
+    r_b = 0 gets g = 0: the derivative for p > 1, a subgradient at p = 1.  r_b is
+    a square root of squares, so it is 0 for differences below about 1.5e-162
+    too, and (r_b/d)^(p-2) stays finite for p >= 1.  The sums over a block's
+    coordinates and over the blocks add whole slabs, first to last."""
     p, sup, plain = space.p, math.isinf(space.p), space.is_lp
-    soften = p < 2.0 and not sup
     blocks = np.arange(space.n_blocks)[:, None]
     i, j = np.triu_indices(m, 1)
 
     def residuals(Q: np.ndarray):
         delta = np.take(Q, i, axis=-1) - np.take(Q, j, axis=-1)  # C-ordered, unlike Q[..., i]
         r = _block_sq_norms(space, delta, axis=-2)  # the call's own array, so taken in place
-        if soften:
-            r += SMOOTHING_EPS * SMOOTHING_EPS
         np.sqrt(r, out=r)
         top = np.maximum.reduce(r, axis=-2)
         if sup:
             d, w = top, r.argmax(axis=-2)[..., None, :] == blocks
         else:
             d = top * np.add.reduce((r / top[..., None, :]) ** p, axis=-2) ** (1.0 / p)
-            w = (r / d[..., None, :]) ** (p - 2.0)
+            w = r / d[..., None, :]
+            np.power(w, p - 2.0, out=w, where=r != 0.0)
         if not plain:  # spread each block's weight over its coordinates
             w = np.repeat(w, space.blocks, axis=-2)
         res = d - 1.0
@@ -290,7 +284,8 @@ def _damped_step(m: int, dim: int):
 def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
     """Levenberg-Marquardt on the pair residuals of the restarts stacked on the
     first axis of Q, (R, m, dim).  Returns their final points, (R, m, dim), and
-    the accepted steps, STOP_CAUSES index and final damping of each.
+    the accepted steps, STOP_CAUSES index, final damping and final max |d_ij - 1|
+    of each.
 
     Each tick makes one _search_residuals call on every live restart's trial
     point q + _damped_step.  One masked rule then updates every restart: one
@@ -304,7 +299,8 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
     R, m, dim = Q.shape
     residuals, step = _search_residuals(space, m), _damped_step(m, dim)
     done = 0.25 * cfg.residual_target
-    iters_out, stop_out, lam_out = np.zeros(R, dtype=int), np.full(R, -1), np.zeros(R)
+    iters_out, stop_out, lam_out, resid_out = (np.zeros(R, dtype=int), np.full(R, -1),
+                                               np.zeros(R), np.zeros(R))
     Q = np.ascontiguousarray(Q.transpose(0, 2, 1))
     idx, q = np.arange(R), Q
     energy, res, G = residuals(q)
@@ -333,11 +329,12 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
         leave = stop >= 0
         if leave.any():
             out, keep = idx[leave], ~leave
-            Q[out], iters_out[out], stop_out[out], lam_out[out] = (
-                q[leave], iters[leave], stop[leave], lam[leave])
+            Q[out], iters_out[out], stop_out[out], lam_out[out], resid_out[out] = (
+                q[leave], iters[leave], stop[leave], lam[leave],
+                np.maximum.reduce(np.abs(res[leave]), axis=-1))
             idx, q, res, G, energy, lam, iters, checkpoint = (
                 x[keep] for x in (idx, q, res, G, energy, lam, iters, checkpoint))
-    return Q.transpose(0, 2, 1), iters_out, stop_out, lam_out
+    return Q.transpose(0, 2, 1), iters_out, stop_out, lam_out, resid_out
 
 
 def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) -> SearchResult:
@@ -359,22 +356,16 @@ def search_equilateral(space: Space, m: int, cfg: SearchConfig | None = None) ->
             raise ResourceLimitError(f"search of {shown(m)} points in dimension {dim} needs "
                                      f"{shown(size)} {what} per restart, above the cap of {cap}")
     batch = max(1, space_mod._CHUNK_BYTES // (8 * max(pair_coords, order * order)))
-    i, j = np.triu_indices(m, 1)
     best = None
     for first in range(0, cfg.restarts, batch):
         restarts = range(first, min(first + batch, cfg.restarts))
         Q = np.stack([np.random.default_rng([cfg.seed, r]).uniform(-1.0, 1.0, size=(m, dim))
                       for r in restarts])
         with np.errstate(all="ignore"):  # a non-finite energy is a rejected step
-            Q, iters, stops, lams = _descend(Q, space, cfg)
-        # max over pairs of |d_ij - 1| for every restart of the batch, in the true norm
-        dists = _outer_norm(pair_block_norms(space, Q, Q), space.p)[:, i, j]
-        resids = np.max(np.abs(dists - 1.0), axis=1)
+            Q, iters, stops, lams, resids = _descend(Q, space, cfg)
         k = np.argmin(resids)  # the first of equal residuals
         if best is None or resids[k] < best[0]:
             best = (float(resids[k]), restarts[k], Q[k], iters[k], stops[k], lams[k])
     resid, restart, q, iters, stop, lam = best
-    converged = resid <= cfg.residual_target
-    cause = ENERGY_ONLY if stop == _CONVERGED and not converged else STOP_CAUSES[stop]
-    return SearchResult(PointSet(space, q), resid, converged, restart, int(iters), cause,
-                        float(lam))
+    return SearchResult(PointSet(space, q), resid, resid <= cfg.residual_target, restart,
+                        int(iters), STOP_CAUSES[stop], float(lam))

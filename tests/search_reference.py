@@ -9,15 +9,16 @@ stalled (the energy fell by less than the fraction _STALL_DROP over the last
 _STALL_WINDOW accepted steps), at the iteration cap, or when its damping
 passes _DAMPING_MAX.  It reads these constants from ``eqdist.construct`` at
 each call, so a test may patch them.  ``descend_reference`` gives every
-restart's final points, accepted steps, stop cause and damping,
-``search_reference`` the best restart.
+restart's final points, accepted steps, stop cause, damping and max |d_ij - 1|,
+``search_reference`` the best restart by that residual.
 
 One restart's points are held as (dim, m), and its pair differences as
 (dim, P) over the pairs i < j in ``np.triu_indices`` order, so that each
 product and solve below is the one the lockstep search makes for that
 restart.  The squares of a block's coordinates, and the blocks' powers, are
 added one term after another, first to last, as the search adds them slab by
-slab; so the sums of 8 or more terms match it too.
+slab; so the sums of 8 or more terms match it too.  A block whose difference
+has norm 0 gets gradient 0, as in the search.
 """
 
 import functools
@@ -26,7 +27,7 @@ import math
 import numpy as np
 
 from eqdist import construct
-from eqdist.space import PointSet, Space, distance_matrix
+from eqdist.space import Space
 
 
 def _in_order(x: np.ndarray) -> np.ndarray:
@@ -34,21 +35,20 @@ def _in_order(x: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, x)
 
 
-def pair_residuals(Q: np.ndarray, space: Space, eps: float):
-    """Residuals d_ij - 1, (P,), with softened block norms, and per-pair
-    gradients g = dd_ij/dx_i, (dim, P), of the points Q (dim, m)."""
+def pair_residuals(Q: np.ndarray, space: Space):
+    """Residuals d_ij - 1, (P,), and per-pair gradients g = dd_ij/dx_i,
+    (dim, P), of the points Q (dim, m)."""
     i, j = np.triu_indices(Q.shape[1], 1)
     delta = Q[:, i] - Q[:, j]
-    sq = np.array([_in_order(delta[sl] ** 2) for sl in space.block_slices])
-    soften = space.p < 2.0 and math.isfinite(space.p)
-    r = np.sqrt(sq + eps * eps) if soften else np.sqrt(sq)
+    r = np.sqrt(np.array([_in_order(delta[sl] ** 2) for sl in space.block_slices]))
     top = r.max(axis=0)
     if math.isinf(space.p):
         d = top
         w = r.argmax(axis=0) == np.arange(space.n_blocks)[:, None]
     else:
         d = top * _in_order((r / top) ** space.p) ** (1.0 / space.p)
-        w = (r / d) ** (space.p - 2.0)
+        w = r / d
+        np.power(w, space.p - 2.0, out=w, where=r != 0.0)
     return d - 1.0, np.repeat(w, space.blocks, axis=0) * delta / d
 
 
@@ -83,58 +83,51 @@ def damped_step(res: np.ndarray, G: np.ndarray, lam: float) -> np.ndarray:
     return -np.linalg.solve(H, rhs).reshape(dim, m)
 
 
-def true_residual(Q: np.ndarray, space: Space) -> float:
-    ps = PointSet(space, Q)
-    dm = distance_matrix(ps)
-    off = dm[np.triu_indices(ps.m, 1)]
-    return float(np.max(np.abs(off - 1.0))) if off.size else 0.0
-
-
 def descend_reference(Q: np.ndarray, space: Space, cfg):
-    """(final points, accepted steps, STOP_CAUSES index, final damping) of
-    each restart stacked on the first axis of Q, each descending alone; the
-    values construct._descend returns for the same Q."""
+    """(final points, accepted steps, STOP_CAUSES index, final damping, final
+    max |d_ij - 1|) of each restart stacked on the first axis of Q, each
+    descending alone; the values construct._descend returns for the same Q."""
     finals = [_descend_one(q, space, cfg) for q in Q]
-    return tuple(np.array([f[n] for f in finals]) for n in range(4))
+    return tuple(np.array([f[n] for f in finals]) for n in range(5))
 
 
 def _descend_one(Q: np.ndarray, space: Space, cfg):
-    eps = construct.SMOOTHING_EPS
     q = np.ascontiguousarray(Q.T)
-    res, G = pair_residuals(q, space, eps)
+    res, G = pair_residuals(q, space)
     energy = np.add.reduce(res * res)
-    checkpoint, lam, it = energy, construct._DAMPING_INIT, 0
-    while True:
+    checkpoint, lam, it, stop = energy, construct._DAMPING_INIT, 0, None
+    while stop is None:
         trial = q + damped_step(res, G, lam)
-        r, g = pair_residuals(trial, space, eps)
+        r, g = pair_residuals(trial, space)
         en = np.add.reduce(r * r)
         if not en < energy:
             lam *= 4.0
             if lam > construct._DAMPING_MAX:
-                return q.T, it, construct._OVERFLOW, lam
+                stop = construct._OVERFLOW
             continue
         q, res, G, energy = trial, r, g, en
         lam = max(lam / 3.0, construct._DAMPING_MIN)
         it += 1
         if math.sqrt(energy) <= 0.25 * cfg.residual_target:
-            return q.T, it, construct._CONVERGED, lam
+            stop = construct._CONVERGED
+        elif it % construct._STALL_WINDOW == 0 and \
+                energy > (1.0 - construct._STALL_DROP) * checkpoint:
+            stop = construct._STALLED
+        elif it >= construct.MAX_ITERS:
+            stop = construct._CAPPED
         if it % construct._STALL_WINDOW == 0:
-            if energy > (1.0 - construct._STALL_DROP) * checkpoint:
-                return q.T, it, construct._STALLED, lam
             checkpoint = energy
-        if it >= construct.MAX_ITERS:
-            return q.T, it, construct._CAPPED, lam
+    return q.T, it, stop, lam, float(np.max(np.abs(res)))
 
 
 def search_reference(space: Space, m: int, cfg) -> tuple[np.ndarray, float, int]:
     """(points, residual, restart_index) of the best restart, merged by
-    lowest residual with ties to the lowest restart index."""
+    lowest final max |d_ij - 1| with ties to the lowest restart index."""
     dim = space.ambient_dim
     best = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
-        Q = _descend_one(rng.uniform(-1.0, 1.0, size=(m, dim)), space, cfg)[0]
-        resid = true_residual(Q, space)
+        Q, *_, resid = _descend_one(rng.uniform(-1.0, 1.0, size=(m, dim)), space, cfg)
         if best is None or resid < best[0]:
             best = (resid, restart, Q)
     resid, restart, Q = best

@@ -12,7 +12,7 @@ from eqdist.construct import (SIMPLEX_BRACKET_RTOL, SearchConfig, cross_polytope
                               product_construction, search_equilateral,
                               simplex_lambda)
 from eqdist.errors import DegenerateDistanceError, InputError, NumericalError, ResourceLimitError
-from eqdist.space import PointSet, Space, _outer_norm, distance_matrix, pair_block_norms
+from eqdist.space import PointSet, Space, distance_matrix, pair_block_norms
 
 from search_reference import descend_reference, search_reference
 
@@ -303,26 +303,26 @@ def test_search_batches_give_same_bits(monkeypatch):
 @pytest.mark.parametrize("space,m,cfg", REFERENCE_CASES[4:7],
                          ids=[s.to_string() for s, *_ in REFERENCE_CASES[4:7]])
 def test_batched_residuals_match_distance_matrix(monkeypatch, space, m, cfg):
-    # the search takes each restart's residual from one kernel call per batch;
-    # every value must be the distance_matrix residual of that restart
-    finals = []
+    # the search takes each restart's residual from its own last residual call;
+    # every value must be the distance_matrix residual of that restart's points
+    # within two ulps of their largest distance, and the merge must pick the least
+    finals, resids = [], []
     descend = construct._descend
 
     def recording(Q, space, cfg):
         out = descend(Q, space, cfg)
         finals.extend(out[0].copy())
+        resids.extend(out[4])
         return out
 
     monkeypatch.setattr(construct, "_descend", recording)
     monkeypatch.setattr(space_mod, "_CHUNK_BYTES", 3 * 8 * _footprint(space, m))
     res = search_equilateral(space, m, cfg)
-    Q = np.array(finals)
     i, j = np.triu_indices(m, 1)
-    batched = _outer_norm(pair_block_norms(space, Q, Q), space.p)[:, i, j]
-    alone = np.array([distance_matrix(PointSet(space, q))[i, j] for q in Q])
-    assert batched.tobytes() == alone.tobytes()
-    resid = np.max(np.abs(alone - 1.0), axis=1)
-    assert res.residual == resid.min() and res.restart_index == int(np.argmin(resid))
+    for q, resid in zip(finals, resids):
+        dists = distance_matrix(PointSet(space, q))[i, j]
+        assert abs(resid - np.max(np.abs(dists - 1.0))) <= 2 * np.spacing(max(1.0, dists.max()))
+    assert res.residual == min(resids) and res.restart_index == int(np.argmin(resids))
 
 
 def test_plain_lp_search_makes_no_block_pass(monkeypatch):
@@ -344,7 +344,7 @@ def test_plain_lp_search_makes_no_block_pass(monkeypatch):
 # the residuals; p = 2000 is reached with no case of its own
 GRADIENT_SPACES = ["lp:n=3,p=1", "lp:n=3,p=1.5", "lp:n=3,p=2", "lp:n=3,p=3",
                    "lpsum:blocks=2,1,p=3", "lp:n=3,p=inf", "lpsum:blocks=2,1,p=inf",
-                   "lp:n=3,p=2000"]
+                   "lp:n=3,p=2000", "lp:n=3,p=1.02", "lpsum:blocks=2,1,p=1.5"]
 
 
 def _jacobian(G, m):
@@ -363,6 +363,8 @@ def test_search_gradient_matches_central_differences(space):
     space, m, h = Space.from_string(space), 5, 1e-6
     dim = space.ambient_dim
     Q = np.random.default_rng(1).uniform(-1.0, 1.0, size=(dim, m))
+    # below p = 2 the residuals are smooth only away from a zero block
+    assert np.min(pair_block_norms(space, Q.T, Q.T) + np.eye(m)[..., None]) > 1000 * h
     steps = h * np.eye(dim * m).reshape(-1, dim, m)
     _, res, G = construct._search_residuals(space, m)(np.concatenate([Q[None], Q + steps,
                                                                       Q - steps]))
@@ -374,6 +376,22 @@ def test_search_gradient_matches_central_differences(space):
     central = ((res[1:n + 1] - res[n + 1:]) / (2 * h)).T.reshape(-1, dim, m)
     J = _jacobian(G[0], m)
     assert np.max(np.abs(J - central)) <= 1e-6 * np.max(np.abs(J))
+
+
+@pytest.mark.parametrize("space", ["lp:n=3", "lpsum:blocks=2,1"])
+@pytest.mark.parametrize("p", [1.0, 1.02, 1.5, 2.0, 3.0])
+def test_search_gradient_is_zero_on_a_zero_block(space, p):
+    # points 0 and 1 share their first block, so it is 0 in their difference:
+    # its gradient is exactly 0 (a subgradient at p = 1), and no gradient
+    # anywhere is inf or nan
+    space = Space.from_string(f"{space},p={p:g}")
+    Q = np.random.default_rng(2).uniform(-1.0, 1.0, size=(space.ambient_dim, 4))
+    first = space.block_slices[0]
+    Q[first, 1] = Q[first, 0]
+    energy, res, G = construct._search_residuals(space, 4)(Q)
+    assert np.isfinite(energy) and np.isfinite(res).all() and np.isfinite(G).all()
+    assert not G[first, 0].any() and G[first, 1:].all()  # pair (0, 1) comes first
+    assert G[first.stop:, 0].all()
 
 
 @pytest.mark.parametrize("space,m", [("lp:n=3,p=1.5", 5), ("lpsum:blocks=2,1,p=inf", 4),
@@ -410,21 +428,19 @@ def test_search_stop_causes(monkeypatch):
     assert res.stop == "converged" and 0 < res.iterations < construct.MAX_ITERS
     with monkeypatch.context() as patch:
         patch.setattr(construct, "MAX_ITERS", 10)
-        res = search_equilateral(Space(1.0, (1,) * 3), 6, SearchConfig(restarts=2, seed=7))
+        res = search_equilateral(Space(1.0, (1,) * 3), 6, SearchConfig(restarts=2, seed=3))
         assert res.stop == "iteration cap" and res.iterations == 10
     res = search_equilateral(Space(1.0, (1,) * 3), 6, SearchConfig(restarts=1, seed=0))
     assert res.stop == "stalled" and res.iterations == 3 * construct._STALL_WINDOW
     res = search_equilateral(Space(2.0, (1, 1)), 4, SearchConfig(seed=3, restarts=6))
     assert res.stop == "damping overflow" and res.iterations > 0
     assert res.damping > construct._DAMPING_MAX
-    # below p = 2 the residuals soften block norms, so they can converge while
-    # the true-norm residual misses the target; the first-order descent this
-    # solver replaced ended so at seed 0, which now converges
-    res = search_equilateral(Space(1.02, (1,) * 4), 6, SearchConfig(seed=10))
-    assert not res.converged and 1e-10 < res.residual < 1e-8
-    assert res.stop == construct.ENERGY_ONLY and res.iterations == 59
-    res = search_equilateral(Space(1.02, (1,) * 4), 6, SearchConfig(seed=0))
-    assert res.converged and res.stop == "converged"
+    # with block norms softened by 1e-9 below p = 2, seed 10 converged on the
+    # softened residuals at a true residual of 1.9e-9, above the target; the
+    # search reports the residuals it minimises, so a converged restart meets it
+    for seed in (10, 0):
+        res = search_equilateral(Space(1.02, (1,) * 4), 6, SearchConfig(seed=seed))
+        assert res.converged and res.stop == "converged" and res.residual <= 2.5e-11
 
 
 def _scripted_descent(monkeypatch, energies, cfg=SearchConfig()):
@@ -434,7 +450,7 @@ def _scripted_descent(monkeypatch, energies, cfg=SearchConfig()):
     calls = iter(energies)
     monkeypatch.setattr(construct, "_search_residuals", lambda space, m: lambda Q: (
         np.full(Q.shape[0], next(calls)), np.zeros((Q.shape[0], 1)), np.zeros((Q.shape[0], 1, 1))))
-    _, iters, stop, lam = construct._descend(np.zeros((1, 2, 1)), Space(2.0, (1,)), cfg)
+    _, iters, stop, lam, _ = construct._descend(np.zeros((1, 2, 1)), Space(2.0, (1,)), cfg)
     return int(iters[0]), construct.STOP_CAUSES[stop[0]], float(lam[0])
 
 
@@ -569,7 +585,7 @@ def test_search_damping_overflow():
     # a unit segment has zero residuals, so no trial step lowers its energy: the
     # damping grows from _DAMPING_INIT until it passes _DAMPING_MAX
     Q = np.array([[[0.0], [1.0]]])
-    _, iters, stop, lam = construct._descend(Q, Space(2.0, (1,)), SearchConfig())
+    _, iters, stop, lam, _ = construct._descend(Q, Space(2.0, (1,)), SearchConfig())
     assert iters[0] == 0 and construct.STOP_CAUSES[stop[0]] == "damping overflow"
     assert lam[0] / 4.0 <= construct._DAMPING_MAX < lam[0]
     # in a batch, the segment leaves while the other restarts go on
