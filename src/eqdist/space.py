@@ -185,6 +185,15 @@ def _check_dim(space: Space, x: Sequence[float]) -> np.ndarray:
 # Row chunk of pair_map, and restart batch of the witness search: each
 # temporary holds about this many bytes.
 _CHUNK_BYTES = 1 << 20
+# Cap on the points of a set whose pairs are mapped, checked before pair_map
+# allocates: each (m, m) plane and its mirror take 8 m^2 bytes, 134 MB apiece at
+# the cap, where 20,000 points asked for 3 GB.  It holds every cross-polytope and
+# simplex that construct builds (at most 2,896 points), not every product of
+# simplices (a = b = 64 gives 4,225 points).  At the cap, on a 2-vCPU
+# Xeon, `verify` took 5.0 s with a 454 MB peak RSS on the product of two
+# 63-simplices (dimension 126), and 36 s with 1.2 GB on random points of lp^1,
+# whose 8.4 M distances each form a profile cluster.
+MAX_PAIR_POINTS = 1 << 12
 # Sums of squares below this have lost precision to underflow.
 _TINY = np.finfo(float).tiny
 _MAX = np.finfo(float).max
@@ -271,8 +280,12 @@ def norm(space: Space, x: Sequence[float]) -> float:
 def pair_map(pointset: PointSet, fn) -> np.ndarray:
     """(..., m, m) values of fn(A, B), which gives the (..., len A, len B) values for
     the row pairs of A and B, run on row chunks of the upper triangle and mirrored.
-    A chunk's (rows, cols, dim) pairwise temporaries hold about _CHUNK_BYTES."""
+    A chunk's (rows, cols, dim) pairwise temporaries hold about _CHUNK_BYTES.
+    A set of more than MAX_PAIR_POINTS points is refused before anything is allocated."""
     pts, m = pointset.points, pointset.m
+    if m > MAX_PAIR_POINTS:
+        raise ResourceLimitError(
+            f"{m} points are above the cap of {MAX_PAIR_POINTS} on pairwise distances")
     rows = max(1, _CHUNK_BYTES // (8 * pts.size))
     for i in range(0, m, rows):
         values = fn(pts[i:i + rows], pts[i:])

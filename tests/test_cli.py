@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import eqdist
 import json_reference
 from eqdist import approx, cli, construct
+from eqdist import space as space_mod
 from eqdist.cli import HUGE_INT, render_json, run
 from eqdist.space import MAX_AMBIENT_DIM, PointSet, Space, distance_matrix
 
@@ -920,6 +922,38 @@ CLI_OUTPUTS = [
 ]
 
 
+# (command, sha256 of stdout) of constructions at the sizes the benchmark writes,
+# in every format: their coordinates come from Python float arithmetic, so these
+# hold with numpy's AVX-512 loops on or off
+CONSTRUCT_OUTPUTS = [
+    ("construct cross-polytope --n 200",
+     "bd34542534f9e79591ccdc9ad23a7fde9da3a73f5bbfb04d5bd10354d37d0035"),
+    ("construct cross-polytope --n 200 --format csv",
+     "6f73134b0c5657ce3df8ef89fc48c8e9d1c6e695b19a4cc60a7c10e763f3e862"),
+    ("construct cross-polytope --n 200 --format text",
+     "3556ea92bcf56b3ddddb213fa527b63226c4725378429865e1be8ff4fb7a8d9a"),
+    ("construct lp-simplex --n 200 --p 3.5",
+     "df8f697893dc15eb301296ef701fb4eb39edb8c71b21f20605f173aa3c997264"),
+    ("construct lp-simplex --n 200 --p 3.5 --format csv",
+     "0b81eb96aa42f49691002726fc37934686b7f8b40098f4c82a34a752e3f80aff"),
+    ("construct lp-simplex --n 200 --p 3.5 --format text",
+     "821f0103c50bf0c55646e5eeba6f8aab3f509c43ca458f8870bb128d22c660f4"),
+    ("construct product --a 6 --b 6",
+     "7a0badaf495d81ad86da868a56fe920db07afaedbb5df9ee439b16f479fc7d93"),
+    ("construct product --a 6 --b 6 --format csv",
+     "e12a580ce7264d8b13fc112fecee0bf066ddb72d56e892e7f701876bdda2898d"),
+    ("construct product --a 6 --b 6 --format text",
+     "4035aaad62168d20f713f7ea62763b3f3edd649496ae2de346f2ee875e4404c8"),
+]
+
+
+@pytest.mark.parametrize("command,digest", CONSTRUCT_OUTPUTS,
+                         ids=[command for command, _ in CONSTRUCT_OUTPUTS])
+def test_construct_outputs_pinned_at_benchmark_sizes(capsys, command, digest):
+    got = _run(capsys, *command.split())
+    assert (got[0], hashlib.sha256(got[1].encode()).hexdigest(), got[2]) == (0, digest, "")
+
+
 @pytest.fixture(scope="module")
 def pinned_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("pinned")
@@ -1096,6 +1130,26 @@ def test_verify_lpsum_huge_coordinates(tmp_path, capsys):
     assert abs(profile[0] / 1e200 - math.sqrt(2)) < 1e-15 and profile[1] == 1e200
 
 
+@pytest.mark.parametrize("command", [["verify"], ["certify", "--theorem", "thm1"],
+                                     ["certify", "--theorem", "thm2"]])
+def test_pair_point_cap_exit_1(tmp_path, monkeypatch, command):
+    # one point past the cap, in dimension 1, is refused before the (m, m) planes
+    # are allocated: 20,000 points used to end in numpy's allocation traceback
+    f = tmp_path / "line.json"
+    f.write_text(json.dumps({"space": "lp:n=1,p=3",
+                             "points": [[i] for i in range(space_mod.MAX_PAIR_POINTS + 1)]}))
+    code, out, err = _run_quietly([*command, "--points", str(f)])
+    assert code == 1 and out == ""
+    assert err == f"error: {space_mod.MAX_PAIR_POINTS + 1} points are above the cap of " \
+                  f"{space_mod.MAX_PAIR_POINTS} on pairwise distances\n"
+    # the edge, with the cap lowered: 4 points pass it, 5 do not
+    monkeypatch.setattr(space_mod, "MAX_PAIR_POINTS", 4)
+    for m, refused in ((4, False), (5, True)):
+        f.write_text(json.dumps({"space": "lp:n=1,p=3", "points": [[i] for i in range(m)]}))
+        code, out, err = _run_quietly([*command, "--points", str(f)])
+        assert (code == 1 and out == "" and "above the cap of 4" in err) == refused, err
+
+
 def test_search_size_cap_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(construct, "SEARCH_MAX_PAIR_COORDS", 3 * 3 * 2)
     args = ("search", "--space", "lp:n=2,p=2", "--restarts", "1")
@@ -1257,6 +1311,37 @@ def test_render_json_matches_the_two_walker_reference(obj):
 def test_csv_and_text_match_the_two_walker_reference(obj):
     assert cli.render_csv(obj) == json_reference.render_csv(obj)
     assert cli.render_text(obj) == json_reference.render_text(obj)
+
+
+# small float64 matrices, their entries often repeated: the array writer formats
+# each distinct bit pattern once, so repeats, -0.0 beside 0.0 among them, must
+# each land where they stand
+_POINT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+    elements=st.sampled_from(_FLOAT_LIST) | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(a=_POINT_ARRAYS)
+@example(a=np.array([_FLOAT_LIST, [-v for v in _FLOAT_LIST]]))
+@example(a=np.array([[0.5]]))
+@example(a=np.array(_FLOAT_LIST)[:, None])
+@example(a=np.array([[math.nan, 1.0], [math.inf, -math.inf]]))  # written as its tolist()
+@example(a=np.array(_FLOAT_LIST))  # arrays other than finite float64 matrices, too
+@example(a=np.arange(6).reshape(2, 3))
+@example(a=np.zeros((2, 0)))
+def test_render_array_matches_the_two_walker_reference(a):
+    rows = a.tolist()
+    want = (json_reference.render_json(rows), json_reference._inline(rows),
+            json_reference.render_csv({"points": rows}),
+            json_reference.render_text({"points": rows}))
+    # with the size floor of the array path as it is, and at 1 so that every
+    # finite matrix takes that path
+    for floor in (cli._ARRAY_PATH_MIN_SIZE, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_ARRAY_PATH_MIN_SIZE", floor)
+            assert (render_json(a), render_json(a, None), cli.render_csv({"points": a}),
+                    cli.render_text({"points": a})) == want
 
 
 def test_unknown_theorem_message(capsys):
