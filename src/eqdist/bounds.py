@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .errors import (InputError, ResourceLimitError, require_even_exponent, require_int,
-                     require_positive, require_real, shown)
+                     require_positive, shown)
 from .space import Space
 
 UNSPECIFIED = "unspecified"
@@ -89,7 +89,7 @@ class BoundConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "c_absolute", require_positive("c_absolute", self.c_absolute))
-        object.__setattr__(self, "constants", {name: require_real(name, value)
+        object.__setattr__(self, "constants", {name: require_positive(name, value)
                                                for name, value in self.constants.items()})
 
 

@@ -266,6 +266,14 @@ def _low_exponents(nvars: int, half: int) -> list[tuple[int, ...]]:
     return [g for g in itertools.product(range(half), repeat=nvars) if 0 < sum(g) < half]
 
 
+def _family_rank(M: np.ndarray) -> tuple[int, int]:
+    """Rank and size of the family evaluated as the rows of M."""
+    if not np.isfinite(M).all():
+        raise NumericalError("the evaluated family has non-finite values "
+                             "(a value overflows double precision)")
+    return numerical_rank(M), len(M)
+
+
 def independence_rank_thm4(points: PointSet, p: int) -> tuple[int, int]:
     """Rank and size of {f_u} plus the augmenting monomials x1^g (0 < |g| < p/2),
     x2^g, and 1, evaluated at seeded generic points."""
@@ -282,7 +290,7 @@ def independence_rank_thm4(points: PointSet, p: int) -> tuple[int, int]:
                   *(np.prod(X[:, :a] ** g, axis=1) for g in g1),
                   *(np.prod(X[:, a:] ** g, axis=1) for g in g2),
                   np.ones(len(X))])
-    return numerical_rank(M), len(M)
+    return _family_rank(M)
 
 
 def independence_rank_thm3(points: PointSet) -> tuple[int, int]:
@@ -294,7 +302,7 @@ def independence_rank_thm3(points: PointSet) -> tuple[int, int]:
     X = np.random.default_rng(0).standard_normal((3 * (points.m + a + b + 2), a + b))
     M = np.array([*_thm3_entry(pair_block_sq_norms(points.space, points.points, X)), *X.T,
                   np.sum(X[:, :a] ** 2, axis=1), np.ones(len(X))])
-    return numerical_rank(M), len(M)
+    return _family_rank(M)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +359,7 @@ def _independence_note(rank_and_size, *args) -> str:
     """The note on the augmented family whose rank and size rank_and_size(*args) gives."""
     try:
         return "augmented family rank {} (independent iff {})".format(*rank_and_size(*args))
-    except ResourceLimitError as e:
+    except (ResourceLimitError, NumericalError) as e:
         return f"independence check skipped: {e}"
 
 

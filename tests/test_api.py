@@ -200,6 +200,8 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
     lambda: eqdist.norm_sandwich_check([math.nan, 1.0], 1.0, math.inf),
     lambda: eqdist.BoundConfig(constants={"c_p": math.nan}),
     lambda: eqdist.BoundConfig(constants={"c_pa": math.inf}),
+    lambda: eqdist.BoundConfig(constants={"c_ps": -1}),
+    lambda: eqdist.BoundConfig(constants={"c_p": 0}),
     lambda: eqdist.BoundConfig(c_absolute=math.inf),
     lambda: eqdist.jackson_constant("x"),
     lambda: eqdist.approximation_error(_X2, "3"),
@@ -277,8 +279,8 @@ _X2 = eqdist.EvenPolynomial(2, (1.0,))
         "coeff-nan", "coeff-inf", "degree-nan", "degree-2.5", "cluster-k-nan", "cluster-k-2.5",
         "lambda-n-nan", "simplex-n-2.5", "degree-n-nan", "degree-m-2.5", "approx-d-3.5",
         "block-str", "restarts-str", "distance-x-nan", "distance-y-inf", "norm-inf", "norm-nan",
-        "sandwich-x-inf", "sandwich-x-nan", "constant-nan", "constant-inf", "c-absolute-inf",
-        "jackson-p-str", "approx-p-str", "coeff-past-double", "coeff-str", "c-str",
+        "sandwich-x-inf", "sandwich-x-nan", "constant-nan", "constant-inf", "constant-negative",
+        "constant-zero", "c-absolute-inf", "jackson-p-str", "approx-p-str", "coeff-past-double", "coeff-str", "c-str",
         "c-past-double", "c-absolute-str", "constant-str", "constant-past-double",
         "certify-c-inf", "certify-c-absolute-inf", "certify-c-str", "rank-nan",
         "rank-lower-bound-nan", "lambda-p-str", "tol-str", "target-str", "space-p-str",

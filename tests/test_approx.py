@@ -82,6 +82,18 @@ def test_refusals(call):
         call()
 
 
+def _measured_with_sizes(P: EvenPolynomial, p: float) -> tuple[float, list[int]]:
+    """approximation_error(P, p), and the size of each array it evaluates P on."""
+    sizes = []
+
+    class Spy(EvenPolynomial):
+        def __call__(self, x):
+            sizes.append(np.size(x))
+            return super().__call__(x)
+
+    return approximation_error(Spy(P.degree, P.even_coeffs), p), sizes
+
+
 def test_p1_d1_is_the_zero_polynomial():
     # one Lobatto point leaves no even polynomial but 0 with P(0) = 0; its
     # bound is a_0 + tail(1, 0) = 2/pi + 2/pi, against the true error 1
@@ -90,8 +102,7 @@ def test_p1_d1_is_the_zero_polynomial():
     assert 4 / math.pi < cert.measured_error <= 4 / math.pi * (1 + 2 * COEFF_RTOL)
     # |x| rises over the grid, so no interior peak is refined and the grid
     # measure is the grid maximum, 1
-    assert approx._interior_maxima(approx._GRID).size == 0
-    assert approximation_error(P, 1) == 1.0
+    assert _measured_with_sizes(P, 1) == (1.0, [approx.GRID_SIZE, 0])
 
 
 def test_error_over_the_bound_exits_2(monkeypatch, capsys):
@@ -183,18 +194,16 @@ def test_monomial_conversion_is_numpys_cheb2poly(monkeypatch):
     assert cases == 1566
 
 
-def test_only_the_exact_monomial_skips_refinement(monkeypatch):
-    refined = []  # the number of intervals each refinement searches
-    golden_max = approx._golden_max
-    monkeypatch.setattr(approx, "_golden_max",
-                        lambda fn, a, b: refined.append(len(a)) or golden_max(fn, a, b))
-    # numpy squares |x| exactly, and Horner on the one-hot x^2 multiplies the
-    # same way, with zero coefficients above x^2 or none
+def test_only_the_exact_monomial_skips_refinement():
+    # P is evaluated on the grid, then once on the samples of every peak
+    # above 0.0; with none, that second array is empty.  numpy squares |x|
+    # exactly, and Horner on the one-hot x^2 multiplies the same way, with
+    # zero coefficients above x^2 or none
     for P in (EvenPolynomial(2, (1.0,)), EvenPolynomial(6, (1.0, 0.0, -0.0))):
-        assert approximation_error(P, 2) == 0.0 and not any(refined)
+        assert _measured_with_sizes(P, 2) == (0.0, [approx.GRID_SIZE, 0])
     # one ulp above 1 is not x^2: its error is refined, and above 0
-    P = EvenPolynomial(2, (1.0 + 2.0 ** -52,))
-    assert approximation_error(P, 2) > 0.0 and any(refined)
+    err, sizes = _measured_with_sizes(EvenPolynomial(2, (1.0 + 2.0 ** -52,)), 2)
+    assert err > 0.0 and sizes[0] == approx.GRID_SIZE and len(sizes) == 2 and sizes[1] > 0
     # nor is the zero polynomial, too short to hold x^2
     assert approximation_error(EvenPolynomial(1, ()), 2) == 1.0
 
@@ -228,19 +237,30 @@ def test_approximation_error_examples():
 
 
 
-def test_golden_max_refines_each_interval_alone():
-    from eqdist.approx import _golden_max
-
-    # peaks of height k at k + 0.3 on [k, k + w_k]; widths differ so the
-    # intervals stop after different numbers of steps
-    fn = lambda x: np.floor(x) - (x - np.floor(x) - 0.3) ** 2
-    a = np.array([0.0, 1.0, 2.0, 3.0])
-    b = a + np.array([1e-3, 0.5, 0.9, 0.31])
-    got = _golden_max(fn, a, b)
-    want = [fn(np.array([0.001]))[0], 1.0, 2.0, 3.0]
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
-    for i in range(4):
-        assert _golden_max(fn, a[i:i + 1], b[i:i + 1])[0] == got[i]
+def test_grid_measure_is_within_1e_10_below_the_true_sup():
+    # the true sup of |e|, e = P - |x|^p on [0, 1], at 50 digits with P's float
+    # coefficients read exactly: |e(1)| or |e| at a root of e', found by
+    # bracketing from each peak of |e| on a grid x = sin(theta), which is
+    # Chebyshev-spaced in t = x^2 as the interpolation nodes are
+    eps = np.finfo(float).eps
+    for p, d in ((1, 41), (1, 39), (1.0001, 23), (1.3, 20), (3.5, 30), (8 - 1e-9, 30)):
+        P, _ = approximate_abs_power(p, d)
+        with mpmath.workdps(50):
+            c, q = [mpmath.mpf(x) for x in P.even_coeffs], mpmath.mpf(p)
+            e = lambda x: x * x * mpmath.polyval(c[::-1], x * x) - x ** q
+            de = lambda x: (x * mpmath.polyval([2 * j * cj for j, cj in enumerate(c, 1)][::-1], x * x)
+                            - q * x ** (q - 1))
+            xs = [mpmath.sin(mpmath.pi * k / 400) for k in range(201)]
+            ev = [abs(e(x)) for x in xs]
+            sup = ev[-1]
+            for i in range(1, len(xs) - 1):
+                if ev[i - 1] <= ev[i] >= ev[i + 1]:
+                    r = mpmath.findroot(de, (xs[i - 1], xs[i + 1]), solver="anderson")
+                    assert xs[i - 1] <= r <= xs[i + 1], (p, d, i)
+                    sup = max(sup, abs(e(r)))
+        measured = approximation_error(P, p)
+        assert sup - 1e-10 <= measured, (p, d, float(sup - measured))
+        assert measured <= sup + 64 * eps * (1.0 + sum(map(abs, P.even_coeffs))), (p, d)
 
 
 def test_jackson_bound_subset():

@@ -213,7 +213,7 @@ def test_load_config(tmp_path):
         load_config(str(bad))
     with pytest.raises(InputError):
         load_config(str(tmp_path / "missing.cfg"))
-    for line in ("c_absolute = -1", "c_absolute = inf", "c_ps = nan", "c_p = abc"):
+    for line in ("c_absolute = -1", "c_absolute = inf", "c_ps = nan", "c_p = abc", "c_ps = -1"):
         bad.write_text(line + "\n")
         with pytest.raises(InputError):
             load_config(str(bad))

@@ -209,6 +209,36 @@ def test_verify_distance_overflow_exit_1(tmp_path, capsys, points):
     assert err.count("\n") == 1 and "overflows double precision" in err
 
 
+@pytest.mark.parametrize("theorem, space, points", [
+    ("thm1", "lp:n=2,p=4", [[0, 0], [1e300, 0]]),
+    ("thm3", "lpsum:blocks=1,1,p=inf", [[0, 0], [1e300, 1e300]]),
+    ("thm4", "lpsum:blocks=1,1,p=4", [[0, 0], [1e100, 0]]),
+])
+def test_certify_overflowed_matrix_exit_1(tmp_path, capsys, theorem, space, points):
+    # the independence check of thm3 and thm4 overflows too, and is skipped,
+    # so each theorem ends in certify's own line on its matrix
+    f = tmp_path / "far.json"
+    f.write_text(json.dumps({"space": space, "points": points}))
+    code, out, err = _run(capsys, "certify", "--points", str(f), "--theorem", theorem)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {theorem}: the certificate matrix has non-finite entries")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("theorem, p", [("thm3", "inf"), ("thm4", "4")])
+def test_certify_one_far_point_skips_the_overflowed_independence_check(tmp_path, capsys,
+                                                                      theorem, p):
+    # the 1x1 identity certificate is sound; only the augmented family overflows
+    f = tmp_path / "one.json"
+    f.write_text(json.dumps({"space": f"lpsum:blocks=1,1,p={p}", "points": [[1e200, 0]]}))
+    code, out, err = _run(capsys, "certify", "--points", str(f), "--theorem", theorem)
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["passes"] and rep["notes"] == [
+        "independence check skipped: the evaluated family has non-finite values "
+        "(a value overflows double precision)"]
+
+
 def test_certify_cli(tmp_path, capsys):
     code, out, _ = _run(capsys, "construct", "product", "--a", "2", "--b", "1")
     f = tmp_path / "prod.json"
