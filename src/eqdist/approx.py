@@ -19,7 +19,9 @@ a_k known in closed form and sum_{k>n} |a_k| too (ATAP Thm 4.2), and
 
 The b_k of the stored coefficients are summed exactly, in integers.
 approximation_error, a dense-grid maximum with each grid peak sampled at
-PEAK_SAMPLES points over its two grid intervals, is the independent lower check.
+PEAK_SAMPLES points over its two grid intervals, is the independent check: a
+float measure of the error, which may read above the true sup by the Horner
+rounding of P's monomial coefficients, 64 eps (1 + sum |c_j|).
 """
 
 from __future__ import annotations
@@ -65,13 +67,32 @@ def jackson_constant(p: float) -> float:
     except OverflowError:  # cp ** p alone, from about p = 143
         b = math.inf
     if not math.isfinite(b):  # the float products overflow for p > 75: take logs
-        try:  # the falling factorial is Gamma(p + 1) / Gamma(p - cp + 2)
-            b = math.exp(p * math.log(cp) + cp * math.log(1.0 + math.pi ** 2 / 2.0)
-                         + math.lgamma(p + 1.0) - math.lgamma(p - cp + 2.0)
-                         - math.lgamma(cp + 1.0))
+        try:
+            b = math.exp(_log_jackson_constant(p))
         except OverflowError:  # B(p) itself, from about p = 109.65
             raise NumericalError(f"B(p) overflows double precision at p={p:g}") from None
     return b
+
+
+def _log_jackson_constant(p: float) -> float:
+    """log B(p); the falling factorial is Gamma(p + 1) / Gamma(p - ceil(p) + 2)."""
+    cp = math.ceil(p)
+    return (p * math.log(cp) + cp * math.log(1.0 + math.pi ** 2 / 2.0)
+            + math.lgamma(p + 1.0) - math.lgamma(p - cp + 2.0) - math.lgamma(cp + 1.0))
+
+
+def _jackson_bound(p: float, d: int) -> float:
+    """B(p)/d^p; where B(p) overflows, as exp(log B(p) - p log d), which is
+    finite up to about p = d = 398 (for the exact x^p)."""
+    try:
+        return jackson_constant(p) / d ** p
+    except NumericalError:
+        pass
+    try:
+        return math.exp(_log_jackson_constant(p) - p * math.log(d))
+    except OverflowError:
+        raise NumericalError(f"the bound B(p)/d^p overflows double precision at "
+                             f"p={p:g}, d={d}") from None
 
 
 @dataclass(frozen=True)
@@ -111,10 +132,13 @@ def approximation_error(P: EvenPolynomial, p: float) -> float:
 
     The largest error on the grid and at PEAK_SAMPLES evenly spaced points
     over the two grid intervals around every grid local maximum above 0.0
-    (all peaks in one evaluation), with |x|^p read as numpy's power of |x|;
-    the result is a lower bound on the true sup-error and is within 1e-10 of
-    it for d <= 45.  A peak of 0.0 lies where P and |x|^p agree exactly, as x^2
-    at p = 2 does at every grid point, and is not refined.
+    (all peaks in one evaluation), with |x|^p read as numpy's power of |x|.
+    For d <= 45 the result is at most 1e-10 below the true sup-error.  It is
+    not a lower bound: P is evaluated by Horner's rule in floats, whose
+    rounding, up to 64 eps (1 + sum |c_j|), can lift it above the true sup
+    once that outgrows the error (8.10e-9 against 6.31e-9 at p = 5.75,
+    d = 45, where sum |c_j| = 9.3e7).  A peak of 0.0 lies where P and |x|^p
+    agree exactly, as x^2 at p = 2 does at every grid point, and is not refined.
     """
     p = require_exponent("p", p)
     fn = lambda x: np.abs(P(x) - np.abs(x) ** p)
@@ -237,7 +261,7 @@ def approximate_abs_power(p: float, d: int) -> tuple[EvenPolynomial, ApproxCerti
     if d > MAX_DEGREE:
         raise ResourceLimitError(f"degree {shown(d)} exceeds the cap of {MAX_DEGREE}")
     nh = d // 2
-    bound = jackson_constant(p) / d ** p
+    bound = _jackson_bound(p, d)
 
     if p % 2 == 0:  # x^p: one 1.0 among the nh even coefficients, exact
         P = EvenPolynomial(d, tuple(float(j == p // 2 - 1) for j in range(nh)))

@@ -8,10 +8,15 @@ from (seed, restart_index) so results are reproducible.
 The restarts advance in lockstep, held coordinate-major as one (batch, dim, m)
 array: each tick makes one batched solve of the damped systems and one
 residual-and-Jacobian call on every live restart's trial point, each restart
-with its own damping.  The live restarts' state is kept compacted, and a
-restart leaves the batch when it converges, stalls or hits a cap, so each
-follows the same trajectory as it would alone.  Batches are sized so their
-pair temporaries and damped systems fit in the pairwise kernel's chunk size.
+with its own damping.  The bookkeeping after them does only what the tick can
+change: it copies the accepted trial points in by mask (all or none of them
+without one), updates the dampings in one divide, and runs the stop rules only
+on a tick where whole-batch checks of the least energy, the step counts and
+the largest damping say one can fire.  The live restarts' state is kept
+compacted, and a restart leaves the batch when it converges, stalls or hits a
+cap, so each follows the same trajectory as it would alone.  Batches are sized
+so their pair temporaries and damped systems fit in the pairwise kernel's
+chunk size.
 """
 
 from __future__ import annotations
@@ -200,6 +205,8 @@ MAX_ITERS = 500  # accepted steps a restart may take
 _STALL_WINDOW = 20
 _STALL_DROP = 1e-2
 _DAMPING_INIT, _DAMPING_MIN, _DAMPING_MAX = 1e-3, 1e-12, 1e8
+# a rejected step divides the damping by 1/4, which is exactly times 4
+_DAMPING_DIVISOR = np.array([0.25, 3.0])
 # Caps on one restart's m * m * dim pair coordinates and on the order
 # k = min(m(m-1)/2, m * dim) of its damped system, whose k * k doubles take about
 # k^3 operations per step.  At the caps a one-restart search traced 145 MB on
@@ -288,13 +295,15 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
     of each.
 
     Each tick makes one _search_residuals call on every live restart's trial
-    point q + _damped_step.  One masked rule then updates every restart: one
-    whose energy E falls moves there and divides its damping by 3, down to
-    _DAMPING_MIN; the others multiply theirs by 4.  A restart stops when it
-    converges (sqrt(E) <= residual_target / 4), stalls (see _STALL_WINDOW),
-    reaches MAX_ITERS accepted steps, or its damping passes _DAMPING_MAX.  The
-    points are held as (R, dim, m), and the live restarts' state compacted, row
-    k belonging to restart idx[k], written back into Q on the tick it leaves.
+    point q + _damped_step.  A restart whose energy E falls moves there and
+    divides its damping by 3, down to _DAMPING_MIN; the others multiply theirs
+    by 4.  A restart stops when it converges (sqrt(E) <= residual_target / 4),
+    stalls (see _STALL_WINDOW), reaches MAX_ITERS accepted steps, or its
+    damping passes _DAMPING_MAX.  The stop rules run only on a tick where the
+    least trial energy converges, a restart reaches its next checkpoint or the
+    cap (due), or the largest damping passes the limit.  The points are held as
+    (R, dim, m), and the live restarts' state compacted, row k belonging to
+    restart idx[k], written back into Q on the tick it leaves.
     """
     R, m, dim = Q.shape
     residuals, step = _search_residuals(space, m), _damped_step(m, dim)
@@ -306,25 +315,38 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
     energy, res, G = residuals(q)
     lam = np.full(R, _DAMPING_INIT)
     iters = np.zeros(R, dtype=int)
+    due = np.full(R, min(_STALL_WINDOW, MAX_ITERS))  # the step count of the next checkpoint or cap
     checkpoint = energy.copy()  # the energy at the last multiple of _STALL_WINDOW steps
     while idx.size:
         trial = q + step(res, G, lam)
         en, r, g = residuals(trial)
         ok = en < energy
-        np.copyto(q, trial, where=ok[:, None, None])
-        np.copyto(res, r, where=ok[:, None])
-        np.copyto(G, g, where=ok[:, None, None])
-        np.copyto(energy, en, where=ok)
-        lam = np.where(ok, np.maximum(lam / 3.0, _DAMPING_MIN), lam * 4.0)
-        iters += ok
+        accepted = np.count_nonzero(ok)
+        if accepted == ok.size:
+            q, res, G, energy = trial, r, g, en
+        elif accepted:
+            np.copyto(q, trial, where=ok[:, None, None])
+            np.copyto(res, r, where=ok[:, None])
+            np.copyto(G, g, where=ok[:, None, None])
+            np.copyto(energy, en, where=ok)
+        lam = np.maximum(lam / _DAMPING_DIVISOR.take(ok), _DAMPING_MIN)
+        # a stop rule can fire only on a tick that brings a restart to
+        # convergence or to its next checkpoint, or its damping past the limit;
+        # sqrt is monotone, so the least trial energy decides convergence
+        if accepted:
+            iters += ok
+        if not (accepted and (math.sqrt(np.fmin.reduce(en)) <= done or (iters >= due).any())
+                or accepted < ok.size and lam.max() > _DAMPING_MAX):
+            continue
         stop = np.where(lam > _DAMPING_MAX, _OVERFLOW, -1)
         # later assignments win: converged over a stall over the cap.  Only a
         # restart that stepped on this tick can reach any of the three
         stop[iters >= MAX_ITERS] = _CAPPED
         check = ok & (iters % _STALL_WINDOW == 0)
-        if check.any():  # most ticks bring no restart to a checkpoint
+        if check.any():
             stop[check & (energy > (1.0 - _STALL_DROP) * checkpoint)] = _STALLED
             checkpoint[check] = energy[check]
+            due[check] = np.minimum(iters[check] + _STALL_WINDOW, MAX_ITERS)
         stop[ok & (np.sqrt(energy) <= done)] = _CONVERGED
         leave = stop >= 0
         if leave.any():
@@ -332,8 +354,8 @@ def _descend(Q: np.ndarray, space: Space, cfg: SearchConfig):
             Q[out], iters_out[out], stop_out[out], lam_out[out], resid_out[out] = (
                 q[leave], iters[leave], stop[leave], lam[leave],
                 np.maximum.reduce(np.abs(res[leave]), axis=-1))
-            idx, q, res, G, energy, lam, iters, checkpoint = (
-                x[keep] for x in (idx, q, res, G, energy, lam, iters, checkpoint))
+            idx, q, res, G, energy, lam, iters, due, checkpoint = (
+                x[keep] for x in (idx, q, res, G, energy, lam, iters, due, checkpoint))
     return Q.transpose(0, 2, 1), iters_out, stop_out, lam_out, resid_out
 
 

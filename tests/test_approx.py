@@ -51,6 +51,29 @@ def test_jackson_constant_overflow_edge():
             jackson_constant(p)
 
 
+def test_jackson_bound_edges():
+    # below about p = 109.65 the bound is B(p)/d^p as jackson_constant gives it;
+    # above, B(p) overflows and the quotient is exp(log B(p) - p log d), finite
+    # up to p = d = 398 and past the largest double from p = d = 399
+    assert approx._jackson_bound(109.6, 110) == jackson_constant(109.6) / 110 ** 109.6
+    for p, d in ((109.6, 110), (109.7, 110), (120.0, 120), (120.0, 130), (150.5, 400),
+                 (398.0, 398)):
+        with mpmath.workdps(50):
+            want = _jackson_mp(p) / mpmath.mpf(d) ** p
+        assert abs(approx._jackson_bound(p, d) / want - 1) < 1e-12, (p, d)
+    for p, d in ((399.0, 399), (400.0, 400)):
+        with mpmath.workdps(50):
+            assert _jackson_mp(p) / mpmath.mpf(d) ** p > sys.float_info.max
+        with pytest.raises(NumericalError, match=f"B\\(p\\)/d\\^p overflows .* p={p:g}, d={d}$"):
+            approx._jackson_bound(p, d)
+    # approx takes the exact x^120 with error 0, where B(120) overflows
+    with pytest.raises(NumericalError, match="B\\(p\\) overflows"):
+        jackson_constant(120.0)
+    P, cert = approximate_abs_power(120.0, 120)
+    assert cert.measured_error == 0.0 and P.even_coeffs[-1] == 1.0
+    assert cert.jackson_bound == approx._jackson_bound(120.0, 120)
+
+
 def test_even_polynomial_structure():
     P = EvenPolynomial(6, (1.0, -0.5, 0.25))
     assert P(0.0) == 0.0

@@ -274,13 +274,32 @@ def test_approx_cli_schema(capsys):
     assert rep["measured_error"] <= rep["jackson_bound"]
 
 
-@pytest.mark.parametrize("p, d", [("120", "130"), ("109.7", "110")])
+@pytest.mark.parametrize("p, d", [("400", "400"), ("399", "399")])
 def test_approx_refuses_an_overflowed_jackson_bound(p, d):
-    # "jackson_bound": "inf" would certify nothing; B(p) overflows even in log
-    # space from about p = 109.65, and p = 120 takes the exact even-p path
+    # "jackson_bound": "inf" would certify nothing; B(p)/d^p, taken in log space
+    # where B(p) overflows, passes the largest double between p = d = 398 and 399
     code, out, err = _run_quietly(["approx", "--p", p, "--d", d])
     assert (code, out) == (1, "")
-    assert err == f"error: B(p) overflows double precision at p={float(p):g}\n"
+    assert err == f"error: the bound B(p)/d^p overflows double precision at p={p}, d={d}\n"
+
+
+@pytest.mark.parametrize("p, d", [("120", "120"), ("120", "130"), ("398", "398")])
+def test_approx_takes_jackson_bound_in_log_space(p, d):
+    # B(p) overflows from about p = 109.65, but B(p)/d^p = exp(log B - p log d)
+    # is finite: the exact x^p has error 0
+    code, out, err = _run_quietly(["approx", "--p", p, "--d", d])
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["measured_error"] == 0.0
+    assert rep["coefficients"] == [float(j == int(p) // 2 - 1) for j in range(int(d) // 2)]
+    assert 0.0 < rep["jackson_bound"] < math.inf
+
+
+def test_approx_past_the_jackson_constant_refuses_only_the_degree():
+    # at p = 109.7 the bound is finite; the degree 110 is past the monomial cap
+    code, out, err = _run_quietly(["approx", "--p", "109.7", "--d", "110"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: degree 110 exceeds 45") and err.count("\n") == 1
 
 
 def test_approx_past_the_float_product_of_jackson_bound():

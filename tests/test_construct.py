@@ -592,3 +592,46 @@ def test_search_damping_overflow():
     batch = np.array([[[0.0], [0.3]], [[0.0], [1.0]], [[0.2], [-0.7]]])
     assert _check_descent(batch, Space(2.0, (1,)), SearchConfig()) == \
         {"damping overflow", "converged"}
+
+
+def test_descent_stops_on_every_event_tick(monkeypatch):
+    # 64 restarts that leave on many different ticks, by all four causes: each
+    # stop is found on its own tick, by the whole-batch checks for a converged
+    # energy, a checkpoint or the cap, and a damping past the limit
+    monkeypatch.setattr(construct, "MAX_ITERS", 50)  # not a multiple of _STALL_WINDOW
+    space, m, restarts, seed = Space(1.0, (1,) * 3), 6, 64, 7
+    Q = np.stack([np.random.default_rng([seed, r]).uniform(-1.0, 1.0, size=(m, 3))
+                  for r in range(restarts)])
+    cfg = SearchConfig(restarts=restarts, seed=seed, residual_target=1e-8)
+    assert _check_descent(Q, space, cfg) == set(construct.STOP_CAUSES)
+    with np.errstate(all="ignore"):
+        iters = construct._descend(Q.copy(), space, cfg)[1]
+    assert len(set(iters.tolist())) > 20
+
+
+def test_descent_sees_convergence_next_to_a_nan_energy(monkeypatch):
+    # two coincident points have a nan energy, and so has every trial point of
+    # theirs, until their damping overflows; the restarts next to them all
+    # converge before that, and the least energy must not be read as nan
+    Q = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 3, 2))
+    Q[2, 1] = Q[2, 0]
+    space, cfg = Space(2.0, (1, 1)), SearchConfig()
+    assert _check_descent(Q, space, cfg) == {"converged", "damping overflow"}
+    batches, residuals = [], construct._search_residuals
+
+    def recording(space, m):  # the live restarts of each call, and whether one is nan
+        call = residuals(space, m)
+
+        def record(Q):
+            out = call(Q)
+            batches.append((Q.shape[0], bool(np.isnan(out[0]).any())))
+            return out
+        return record
+
+    monkeypatch.setattr(construct, "_search_residuals", recording)
+    with np.errstate(all="ignore"):
+        _, iters, stop, _, _ = construct._descend(Q.copy(), space, cfg)
+    assert construct.STOP_CAUSES[stop[2]] == "damping overflow" and iters[2] == 0
+    assert (np.delete(stop, 2) == construct._CONVERGED).all()
+    assert len(set(np.delete(iters, 2).tolist())) > 1
+    assert batches[-1] == (1, True)  # the nan restart leaves last, and alone
