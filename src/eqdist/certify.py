@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .approx import MAX_DEGREE, EvenPolynomial, approximate_abs_power, choose_degree, jackson_constant
+from .approx import (MAX_DEGREE, MAX_MONOMIAL_DEGREE, EvenPolynomial, _jackson_bound,
+                     approximate_abs_power, choose_degree, jackson_constant)
 from .bounds import _require_bits, large_p_gate
 from .construct import distance_profile
 from .errors import (InputError, NumericalError, ResourceLimitError, require_even_exponent,
@@ -184,7 +185,7 @@ def _surrogate_matrix(points: PointSet, P: EvenPolynomial,
     off = ~np.eye(m, dtype=bool)
     gap = float(np.max(np.abs(X[off] - Y[off]), initial=0.0))
     min_y = float(np.min(Y[off])) if m > 1 else math.nan
-    bound = space.n_blocks * jackson_constant(space.p) / P.degree ** space.p
+    bound = space.n_blocks * _jackson_bound(space.p, P.degree)
     return A, ApproxGapDiagnostics(gap, bound, min_y)
 
 
@@ -371,9 +372,10 @@ def _approximant(p: float, c: float, n: int, m: int, notes: list[str],
     if d < math.ceil(p):
         raise InputError(f"chosen degree {d} is below ceil(p)={math.ceil(p):.6g}; "
                          "pass a larger constant c")
-    if d > MAX_DEGREE:
+    cap = MAX_DEGREE if p % 2 == 0 else MAX_MONOMIAL_DEGREE  # approximate_abs_power's own cap
+    if d > cap:
         raise ResourceLimitError(
-            f"chosen degree {d:.6g} exceeds the cap {MAX_DEGREE}; "
+            f"chosen degree {d:.6g} exceeds the cap {cap}; "
             "pass a smaller constant c to certify at desk scale")
     P, cert = approximate_abs_power(p, d)
     notes.append(f"{lead}c={c:.6g}, degree d={d}, approx error "

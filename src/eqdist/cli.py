@@ -35,16 +35,12 @@ FORMATS = ("json", "csv", "text")
 # written as {"log2": x}, x their base-2 logarithm: their decimal form would
 # near CPython's 4300-digit limit on int-to-str conversion.
 HUGE_INT = 10 ** 4000
-# Arrays of fewer entries are written by tolist(): below this the array path's
-# fixed numpy cost, about 10 us, outweighs what it saves even when every value
-# is distinct, as in a search output of at most 6 x 4 coordinates.
-_ARRAY_PATH_MIN_SIZE = 32
 
 
 def _fmt_float(x: float) -> str:
     """A finite x as "%.1f" when integral below 1e17, else "%.17g"; nan and
     inf as JSON strings."""
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         return json.dumps(str(x))
     return ("%.1f" if x.is_integer() and -1e17 < x < 1e17 else "%.17g") % x
 
@@ -59,12 +55,11 @@ def _layout(indent: int | None) -> tuple[str, str, str]:
 
 
 def _render_array(a: np.ndarray, indent: int | None) -> str:
-    """a as render_json writes a.tolist().  A finite float64 matrix of at least
-    _ARRAY_PATH_MIN_SIZE entries, such as a PointSet's points, is written from
-    the array: each distinct bit pattern (-0.0 apart from 0.0) gets _fmt_float's
-    rule by exact vectorised tests and is formatted in one % call, and the row
-    texts are joined."""
-    if a.dtype != np.float64 or a.ndim != 2 or a.size < _ARRAY_PATH_MIN_SIZE:
+    """a as render_json writes a.tolist().  A non-empty float64 matrix, such as
+    a PointSet's points, is written from the array: each distinct bit pattern
+    (-0.0 apart from 0.0) is formatted once by _fmt_float, and the row texts
+    are joined."""
+    if a.dtype != np.float64 or a.ndim != 2 or a.size == 0:
         return render_json(a.tolist(), indent)
     bits = a.view(np.int64).ravel()
     ordered = np.sort(bits)
@@ -72,12 +67,7 @@ def _render_array(a: np.ndarray, indent: int | None) -> str:
     starts[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     distinct = ordered[starts]
-    values = distinct.view(np.float64)
-    if not np.isfinite(values).all():
-        return render_json(a.tolist(), indent)
-    plain = (np.trunc(values) == values) & (np.abs(values) < 1e17)
-    template = ",".join(["%.1f" if v else "%.17g" for v in plain.tolist()])
-    texts = np.array((template % tuple(values.tolist())).split(","), dtype=object)
+    texts = np.array([_fmt_float(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     rows = texts[distinct.searchsorted(bits)].reshape(a.shape).tolist()
     sep, open_, close = _layout(None if indent is None else indent + 2)
     rows = [f"[{open_}{sep.join(row)}{close}]" for row in rows]
@@ -86,9 +76,9 @@ def _render_array(a: np.ndarray, indent: int | None) -> str:
 
 
 def render_json(obj, indent: int | None = 0) -> str:
-    """obj as JSON, floats with 17 significant digits: one line when indent is
-    None, else one container item per line, indented indent + 2 spaces.  A
-    numpy array is written as its tolist() would be."""
+    """obj as JSON: one line when indent is None, else one container item per
+    line, indented indent + 2 spaces.  Every float, in a container or a numpy
+    array alike, is written by _fmt_float; an array as its tolist() would be."""
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, np.ndarray):
@@ -104,12 +94,7 @@ def render_json(obj, indent: int | None = 0) -> str:
             body = sep.join([f"{json.dumps(str(k))}: {render_json(v, inner)}"
                              for k, v in obj.items()])
             return "{" + open_ + body + close + "}"
-        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            # _fmt_float's rule, with one % call for the whole list
-            body = sep.join(["%.1f" if v.is_integer() and -1e17 < v < 1e17 else "%.17g"
-                             for v in obj]) % tuple(obj)
-        else:
-            body = sep.join([render_json(v, inner) for v in obj])
+        body = sep.join([render_json(v, inner) for v in obj])
         return "[" + open_ + body + close + "]"
     if isinstance(obj, (bool, int, str)) or obj is None:
         return json.dumps(obj)

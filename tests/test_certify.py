@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from eqdist import bounds as bounds_mod
 from eqdist import space as space_mod
-from eqdist.approx import EvenPolynomial, choose_degree, jackson_constant
+from eqdist.approx import EvenPolynomial, _jackson_bound, choose_degree, jackson_constant
 from eqdist.bounds import MAX_BOUND_BITS, BoundConfig, enumerate_bounds
 from eqdist.certify import (RANK_LEMMA_SLACK, RANK_RTOL, CertifyConfig, SymMatrix,
                             _power_sum_entry, certify, gram_thm3, gram_thm4, independence_rank_thm3,
@@ -20,7 +20,7 @@ from eqdist.certify import (RANK_LEMMA_SLACK, RANK_RTOL, CertifyConfig, SymMatri
                             span_dim)
 from eqdist.construct import (cross_polytope, euclidean_simplex, lp_simplex,
                               product_construction)
-from eqdist.errors import InputError, ResourceLimitError
+from eqdist.errors import InputError, NumericalError, ResourceLimitError
 from eqdist.space import PointSet, Space, distance_matrix, pair_block_sq_norms
 from monomial_counts import monomial_count_enumerated, monomial_count_telescoped
 
@@ -208,6 +208,20 @@ def test_matrix_thm2_validation():
     inf_pts = PointSet(Space(math.inf, (1, 1)), np.array([[0, 0], [1, 0.0]]))
     with pytest.raises(InputError):
         matrix_thm2(inf_pts, [1.0], P2)
+
+
+@pytest.mark.parametrize("p", [109.6, 109.7, 120.0])
+def test_gap_bound_is_n_times_the_approximants_jackson_bound(p):
+    # one overflow rule for B(p)/d^p, on both sides of B(p)'s own overflow
+    # near p = 109.65, past which the bound is taken in log space
+    if p > 109.65:
+        with pytest.raises(NumericalError, match=r"B\(p\) overflows"):
+            jackson_constant(p)
+    pts = PointSet(Space(p, (1, 1, 1)), np.eye(3))
+    for d in (110, 177, 400):
+        P = EvenPolynomial(d, (1.0,))
+        for _, diag in (matrix_thm5(pts, P), matrix_thm2(pts, [1.0], P)):
+            assert 0.0 < diag.gap_bound == 3 * _jackson_bound(p, d) < math.inf
 
 
 def test_matrix_thm2_span_soundness_sample():

@@ -312,15 +312,32 @@ def test_approx_past_the_float_product_of_jackson_bound():
 
 
 @pytest.mark.parametrize("theorem", ["thm2", "thm5"])
-def test_certify_refuses_an_overflowed_jackson_bound(tmp_path, theorem):
-    # an inf n*B(p)/d^p would let any approximation gap pass; c = 1e269 is
-    # about the least with a degree window at p = 120
+def test_certify_takes_the_jackson_bound_past_the_overflow_of_b(tmp_path, theorem):
+    # B(120) overflows, but the gap bound n*B(p)/d^p is taken in log space as
+    # approx takes it; c = 1e269 is about the least with a degree window at p = 120
     f = tmp_path / "s.json"
     f.write_text(render_json(construct.lp_simplex(2, 120.0).to_jsonable()))
     code, out, err = _run_quietly(["certify", "--points", str(f), "--theorem", theorem,
                                    "--c", "1e269"])
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["passes"] and "degree d=177," in rep["notes"][-2]
+    assert rep["notes"][-1].endswith("vs n*B(p)/d^p = 7.157e+72 (ok)")
+    # without --c the paper's c is B(p) itself, which overflows
+    code, out, err = _run_quietly(["certify", "--points", str(f), "--theorem", theorem])
     assert (code, out) == (1, "")
     assert err == "error: B(p) overflows double precision at p=120\n"
+
+
+def test_certify_refuses_a_chosen_degree_past_the_monomial_cap(tmp_path):
+    # the paper's c for thm2 on the l1 cross-polytope chooses d = 175; the refusal
+    # names that degree and the flag that moves it, not approx's own wording
+    f = tmp_path / "cp3.json"
+    f.write_text(render_json(construct.cross_polytope(3).to_jsonable()))
+    code, out, err = _run_quietly(["certify", "--points", str(f), "--theorem", "thm2"])
+    assert (code, out) == (1, "")
+    assert err == ("error: chosen degree 175 exceeds the cap 45; pass a smaller "
+                   "constant c to certify at desk scale\n")
 
 
 def test_approx_coefficients_reproduce_measured_error(capsys):
@@ -590,14 +607,14 @@ def test_bound_past_the_largest_double():
 def test_huge_exponents_end_in_under_a_second(fuzz_dir, points, flags):
     # each of these once ran for longer than 20 s.  thm1 and thm4 take one power call per
     # entry at any exponent and fail the off-diagonal check (these sets are not unit
-    # equilateral at such p); thm5's chosen degree is refused by the degree cap
+    # equilateral at such p); thm5's chosen degree at p = 1 is refused by the monomial cap
     t0 = time.perf_counter()
     code, out, err = _run_quietly(["certify", "--points", str(fuzz_dir / f"{points}.json"),
                                    *flags])
     assert time.perf_counter() - t0 < 1.0
     assert err.count("\n") == 1
     if "thm5" in flags:
-        assert code == 1 and out == "" and "exceeds the cap 400" in err
+        assert code == 1 and out == "" and "exceeds the cap 45;" in err
     else:
         assert code == 2 and err == f"certificate for {flags[1]} did not pass\n"
         assert not json.loads(out)["passes"]
@@ -1330,13 +1347,17 @@ _EVERY_CASE = {"nan": math.nan, "inf": [math.inf, -math.inf], "zero": (-0.0, 0.0
                "flags": [True, False, None], "text": 'say "h\u00e9" \u2603',
                "empty": [[], {}, ()], "nested": {"a": {"b": [{"c": ()}]}}}
 # longer than the strategy's lists: finite floats on both sides of each switch
-# of render_json's one-call float-list format, then lists that leave that path
+# of _fmt_float's rule (-0.0, 1e17, 2**53 + 2), then lists that mix them with
+# other values
 _FLOAT_LIST = [0.0, -0.0, 5e-324, -5e-324, 1.0, -3.0, 1e16, -1e16, 99999999999999984.0,
                -99999999999999984.0, 1e17, -1e17, 1e22, 0.1, 2.5, 1e-5, 2.0 ** 53 + 2]
 _FLOAT_LISTS = {"floats": _FLOAT_LIST, "nan": [*_FLOAT_LIST, math.nan],
                 "inf": [math.inf, *_FLOAT_LIST], "int": [*_FLOAT_LIST, 3],
                 "bool": [True, *_FLOAT_LIST], "np": [*_FLOAT_LIST, np.float64(0.1)],
                 "rows": [_FLOAT_LIST, tuple(_FLOAT_LIST)]}
+# a float list such as approx's coefficients or verify's profile, with the
+# non-finite values that _fmt_float writes as JSON strings
+_EDGE_FLOATS = [-0.0, 1e17, math.nan, math.inf, 0.0, -1e17, -math.inf, 99999999999999984.0]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -1346,6 +1367,7 @@ _FLOAT_LISTS = {"floats": _FLOAT_LIST, "nan": [*_FLOAT_LIST, math.nan],
 @example(obj=_FLOAT_LIST)
 @example(obj=_FLOAT_LISTS)
 @example(obj=[_FLOAT_LISTS, [_FLOAT_LISTS]])
+@example(obj=_EDGE_FLOATS)
 def test_render_json_matches_the_two_walker_reference(obj):
     assert render_json(obj) == json_reference.render_json(obj)
     assert render_json(obj, None) == json_reference._inline(obj)
@@ -1357,6 +1379,7 @@ def test_render_json_matches_the_two_walker_reference(obj):
 @example(obj=[_EVERY_CASE, {"tiny": 1.0, "other": "x"}])
 @example(obj=_FLOAT_LISTS)
 @example(obj=[_FLOAT_LISTS, {"floats": [*_FLOAT_LIST, *_FLOAT_LIST], "x": 1.5}])
+@example(obj={"profile": _EDGE_FLOATS, "coefficients": [_EDGE_FLOATS]})
 def test_csv_and_text_match_the_two_walker_reference(obj):
     assert cli.render_csv(obj) == json_reference.render_csv(obj)
     assert cli.render_text(obj) == json_reference.render_text(obj)
@@ -1364,10 +1387,10 @@ def test_csv_and_text_match_the_two_walker_reference(obj):
 
 # small float64 matrices, their entries often repeated: the array writer formats
 # each distinct bit pattern once, so repeats, -0.0 beside 0.0 among them, must
-# each land where they stand
+# each land where they stand; every nan bit pattern is written "nan"
 _POINT_ARRAYS = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
-    elements=st.sampled_from(_FLOAT_LIST) | st.floats(allow_nan=False, allow_infinity=False))
+    elements=st.sampled_from(_FLOAT_LIST) | st.floats())
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -1375,22 +1398,20 @@ _POINT_ARRAYS = hnp.arrays(
 @example(a=np.array([_FLOAT_LIST, [-v for v in _FLOAT_LIST]]))
 @example(a=np.array([[0.5]]))
 @example(a=np.array(_FLOAT_LIST)[:, None])
-@example(a=np.array([[math.nan, 1.0], [math.inf, -math.inf]]))  # written as its tolist()
-@example(a=np.array(_FLOAT_LIST))  # arrays other than finite float64 matrices, too
+@example(a=np.array([_EDGE_FLOATS, _EDGE_FLOATS[::-1]]))  # nan and inf as JSON strings
+@example(a=np.linspace(-1.0, 1.0, 31).reshape(1, 31))  # 31, 32 and 33 entries: no
+@example(a=np.linspace(-1.0, 1.0, 32).reshape(4, 8))   # size takes another path
+@example(a=np.linspace(-1.0, 1.0, 33).reshape(11, 3))
+@example(a=np.random.default_rng(0).normal(size=(6, 4)))  # a search output's shape
+@example(a=np.array(_FLOAT_LIST))  # arrays other than float64 matrices, too
 @example(a=np.arange(6).reshape(2, 3))
 @example(a=np.zeros((2, 0)))
 def test_render_array_matches_the_two_walker_reference(a):
     rows = a.tolist()
-    want = (json_reference.render_json(rows), json_reference._inline(rows),
-            json_reference.render_csv({"points": rows}),
-            json_reference.render_text({"points": rows}))
-    # with the size floor of the array path as it is, and at 1 so that every
-    # finite matrix takes that path
-    for floor in (cli._ARRAY_PATH_MIN_SIZE, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_ARRAY_PATH_MIN_SIZE", floor)
-            assert (render_json(a), render_json(a, None), cli.render_csv({"points": a}),
-                    cli.render_text({"points": a})) == want
+    assert (render_json(a), render_json(a, None), cli.render_csv({"points": a}),
+            cli.render_text({"points": a})) == (
+        json_reference.render_json(rows), json_reference._inline(rows),
+        json_reference.render_csv({"points": rows}), json_reference.render_text({"points": rows}))
 
 
 def test_unknown_theorem_message(capsys):
