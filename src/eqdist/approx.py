@@ -5,11 +5,14 @@ distance to |x|^p is bounded above in closed form and certified against the
 explicit Jackson-type bound B(p)/d^p.  The construction interpolates
 t^(p/2), t = x^2, at the floor(d/2) + 1 Chebyshev-Lobatto points of
 u = 2t - 1, which gives P in the even-Chebyshev basis T_0(x), T_2(x), ...,
-T_{2*floor(d/2)}(x), since T_k(2x^2 - 1) = T_{2k}(x).  A Lobatto point sits
-at t = 0, so the interpolant vanishes there up to rounding.  It is not the
-best approximation, but it converges at the same algebraic rate within a
-Lebesgue-constant factor (Trefethen, Approximation Theory and Approximation
-Practice, 2013), well inside the bound.
+T_{2*floor(d/2)}(x), since T_k(2x^2 - 1) = T_{2k}(x).  The nodes and the
+scaled Chebyshev-Vandermonde system depend on floor(d/2) alone, so they are
+built once per half-degree, and each fit is the one least-squares solve that
+numpy's chebfit runs.  A Lobatto point sits at t = 0, so the interpolant
+vanishes there up to rounding.  It is not the best approximation, but it
+converges at the same algebraic rate within a Lebesgue-constant factor
+(Trefethen, Approximation Theory and Approximation Practice, 2013), well
+inside the bound.
 
 The error bound reads P in the same basis.  |x|^p = sum_k a_k T_2k(x) with
 a_k known in closed form and sum_{k>n} |a_k| too (ATAP Thm 4.2), and
@@ -230,20 +233,42 @@ def _cheb_to_monomial(c: np.ndarray) -> np.ndarray:
     return c0
 
 
+# half_degree -> (nodes t, scaled system, column norms, rcond) of the Lobatto
+# fit; built on first use, at most MAX_MONOMIAL_DEGREE // 2 entries
+_LOBATTO_SYSTEMS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
+
+
+def _lobatto_system(nh: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The part of chebfit at the nh + 1 Lobatto points of u that depends on nh
+    only: the nodes t = (u + 1)/2, the Chebyshev-Vandermonde matrix over its
+    column norms scl, scl and rcond, each as numpy's polyutils._fit forms them."""
+    system = _LOBATTO_SYSTEMS.get(nh)
+    if system is None:
+        u = _cheb.chebpts2(nh + 1)
+        lhs = _cheb.chebvander(u, nh).T
+        scl = np.sqrt(np.square(lhs).sum(1))  # never 0: |T_k(1)| = 1
+        t, matrix = (u + 1.0) / 2.0, lhs.T / scl
+        for a in (t, matrix, scl):
+            a.setflags(write=False)
+        system = _LOBATTO_SYSTEMS[nh] = (t, matrix, scl, (nh + 1) * np.finfo(float).eps)
+    return system
+
+
 def _lobatto_interpolant(p: float, half_degree: int) -> np.ndarray:
     """Monomial coefficients, in x, of the even polynomial of degree
     2 * half_degree that interpolates |x|^p = t^(p/2) at the half_degree + 1
-    Chebyshev-Lobatto points of u = 2t - 1, t = x^2.  chebfit gives it in the
-    even-Chebyshev basis, and _cheb_to_monomial takes it to monomials with
-    the same bits as numpy's cheb2poly.  With no points to spare
+    Chebyshev-Lobatto points of u = 2t - 1, t = x^2.  The least-squares solve
+    on the stored _lobatto_system is chebfit's own, so its even-Chebyshev
+    coefficients keep chebfit's bits, and _cheb_to_monomial takes them to
+    monomials with the same bits as numpy's cheb2poly.  With no points to spare
     (half_degree 0) it is the zero polynomial, the only even one with P(0) = 0.
     """
     nh = half_degree
     if nh == 0:
         return np.zeros(1)
-    u = _cheb.chebpts2(nh + 1)
+    t, matrix, scl, rcond = _lobatto_system(nh)
     full = np.zeros(2 * nh + 1)
-    full[::2] = _cheb.chebfit(u, ((u + 1.0) / 2.0) ** (p / 2.0), nh)  # T_k(u) = T_2k(x)
+    full[::2] = np.linalg.lstsq(matrix, t ** (p / 2.0), rcond)[0] / scl  # T_k(u) = T_2k(x)
     # T_{2k} has even powers only, so odd entries are exactly zero
     return _cheb_to_monomial(full)
 

@@ -144,7 +144,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(commands: dict[str, _Parser] | None = None) -> _Parser:
+    """The top-level parser; each subcommand's own parser goes into commands,
+    when given, under the subcommand's name."""
     top = _Parser(prog="eqdist", description=__doc__.splitlines()[0]
                   if __doc__ else "")
     sub = top.add_subparsers(dest="command", required=True)
@@ -154,6 +156,8 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--format", choices=FORMATS, default="json")
         p.set_defaults(cmd=cmd)
+        if commands is not None:
+            commands[name] = p
         return p
 
     p = add("bound", "enumerate applicable bounds for a space", _cmd_bound)
@@ -290,9 +294,13 @@ def _cmd_search(args) -> tuple[object, str | None]:
         f"final damping {res.damping:.3g})")
 
 
-# The parser is built on the first run, not at import, and reused: building
-# it costs about 25 times as much as one parse.
+# The parsers are built on the first run, not at import, and reused: building
+# them costs about 25 times as much as one parse.  An argv that starts with a
+# subcommand is parsed once, by that subcommand's parser in _commands, not
+# again by the top-level one; any other argv, empty or of an unknown command,
+# goes to the top-level parser, so its errors and help are argparse's own.
 _parser: _Parser | None = None
+_commands: dict[str, _Parser] = {}
 
 
 def run(argv: list[str]) -> int:
@@ -300,8 +308,9 @@ def run(argv: list[str]) -> int:
     global _parser
     try:
         if _parser is None:
-            _parser = _build_parser()
-        args = _parser.parse_args(argv)
+            _parser = _build_parser(_commands)
+        command = _commands.get(argv[0]) if argv else None
+        args = _parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         report, failure = args.cmd(args)
     except (InputError, ResourceLimitError, NumericalError) as e:
         print(f"error: {e}", file=sys.stderr)

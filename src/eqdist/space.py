@@ -45,11 +45,11 @@ class Space:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
+    @cached_property
     def ambient_dim(self) -> int:
         return sum(self.blocks)
 
-    @property
+    @cached_property
     def is_lp(self) -> bool:
         """True when every block is 1-dimensional (a plain lp^n space)."""
         return self.ambient_dim == self.n_blocks  # blocks >= 1 sum to their count only if all are 1

@@ -1,10 +1,13 @@
 import math
+import random
+import runpy
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import cheb2poly
+from numpy.polynomial.chebyshev import cheb2poly, chebfit, chebpts2
 
 from eqdist import approx, cli
 from eqdist.approx import (COEFF_RTOL, MAX_MONOMIAL_DEGREE, EvenPolynomial,
@@ -215,6 +218,42 @@ def test_monomial_conversion_is_numpys_cheb2poly(monkeypatch):
     for c in ([0.0], [-0.0], [0.3], [0.3, -1.5]):
         assert same(convert(np.array(c)), cheb2poly(c)), c
     assert cases == 1566
+
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def test_stored_lobatto_system_gives_chebfits_bits(monkeypatch):
+    # the solve on the stored system is chebfit's own, so every coefficient
+    # keeps its bits, signed zeros too; p covers both sides of the even
+    # integers, p past 10, and every p of the first 16 approx-sweep rounds
+    approx_round = runpy.run_path(str(_WORKLOADS))["_approx_round"]
+    sweep = {job.check["p"] for i in range(16) for job in approx_round(random.Random(0), i)}
+    ps = sorted({1.0001, 1.0417, 1.5, 2.7083, 3.5, 5.75, 7.25, 7.9999, 12.3, 20.7} | sweep)
+    monkeypatch.setattr(approx, "_LOBATTO_SYSTEMS", {})
+    seen = []
+    monkeypatch.setattr(approx, "_cheb_to_monomial", lambda c: seen.append(c) or c)
+    for nh in range(1, MAX_MONOMIAL_DEGREE // 2 + 1):
+        u = chebpts2(nh + 1)
+        for p in ps:
+            seen.clear()
+            approx._lobatto_interpolant(p, nh)
+            [full] = seen
+            ref = chebfit(u, ((u + 1.0) / 2.0) ** (p / 2.0), nh)
+            assert np.array_equal(full[::2].view(np.int64), ref.view(np.int64)), (p, nh)
+    assert len(ps) > 300
+    # one entry per half-degree, each read-only and of full rank, so the
+    # RankWarning that chebfit checks for could not have fired
+    assert sorted(approx._LOBATTO_SYSTEMS) == list(range(1, MAX_MONOMIAL_DEGREE // 2 + 1))
+    for nh, (t, matrix, scl, rcond) in approx._LOBATTO_SYSTEMS.items():
+        for a in (t, matrix, scl):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert np.linalg.lstsq(matrix, t, rcond)[2] == nh + 1
+    # no degree past the monomial cap reaches the solve
+    with pytest.raises(ResourceLimitError):
+        approximate_abs_power(1.5, MAX_MONOMIAL_DEGREE + 1)
+    assert len(approx._LOBATTO_SYSTEMS) == MAX_MONOMIAL_DEGREE // 2
 
 
 def test_only_the_exact_monomial_skips_refinement():

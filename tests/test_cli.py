@@ -691,6 +691,42 @@ def test_parser_reuse_keeps_no_state(capsys, monkeypatch):
     assert code == 0 and len(json.loads(out)) > 1  # the full catalog, not --best
 
 
+def test_subcommand_dispatch_matches_the_top_level_parse(capsys, monkeypatch, fuzz_dir):
+    # an argv that starts with a subcommand is parsed by that subcommand's parser
+    # alone; with the table emptied, every argv goes through the top-level parser,
+    # and each outcome, help and errors included, must be the same either way
+    cp3, approx_ = str(fuzz_dir / "cp3.json"), ["approx", "--p", "1.5", "--d", "6"]
+    argvs = [["bound", "--space", "lp:n=5,p=4", "--best"],
+             ["construct", "lp-simplex", "--n", "3", "--p", "2.5", "--format", "csv"],
+             ["verify", "--points", cp3], ["verify", "--points", str(fuzz_dir / "p50.json")],
+             ["certify", "--points", cp3, "--theorem", "thm1", "--format", "text"],
+             approx_, ["search", "--space", "lp:n=2,p=2", "--m", "3", "--restarts", "2"],
+             ["approx", "--help"], ["--help"], [], ["nope"], [*approx_, "--x", "1"],
+             ["certify", "--points", cp3, "--theorem", "thm9"], ["bound"],
+             ["search", "--space", "lp:n=2,p=2", "--m", "x"], [*approx_, "--format", "xml"]]
+
+    def outcome(argv):
+        try:
+            code = run(list(argv))
+        except SystemExit as e:  # --help
+            code = ("exit", e.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    run(approx_)  # builds the parsers
+    capsys.readouterr()
+    top = []
+    monkeypatch.setattr(cli._parser, "parse_args",
+                        lambda argv, _parse=cli._parser.parse_args: top.append(argv) or _parse(argv))
+    dispatched = [outcome(argv) for argv in argvs]
+    assert top == [["--help"], [], ["nope"]]  # a known command skips the top-level parse
+    monkeypatch.setattr(cli, "_commands", {})
+    for argv, got in zip(argvs, dispatched):
+        assert outcome(argv) == got, argv
+    assert [got[0] for got in dispatched] == [0, 0, 0, 2, 2, 0, 0, ("exit", 0), ("exit", 0),
+                                              1, 1, 1, 1, 1, 1, 1]
+
+
 def test_no_eqdist_attribute_is_wrapped(capsys):
     # the benchmark's traced run takes any eqdist module attribute with a
     # __wrapped__ (functools.cache, lru_cache, wraps) for a tracing wrapper

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -30,6 +31,24 @@ def test_space_validation():
     assert blocks == (2,) and type(blocks[0]) is int
     s = Space(math.inf, (2, 3))
     assert s.ambient_dim == 5 and s.n_blocks == 2 and not s.is_lp
+
+
+def test_cached_space_properties_keep_value_equality_and_hash():
+    # ambient_dim, is_lp and block_slices are computed once per space; the
+    # cached values sit outside the fields, so equality, hash and replace
+    # see only p and blocks
+    for blocks in [(1,) * 200, (2, 3), (1,), (4,)]:
+        s, fresh = Space(3.0, blocks), Space(3.0, blocks)
+        before = (hash(s), s == fresh, repr(s))
+        assert (s.ambient_dim, s.is_lp) == (sum(blocks), set(blocks) == {1})
+        assert {"ambient_dim", "is_lp"} <= set(vars(s))
+        assert s.block_slices is s.block_slices
+        assert (hash(s), s == fresh, repr(s)) == before
+        assert s == fresh and hash(s) == hash(fresh)
+        other = dataclasses.replace(s, blocks=(*blocks, 1))
+        assert "ambient_dim" not in vars(other) and other.ambient_dim == sum(blocks) + 1
+        assert other.is_lp == (set(blocks) == {1})
+        assert dataclasses.replace(s) == s and hash(dataclasses.replace(s)) == hash(s)
 
 
 def test_space_string_roundtrip():
