@@ -131,6 +131,7 @@ def matrix_thm1(points: PointSet, k: int) -> tuple[SymMatrix, np.ndarray]:
     the l_k distance matrix, from one pass over the pairs."""
     k = require_even_exponent("k", k)
     _require_lp(points, "matrix_thm1")
+    # R * R is formed before _outer_norm, which takes R as its workspace
     return _pair_planes(points, pair_block_norms,
                         lambda R: (_power_sum_entry(R * R, k // 2), _outer_norm(R, float(k))))
 

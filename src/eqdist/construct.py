@@ -29,7 +29,7 @@ import numpy as np
 from . import space as space_mod
 from .errors import (DegenerateDistanceError, InputError, NumericalError, ResourceLimitError,
                      require_exponent, require_int, require_positive, require_real, shown)
-from .space import PointSet, Space, _block_sq_norms, distance_matrix
+from .space import PointSet, Space, _block_sq_norms, condensed_distances
 
 # Cap on a construction's points x dimension.  The largest sets within it print
 # as about 46 MB of JSON, and a verify of the largest cross-polytope within it
@@ -145,7 +145,8 @@ def distance_profile(points: PointSet, tol: float = 1e-7) -> list[float]:
     if points.m == 1:  # no pair, no distance
         return []
     with np.errstate(over="ignore", invalid="ignore"):  # overflows end in inf or nan
-        dists = np.sort(distance_matrix(points)[np.triu_indices(points.m, 1)])
+        dists = condensed_distances(points)
+        dists.sort()
         if dists[0] == 0.0:
             raise DegenerateDistanceError("zero distance present")
         clusters = np.split(dists, np.flatnonzero(np.diff(dists) > tol) + 1)

@@ -7,6 +7,7 @@ space is the special case where every block has dimension 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -182,17 +183,19 @@ def _check_dim(space: Space, x: Sequence[float]) -> np.ndarray:
     return arr
 
 
-# Row chunk of pair_map, and restart batch of the witness search: each
-# temporary holds about this many bytes.
+# Row chunk of pair_map and condensed_distances, and restart batch of the witness
+# search: each temporary holds about this many bytes.
 _CHUNK_BYTES = 1 << 20
-# Cap on the points of a set whose pairs are mapped, checked before pair_map
-# allocates: each (m, m) plane and its mirror take 8 m^2 bytes, 134 MB apiece at
-# the cap, where 20,000 points asked for 3 GB.  It holds every cross-polytope and
-# simplex that construct builds (at most 2,896 points), not every product of
-# simplices (a = b = 64 gives 4,225 points).  At the cap, on a 2-vCPU
-# Xeon, `verify` took 5.0 s with a 454 MB peak RSS on the product of two
-# 63-simplices (dimension 126), and 36 s with 1.2 GB on random points of lp^1,
-# whose 8.4 M distances each form a profile cluster.
+# Cap on the points of a set whose pairs are read, checked before _row_chunks
+# allocates: each (m, m) plane of pair_map and its mirror take 8 m^2 bytes, 134 MB
+# apiece at the cap, where 20,000 points asked for 3 GB; condensed_distances
+# takes 4 m^2 bytes, half a plane.  It holds every cross-polytope and simplex
+# that construct builds (at most 2,896 points), not every product of simplices
+# (a = b = 64 gives 4,225 points).  At the cap, on a 2-vCPU Xeon, `verify` took
+# 4.4-4.8 s with a 181 MB peak RSS on the product of two 63-simplices (dimension
+# 126), and about a minute with 1.6 GB on points drawn uniformly from an interval
+# of lp:n=1, whose 8.4 M distances each form a profile cluster: that time and
+# memory go to the clusters and the error message listing them.
 MAX_PAIR_POINTS = 1 << 12
 # Sums of squares below this have lost precision to underflow.
 _TINY = np.finfo(float).tiny
@@ -243,17 +246,17 @@ def pair_block_norms(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _outer_norm(r: np.ndarray, p: float) -> np.ndarray:
-    """lp norm over the last axis of the nonnegative array r.
+    """lp norm over the last axis of the nonnegative array r, which is its workspace.
 
     At p = 1 it is the plain sum of r, so an overflow gives inf.  Otherwise it
-    rescales by the largest entry before exponentiating so large p does not
-    overflow or underflow, and raises only the nonzero entries of the rescaled
-    copy, in place: 0 ** p is +0 for p >= 1, and on its AVX-512 loops numpy's
-    power takes about 4 times as long on a zero as on an ordinary value, while
-    zeros fill most of the differences of structured sets (cross-polytopes,
+    rescales r in place by its largest entry before exponentiating so large p
+    does not overflow or underflow, and raises only the nonzero entries, in
+    place: 0 ** p is +0 for p >= 1, and on its AVX-512 loops numpy's power
+    takes about 4 times as long on a zero as on an ordinary value, while zeros
+    fill most of the differences of structured sets (cross-polytopes,
     lp-simplices).  Calls the ufunc reductions directly: the np.max/np.sum
-    wrappers cost a third of a call on one short vector.  r is only read,
-    since callers read it again.
+    wrappers cost a third of a call on one short vector.  At finite p other
+    than 1, r is overwritten: a caller that reads r again passes a copy.
     """
     if p == 1.0:
         return np.add.reduce(r, axis=-1)
@@ -261,15 +264,20 @@ def _outer_norm(r: np.ndarray, p: float) -> np.ndarray:
     if math.isinf(p):
         return top
     # 1 where every entry is 0 (no 0/0), the largest double where top is inf (no inf/inf)
-    scale = np.minimum(top + (top == 0.0), _MAX)
-    x = r / scale[..., None]
-    np.power(x, p, out=x, where=x != 0.0)  # the loop x ** p picks (np.square at p = 2)
-    return top * np.add.reduce(x, axis=-1) ** (1.0 / p)
+    r /= np.minimum(top + (top == 0.0), _MAX)[..., None]
+    np.power(r, p, out=r, where=r != 0.0)  # the loop r ** p picks (np.square at p = 2)
+    return top * np.add.reduce(r, axis=-1) ** (1.0 / p)
+
+
+def _pair_distances(space: Space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(..., len A, len B) distances between the rows of A and the rows of B: the
+    one distance kernel of distance, distance_matrix and condensed_distances."""
+    return _outer_norm(pair_block_norms(space, A, B), space.p)
 
 
 def distance(space: Space, x: Sequence[float], y: Sequence[float]) -> float:
     x, y = _check_dim(space, x), _check_dim(space, y)
-    return float(_outer_norm(pair_block_norms(space, x[None], y[None])[0, 0], space.p))
+    return float(_pair_distances(space, x[None], y[None])[0, 0])
 
 
 def norm(space: Space, x: Sequence[float]) -> float:
@@ -277,28 +285,47 @@ def norm(space: Space, x: Sequence[float]) -> float:
     return distance(space, x, np.zeros(space.ambient_dim))
 
 
-def pair_map(pointset: PointSet, fn) -> np.ndarray:
-    """(..., m, m) values of fn(A, B), which gives the (..., len A, len B) values for
-    the row pairs of A and B, run on row chunks of the upper triangle and mirrored.
-    A chunk's (rows, cols, dim) pairwise temporaries hold about _CHUNK_BYTES.
-    A set of more than MAX_PAIR_POINTS points is refused before anything is allocated."""
+def _row_chunks(pointset: PointSet, fn):
+    """(i, fn(A, B)) for each row chunk A = points[i:i + rows] of the upper
+    triangle, with B = points[i:]; fn gives the (..., len A, len B) values for
+    the row pairs of A and B.  A chunk's (rows, cols, dim) pairwise temporaries
+    hold about _CHUNK_BYTES.  A set of more than MAX_PAIR_POINTS points is
+    refused before anything is allocated."""
     pts, m = pointset.points, pointset.m
     if m > MAX_PAIR_POINTS:
         raise ResourceLimitError(
             f"{m} points are above the cap of {MAX_PAIR_POINTS} on pairwise distances")
     rows = max(1, _CHUNK_BYTES // (8 * pts.size))
-    for i in range(0, m, rows):
-        values = fn(pts[i:i + rows], pts[i:])
+    return ((i, fn(pts[i:i + rows], pts[i:])) for i in range(0, m, rows))
+
+
+def pair_map(pointset: PointSet, fn) -> np.ndarray:
+    """(..., m, m) values of fn(A, B), which gives the (..., len A, len B) values for
+    the row pairs of A and B, run on the row chunks of the upper triangle and mirrored."""
+    m = pointset.m
+    for i, values in _row_chunks(pointset, fn):
         if i == 0:
             out = np.empty(values.shape[:-2] + (m, m))
-        out[..., i:i + rows, i:] = values
+        out[..., i:i + values.shape[-2], i:] = values
     return np.triu(out) + np.triu(out, 1).swapaxes(-1, -2)
 
 
 def distance_matrix(pointset: PointSet) -> np.ndarray:
     """Symmetric m x m matrix of pairwise distances (zero diagonal)."""
-    space = pointset.space
-    return pair_map(pointset, lambda A, B: _outer_norm(pair_block_norms(space, A, B), space.p))
+    return pair_map(pointset, functools.partial(_pair_distances, pointset.space))
+
+
+def condensed_distances(pointset: PointSet) -> np.ndarray:
+    """The m(m-1)/2 distances of the pairs i < j, in np.triu_indices(m, 1) order:
+    distance_matrix's upper triangle with its bits, copied from each row chunk,
+    with no (m, m) array."""
+    m = pointset.m
+    out = np.empty(m * (m - 1) // 2)
+    for i, chunk in _row_chunks(pointset, functools.partial(_pair_distances, pointset.space)):
+        j = i + len(chunk)  # row k of the chunk holds the distances of point i + k to i, i+1, ...
+        np.concatenate([chunk[k, k + 1:] for k in range(len(chunk))],
+                       out=out[i * (2 * m - i - 1) // 2:j * (2 * m - j - 1) // 2])
+    return out
 
 
 def norm_sandwich_check(x: Sequence[float], p: float,
@@ -311,7 +338,7 @@ def norm_sandwich_check(x: Sequence[float], p: float,
     if not p <= q:
         raise InputError(f"need 1 <= p <= q, got p={p}, q={q}")
     arr = np.abs(_finite_array("x", x))
-    nq = float(_outer_norm(arr, q))
+    nq = float(_outer_norm(arr.copy(), q))  # arr is read again: the q-norm takes a copy
     np_ = float(_outer_norm(arr, p))
     upper = arr.size ** (1.0 / p - 1.0 / q) * nq  # 1 / inf is 0
     slack = _TOL_REL * max(nq, np_, upper) + _TOL_ABS

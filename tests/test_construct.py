@@ -193,12 +193,15 @@ def _profile_by_loop(points, tol):
 
 def test_profile_matches_the_loop():
     rng = np.random.default_rng(29)
+    shapes = [(1, 1), (1, 1, 1, 1, 1), (2, 1), (1, 3, 2), (4,)]
     for _ in range(300):
         m = int(rng.integers(2, 30))
+        blocks = shapes[rng.integers(len(shapes))]
+        dim = sum(blocks)
         # grid points plus noise: many distances repeat up to the noise
         noise = 10.0 ** rng.uniform(-9, -2)
-        x = rng.integers(0, 12, size=(m, 2)) * 0.1 + rng.normal(size=(m, 2)) * noise
-        ps = PointSet(Space(float(rng.choice([1.0, 2.0, 3.5, math.inf])), (1, 1)), x)
+        x = rng.integers(0, 12, size=(m, dim)) * 0.1 + rng.normal(size=(m, dim)) * noise
+        ps = PointSet(Space(float(rng.choice([1.0, 1.5, 2.0, 3.5, math.inf])), blocks), x)
         tol = 10.0 ** rng.uniform(-7, math.log10(0.5))
         # no two points coincide, so distances below tol are clustered, not refused
         want = [x.hex() for x in _profile_by_loop(ps, tol)]

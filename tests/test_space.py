@@ -11,10 +11,11 @@ from hypothesis.extra.numpy import arrays
 
 import kernel_reference
 from eqdist import space as space_mod
-from eqdist.construct import cross_polytope, lp_simplex
+from eqdist.construct import cross_polytope, distance_profile, lp_simplex
 from eqdist.errors import InputError, ResourceLimitError
-from eqdist.space import (MAX_AMBIENT_DIM, PointSet, Space, distance, distance_matrix, norm,
-                          norm_sandwich_check, pair_block_norms, pair_block_sq_norms)
+from eqdist.space import (MAX_AMBIENT_DIM, PointSet, Space, condensed_distances, distance,
+                          distance_matrix, norm, norm_sandwich_check, pair_block_norms,
+                          pair_block_sq_norms)
 
 
 def test_space_validation():
@@ -261,16 +262,22 @@ def test_l1_norm_is_the_plain_sum():
     assert norm(Space(1.0, (2, 1)), [0.0, 0.0, 0.0]) == 0.0
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.5, math.inf])
-def test_outer_norm_leaves_its_argument_alone(p):
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.5, 1e5, math.inf])
+def test_outer_norm_on_a_copy_gives_the_reference_bits(p):
+    # _outer_norm rescales and raises its argument in place; the reference does both on
+    # new arrays.  Callers that read their array again pass a copy: the sandwich (below)
+    # and matrix_thm1's l_k plane (test_thm1_distance_plane_is_distance_matrix_in_lk)
     rng = np.random.default_rng(41)
     dense = np.abs(rng.normal(size=(6, 7)))
     zeros = dense * (rng.random((6, 7)) < 0.2)
     zeros[0] = 0.0
-    for r in (dense, zeros):
-        before = r.copy()
-        space_mod._outer_norm(r, p)
-        assert r.tobytes() == before.tobytes()
+    extreme = dense * np.array([[1e-300], [1e-200], [1.0], [1e200], [1e300], [1.0]])
+    extreme[5, 3] = math.inf
+    for r in (dense, zeros, extreme, dense[0]):
+        with np.errstate(over="ignore"):
+            want = kernel_reference.outer_norm(r, p)
+            got = space_mod._outer_norm(r.copy(), p)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sandwich_reads_its_array_twice_unchanged():
@@ -336,6 +343,36 @@ def test_distance_matrix_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2 ** 20, peak
+
+
+def test_distance_profile_peak_memory():
+    # the condensed m(m-1)/2 distances and one row chunk's temporaries, no (m, m) array
+    ps = cross_polytope(200)
+    tracemalloc.start()
+    try:
+        distance_profile(ps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * ps.m ** 2 + space_mod._CHUNK_BYTES, peak
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, 4096])  # one row per chunk; many rows at small m
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.5, 7.25, math.inf])
+@pytest.mark.parametrize("blocks", [(1,) * 5, (2, 1, 3)])
+def test_condensed_distances_are_the_matrix_triangle(monkeypatch, chunk_bytes, p, blocks):
+    monkeypatch.setattr(space_mod, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(59)
+    space = Space(p, blocks)
+    for m in range(1, 41):
+        # grid coordinates beside noisy ones: many differences are exact zeros
+        pts = np.where(rng.random((m, space.ambient_dim)) < 0.5,
+                       rng.integers(-1, 2, size=(m, space.ambient_dim)) * 0.75,
+                       rng.normal(size=(m, space.ambient_dim)))
+        ps = PointSet(space, pts * (1e-200, 1.0, 1e200)[m % 3])
+        got = condensed_distances(ps)
+        want = distance_matrix(ps)[np.triu_indices(m, 1)]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
 
 
 @pytest.mark.parametrize("call", [
