@@ -320,8 +320,9 @@ def condensed_distances(pointset: PointSet) -> np.ndarray:
     distance_matrix's upper triangle with its bits, copied from each row chunk,
     with no (m, m) array."""
     m = pointset.m
-    out = np.empty(m * (m - 1) // 2)
-    for i, chunk in _row_chunks(pointset, functools.partial(_pair_distances, pointset.space)):
+    chunks = _row_chunks(pointset, functools.partial(_pair_distances, pointset.space))
+    out = np.empty(m * (m - 1) // 2)  # after the cap check in _row_chunks
+    for i, chunk in chunks:
         j = i + len(chunk)  # row k of the chunk holds the distances of point i + k to i, i+1, ...
         np.concatenate([chunk[k, k + 1:] for k in range(len(chunk))],
                        out=out[i * (2 * m - i - 1) // 2:j * (2 * m - j - 1) // 2])

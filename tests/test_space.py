@@ -375,6 +375,19 @@ def test_condensed_distances_are_the_matrix_triangle(monkeypatch, chunk_bytes, p
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
 
 
+@pytest.mark.parametrize("pairwise", [condensed_distances, distance_matrix])
+def test_pair_point_cap_comes_before_any_allocation(monkeypatch, pairwise):
+    # 2 * 10^6 points on a line are 16 MB of input; their m(m-1)/2 distances would be 16 TB
+    ps = PointSet(Space(3.0, (1,)), np.arange(2_000_000.0)[:, None])
+
+    def no_empty(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+    monkeypatch.setattr(space_mod.np, "empty", no_empty)
+    with pytest.raises(ResourceLimitError, match=f"2000000 points are above the cap of "
+                                                 f"{space_mod.MAX_PAIR_POINTS} on pairwise"):
+        pairwise(ps)
+
+
 @pytest.mark.parametrize("call", [
     lambda: PointSet(Space(2.0, (1, 1)), np.zeros((0, 2))),
     lambda: norm_sandwich_check([1.0, 2.0], 0.5, 1.0),
